@@ -75,6 +75,7 @@ from .semantics import (
     TruthValue,
     atom_labels,
     completeness_audit,
+    fold,
     format_statement,
     is_classical_contradiction,
     is_classical_tautology,
@@ -96,6 +97,7 @@ from .experiments import (
     reference_qubit_model,
     reference_statements,
     run_experiment,
+    verify_family,
 )
 
 __version__ = "0.1.0"

@@ -13,18 +13,17 @@ import sys
 
 import numpy as np
 
-from .domains import PureStateModel, domain_report
+from .domains import PureStateModel
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
-    InstanceRecord,
     SCHEMA_VERSION,
     run_experiment,
+    verify_family,
 )
-from .lattice import PropertyFamily, check_orthomodular, join, meet, orthocomplement
-from .measurement import SeededRng, haar_random_ket
-from .numerics import DEFAULT_POLICY, Ket, frobenius_distance
-from .semantics import completeness_audit, order_isomorphism_check, parse_statement
+from .lattice import PropertyFamily
+from .numerics import Ket
+from .semantics import completeness_audit, parse_statement
 
 _ENV_SEED = "QLAT_SEED"
 
@@ -134,67 +133,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_family(args) -> int:
     family = _load_family(args.family)
-    pol = DEFAULT_POLICY
-    rng = SeededRng(args.seed)
-    instances: list[InstanceRecord] = []
-
-    order_ok = order_isomorphism_check(family, pol, rng=rng.derive(0), samples=args.states)
-    instances.append(
-        InstanceRecord(
-            index=0,
-            experiment="verify_family",
-            passed=order_ok,
-            residual=0.0,
-            detail={"check": "order_isomorphism"},
-        )
-    )
-
-    worst_gap = 0.0
-    laws_ok = True
-    for _, first in family.pairs():
-        for _, second in family.pairs():
-            gap = frobenius_distance(
-                meet(first, second, pol),
-                orthocomplement(join(orthocomplement(first), orthocomplement(second), pol)),
-            )
-            worst_gap = max(worst_gap, gap)
-            laws_ok = laws_ok and gap < pol.op_tol
-            laws_ok = laws_ok and check_orthomodular(first, join(first, second, pol), pol)
-    instances.append(
-        InstanceRecord(
-            index=1,
-            experiment="verify_family",
-            passed=laws_ok,
-            residual=worst_gap,
-            detail={"check": "lattice_laws", "max_de_morgan_gap": worst_gap},
-        )
-    )
-
-    gen = rng.substream(1)
-    states = [haar_random_ket(family.dim, gen) for _ in range(args.states)]
-    for _, member in family.pairs():
-        if member.rank == 1:
-            eigenvalues, eigenvectors = np.linalg.eigh(member.matrix)
-            states.append(Ket.normalized(eigenvectors[:, int(np.argmax(eigenvalues))]))
-    domain_ok = True
-    for state in states:
-        model = PureStateModel.from_ket(state)
-        report = domain_report(model, family, pol)
-        domain_ok = (
-            domain_ok
-            and report.predictable_equals_compatible
-            and report.objective_equals_predictable
-        )
-    instances.append(
-        InstanceRecord(
-            index=2,
-            experiment="verify_family",
-            passed=domain_ok,
-            residual=0.0,
-            detail={"check": "domain_equalities", "states": len(states)},
-        )
-    )
-
+    instances = verify_family(family, args.seed, args.states)
     failures = sum(not record.passed for record in instances)
     _emit(
         {

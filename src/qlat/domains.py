@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PropertyFamily, join, leq, meet, orthocomplement
-from .measurement import Observable, nondisturbing
+from .measurement import Observable, criterion_holds, nondisturbing
 from .numerics import (
     DEFAULT_POLICY,
     Ket,
@@ -97,7 +97,7 @@ def compatible_domain(
     return {
         label
         for label, member in family.pairs()
-        if commutator_norm(member, model.support) < pol.op_tol * family.dim
+        if criterion_holds("commutation", commutator_norm(member, model.support), family.dim, pol)
     }
 
 
@@ -136,13 +136,17 @@ def verify_predictable_equals_compatible(
     the support."""
     predictable = predictable_domain(model, family, pol)
     compatible = compatible_domain(model, family, pol)
-    if predictable != compatible:
-        return False
-    for label, member in family.pairs():
-        splits = pivot_residual(member, model.support, pol) < pol.op_tol
-        if splits != (label in compatible):
-            return False
-    return True
+    return predictable == compatible and _splits_match(compatible, model, family, pol)
+
+
+def _splits_match(
+    compatible: set[str], model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy
+) -> bool:
+    """Each member splits along the support exactly when it is compatible."""
+    return all(
+        (pivot_residual(member, model.support, pol) < pol.op_tol) == (label in compatible)
+        for label, member in family.pairs()
+    )
 
 
 def verify_objective_equals_predictable(
@@ -187,19 +191,25 @@ class DomainReport:
 def domain_report(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> DomainReport:
+    """Every domain computed once, with both equality verdicts read from them."""
     true_side = certainly_true_domain(model, family, pol)
     false_side = certainly_false_domain(model, family, pol)
     if true_side & false_side:
         raise ValueError(
             f"certainly true and certainly false overlap on {sorted(true_side & false_side)}"
         )
+    predictable = true_side | false_side
+    compatible = compatible_domain(model, family, pol)
+    objective = objective_domain(model, family, pol)
     return DomainReport(
         family=family,
         certainly_true=frozenset(true_side),
         certainly_false=frozenset(false_side),
-        predictable=frozenset(true_side | false_side),
-        compatible=frozenset(compatible_domain(model, family, pol)),
-        objective=frozenset(objective_domain(model, family, pol)),
-        predictable_equals_compatible=verify_predictable_equals_compatible(model, family, pol),
-        objective_equals_predictable=verify_objective_equals_predictable(model, family, pol),
+        predictable=frozenset(predictable),
+        compatible=frozenset(compatible),
+        objective=frozenset(objective),
+        predictable_equals_compatible=(
+            predictable == compatible and _splits_match(compatible, model, family, pol)
+        ),
+        objective_equals_predictable=objective == predictable,
     )

@@ -5,21 +5,24 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .domains import (
     PureStateModel,
     compatible_domain,
+    domain_report,
     objective_domain,
     pivot_residual,
     predictable_domain,
+    support_projection,
 )
 from .lattice import (
     PropertyFamily,
     check_covering,
     check_orthomodular,
+    de_morgan_gap,
     is_atom,
     join,
     leq,
@@ -40,7 +43,9 @@ from .numerics import (
     Projection,
     TolerancePolicy,
     frobenius_distance,
+    matrices_close,
     projection_onto_span,
+    range_basis,
 )
 from .semantics import (
     And,
@@ -49,6 +54,7 @@ from .semantics import (
     Or,
     Statement,
     completeness_audit,
+    order_isomorphism_check,
 )
 
 __all__ = [
@@ -66,17 +72,10 @@ __all__ = [
     "reference_qubit_model",
     "reference_statements",
     "run_experiment",
+    "verify_family",
 ]
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = (
-    "compatibility_equivalence",
-    "predictable_vs_compatible",
-    "objective_vs_predictable",
-    "lattice_laws",
-    "completeness_audit",
-)
 
 # Generated spectra keep at least this gap between eigenvalues so that
 # cluster boundaries never interact with the campaigns.
@@ -115,35 +114,11 @@ class ExperimentConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "dim": self.dim,
-            "instances": self.instances,
-            "mc_trials": self.mc_trials,
-            "seed": self.seed,
-            "commuting_fraction": self.commuting_fraction,
-            "tolerances": {
-                "op_tol": self.tolerances.op_tol,
-                "eig_gap": self.tolerances.eig_gap,
-                "norm_tol": self.tolerances.norm_tol,
-                "prob_tol": self.tolerances.prob_tol,
-            },
-            "output_path": self.output_path,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, document: dict) -> "ExperimentConfig":
-        known = {
-            "experiment",
-            "dim",
-            "instances",
-            "mc_trials",
-            "seed",
-            "commuting_fraction",
-            "tolerances",
-            "output_path",
-        }
-        unknown = set(document) - known
+        unknown = set(document) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config field {sorted(unknown)[0]!r}")
         if "experiment" not in document:
@@ -166,13 +141,9 @@ class InstanceRecord:
     detail: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "experiment": self.experiment,
-            "pass": self.passed,
-            "residual": self.residual,
-            "detail": self.detail,
-        }
+        document = {f.name: getattr(self, f.name) for f in fields(self)}
+        document["pass"] = document.pop("passed")
+        return document
 
 
 @dataclass(frozen=True)
@@ -331,7 +302,7 @@ def generate_property_family(
     entries: list[tuple[str, Projection]] = []
 
     def try_add(projection: Projection) -> None:
-        if any(frobenius_distance(projection, existing) < pol.op_tol for _, existing in entries):
+        if any(matrices_close(projection, existing, pol) for _, existing in entries):
             return
         if projection.rank in (0, dim):
             return
@@ -387,10 +358,18 @@ def reference_statements() -> tuple[Statement, ...]:
     )
 
 
-def _run_compatibility_equivalence(cfg: ExperimentConfig) -> list[InstanceRecord]:
+def _numbered(experiment: str, rows) -> tuple[InstanceRecord, ...]:
+    """Instance records from the (passed, residual, detail) rows that a
+    runner yields, one per instance in index order."""
+    return tuple(
+        InstanceRecord(index, experiment, passed, residual, detail)
+        for index, (passed, residual, detail) in enumerate(rows)
+    )
+
+
+def _run_compatibility_equivalence(cfg: ExperimentConfig):
     pol = cfg.tolerances
     base = SeededRng(cfg.seed)
-    records = []
     for index in range(cfg.instances):
         gen = base.substream(index, 0)
         commuting = gen.random() < cfg.commuting_fraction
@@ -399,28 +378,19 @@ def _run_compatibility_equivalence(cfg: ExperimentConfig) -> list[InstanceRecord
             first, second, pol, trials=cfg.mc_trials, rng=base.derive(index, 1)
         )
         passed = verdict.coincide and verdict.mc_consistent
-        records.append(
-            InstanceRecord(
-                index=index,
-                experiment=cfg.experiment,
-                passed=passed,
-                residual=0.0 if passed else verdict.max_violation,
-                detail={
-                    "commuting_intended": bool(commuting),
-                    "commutation": verdict.commutation,
-                    "nondisturbance": verdict.nondisturbance,
-                    "interposition": verdict.interposition,
-                    "sequence_symmetry": verdict.sequence_symmetry,
-                    "commeasurable": verdict.commeasurable,
-                    "coincide": verdict.coincide,
-                    "mc_trials": verdict.mc_trials,
-                    "mc_disagreements": verdict.mc_disagreements,
-                    "mc_floor": verdict.mc_floor,
-                    "mc_consistent": verdict.mc_consistent,
-                },
-            )
-        )
-    return records
+        yield passed, 0.0 if passed else verdict.max_violation, {
+            "commuting_intended": bool(commuting),
+            "commutation": verdict.commutation,
+            "nondisturbance": verdict.nondisturbance,
+            "interposition": verdict.interposition,
+            "sequence_symmetry": verdict.sequence_symmetry,
+            "commeasurable": verdict.commeasurable,
+            "coincide": verdict.coincide,
+            "mc_trials": verdict.mc_trials,
+            "mc_disagreements": verdict.mc_disagreements,
+            "mc_floor": verdict.mc_floor,
+            "mc_consistent": verdict.mc_consistent,
+        }
 
 
 def _domain_instance(cfg: ExperimentConfig, index: int) -> tuple[PureStateModel, PropertyFamily]:
@@ -430,9 +400,8 @@ def _domain_instance(cfg: ExperimentConfig, index: int) -> tuple[PureStateModel,
     return model, family
 
 
-def _run_predictable_vs_compatible(cfg: ExperimentConfig) -> list[InstanceRecord]:
+def _run_predictable_vs_compatible(cfg: ExperimentConfig):
     pol = cfg.tolerances
-    records = []
     for index in range(cfg.instances):
         model, family = _domain_instance(cfg, index)
         predictable = predictable_domain(model, family, pol)
@@ -448,127 +417,70 @@ def _run_predictable_vs_compatible(cfg: ExperimentConfig) -> list[InstanceRecord
             else:
                 min_outside = min(min_outside, residual)
                 split_ok = split_ok and residual > 10.0 * pol.op_tol
-        passed = predictable == compatible and split_ok
-        records.append(
-            InstanceRecord(
-                index=index,
-                experiment=cfg.experiment,
-                passed=passed,
-                residual=member_residual,
-                detail={
-                    "predictable": sorted(predictable),
-                    "compatible": sorted(compatible),
-                    "split_identity_ok": split_ok,
-                    "min_noncompatible_residual": (
-                        None if min_outside == float("inf") else min_outside
-                    ),
-                },
-            )
-        )
-    return records
+        yield predictable == compatible and split_ok, member_residual, {
+            "predictable": sorted(predictable),
+            "compatible": sorted(compatible),
+            "split_identity_ok": split_ok,
+            "min_noncompatible_residual": None if min_outside == float("inf") else min_outside,
+        }
 
 
-def _run_objective_vs_predictable(cfg: ExperimentConfig) -> list[InstanceRecord]:
+def _run_objective_vs_predictable(cfg: ExperimentConfig):
     pol = cfg.tolerances
-    records = []
     for index in range(cfg.instances):
         model, family = _domain_instance(cfg, index)
         objective = objective_domain(model, family, pol)
         predictable = predictable_domain(model, family, pol)
-        passed = objective == predictable
-        records.append(
-            InstanceRecord(
-                index=index,
-                experiment=cfg.experiment,
-                passed=passed,
-                residual=0.0,
-                detail={
-                    "objective": sorted(objective),
-                    "predictable": sorted(predictable),
-                },
-            )
-        )
-    return records
+        yield objective == predictable, 0.0, {
+            "objective": sorted(objective),
+            "predictable": sorted(predictable),
+        }
 
 
-def _nondistributivity_witness(pol: TolerancePolicy) -> InstanceRecord:
-    """Fixed two-level triple on which the distributive law strictly fails."""
-    ground = Projection(np.array([[1, 0], [0, 0]], dtype=np.complex128))
-    excited = Projection(np.array([[0, 0], [0, 1]], dtype=np.complex128))
-    superposed = Projection(np.full((2, 2), 0.5, dtype=np.complex128))
+def _nondistributivity_witness(pol: TolerancePolicy):
+    """Row for the worked qubit triple, on which the distributive law
+    strictly fails."""
+    family = reference_qubit_family(pol)
+    ground, excited, superposed = (family.get(label) for label in ("P0", "P1", "Pplus"))
     lhs = meet(superposed, join(ground, excited, pol), pol)
     rhs = join(meet(superposed, ground, pol), meet(superposed, excited, pol), pol)
     gap = frobenius_distance(lhs, rhs)
-    passed = (
-        frobenius_distance(lhs, superposed) < pol.op_tol
-        and rhs.rank == 0
-        and gap > 100.0 * pol.op_tol
-    )
-    return InstanceRecord(
-        index=0,
-        experiment="lattice_laws",
-        passed=passed,
-        residual=0.0 if passed else gap,
-        detail={"check": "nondistributivity_witness", "gap": gap},
-    )
+    passed = matrices_close(lhs, superposed, pol) and rhs.rank == 0 and gap > 100.0 * pol.op_tol
+    return passed, 0.0 if passed else gap, {"check": "nondistributivity_witness", "gap": gap}
 
 
-def _run_lattice_laws(cfg: ExperimentConfig) -> list[InstanceRecord]:
+def _run_lattice_laws(cfg: ExperimentConfig):
     pol = cfg.tolerances
     base = SeededRng(cfg.seed)
-    records = [_nondistributivity_witness(pol)]
+    yield _nondistributivity_witness(pol)
     for index in range(1, cfg.instances + 1):
         gen = base.substream(index, 0)
         dim = cfg.dim
         p = _random_subspace_projection(dim, int(gen.integers(1, dim)), gen)
         q = _random_subspace_projection(dim, int(gen.integers(1, dim)), gen)
         ket = haar_random_ket(dim, gen)
-        atom = Projection(np.outer(ket.amplitudes, ket.amplitudes.conj()))
+        atom = support_projection(ket)
         comparable = join(p, _random_subspace_projection(dim, 1, gen), pol)
         orthomodular_ok = check_orthomodular(p, comparable, pol)
-        de_morgan_gap = frobenius_distance(
-            meet(p, q, pol), orthocomplement(join(orthocomplement(p), orthocomplement(q), pol))
-        )
+        gap = de_morgan_gap(p, q, pol)
         covering_ok = check_covering(atom, p, pol)
-        range_vector = _first_range_vector(p)
-        witness_atom = Projection(np.outer(range_vector, range_vector.conj()))
+        witness_atom = support_projection(Ket(range_basis(p)[:, 0]))
         atomicity_ok = is_atom(witness_atom, pol) and leq(witness_atom, p, pol)
-        passed = (
-            orthomodular_ok
-            and de_morgan_gap < pol.op_tol
-            and covering_ok
-            and atomicity_ok
-        )
-        records.append(
-            InstanceRecord(
-                index=index,
-                experiment=cfg.experiment,
-                passed=passed,
-                residual=de_morgan_gap,
-                detail={
-                    "orthomodular": orthomodular_ok,
-                    "de_morgan_gap": de_morgan_gap,
-                    "covering": covering_ok,
-                    "atomicity": atomicity_ok,
-                },
-            )
-        )
-    return records
+        passed = orthomodular_ok and gap < pol.op_tol and covering_ok and atomicity_ok
+        yield passed, gap, {
+            "orthomodular": orthomodular_ok,
+            "de_morgan_gap": gap,
+            "covering": covering_ok,
+            "atomicity": atomicity_ok,
+        }
 
 
-def _first_range_vector(projection: Projection) -> np.ndarray:
-    eigenvalues, eigenvectors = np.linalg.eigh(projection.matrix)
-    index = int(np.argmax(eigenvalues))
-    return eigenvectors[:, index]
-
-
-def _run_completeness_audit(cfg: ExperimentConfig) -> list[InstanceRecord]:
+def _run_completeness_audit(cfg: ExperimentConfig):
     pol = cfg.tolerances
     family = reference_qubit_family(pol)
     model = reference_qubit_model()
     statements = reference_statements()
-    records = []
-    for index, mode in enumerate(("standard", "sr")):
+    for mode in ("standard", "sr"):
         audit = completeness_audit(model, family, statements, mode, pol)
         if mode == "standard":
             passed = (
@@ -578,16 +490,7 @@ def _run_completeness_audit(cfg: ExperimentConfig) -> list[InstanceRecord]:
             )
         else:
             passed = audit.verdict == "incomplete" and audit.witness == "Pplus"
-        records.append(
-            InstanceRecord(
-                index=index,
-                experiment=cfg.experiment,
-                passed=passed,
-                residual=0.0,
-                detail=audit.to_json_dict(),
-            )
-        )
-    return records
+        yield passed, 0.0, audit.to_json_dict()
 
 
 _RUNNERS = {
@@ -598,17 +501,17 @@ _RUNNERS = {
     "completeness_audit": _run_completeness_audit,
 }
 
+EXPERIMENTS = tuple(_RUNNERS)
+
 
 def run_experiment(cfg: ExperimentConfig) -> CampaignReport:
-    """Dispatch the configured campaign and assemble its report; instance
-    records are sorted by index so that re-runs with the same config differ
-    at most in wall time."""
+    """Dispatch the configured campaign and assemble its report; re-runs
+    with the same config differ at most in wall time."""
     start = time.perf_counter()
-    records = _RUNNERS[cfg.experiment](cfg)
-    records.sort(key=lambda record: record.index)
+    records = _numbered(cfg.experiment, _RUNNERS[cfg.experiment](cfg))
     report = CampaignReport(
         config=cfg,
-        instances=tuple(records),
+        instances=records,
         wall_time_s=time.perf_counter() - start,
     )
     if cfg.output_path:
@@ -616,3 +519,39 @@ def run_experiment(cfg: ExperimentConfig) -> CampaignReport:
             handle.write(report.dumps())
             handle.write("\n")
     return report
+
+
+def verify_family(
+    family: PropertyFamily, seed: int, states: int, pol: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[InstanceRecord, ...]:
+    """Check a given family: the order-entailment isomorphism, the lattice
+    laws on every member pair, and both domain equalities on ``states``
+    seeded Haar-random probe states plus every rank-one member's own state.
+    Returns one record per check, in that order."""
+    return _numbered("verify_family", _family_checks(family, SeededRng(seed), states, pol))
+
+
+def _family_checks(family: PropertyFamily, rng: SeededRng, states: int, pol: TolerancePolicy):
+    order_ok = order_isomorphism_check(family, pol, rng=rng.derive(0), samples=states)
+    yield order_ok, 0.0, {"check": "order_isomorphism"}
+
+    pairs = [(first, second) for first in family.members for second in family.members]
+    gaps = [de_morgan_gap(first, second, pol) for first, second in pairs]
+    laws_ok = all(gap < pol.op_tol for gap in gaps) and all(
+        check_orthomodular(first, join(first, second, pol), pol) for first, second in pairs
+    )
+    yield laws_ok, max(gaps), {"check": "lattice_laws", "max_de_morgan_gap": max(gaps)}
+
+    gen = rng.substream(1)
+    probes = [haar_random_ket(family.dim, gen) for _ in range(states)]
+    probes += [
+        Ket.normalized(range_basis(member)[:, 0])
+        for _, member in family.pairs()
+        if member.rank == 1
+    ]
+    reports = [domain_report(PureStateModel.from_ket(probe), family, pol) for probe in probes]
+    domain_ok = all(
+        report.predictable_equals_compatible and report.objective_equals_predictable
+        for report in reports
+    )
+    yield domain_ok, 0.0, {"check": "domain_equalities", "states": len(probes)}

@@ -25,6 +25,7 @@ __all__ = [
     "is_atom",
     "check_orthomodular",
     "check_covering",
+    "de_morgan_gap",
     "PropertyFamily",
 ]
 
@@ -85,6 +86,13 @@ def check_orthomodular(
     return matrices_close(rebuilt, q, pol)
 
 
+def de_morgan_gap(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
+    """Frobenius distance between p ^ q and (p_perp v q_perp)_perp."""
+    return frobenius_distance(
+        meet(p, q, pol), orthocomplement(join(orthocomplement(p), orthocomplement(q), pol))
+    )
+
+
 def check_covering(
     atom: Projection, p: Projection, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
@@ -127,7 +135,7 @@ class PropertyFamily:
                 )
             if label in labels:
                 raise ValueError(f"duplicate label {label!r}")
-            if any(frobenius_distance(projection, m) < pol.op_tol for m in members):
+            if any(matrices_close(projection, m, pol) for m in members):
                 continue
             labels.append(label)
             members.append(projection)
@@ -137,7 +145,7 @@ class PropertyFamily:
             (("0", "zero"), zero_projection(dim)),
             (("I", "identity"), identity_projection(dim)),
         ):
-            if any(frobenius_distance(special, m) < pol.op_tol for m in members):
+            if any(matrices_close(special, m, pol) for m in members):
                 continue
             label = next((name for name in fallbacks if name not in labels), None)
             if label is None:

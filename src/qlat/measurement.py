@@ -32,6 +32,7 @@ __all__ = [
     "haar_random_ket",
     "born_probability",
     "measure",
+    "criterion_holds",
     "commutes",
     "nondisturbing",
     "sequential_disagreements",
@@ -204,34 +205,30 @@ def _check_pair(first: Observable, second: Observable) -> None:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
 
 
-def commutes(first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Commutation criterion on the representing operators."""
+def _sandwich_defects(first: Observable, second: Observable) -> tuple[float, float]:
+    """From the norms |(I - P_n) Q_p P_n|_F over every (n, p), in both roles
+    of the two observables: the largest norm, and the larger of the two
+    sums of squared norms divided by the dimension."""
     _check_pair(first, second)
-    return commutator_norm(first.operator, second.operator) < pol.op_tol * first.dim
-
-
-def _max_sandwich_defect(first: Observable, second: Observable) -> float:
-    """max over (n, p) of |(I - P_n) Q_p P_n|_F with P from first, Q from second."""
     eye = np.eye(first.dim, dtype=np.complex128)
     worst = 0.0
-    for _, p in first.spectrum:
-        complement = eye - p.matrix
-        for _, q in second.spectrum:
-            worst = max(worst, float(np.linalg.norm(complement @ q.matrix @ p.matrix)))
-    return worst
+    rates = []
+    for outer, inner in ((first, second), (second, first)):
+        norms = [
+            float(np.linalg.norm((eye - p.matrix) @ q.matrix @ p.matrix))
+            for _, p in outer.spectrum
+            for _, q in inner.spectrum
+        ]
+        worst = max(worst, *norms)
+        rates.append(sum(norm**2 for norm in norms) / first.dim)
+    return worst, max(rates)
 
 
 def nondisturbance_residual(first: Observable, second: Observable) -> float:
     """Largest leakage of any eigenspace of either observable under a
     measurement of the other; zero exactly when sequential measurements in
     either order leave each other's results intact."""
-    _check_pair(first, second)
-    return max(_max_sandwich_defect(first, second), _max_sandwich_defect(second, first))
-
-
-def nondisturbing(first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Exact non-disturbance criterion, imposed in both measurement orders."""
-    return nondisturbance_residual(first, second) < pol.op_tol
+    return _sandwich_defects(first, second)[0]
 
 
 def interposition_residual(first: Observable, second: Observable) -> float:
@@ -245,15 +242,6 @@ def interposition_residual(first: Observable, second: Observable) -> float:
     return worst
 
 
-def interposition_invariant(
-    first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
-    """True iff a nonselective measurement of either observable, interposed,
-    leaves every outcome projection of the other unchanged."""
-    _check_pair(first, second)
-    return interposition_residual(first, second) < pol.op_tol * first.dim
-
-
 def sequence_symmetry_residual(first: Observable, second: Observable) -> float:
     worst = 0.0
     for _, p in first.spectrum:
@@ -264,6 +252,47 @@ def sequence_symmetry_residual(first: Observable, second: Observable) -> float:
     return worst
 
 
+# Threshold of each exact criterion decided by an operator residual, in
+# units of op_tol: True where it scales with the dimension. Every verdict on
+# these criteria, here and in the domains and the semantics, is taken by
+# criterion_holds from this table.
+_DIM_SCALED = {
+    "commutation": True,
+    "nondisturbance": False,
+    "interposition": True,
+    "sequence_symmetry": False,
+}
+
+
+def criterion_holds(
+    criterion: str, residual: float, dim: int, pol: TolerancePolicy = DEFAULT_POLICY
+) -> bool:
+    """Verdict of one exact criterion from its residual: the residual must
+    stay below op_tol, times the dimension for commutation and interposition."""
+    return residual < pol.op_tol * (dim if _DIM_SCALED[criterion] else 1)
+
+
+def commutes(first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """Commutation criterion on the representing operators."""
+    _check_pair(first, second)
+    residual = commutator_norm(first.operator, second.operator)
+    return criterion_holds("commutation", residual, first.dim, pol)
+
+
+def nondisturbing(first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """Exact non-disturbance criterion, imposed in both measurement orders."""
+    return criterion_holds("nondisturbance", nondisturbance_residual(first, second), first.dim, pol)
+
+
+def interposition_invariant(
+    first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY
+) -> bool:
+    """True iff a nonselective measurement of either observable, interposed,
+    leaves every outcome projection of the other unchanged."""
+    _check_pair(first, second)
+    return criterion_holds("interposition", interposition_residual(first, second), first.dim, pol)
+
+
 def sequence_symmetric(
     first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
@@ -271,7 +300,9 @@ def sequence_symmetric(
     for every outcome pair and every state; operator equality of the two
     sandwich products is equivalent to equality of the quadratic forms."""
     _check_pair(first, second)
-    return sequence_symmetry_residual(first, second) < pol.op_tol
+    return criterion_holds(
+        "sequence_symmetry", sequence_symmetry_residual(first, second), first.dim, pol
+    )
 
 
 def joint_observable(
@@ -285,9 +316,12 @@ def joint_observable(
     single measurement determines a value for both observables. Returns None
     for non-commuting pairs.
     """
-    _check_pair(first, second)
     if not commutes(first, second, pol):
         return None
+    return _joint_of(first, second)
+
+
+def _joint_of(first: Observable, second: Observable) -> Observable:
     k = len(second.spectrum)
     entries: list[tuple[float, Projection]] = []
     for n, (_, p) in enumerate(first.spectrum):
@@ -358,24 +392,16 @@ def min_disagreement_probability(first: Observable, second: Observable) -> float
     orders on independent states, so the larger of the two averages bounds
     the per-trial disagreement probability from below.
     """
-    _check_pair(first, second)
-    dim = first.dim
-    eye = np.eye(dim, dtype=np.complex128)
-    averages = []
-    for outer, inner in ((first, second), (second, first)):
-        total = 0.0
-        for _, p in outer.spectrum:
-            complement = eye - p.matrix
-            for _, q in inner.spectrum:
-                total += float(np.linalg.norm(complement @ q.matrix @ p.matrix) ** 2)
-        averages.append(total / dim)
-    return max(averages)
+    return _sandwich_defects(first, second)[1]
 
 
 def mc_trial_floor(first: Observable, second: Observable) -> int:
     """Trials needed so that a pair violating exact non-disturbance passes a
     zero-disagreement Monte Carlo run with probability below e**-50."""
-    rate = min_disagreement_probability(first, second)
+    return _trial_floor(min_disagreement_probability(first, second))
+
+
+def _trial_floor(rate: float) -> int:
     if rate <= 0.0:
         return 2**62
     return min(2**62, math.ceil(50.0 / rate))
@@ -415,62 +441,55 @@ def compatibility_verdict(
 ) -> CompatibilityVerdict:
     """Evaluate all five compatibility criteria on one observable pair.
 
-    The five exact criteria are computed independently of each other; their
-    agreement is the quantity under audit here, not an assumption.
+    The four residuals are computed independently of each other, and the
+    joint observable is built whenever commutation holds; the agreement of
+    the five verdicts is the quantity under audit here, not an assumption.
     """
     _check_pair(first, second)
     if rng is None:
         rng = SeededRng(0)
     dim = first.dim
 
-    commutation_defect = commutator_norm(first.operator, second.operator)
-    commutation = commutation_defect < pol.op_tol * dim
-
-    nd_defect = nondisturbance_residual(first, second)
-    has_nondisturbance = nd_defect < pol.op_tol
-
-    ip_defect = interposition_residual(first, second)
-    interposition = ip_defect < pol.op_tol * dim
-
-    seq_defect = sequence_symmetry_residual(first, second)
-    symmetry = seq_defect < pol.op_tol
-
-    joint = joint_observable(first, second, pol)
+    # The sandwich products give both the non-disturbance residual and the
+    # analytic MC floor.
+    leakage, disagreement_rate = _sandwich_defects(first, second)
+    residuals = {
+        "commutation": commutator_norm(first.operator, second.operator),
+        "nondisturbance": leakage,
+        "interposition": interposition_residual(first, second),
+        "sequence_symmetry": sequence_symmetry_residual(first, second),
+    }
+    holds = {
+        criterion: criterion_holds(criterion, value, dim, pol)
+        for criterion, value in residuals.items()
+    }
+    joint = _joint_of(first, second) if holds["commutation"] else None
     commeasurable = joint is not None
 
-    forward, backward = sequential_disagreements(first, second, trials, rng, pol)
-    count = forward + backward
-    floor = 0 if has_nondisturbance else mc_trial_floor(first, second)
-    if has_nondisturbance:
-        mc_consistent = count == 0
+    mc_passed, count = nondisturbing_mc(first, second, trials, rng, pol)
+    if holds["nondisturbance"]:
+        floor = 0
+        mc_consistent = mc_passed
     else:
+        floor = _trial_floor(disagreement_rate)
         mc_consistent = count > 0 or trials < floor
 
-    verdicts = (commutation, has_nondisturbance, interposition, symmetry, commeasurable)
-    coincide = len(set(verdicts)) == 1
-    failed_defects = [
-        defect
-        for verdict, defect in (
-            (commutation, commutation_defect),
-            (has_nondisturbance, nd_defect),
-            (interposition, ip_defect),
-            (symmetry, seq_defect),
-            (commeasurable, commutation_defect),
-        )
-        if not verdict
-    ]
+    verdicts = (*holds.values(), commeasurable)
+    violations = [residuals[criterion] for criterion, held in holds.items() if not held]
+    if not commeasurable:
+        violations.append(residuals["commutation"])
     return CompatibilityVerdict(
-        commutation=commutation,
-        nondisturbance=has_nondisturbance,
-        mc_passed=count == 0,
+        commutation=holds["commutation"],
+        nondisturbance=holds["nondisturbance"],
+        mc_passed=mc_passed,
         mc_trials=trials,
         mc_disagreements=count,
         mc_floor=floor,
-        interposition=interposition,
-        sequence_symmetry=symmetry,
+        interposition=holds["interposition"],
+        sequence_symmetry=holds["sequence_symmetry"],
         commeasurable=commeasurable,
         joint=joint,
-        max_violation=max(failed_defects, default=0.0),
-        coincide=coincide,
+        max_violation=max(violations, default=0.0),
+        coincide=len(set(verdicts)) == 1,
         mc_consistent=mc_consistent,
     )

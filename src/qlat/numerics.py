@@ -21,6 +21,7 @@ __all__ = [
     "zero_projection",
     "identity_projection",
     "projection_onto_span",
+    "range_basis",
 ]
 
 
@@ -220,6 +221,13 @@ def is_projection(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     if float(np.linalg.norm(m - m.conj().T)) > pol.op_tol:
         return False
     return float(np.linalg.norm(m @ m - m)) <= pol.op_tol
+
+
+def range_basis(projection: Projection) -> np.ndarray:
+    """Orthonormal basis of the range as the columns of a d x rank array,
+    taken from the eigenvectors of eigenvalue near 1."""
+    eigenvalues, eigenvectors = np.linalg.eigh(projection.matrix)
+    return eigenvectors[:, eigenvalues > 0.5]
 
 
 def zero_projection(dim: int) -> Projection:

@@ -5,16 +5,23 @@ testability filter, and the completeness audit contrasting the two."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
 from typing import Mapping
-
-import numpy as np
 
 from .domains import PureStateModel
 from .lattice import PropertyFamily, join, leq, meet, orthocomplement
-from .measurement import Observable, SeededRng, born_probability, haar_random_ket, nondisturbing
-from .numerics import DEFAULT_POLICY, Ket, Projection, TolerancePolicy, commutator_norm
+from .measurement import (
+    Observable,
+    SeededRng,
+    born_probability,
+    criterion_holds,
+    haar_random_ket,
+    nondisturbing,
+)
+from .numerics import DEFAULT_POLICY, Ket, Projection, TolerancePolicy, commutator_norm, range_basis
 
 __all__ = [
     "Statement",
@@ -25,6 +32,7 @@ __all__ = [
     "Implies",
     "TruthValue",
     "parse_statement",
+    "fold",
     "format_statement",
     "atom_labels",
     "tarskian_truth",
@@ -135,47 +143,68 @@ def _expect_close(tokens: list[str], position: int) -> int:
     return position + 1
 
 
+def fold(statement: Statement, elementary, negation, conjunction, disjunction, implication=None):
+    """Bottom-up fold over the statement tree.
+
+    ``elementary`` maps a label to a value; ``negation``, ``conjunction``,
+    ``disjunction`` and ``implication`` combine the values of the operands,
+    both of which are always computed, left before right. Implication
+    defaults to the material reading, ``disjunction(negation(left), right)``.
+    Raises TypeError on a node that is not a statement.
+    """
+    if implication is None:
+        implication = partial(_material, negation, disjunction)
+    binary = {And: conjunction, Or: disjunction, Implies: implication}
+    return _walk(statement, (elementary, negation, binary))
+
+
+def _material(negation, disjunction, left, right):
+    return disjunction(negation(left), right)
+
+
+# A module function, not a closure in fold: a closure that calls itself is a
+# reference cycle, garbage that only the cyclic collector frees.
+def _walk(node, algebra):
+    elementary, negation, binary = algebra
+    if isinstance(node, Elementary):
+        return elementary(node.label)
+    if isinstance(node, Not):
+        return negation(_walk(node.operand, algebra))
+    combine = binary.get(type(node))
+    if combine is None:
+        raise TypeError(f"not a statement: {node!r}")
+    return combine(_walk(node.left, algebra), _walk(node.right, algebra))
+
+
 def format_statement(statement: Statement) -> str:
     """Canonical prefix text; inverse of parse_statement."""
-    if isinstance(statement, Elementary):
-        return statement.label
-    if isinstance(statement, Not):
-        return f"(not {format_statement(statement.operand)})"
-    for name, node_type in _BINARY.items():
-        if isinstance(statement, node_type):
-            return f"({name} {format_statement(statement.left)} {format_statement(statement.right)})"
-    raise TypeError(f"not a statement: {statement!r}")
+
+    def connective(name):
+        return lambda left, right: f"({name} {left} {right})"
+
+    return fold(
+        statement, str, "(not {})".format, connective("and"), connective("or"), connective("implies")
+    )
 
 
 def atom_labels(statement: Statement) -> set[str]:
-    if isinstance(statement, Elementary):
-        return {statement.label}
-    if isinstance(statement, Not):
-        return atom_labels(statement.operand)
-    if isinstance(statement, (And, Or, Implies)):
-        return atom_labels(statement.left) | atom_labels(statement.right)
-    raise TypeError(f"not a statement: {statement!r}")
+    return fold(statement, lambda label: {label}, lambda labels: labels, set.union, set.union)
 
 
 def tarskian_truth(statement: Statement, assignment: Mapping[str, bool]) -> bool:
     """Total classical valuation under an explicit possession assignment.
 
     Every statement receives a definite truth value, whether or not anything
-    could verify it; implication is material.
+    could verify it; implication is material. Every label must be resolved
+    by the assignment, wherever it occurs.
     """
-    if isinstance(statement, Elementary):
-        if statement.label not in assignment:
-            raise ValueError(f"unresolved label {statement.label!r}")
-        return bool(assignment[statement.label])
-    if isinstance(statement, Not):
-        return not tarskian_truth(statement.operand, assignment)
-    if isinstance(statement, And):
-        return tarskian_truth(statement.left, assignment) and tarskian_truth(statement.right, assignment)
-    if isinstance(statement, Or):
-        return tarskian_truth(statement.left, assignment) or tarskian_truth(statement.right, assignment)
-    if isinstance(statement, Implies):
-        return (not tarskian_truth(statement.left, assignment)) or tarskian_truth(statement.right, assignment)
-    raise TypeError(f"not a statement: {statement!r}")
+
+    def possessed(label: str) -> bool:
+        if label not in assignment:
+            raise ValueError(f"unresolved label {label!r}")
+        return bool(assignment[label])
+
+    return fold(statement, possessed, operator.not_, operator.and_, operator.or_)
 
 
 def is_testable(
@@ -192,48 +221,29 @@ def is_testable(
     """
     labels = sorted(atom_labels(statement))
     projections = {label: family.get(label) for label in labels}
-    threshold = pol.op_tol * family.dim
     for a, b in itertools.combinations(labels, 2):
-        if commutator_norm(projections[a], projections[b]) >= threshold:
+        residual = commutator_norm(projections[a], projections[b])
+        if not criterion_holds("commutation", residual, family.dim, pol):
             return None
-    return _evaluate_tree(statement, projections, pol)
-
-
-def _evaluate_tree(
-    statement: Statement, projections: Mapping[str, Projection], pol: TolerancePolicy
-) -> Projection:
-    if isinstance(statement, Elementary):
-        return projections[statement.label]
-    if isinstance(statement, Not):
-        return orthocomplement(_evaluate_tree(statement.operand, projections, pol))
-    if isinstance(statement, And):
-        return meet(
-            _evaluate_tree(statement.left, projections, pol),
-            _evaluate_tree(statement.right, projections, pol),
-            pol,
-        )
-    if isinstance(statement, Or):
-        return join(
-            _evaluate_tree(statement.left, projections, pol),
-            _evaluate_tree(statement.right, projections, pol),
-            pol,
-        )
-    if isinstance(statement, Implies):
-        return join(
-            orthocomplement(_evaluate_tree(statement.left, projections, pol)),
-            _evaluate_tree(statement.right, projections, pol),
-            pol,
-        )
-    raise TypeError(f"not a statement: {statement!r}")
+    return fold(
+        statement,
+        projections.__getitem__,
+        orthocomplement,
+        partial(meet, pol=pol),
+        partial(join, pol=pol),
+    )
 
 
 def _membership(
-    projection: Projection, model: PureStateModel, pol: TolerancePolicy
+    projection: Projection | None, model: PureStateModel, pol: TolerancePolicy
 ) -> TruthValue:
-    if leq(model.support, projection, pol):
-        return TruthValue.TRUE
-    if leq(projection, orthocomplement(model.support), pol):
-        return TruthValue.FALSE
+    """Certainty value of a property in the model; UNDEFINED also when there
+    is no property, as for a statement without an elementary equivalent."""
+    if projection is not None:
+        if leq(model.support, projection, pol):
+            return TruthValue.TRUE
+        if leq(projection, orthocomplement(model.support), pol):
+            return TruthValue.FALSE
     return TruthValue.UNDEFINED
 
 
@@ -250,10 +260,7 @@ def verificationist_truth(
     evaluate; testability, not componentwise definedness, is the criterion.
     The strong-Kleene reading lives in kleene_truth for reporting.
     """
-    equivalent = is_testable(statement, family, pol)
-    if equivalent is None:
-        return TruthValue.UNDEFINED
-    return _membership(equivalent, model, pol)
+    return _membership(is_testable(statement, family, pol), model, pol)
 
 
 def _kleene_not(value: TruthValue) -> TruthValue:
@@ -271,11 +278,8 @@ def _kleene_and(a: TruthValue, b: TruthValue) -> TruthValue:
 
 
 def _kleene_or(a: TruthValue, b: TruthValue) -> TruthValue:
-    if TruthValue.TRUE in (a, b):
-        return TruthValue.TRUE
-    if TruthValue.UNDEFINED in (a, b):
-        return TruthValue.UNDEFINED
-    return TruthValue.FALSE
+    # De Morgan dual of the conjunction table, which holds in strong Kleene logic.
+    return _kleene_not(_kleene_and(_kleene_not(a), _kleene_not(b)))
 
 
 def kleene_truth(
@@ -286,26 +290,13 @@ def kleene_truth(
 ) -> TruthValue:
     """Strong-Kleene propagation of elementary certainty values; reported
     alongside the verificationist value but never driving audits."""
-    if isinstance(statement, Elementary):
-        return _membership(family.get(statement.label), model, pol)
-    if isinstance(statement, Not):
-        return _kleene_not(kleene_truth(statement.operand, model, family, pol))
-    if isinstance(statement, And):
-        return _kleene_and(
-            kleene_truth(statement.left, model, family, pol),
-            kleene_truth(statement.right, model, family, pol),
-        )
-    if isinstance(statement, Or):
-        return _kleene_or(
-            kleene_truth(statement.left, model, family, pol),
-            kleene_truth(statement.right, model, family, pol),
-        )
-    if isinstance(statement, Implies):
-        return _kleene_or(
-            _kleene_not(kleene_truth(statement.left, model, family, pol)),
-            kleene_truth(statement.right, model, family, pol),
-        )
-    raise TypeError(f"not a statement: {statement!r}")
+    return fold(
+        statement,
+        lambda label: _membership(family.get(label), model, pol),
+        _kleene_not,
+        _kleene_and,
+        _kleene_or,
+    )
 
 
 _MAX_TABLE_ATOMS = 16
@@ -346,9 +337,7 @@ def order_isomorphism_check(
 
     states = []
     for _, member in family.pairs():
-        eigenvalues, eigenvectors = np.linalg.eigh(member.matrix)
-        for column in np.flatnonzero(eigenvalues > 0.5):
-            states.append(Ket.normalized(eigenvectors[:, column]))
+        states.extend(Ket.normalized(vector) for vector in range_basis(member).T)
     for _ in range(samples):
         states.append(haar_random_ket(family.dim, gen))
 
@@ -386,6 +375,12 @@ class StatementRecord:
     predictable: bool
     flagged: bool
 
+    def to_json_dict(self) -> dict:
+        """Every field but the parsed statement; truth values by name."""
+        document = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "statement"}
+        document.update(verificationist=self.verificationist.value, kleene=self.kleene.value)
+        return document
+
 
 @dataclass(frozen=True, eq=False)
 class CompletenessAudit:
@@ -405,18 +400,7 @@ class CompletenessAudit:
             "meaningful": sorted(self.meaningful),
             "predictable": sorted(self.predictable),
             "flagged": list(self.flagged),
-            "statements": [
-                {
-                    "text": record.text,
-                    "testable": record.testable,
-                    "verificationist": record.verificationist.value,
-                    "kleene": record.kleene.value,
-                    "meaningful": record.meaningful,
-                    "predictable": record.predictable,
-                    "flagged": record.flagged,
-                }
-                for record in self.records
-            ],
+            "statements": [record.to_json_dict() for record in self.records],
         }
 
 
@@ -445,24 +429,15 @@ def completeness_audit(
     if mode_key not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     support_observable = Observable.from_projection(model.support, pol)
-    support_complement = orthocomplement(model.support)
 
     records: list[StatementRecord] = []
     for statement in statements:
         equivalent = is_testable(statement, family, pol)
         testable = equivalent is not None
-        if testable:
-            objective = nondisturbing(
-                Observable.from_projection(equivalent, pol), support_observable, pol
-            )
-            predictable = leq(model.support, equivalent, pol) or leq(
-                equivalent, support_complement, pol
-            )
-            verdict_value = _membership(equivalent, model, pol)
-        else:
-            objective = False
-            predictable = False
-            verdict_value = TruthValue.UNDEFINED
+        objective = testable and nondisturbing(
+            Observable.from_projection(equivalent, pol), support_observable, pol
+        )
+        verdict_value = _membership(equivalent, model, pol)
         flagged = not testable and (
             is_classical_tautology(statement) or is_classical_contradiction(statement)
         )
@@ -474,7 +449,7 @@ def completeness_audit(
                 verificationist=verdict_value,
                 kleene=kleene_truth(statement, model, family, pol),
                 meaningful=True if mode_key == "sr" else objective,
-                predictable=predictable,
+                predictable=verdict_value is not TruthValue.UNDEFINED,
                 flagged=flagged,
             )
         )

@@ -6,6 +6,7 @@ from qlat import (
     PropertyFamily,
     PureStateModel,
     SeededRng,
+    TolerancePolicy,
     born_probability,
     certainly_false_domain,
     certainly_true_domain,
@@ -196,3 +197,43 @@ class TestEqualityCampaigns:
             dim = 2 + int(gen.integers(0, 3))
             model, family = random_instance(dim, gen, pol)
             assert verify_objective_equals_predictable(model, family, pol)
+
+
+class TestReportMatchesVerifiers:
+    """domain_report reads its equality flags off domains it computes once;
+    they must agree with the stand-alone verifiers, including instances
+    where an equality fails."""
+
+    @staticmethod
+    def flags(model, family, pol):
+        report = domain_report(model, family, pol)
+        reported = (report.predictable_equals_compatible, report.objective_equals_predictable)
+        verified = (
+            verify_predictable_equals_compatible(model, family, pol),
+            verify_objective_equals_predictable(model, family, pol),
+        )
+        assert reported == verified
+        return reported
+
+    # The loose policy makes the order and the commutator disagree on many
+    # members, so both flags are also exercised when they are false.
+    @pytest.mark.parametrize(
+        "pol", [TolerancePolicy(), TolerancePolicy(op_tol=0.3, eig_gap=0.5)], ids=["default", "loose"]
+    )
+    def test_random_instances(self, pol):
+        gen = SeededRng(11).generator()
+        seen = set()
+        for _ in range(20):
+            dim = 2 + int(gen.integers(0, 3))
+            model, family = random_instance(dim, gen, pol)
+            seen.update(self.flags(model, family, pol))
+        assert True in seen
+        if pol.op_tol > 0.1:
+            assert False in seen
+
+    def test_qubit_family(self, pol, qubit_family, plus_ket):
+        gen = SeededRng(12).generator()
+        states = [Ket.basis(2, 0), Ket.basis(2, 1), plus_ket]
+        states += [haar_random_ket(2, gen) for _ in range(5)]
+        for state in states:
+            assert self.flags(PureStateModel.from_ket(state), qubit_family, pol) == (True, True)

@@ -13,6 +13,7 @@ from qlat import (
     haar_random_ket,
     matrices_close,
     run_experiment,
+    verify_family,
 )
 from qlat.cli import main
 from qlat.domains import PureStateModel
@@ -259,6 +260,16 @@ class TestCli:
         assert document["aggregate"]["fail"] == 0
         checks = [record["detail"]["check"] for record in document["instances"]]
         assert checks == ["order_isomorphism", "lattice_laws", "domain_equalities"]
+
+    def test_verify_family_document_matches_library(self, family_file, qubit_family, capsys):
+        code = main(["verify-family", "--family", family_file, "--seed", "4", "--states", "3"])
+        document = json.loads(capsys.readouterr().out)
+        records = verify_family(qubit_family, 4, 3)
+        assert code == 0
+        assert document["instances"] == [record.to_json_dict() for record in records]
+        assert [record.experiment for record in records] == ["verify_family"] * 3
+        assert [record.index for record in records] == [0, 1, 2]
+        assert document["family"] == {"dim": 2, "labels": list(qubit_family.labels)}
 
     def test_audit_standard_and_sr(self, family_file, state_file, statements_file, capsys):
         code = main(

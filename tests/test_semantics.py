@@ -22,6 +22,7 @@ from qlat import (
     atom_labels,
     born_probability,
     completeness_audit,
+    fold,
     format_statement,
     generate_property_family,
     haar_random_ket,
@@ -110,6 +111,33 @@ class TestParsing:
         assert atom_labels(statement) == {"a", "b", "c"}
 
 
+class TestFold:
+    @staticmethod
+    def render(statement, implication=None):
+        return fold(
+            statement,
+            str,
+            lambda value: f"-{value}",
+            lambda left, right: f"[{left}&{right}]",
+            lambda left, right: f"[{left}|{right}]",
+            implication,
+        )
+
+    def test_implication_defaults_to_material(self):
+        statement = parse_statement("(implies a (not b))")
+        assert self.render(statement) == "[-a|-b]"
+        assert self.render(statement, lambda left, right: f"{left}>{right}") == "a>-b"
+
+    @pytest.mark.parametrize(
+        "node", [42, "a", And(Elementary("a"), "b"), Not(None), Or(Elementary("a"), 1.5)]
+    )
+    def test_rejects_non_statement_node(self, node):
+        with pytest.raises(TypeError, match="not a statement"):
+            self.render(node)
+        with pytest.raises(TypeError, match="not a statement"):
+            format_statement(node)
+
+
 class TestTarskianTruth:
     def test_elementary(self):
         assert tarskian_truth(Elementary("E"), {"E": True})
@@ -128,6 +156,20 @@ class TestTarskianTruth:
     def test_unresolved_label(self):
         with pytest.raises(ValueError, match="unresolved"):
             tarskian_truth(Elementary("ghost"), {})
+
+    @pytest.mark.parametrize(
+        "text, assignment",
+        [
+            ("(and a ghost)", {"a": False}),
+            ("(or a ghost)", {"a": True}),
+            ("(implies a ghost)", {"a": False}),
+            ("(and ghost a)", {"a": False}),
+            ("(not (or (not a) ghost))", {"a": False}),
+        ],
+    )
+    def test_unresolved_label_in_any_position(self, text, assignment):
+        with pytest.raises(ValueError, match="unresolved label 'ghost'"):
+            tarskian_truth(parse_statement(text), assignment)
 
     def test_total_on_every_assignment(self):
         statement = parse_statement("(implies (or a (not b)) (and b c))")

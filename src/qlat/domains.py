@@ -38,7 +38,11 @@ __all__ = [
 
 def support_projection(state: Ket) -> Projection:
     """Rank-one projection onto the state; invariant under global phase."""
-    return Projection(np.outer(state.amplitudes, state.amplitudes.conj()))
+    return Projection(_outer(state))
+
+
+def _outer(state: Ket) -> np.ndarray:
+    return np.outer(state.amplitudes, state.amplitudes.conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +54,7 @@ class PureStateModel:
     support: Projection
 
     def __post_init__(self) -> None:
-        if not matrices_close(self.support, support_projection(self.state)):
+        if not matrices_close(self.support, _outer(self.state)):
             raise ValueError("support does not match the outer product of the state")
         if self.support.rank != 1:
             raise ValueError(f"support must be an atom, got rank {self.support.rank}")

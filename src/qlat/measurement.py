@@ -148,12 +148,18 @@ class MeasurementOutcome:
 
 def haar_random_ket(dim: int, rng) -> Ket:
     """Haar-distributed pure state: 2*dim independent Gaussians, normalized."""
-    gen = _generator_of(rng)
+    return Ket(_haar_amplitudes(dim, _generator_of(rng)))
+
+
+def _haar_amplitudes(dim: int, gen: np.random.Generator) -> np.ndarray:
+    """The one definition of the Haar draw: dim real parts, then dim
+    imaginary parts, redrawn while the vector is too short to normalize."""
     while True:
-        raw = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+        normals = gen.standard_normal(2 * dim)
+        raw = normals[:dim] + 1j * normals[dim:]
         norm = np.linalg.norm(raw)
         if norm > 1e-6:
-            return Ket(raw / norm)
+            return raw / norm
 
 
 def born_probability(state: Ket, projection: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
@@ -334,14 +340,9 @@ def _joint_of(first: Observable, second: Observable) -> Observable:
     return Observable(HermitianOperator(operator), tuple(entries))
 
 
-def _sequence_disagrees(
-    first: Observable, second: Observable, state: Ket, gen: np.random.Generator,
-    pol: TolerancePolicy,
-) -> bool:
-    opening = measure(state, first, gen, pol)
-    interposed = measure(opening.post_state, second, gen, pol)
-    closing = measure(interposed.post_state, first, gen, pol)
-    return closing.outcome_index != opening.outcome_index
+# Trials per block of array work in sequential_disagreements; bounds memory
+# for large trial counts without changing any count.
+_MC_BLOCK = 4096
 
 
 def sequential_disagreements(
@@ -356,17 +357,104 @@ def sequential_disagreements(
 
     Each trial draws from its own substream of (seed, trial index), so the
     totals do not depend on execution order and are reproducible per seed.
+    A trial draws, for each order in turn, a Haar state and the uniforms of
+    its three measurements, in the order that single-shot ``measure`` calls
+    on the same substream would; the measurements of both orders then run
+    on a whole block of trials at once.
     """
     _check_pair(first, second)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    forward = 0
-    backward = 0
-    for trial in range(trials):
-        gen = rng.substream(trial)
-        forward += _sequence_disagrees(first, second, haar_random_ket(first.dim, gen), gen, pol)
-        backward += _sequence_disagrees(second, first, haar_random_ket(first.dim, gen), gen, pol)
-    return forward, backward
+    dim = first.dim
+    opening, last = _padded_stacks(first, second)
+    interposed = opening[::-1]
+    counts = np.zeros(2, dtype=np.int64)
+    for start in range(0, trials, _MC_BLOCK):
+        block = range(start, min(trials, start + _MC_BLOCK))
+        states = np.empty((2, len(block), dim), dtype=np.complex128)
+        uniforms = np.empty((2, len(block), 3))
+        for row, trial in enumerate(block):
+            gen = rng.substream(trial)
+            for order in range(2):
+                states[order, row] = _haar_amplitudes(dim, gen)
+                uniforms[order, row] = gen.random(3)
+        _check_unit_rows(states)
+        opened, states = _measure_rows(states, opening, last, uniforms[..., 0], pol)
+        _, states = _measure_rows(states, interposed, last[::-1], uniforms[..., 1], pol)
+        closed, _ = _measure_rows(states, opening, last, uniforms[..., 2], pol)
+        counts += np.count_nonzero(closed != opened, axis=1)
+    return int(counts[0]), int(counts[1])
+
+
+def _padded_stacks(first: Observable, second: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """The projection stacks of both observables, padded with zero
+    projections to a common outcome count, and the last real outcome index
+    of each. A padded outcome has probability zero and is never chosen."""
+    outcomes = max(len(first.spectrum), len(second.spectrum))
+    stacks = np.zeros((2, outcomes, first.dim, first.dim), dtype=np.complex128)
+    stacks[0, : len(first.spectrum)] = first.projection_stack
+    stacks[1, : len(second.spectrum)] = second.projection_stack
+    return stacks, np.array([len(first.spectrum) - 1, len(second.spectrum) - 1])
+
+
+def _measure_rows(
+    states: np.ndarray,
+    stacks: np.ndarray,
+    last: np.ndarray,
+    uniforms: np.ndarray,
+    pol: TolerancePolicy,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``measure`` applied to every state ``states[o, t]`` with the
+    projection stack ``stacks[o]`` (outcomes past ``last[o]`` are zero
+    padding) and the uniform draw ``uniforms[o, t]``: the outcome indices
+    and the collapsed, normalized post-states.
+
+    Applies the guards of ``measure`` and ``Ket`` to every state and raises
+    their messages for the first offending one.
+    """
+    # projected[o, k, t] is stacks[o, k] applied to states[o, t].
+    projected = states[:, None] @ stacks.swapaxes(-1, -2)
+    probabilities = np.einsum("oti,okti->otk", states.conj(), projected).real
+    probabilities = np.maximum(probabilities, 0.0)
+    totals = probabilities.sum(axis=-1)
+    _check_near_one(totals, pol.prob_tol, "outcome probabilities sum to {!r}, not 1")
+    # Inverse CDF: the count of edges <= u * total equals
+    # searchsorted(edges, u * total, side="right").
+    edges = np.cumsum(probabilities, axis=-1)
+    index = (edges <= (uniforms * totals)[..., None]).sum(axis=-1)
+    order = np.arange(len(stacks))[:, None]
+    trial = np.arange(index.shape[1])
+    beyond = index > last[:, None]
+    if beyond.any():
+        # Only an index pushed past the last outcome by rounding is clamped,
+        # and only a clamped index can land on a zero-probability outcome:
+        # any other chosen outcome lies strictly above the previous edge.
+        index = np.where(beyond, last[:, None], index)
+        empty = beyond & (probabilities[order, trial, index] <= 0.0)
+        index[empty] = probabilities[empty].argmax(axis=-1)
+    collapsed = projected[order, index, trial]
+    collapsed /= np.sqrt(_squared_norms(collapsed))[..., None]
+    _check_unit_rows(collapsed)
+    return index, collapsed
+
+
+def _squared_norms(states: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", states.conj(), states).real
+
+
+def _check_unit_rows(states: np.ndarray) -> None:
+    """The ``Ket`` normalization guard on every state along the last axis."""
+    _check_near_one(
+        _squared_norms(states),
+        DEFAULT_POLICY.norm_tol,
+        "state vector is not normalized: squared norm is {!r}",
+    )
+
+
+def _check_near_one(values: np.ndarray, tol: float, message: str) -> None:
+    deviation = np.abs(values - 1.0)
+    if deviation.max() > tol:
+        raise ValueError(message.format(float(values[deviation > tol][0])))
 
 
 def nondisturbing_mc(

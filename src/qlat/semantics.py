@@ -342,15 +342,19 @@ def order_isomorphism_check(
         states.append(haar_random_ket(family.dim, gen))
 
     certain = 1.0 - pol.prob_tol
-    for _, first in family.pairs():
-        for _, second in family.pairs():
-            ordered = leq(first, second, pol)
-            entailed = all(
-                born_probability(state, second, pol) >= certain
-                for state in states
-                if born_probability(state, first, pol) >= certain
-            )
-            if ordered != entailed:
+    members = [member for _, member in family.pairs()]
+    # Indices of the test states certain of each member.
+    certain_of = [
+        {
+            index
+            for index, state in enumerate(states)
+            if born_probability(state, member, pol) >= certain
+        }
+        for member in members
+    ]
+    for first, certain_first in zip(members, certain_of):
+        for second, certain_second in zip(members, certain_of):
+            if leq(first, second, pol) != (certain_first <= certain_second):
                 return False
     return True
 

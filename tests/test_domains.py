@@ -3,6 +3,7 @@ import pytest
 
 from qlat import (
     Ket,
+    Projection,
     PropertyFamily,
     PureStateModel,
     SeededRng,
@@ -30,6 +31,16 @@ def random_instance(dim, gen, pol):
     model = PureStateModel.from_ket(haar_random_ket(dim, gen))
     family = generate_property_family(dim, 8, model, gen, pol)
     return model, family
+
+
+class TestPureStateModel:
+    def test_rejects_support_of_another_state(self):
+        with pytest.raises(ValueError, match="does not match"):
+            PureStateModel(Ket.basis(2, 0), support_projection(Ket.basis(2, 1)))
+
+    def test_rejects_rank_two_support(self):
+        with pytest.raises(ValueError, match="support"):
+            PureStateModel(Ket.basis(3, 0), Projection(np.diag([1.0, 1.0, 0.0])))
 
 
 class TestSupport:

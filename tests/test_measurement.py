@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qlat import (
+    HermitianOperator,
     Ket,
     Observable,
+    Projection,
     SeededRng,
     born_probability,
     commutes,
@@ -19,10 +21,14 @@ from qlat import (
     min_disagreement_probability,
     nondisturbing,
     nondisturbing_mc,
+    projection_onto_span,
     sequence_symmetric,
     sequential_disagreements,
 )
 from qlat.measurement import (
+    _MC_BLOCK,
+    _measure_rows,
+    _padded_stacks,
     interposition_residual,
     nondisturbance_residual,
     sequence_symmetry_residual,
@@ -294,6 +300,74 @@ class TestMonteCarlo:
                 first, second, trials, SeededRng(36 + offset), pol
             )
             assert abs(forward / trials - analytic) < 0.04
+
+
+def single_shot_disagreements(first, second, trials, rng, pol):
+    """Reference route for sequential_disagreements: single-shot measure
+    calls on each trial's own substream."""
+    counts = [0, 0]
+    for trial in range(trials):
+        gen = rng.substream(trial)
+        for order, (outer, inner) in enumerate(((first, second), (second, first))):
+            opening = measure(haar_random_ket(first.dim, gen), outer, gen, pol)
+            interposed = measure(opening.post_state, inner, gen, pol)
+            closing = measure(interposed.post_state, outer, gen, pol)
+            counts[order] += closing.outcome_index != opening.outcome_index
+    return tuple(counts)
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    @pytest.mark.parametrize("commuting", [True, False])
+    def test_matches_single_shot_route(self, dim, commuting, pol):
+        gen = SeededRng(60 + dim).generator()
+        first, second = generate_observable_pair(dim, commuting, gen, pol)
+        rng = SeededRng(70 + dim)
+        batched = sequential_disagreements(first, second, 40, rng, pol)
+        assert batched == single_shot_disagreements(first, second, 40, rng, pol)
+        if not commuting:
+            assert sum(batched) > 0
+
+    def test_matches_single_shot_route_with_unequal_outcome_counts(self, pol):
+        gen = SeededRng(62).generator()
+        plane = projection_onto_span(gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2)))
+        first = Observable.from_projection(plane, pol)
+        second, _ = generate_observable_pair(4, False, gen, pol)
+        assert (len(first.spectrum), len(second.spectrum)) == (2, 4)
+        rng = SeededRng(63)
+        for pair in ((first, second), (second, first)):
+            batched = sequential_disagreements(*pair, 60, rng, pol)
+            assert batched == single_shot_disagreements(*pair, 60, rng, pol)
+
+    def test_matches_single_shot_route_across_a_block_boundary(self, sigma_z, sigma_x, pol):
+        trials = _MC_BLOCK + 3
+        rng = SeededRng(64)
+        batched = sequential_disagreements(sigma_z, sigma_x, trials, rng, pol)
+        assert batched == single_shot_disagreements(sigma_z, sigma_x, trials, rng, pol)
+
+    def test_incomplete_spectrum_raises_as_measure_does(self, sigma_x, pol):
+        half = Projection(np.diag([1.0, 0.0]))
+        broken = Observable(HermitianOperator(half.matrix), ((1.0, half),))
+        rng = SeededRng(65)
+        with pytest.raises(ValueError, match="outcome probabilities sum to") as single:
+            single_shot_disagreements(broken, sigma_x, 4, rng, pol)
+        with pytest.raises(ValueError, match="outcome probabilities sum to") as batched:
+            sequential_disagreements(broken, sigma_x, 4, rng, pol)
+        assert str(batched.value) == str(single.value)
+
+    def test_inverse_cdf_edge_cases(self, pol):
+        # u = 1 puts u * total on the last edge, so every edge counts; the
+        # clamped last outcome has probability zero and the likeliest is
+        # taken instead. u = 0 skips leading zero-probability outcomes, as
+        # searchsorted(side="right") does.
+        first = Observable.from_operator(np.diag([1.0, 2.0, 3.0]))
+        second = Observable.from_operator(np.diag([1.0, 1.0, 2.0]))
+        stacks, last = _padded_stacks(first, second)
+        states = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+        uniforms = np.array([[1.0, 0.5, 0.0], [1.0, 0.5, 0.0]])
+        index, collapsed = _measure_rows(states, stacks, last, uniforms, pol)
+        assert index.tolist() == [[0, 1, 2], [0, 0, 1]]
+        assert np.allclose(collapsed, states)
 
 
 class TestCompatibilityVerdict:

@@ -300,6 +300,22 @@ class TestOrderIsomorphism:
         family = generate_property_family(4, 9, model, gen, pol)
         assert order_isomorphism_check(family, pol, rng=SeededRng(54), samples=200)
 
+    def test_one_born_evaluation_per_member_and_state(self, qubit_family, monkeypatch):
+        import qlat.semantics
+
+        calls = []
+        born = qlat.semantics.born_probability
+
+        def counted(*args):
+            calls.append(args)
+            return born(*args)
+
+        monkeypatch.setattr(qlat.semantics, "born_probability", counted)
+        assert order_isomorphism_check(qubit_family, samples=10)
+        members = [member for _, member in qubit_family.pairs()]
+        states = sum(member.rank for member in members) + 10
+        assert len(calls) <= len(members) * states
+
 
 class TestCompletenessAudit:
     def test_standard_mode_complete_on_elementary_statements(self, ground_model, qubit_family):

@@ -38,11 +38,7 @@ __all__ = [
 
 def support_projection(state: Ket) -> Projection:
     """Rank-one projection onto the state; invariant under global phase."""
-    return Projection(_outer(state))
-
-
-def _outer(state: Ket) -> np.ndarray:
-    return np.outer(state.amplitudes, state.amplitudes.conj())
+    return Projection.from_basis(state.amplitudes[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +50,9 @@ class PureStateModel:
     support: Projection
 
     def __post_init__(self) -> None:
-        if not matrices_close(self.support, _outer(self.state)):
+        amplitudes = self.state.amplitudes
+        if not matrices_close(self.support, np.outer(amplitudes, amplitudes.conj())):
             raise ValueError("support does not match the outer product of the state")
-        if self.support.rank != 1:
-            raise ValueError(f"support must be an atom, got rank {self.support.rank}")
 
     @classmethod
     def from_ket(cls, state: Ket) -> "PureStateModel":

@@ -206,10 +206,7 @@ def _observable_in_basis(
     basis: np.ndarray, values: np.ndarray, pol: TolerancePolicy
 ) -> Observable:
     order = np.argsort(values)
-    spectrum = []
-    for index in order:
-        column = basis[:, index : index + 1]
-        spectrum.append((float(values[index]), Projection(column @ column.conj().T)))
+    spectrum = [(float(values[i]), Projection.from_basis(basis[:, i : i + 1])) for i in order]
     matrix = (basis * values) @ basis.conj().T
     operator = HermitianOperator((matrix + matrix.conj().T) / 2.0)
     return Observable(operator, tuple(spectrum))
@@ -279,8 +276,7 @@ def generate_model(
 def _random_subspace_projection(
     dim: int, rank: int, gen: np.random.Generator
 ) -> Projection:
-    basis = random_unitary(dim, gen)[:, :rank]
-    return Projection(basis @ basis.conj().T)
+    return Projection.from_basis(random_unitary(dim, gen)[:, :rank])
 
 
 def generate_property_family(

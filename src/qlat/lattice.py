@@ -45,27 +45,28 @@ def orthocomplement(p: Projection) -> Projection:
     return Projection(np.eye(p.dim, dtype=np.complex128) - p.matrix)
 
 
-def meet(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
-    """Projection onto the intersection of the two ranges.
+def _sum_eigenspace(p: Projection, q: Projection, floor: float) -> Projection:
+    """Projection onto the eigenvectors of p + q with eigenvalue above floor.
 
-    Computed from the kernel of (I - p) + (I - q): the kernel of that positive
-    semidefinite operator is exactly range(p) & range(q), and an eigenbasis of
-    it is rank-revealing, which stays stable even for nearly parallel
-    subspaces. Eigenvalues below eig_gap count as zero.
+    The spectrum of p + q lies in [0, 2]: range(p) & range(q) is the
+    eigenspace of 2 and range(p) + range(q) the range. An eigenbasis is
+    rank-revealing, so both stay stable for nearly parallel subspaces.
     """
     _check_dims(p, q)
-    eye = np.eye(p.dim, dtype=np.complex128)
-    gap_operator = (eye - p.matrix) + (eye - q.matrix)
-    eigenvalues, eigenvectors = np.linalg.eigh(gap_operator)
-    kernel = eigenvectors[:, eigenvalues < pol.eig_gap]
-    if kernel.shape[1] == 0:
-        return zero_projection(p.dim)
-    return Projection(kernel @ kernel.conj().T)
+    eigenvalues, eigenvectors = np.linalg.eigh(p.matrix + q.matrix)
+    return Projection.from_basis(eigenvectors[:, eigenvalues > floor])
+
+
+def meet(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
+    """Projection onto the intersection of the two ranges: the top eigenspace
+    of p + q, counting eigenvalues within eig_gap of 2."""
+    return _sum_eigenspace(p, q, 2.0 - pol.eig_gap)
 
 
 def join(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
-    """Projection onto the span of the union of ranges (De Morgan dual of meet)."""
-    return orthocomplement(meet(orthocomplement(p), orthocomplement(q), pol))
+    """Projection onto the span of the union of ranges: the range of p + q,
+    counting eigenvalues below eig_gap as zero."""
+    return _sum_eigenspace(p, q, pol.eig_gap)
 
 
 def is_atom(p: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -76,6 +76,16 @@ def _check_hermitian(matrix: np.ndarray, tol: float) -> None:
         )
 
 
+def _validated_projection(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Re-symmetrized matrix; ValueError unless Hermitian and idempotent within tol."""
+    _check_hermitian(matrix, tol)
+    matrix = (matrix + matrix.conj().T) / 2.0
+    residual = float(np.linalg.norm(matrix @ matrix - matrix))
+    if residual > tol:
+        raise ValueError(f"matrix is not idempotent: |P^2 - P| = {residual:.3e}")
+    return matrix
+
+
 def _matrix_of(value) -> np.ndarray:
     if isinstance(value, HermitianOperator):
         return value.matrix
@@ -151,14 +161,15 @@ class Projection(HermitianOperator):
     """
 
     def __post_init__(self) -> None:
-        matrix = _as_square_matrix(self.matrix)
-        _check_hermitian(matrix, DEFAULT_POLICY.op_tol)
-        matrix = (matrix + matrix.conj().T) / 2.0
-        residual = float(np.linalg.norm(matrix @ matrix - matrix))
-        if residual > DEFAULT_POLICY.op_tol:
-            raise ValueError(f"matrix is not idempotent: |P^2 - P| = {residual:.3e}")
+        matrix = _validated_projection(_as_square_matrix(self.matrix), DEFAULT_POLICY.op_tol)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def from_basis(cls, columns: np.ndarray) -> "Projection":
+        """Projection onto the span of the orthonormal columns of a d x k
+        array; a d x 0 array gives the zero projection."""
+        return cls(columns @ columns.conj().T)
 
     @property
     def rank(self) -> int:
@@ -198,12 +209,10 @@ def spectral_decompose(
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    decomposition: list[tuple[float, Projection]] = []
-    for indices in clusters:
-        columns = eigenvectors[:, indices]
-        projection = Projection(columns @ columns.conj().T)
-        decomposition.append((float(np.mean(eigenvalues[indices])), projection))
-    return decomposition
+    return [
+        (float(np.mean(eigenvalues[indices])), Projection.from_basis(eigenvectors[:, indices]))
+        for indices in clusters
+    ]
 
 
 def commutator_norm(left, right) -> float:
@@ -216,11 +225,14 @@ def commutator_norm(left, right) -> float:
 
 
 def is_projection(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True iff the square matrix is Hermitian and idempotent within op_tol."""
+    """True iff the square matrix passes the validation of ``Projection``
+    with ``pol.op_tol`` in place of the default threshold."""
     m = _as_square_matrix(matrix)
-    if float(np.linalg.norm(m - m.conj().T)) > pol.op_tol:
+    try:
+        _validated_projection(m, pol.op_tol)
+    except ValueError:
         return False
-    return float(np.linalg.norm(m @ m - m)) <= pol.op_tol
+    return True
 
 
 def range_basis(projection: Projection) -> np.ndarray:
@@ -231,7 +243,7 @@ def range_basis(projection: Projection) -> np.ndarray:
 
 
 def zero_projection(dim: int) -> Projection:
-    return Projection(np.zeros((dim, dim), dtype=np.complex128))
+    return Projection.from_basis(np.zeros((dim, 0), dtype=np.complex128))
 
 
 def identity_projection(dim: int) -> Projection:
@@ -242,19 +254,13 @@ def projection_onto_span(columns, pol: TolerancePolicy = DEFAULT_POLICY) -> Proj
     """Projection onto the column span of a d x k array (a 1-d vector counts
     as a single column).
 
-    Rank is read off the QR factor: columns whose pivot magnitude falls below
-    ``pol.eig_gap`` are treated as linearly dependent and dropped.
+    The basis is the left singular vectors whose singular value exceeds
+    ``pol.eig_gap``, so the rank does not depend on the column order.
     """
     array = np.asarray(columns, dtype=np.complex128)
     if array.ndim == 1:
         array = array[:, None]
     if array.ndim != 2 or array.shape[0] == 0:
         raise ValueError(f"expected columns in a d x k array, got shape {array.shape}")
-    if array.shape[1] == 0:
-        return zero_projection(array.shape[0])
-    q, r = np.linalg.qr(array)
-    keep = np.abs(np.diag(r)) > pol.eig_gap
-    basis = q[:, keep]
-    if basis.shape[1] == 0:
-        return zero_projection(array.shape[0])
-    return Projection(basis @ basis.conj().T)
+    u, singular, _ = np.linalg.svd(array, full_matrices=False)
+    return Projection.from_basis(u[:, singular > pol.eig_gap])

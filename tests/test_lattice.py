@@ -138,6 +138,40 @@ class TestMeetJoin:
             )
             assert frobenius_distance(meet(a, b, pol), expected) < pol.op_tol
 
+    def test_join_against_svd_range_oracle(self, pol):
+        # independent route: the span of the union is the column space of
+        # the stacked matrix [p | q], read off the left singular vectors
+        # with nonvanishing singular value
+        rng = np.random.default_rng(124)
+        for dim in range(2, 8):
+            for rank_a in range(dim + 1):
+                for rank_b in range(dim + 1):
+                    a = random_projection(dim, rng, rank=rank_a)
+                    b = random_projection(dim, rng, rank=rank_b)
+                    u, singular, _ = np.linalg.svd(np.hstack([a.matrix, b.matrix]))
+                    basis = u[:, singular > 1e-10]
+                    expected = basis @ basis.conj().T
+                    assert frobenius_distance(join(a, b, pol), expected) < pol.op_tol
+
+    @pytest.mark.parametrize("operation", [meet, join])
+    def test_one_eigh_and_one_projection(self, operation, p0, pplus, monkeypatch):
+        counts = {"eigh": 0, "projections": 0}
+        validate = Projection.__post_init__
+        eigh = np.linalg.eigh
+
+        def counted_validate(self):
+            counts["projections"] += 1
+            validate(self)
+
+        def counted_eigh(matrix):
+            counts["eigh"] += 1
+            return eigh(matrix)
+
+        monkeypatch.setattr(Projection, "__post_init__", counted_validate)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        operation(p0, pplus)
+        assert counts == {"eigh": 1, "projections": 1}
+
     def test_distributivity_fails_on_witness(self, p0, p1, pplus, pol):
         lhs = meet(pplus, join(p0, p1, pol), pol)
         rhs = join(meet(pplus, p0, pol), meet(pplus, p1, pol), pol)

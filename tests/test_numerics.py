@@ -90,6 +90,15 @@ class TestProjection:
         assert identity_projection(5).rank == 5
         assert zero_projection(3).rank == 0
 
+    def test_from_basis(self, pplus):
+        column = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2)
+        assert matrices_close(Projection.from_basis(column), pplus)
+        assert Projection.from_basis(np.zeros((3, 0), dtype=complex)).rank == 0
+
+    def test_from_basis_validates(self):
+        with pytest.raises(ValueError, match="idempotent"):
+            Projection.from_basis(np.array([[1.0], [1.0]], dtype=complex))
+
 
 class TestSpectralDecompose:
     def test_identity(self):
@@ -189,6 +198,31 @@ class TestIsProjection:
     def test_non_hermitian_is_false_not_an_error(self):
         assert not is_projection(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "matrix, valid",
+        [
+            (np.diag([1.0, 0.0]), True),
+            # max-entry asymmetry 8e-10 is within op_tol, its Frobenius norm is not
+            (np.array([[1.0, 8e-10], [0.0, 0.0]]), True),
+            (np.array([[1.0, 2e-9], [0.0, 0.0]]), False),
+            (np.diag([1.0, 2e-9]), False),
+            (np.diag([1.0, 5e-10]), True),
+        ],
+    )
+    def test_agrees_with_projection_validation(self, matrix, valid):
+        assert is_projection(matrix) is valid
+        if valid:
+            Projection(matrix)
+        else:
+            with pytest.raises(ValueError):
+                Projection(matrix)
+
+    def test_honours_policy(self):
+        loose = TolerancePolicy(op_tol=1e-5, eig_gap=1e-4)
+        for matrix in (np.diag([1.0, 1e-6]), np.array([[1.0, 1e-6], [0.0, 0.0]])):
+            assert not is_projection(matrix)
+            assert is_projection(matrix, loose)
+
 
 class TestProjectionOntoSpan:
     def test_single_vector(self, pplus):
@@ -201,3 +235,21 @@ class TestProjectionOntoSpan:
 
     def test_empty_span(self):
         assert projection_onto_span(np.zeros((3, 2))).rank == 0
+        assert projection_onto_span(np.zeros((3, 0))).rank == 0
+
+    def test_dependent_column_before_independent_one(self):
+        columns = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        result = projection_onto_span(columns)
+        assert result.rank == 2
+        assert matrices_close(result, np.diag([1.0, 1.0, 0.0]))
+
+    def test_rank_of_repeated_columns(self, pol):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            dim = int(rng.integers(2, 7))
+            count = int(rng.integers(1, dim + 1))
+            columns = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
+            columns = columns[:, rng.integers(0, count, size=count + 1)]
+            result = projection_onto_span(columns, pol)
+            assert result.rank == np.linalg.matrix_rank(columns)
+            assert np.linalg.norm(result.matrix @ columns - columns) < pol.op_tol

@@ -5,6 +5,7 @@ verifiers that check the equalities connecting them by independent routes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class PureStateModel:
     def from_ket(cls, state: Ket) -> "PureStateModel":
         return cls(state=state, support=support_projection(state))
 
+    @cached_property
+    def complement(self) -> Projection:
+        """Orthocomplement of the support, built once per model."""
+        return orthocomplement(self.support)
+
 
 def certainly_true_domain(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
@@ -74,11 +80,10 @@ def certainly_false_domain(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> set[str]:
     """Members below the orthocomplement of the support; probability 0."""
-    complement = orthocomplement(model.support)
     return {
         label
         for label, member in family.pairs()
-        if leq(member, complement, pol)
+        if leq(member, model.complement, pol)
     }
 
 
@@ -115,15 +120,15 @@ def objective_domain(
 
 
 def pivot_residual(
-    member: Projection, support: Projection, pol: TolerancePolicy = DEFAULT_POLICY
+    member: Projection, model: PureStateModel, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> float:
-    """Frobenius defect of (E ^ S) v (E ^ S_perp) against E itself.
+    """Frobenius defect of (E ^ S) v (E ^ S_perp) against E itself, with S
+    the model's support.
 
     Vanishes exactly when the member splits along the support, the algebraic
     signature of compatibility with it.
     """
-    complement = orthocomplement(support)
-    rebuilt = join(meet(member, support, pol), meet(member, complement, pol), pol)
+    rebuilt = join(meet(member, model.support, pol), meet(member, model.complement, pol), pol)
     return frobenius_distance(rebuilt, member)
 
 
@@ -143,7 +148,7 @@ def _splits_match(
 ) -> bool:
     """Each member splits along the support exactly when it is compatible."""
     return all(
-        (pivot_residual(member, model.support, pol) < pol.op_tol) == (label in compatible)
+        (pivot_residual(member, model, pol) < pol.op_tol) == (label in compatible)
         for label, member in family.pairs()
     )
 

@@ -27,7 +27,6 @@ from .lattice import (
     join,
     leq,
     meet,
-    orthocomplement,
 )
 from .measurement import (
     Observable,
@@ -305,7 +304,7 @@ def generate_property_family(
         entries.append((f"E{len(entries) + 1}", projection))
 
     try_add(model.support)
-    try_add(orthocomplement(model.support))
+    try_add(model.complement)
     attempts = 0
     while len(entries) < n_members and attempts < 100 * n_members:
         attempts += 1
@@ -406,7 +405,7 @@ def _run_predictable_vs_compatible(cfg: ExperimentConfig):
         split_ok = True
         min_outside = float("inf")
         for label, member in family.pairs():
-            residual = pivot_residual(member, model.support, pol)
+            residual = pivot_residual(member, model, pol)
             if label in compatible:
                 member_residual = max(member_residual, residual)
                 split_ok = split_ok and residual < pol.op_tol

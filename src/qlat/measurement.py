@@ -8,6 +8,7 @@ audited rather than assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,12 +48,143 @@ __all__ = [
 
 _KNOWN_ALGORITHMS = ("pcg64",)
 
+# The hash of numpy.random.SeedSequence, which turns the entropy words of an
+# address (seed, key) into the seed words of its PCG64 stream. The seed's
+# 32-bit words, zero-padded to the pool size, are hashed into a pool of four
+# words and mixed across it; each 32-bit word of the key is then hashed and
+# mixed into every pool word, and the pool is hashed into eight output words,
+# two per uint64 seed word. The same functions run on Python ints and on
+# uint64 arrays: every product is reduced modulo 2**32.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# The seed's part takes the first 16 hashes: one per pool word, then one per
+# ordered pair of distinct pool words.
+_SEED_HASHES = _POOL_SIZE * _POOL_SIZE
+_MAX_KEY_WORDS = 16
+
+
+def _hash_chain(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) constants of ``count`` successive hashes: each
+    hash multiplies by the next power of ``mult`` times ``init``."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return list(zip(chain, chain[1:]))
+
+
+_ENTROPY_CHAIN = _hash_chain(0x43B0D7E5, 0x931E8875, _SEED_HASHES + _POOL_SIZE * _MAX_KEY_WORDS)
+_KEY_CHAIN = _ENTROPY_CHAIN[_SEED_HASHES:]
+_OUTPUT_CHAIN = _hash_chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+# Below this many addresses, hashing each on Python ints is faster than the
+# fixed cost of the array operations.
+_ARRAY_HASH_MIN = 4
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _key_words(key) -> list[int]:
+    """The 32-bit words of a key: each element's little-endian words, at
+    least one per element."""
+    words = []
+    for element in key:
+        element = int(element)
+        if not 0 <= element < 2**64:
+            raise ValueError(f"key elements must be 64-bit unsigned integers, got {element!r}")
+        words.append(element & _MASK32)
+        if element > _MASK32:
+            words.append(element >> 32)
+    return words
+
+
+def _check_key_length(words: int) -> None:
+    if words > _MAX_KEY_WORDS:
+        raise ValueError(f"keys hold at most {_MAX_KEY_WORDS} 32-bit words, got {words}")
+
+
+@functools.lru_cache(maxsize=256)
+def _seed_pool(seed: int) -> tuple[int, ...]:
+    """The pool of a seed, before any key word is mixed in."""
+    words = [seed & _MASK32, seed >> 32] if seed > _MASK32 else [seed]
+    words += [0] * (_POOL_SIZE - len(words))
+    chain = iter(_ENTROPY_CHAIN)
+    pool = [_hashmix(word, *next(chain)) for word in words]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(chain)))
+    return tuple(pool)
+
+
+def _address_words(pool: tuple[int, ...], key_words: list[int]) -> list[int]:
+    """The four seed words of one address, on Python ints."""
+    _check_key_length(len(key_words))
+    pool = list(pool)
+    chain = iter(_KEY_CHAIN)
+    for word in key_words:
+        for i in range(_POOL_SIZE):
+            pool[i] = _mix(pool[i], _hashmix(word, *next(chain)))
+    out = [_hashmix(pool[i % _POOL_SIZE], *constants) for i, constants in enumerate(_OUTPUT_CHAIN)]
+    return [low | high << 32 for low, high in zip(out[::2], out[1::2])]
+
+
+def _block_words(pool: tuple[int, ...], key_words: np.ndarray) -> np.ndarray:
+    """The seed words of many addresses, shape (addresses, 4), on uint64
+    arrays; row r of ``key_words`` holds the key words of address r."""
+    count = key_words.shape[1]
+    _check_key_length(count)
+    key_chain, output_chain = _array_chains(count)
+    hashed = _hashmix(key_words[:, :, None], key_chain[..., 0], key_chain[..., 1])
+    rows = np.full((len(key_words), _POOL_SIZE), pool, dtype=np.uint64)
+    for column in range(count):
+        rows = _mix(rows, hashed[:, column])
+    out = _hashmix(np.tile(rows, 2), output_chain[:, 0], output_chain[:, 1])
+    return out[:, ::2] | out[:, 1::2] << 32
+
+
+@functools.lru_cache(maxsize=None)
+def _array_chains(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constants of ``count`` key words, shape (count, 4, 2), and
+    of the output words, shape (8, 2), as uint64 arrays."""
+    key_chain = np.array(_KEY_CHAIN[: _POOL_SIZE * count], dtype=np.uint64)
+    return key_chain.reshape(count, _POOL_SIZE, 2), np.array(_OUTPUT_CHAIN, dtype=np.uint64)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Precomputed PCG64 seed words, handed to numpy's own PCG64 seeding."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the four uint64 seed words of PCG64 are held")
+        return self.words
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    """The generator of one substream from its seed words."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
 
 @dataclass(frozen=True)
 class SeededRng:
     """Reproducible random source: identical seed and algorithm give an
     identical stream, and derived substreams are independent of evaluation
-    order."""
+    order.
+
+    The stream of an address (seed, key) is PCG64 seeded as by
+    ``np.random.SeedSequence(seed, spawn_key=key)``; the seed words of many
+    addresses are computed together by ``stream_words``.
+    """
 
     seed: int
     algorithm: str = "pcg64"
@@ -65,18 +197,37 @@ class SeededRng:
                 f"unknown rng algorithm {self.algorithm!r}, expected one of {_KNOWN_ALGORITHMS}"
             )
 
+    def stream_words(self, keys) -> np.ndarray:
+        """PCG64 seed words, shape (addresses, 4) uint64, of the substreams
+        addressed by ``keys`` (one index path per address, of nonnegative
+        integers below 2**64): row r equals
+        ``np.random.SeedSequence(seed, spawn_key=keys[r]).generate_state(4, np.uint64)``.
+        """
+        pool = _seed_pool(int(self.seed))
+        if len(keys) >= _ARRAY_HASH_MIN:
+            array = np.asarray(keys)
+            if (
+                array.ndim == 2
+                and array.dtype.kind in "iu"
+                and 0 <= array.min(initial=0)
+                and array.max(initial=0) <= _MASK32
+            ):
+                return _block_words(pool, array.astype(np.uint64))
+        # A handful of addresses, or keys with elements of 2**32 or more
+        # (two words each), are hashed one address at a time.
+        words = [_address_words(pool, _key_words(key)) for key in keys]
+        return np.array(words, dtype=np.uint64).reshape(len(keys), _POOL_SIZE)
+
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
+        return _stream(self.stream_words([()])[0])
 
     def substream(self, *key: int) -> np.random.Generator:
         """Generator for the substream addressed by the given index path."""
-        seq = np.random.SeedSequence(self.seed, spawn_key=tuple(int(k) for k in key))
-        return np.random.Generator(np.random.PCG64(seq))
+        return _stream(self.stream_words([key])[0])
 
     def derive(self, *key: int) -> "SeededRng":
         """New independent seeded source addressed by the given index path."""
-        seq = np.random.SeedSequence(self.seed, spawn_key=tuple(int(k) for k in key))
-        return SeededRng(int(seq.generate_state(1, np.uint64)[0]), self.algorithm)
+        return SeededRng(int(self.stream_words([key])[0, 0]), self.algorithm)
 
 
 def _generator_of(rng) -> np.random.Generator:
@@ -152,14 +303,29 @@ def haar_random_ket(dim: int, rng) -> Ket:
 
 
 def _haar_amplitudes(dim: int, gen: np.random.Generator) -> np.ndarray:
-    """The one definition of the Haar draw: dim real parts, then dim
-    imaginary parts, redrawn while the vector is too short to normalize."""
+    """The Haar draw of one state: 2 * dim normals, redrawn while the vector
+    is too short to normalize."""
     while True:
-        normals = gen.standard_normal(2 * dim)
-        raw = normals[:dim] + 1j * normals[dim:]
-        norm = np.linalg.norm(raw)
-        if norm > 1e-6:
-            return raw / norm
+        amplitudes, kept = _haar_rows(gen.standard_normal(2 * dim))
+        if kept:
+            return amplitudes
+
+
+def _haar_rows(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one definition of the Haar state from a row of 2 * dim normals:
+    dim real parts, then dim imaginary parts, divided by their norm. Returns
+    the states of all rows along the last axis and whether each row's norm
+    exceeds 1e-6; a row at or below it must be redrawn, and its state is
+    meaningless.
+
+    The norm is sqrt(re.re + im.im) from one dot product per row, as
+    ``np.linalg.norm`` computes it for a single complex vector; summing the
+    squares in another order moves the last bit of some rows.
+    """
+    dim = normals.shape[-1] // 2
+    raw = normals[..., :dim] + 1j * normals[..., dim:]
+    norms = np.sqrt(np.vecdot(raw.real, raw.real) + np.vecdot(raw.imag, raw.imag))
+    return raw / norms[..., None], norms > 1e-6
 
 
 def born_probability(state: Ket, projection: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
@@ -365,25 +531,48 @@ def sequential_disagreements(
     _check_pair(first, second)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dim = first.dim
     opening, last = _padded_stacks(first, second)
     interposed = opening[::-1]
     counts = np.zeros(2, dtype=np.int64)
     for start in range(0, trials, _MC_BLOCK):
-        block = range(start, min(trials, start + _MC_BLOCK))
-        states = np.empty((2, len(block), dim), dtype=np.complex128)
-        uniforms = np.empty((2, len(block), 3))
-        for row, trial in enumerate(block):
-            gen = rng.substream(trial)
-            for order in range(2):
-                states[order, row] = _haar_amplitudes(dim, gen)
-                uniforms[order, row] = gen.random(3)
+        states, uniforms = _draw_block(rng, start, min(trials, start + _MC_BLOCK), first.dim)
         _check_unit_rows(states)
         opened, states = _measure_rows(states, opening, last, uniforms[..., 0], pol)
         _, states = _measure_rows(states, interposed, last[::-1], uniforms[..., 1], pol)
         closed, _ = _measure_rows(states, opening, last, uniforms[..., 2], pol)
         counts += np.count_nonzero(closed != opened, axis=1)
     return int(counts[0]), int(counts[1])
+
+
+def _draw_block(rng: SeededRng, start: int, stop: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of trials start..stop-1, each on its own substream: Haar
+    states, shape (2, trials, dim), and measurement uniforms, shape
+    (2, trials, 3), of both orders, equal to what ``_haar_amplitudes`` and
+    ``random(3)`` calls give on the trial's substream.
+
+    The seed words of all the block's substreams come from one
+    ``stream_words`` call, and each trial's draws go straight into the
+    block arrays; the states are normalized afterwards, all at once.
+    """
+    words = rng.stream_words(np.arange(start, stop)[:, None])
+    normals = np.empty((2, stop - start, 2 * dim))
+    uniforms = np.empty((2, stop - start, 3))
+    for row, trial_words in enumerate(words):
+        gen = _stream(trial_words)
+        for order in range(2):
+            gen.standard_normal(out=normals[order, row])
+            gen.random(out=uniforms[order, row])
+    states, kept = _haar_rows(normals)
+    if not kept.all():
+        # A Haar draw too short to normalize is redrawn, which moves every
+        # later draw of its trial: such a trial is drawn again one state at
+        # a time.
+        for row in np.flatnonzero(~kept.all(axis=0)):
+            gen = _stream(words[row])
+            for order in range(2):
+                states[order, row] = _haar_amplitudes(dim, gen)
+                uniforms[order, row] = gen.random(3)
+    return states, uniforms
 
 
 def _padded_stacks(first: Observable, second: Observable) -> tuple[np.ndarray, np.ndarray]:

@@ -242,7 +242,7 @@ def _membership(
     if projection is not None:
         if leq(model.support, projection, pol):
             return TruthValue.TRUE
-        if leq(projection, orthocomplement(model.support), pol):
+        if leq(projection, model.complement, pol):
             return TruthValue.FALSE
     return TruthValue.UNDEFINED
 

@@ -180,14 +180,32 @@ class TestDomainInvariants:
 
 
 class TestPivot:
+    def test_domain_report_builds_one_complement(self, pol, monkeypatch):
+        from qlat import domains
+
+        gen = SeededRng(13).generator()
+        model = PureStateModel.from_ket(haar_random_ket(5, gen))
+        family = generate_property_family(5, 10, model, gen, pol)
+        assert len(family.pairs()) == 12  # ten members, then 0 and I
+        model = PureStateModel.from_ket(model.state)  # nothing cached yet
+        calls = []
+
+        def counted(projection):
+            calls.append(projection)
+            return orthocomplement(projection)
+
+        monkeypatch.setattr(domains, "orthocomplement", counted)
+        domain_report(model, family, pol)
+        assert len(calls) == 1
+
     def test_oblique_atom_residual_is_one(self, ground_model, pplus):
         # both meets vanish, so the rebuilt member is 0 and the defect is |E|
-        assert pivot_residual(pplus, ground_model.support) == pytest.approx(1.0)
+        assert pivot_residual(pplus, ground_model) == pytest.approx(1.0)
 
     def test_compatible_members_split_exactly(self, ground_model, qubit_family, pol):
         compatible = compatible_domain(ground_model, qubit_family, pol)
         for label, member in qubit_family.pairs():
-            residual = pivot_residual(member, ground_model.support, pol)
+            residual = pivot_residual(member, ground_model, pol)
             if label in compatible:
                 assert residual < pol.op_tol
             else:

@@ -25,8 +25,12 @@ from qlat import (
     sequence_symmetric,
     sequential_disagreements,
 )
+from qlat import measurement
 from qlat.measurement import (
+    _ARRAY_HASH_MIN,
     _MC_BLOCK,
+    _draw_block,
+    _haar_amplitudes,
     _measure_rows,
     _padded_stacks,
     interposition_residual,
@@ -96,6 +100,149 @@ class TestSeededRng:
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError, match="seed"):
             SeededRng(2**64)
+
+    def test_rejects_out_of_range_key(self):
+        with pytest.raises(ValueError, match="key elements"):
+            SeededRng(0).substream(-1)
+        with pytest.raises(ValueError, match="key elements"):
+            SeededRng(0).stream_words(-np.arange(_ARRAY_HASH_MIN)[:, None])
+
+
+def oracle_words(seed, key):
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+
+
+def oracle_stream(seed, key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 123456789123]
+KEY_ELEMENTS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestStreamWords:
+    """numpy's SeedSequence is the oracle for every substream's seed words."""
+
+    @pytest.fixture(params=SEEDS + ["random"])
+    def seed(self, request):
+        if request.param == "random":
+            return int(np.random.SeedSequence(20031).generate_state(1, np.uint64)[0])
+        return request.param
+
+    def keys(self):
+        singles = [(element,) for element in KEY_ELEMENTS]
+        pairs = [(index, order) for index in (0, 7, 2**32 - 1, 2**32) for order in (0, 1)]
+        mixed = [(2**64 - 1, 0), (5, 2**32 + 3), (2**40, 2**63, 1)]
+        return [(), *singles, *pairs, *mixed]
+
+    def test_single_addresses_match_seed_sequence(self, seed):
+        rng = SeededRng(seed)
+        for key in self.keys():
+            assert np.array_equal(rng.stream_words([key])[0], oracle_words(seed, key)), key
+            assert rng.derive(*key).seed == int(oracle_words(seed, key)[0])
+            ours, theirs = rng.substream(*key), oracle_stream(seed, key)
+            assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9))
+            assert np.array_equal(ours.random(5), theirs.random(5))
+        theirs = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        assert np.array_equal(rng.generator().random(5), theirs.random(5))
+
+    def test_array_hash_matches_seed_sequence(self, seed):
+        rng = SeededRng(seed)
+        blocks = [
+            np.arange(300)[:, None],
+            np.array([(index, order) for index in range(40) for order in (0, 1)]),
+            np.array([[element, 1] for element in KEY_ELEMENTS * 2], dtype=np.uint64),
+            # elements of 2**32 or more, which take the one-address route
+            np.array([[index * 2**31] for index in range(8)], dtype=np.uint64),
+        ]
+        for keys in blocks:
+            assert len(keys) >= _ARRAY_HASH_MIN
+            words = rng.stream_words(keys)
+            for row, key in zip(words, keys.tolist()):
+                assert np.array_equal(row, oracle_words(seed, tuple(key))), key
+
+
+def reference_haar(dim, gen):
+    """The Haar draw as np.linalg.norm normalizes it."""
+    while True:
+        normals = gen.standard_normal(2 * dim)
+        raw = normals[:dim] + 1j * normals[dim:]
+        norm = np.linalg.norm(raw)
+        if norm > 1e-6:
+            return raw / norm
+
+
+def reference_block(rng, trials, dim, stream=None):
+    """Haar states and uniforms of each trial, drawn one at a time from
+    SeedSequence-seeded substreams."""
+    states = np.empty((2, trials, dim), dtype=complex)
+    uniforms = np.empty((2, trials, 3))
+    for trial in range(trials):
+        gen = (stream or oracle_stream)(rng.seed, (trial,))
+        for order in range(2):
+            states[order, trial] = reference_haar(dim, gen)
+            uniforms[order, trial] = gen.random(3)
+    return states, uniforms
+
+
+class _ShortFirstDraw:
+    """A generator whose first normal draw is scaled far below the Haar
+    rejection threshold."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.short = True
+
+    def standard_normal(self, size=None, out=None):
+        values = self.gen.standard_normal(size, out=out)
+        if self.short:
+            values *= 1e-9
+            self.short = False
+        return values
+
+    def random(self, size=None, out=None):
+        return self.gen.random(size, out=out)
+
+
+class TestHaarRows:
+    def test_single_draw_matches_linalg_norm(self):
+        for dim in range(2, 9):
+            ours, theirs = oracle_stream(80, (dim,)), oracle_stream(80, (dim,))
+            for _ in range(200):
+                assert np.array_equal(_haar_amplitudes(dim, ours), reference_haar(dim, theirs))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_block_matches_single_draws_bit_for_bit(self, dim):
+        rng = SeededRng(90 + dim)
+        for trials in (1, _ARRAY_HASH_MIN, 300):
+            states, uniforms = _draw_block(rng, 0, trials, dim)
+            expected_states, expected_uniforms = reference_block(rng, trials, dim)
+            assert np.array_equal(states, expected_states)
+            assert np.array_equal(uniforms, expected_uniforms)
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_short_draw_is_redrawn_as_single_draws_do(self, dim, monkeypatch):
+        rng = SeededRng(99)
+        short_trial = 3
+        real_stream = measurement._stream
+        target = rng.stream_words([(short_trial,)])[0]
+
+        def stub(words):
+            gen = real_stream(words)
+            return _ShortFirstDraw(gen) if np.array_equal(words, target) else gen
+
+        def stub_oracle(seed, key):
+            gen = oracle_stream(seed, key)
+            return _ShortFirstDraw(gen) if key == (short_trial,) else gen
+
+        unstubbed, _ = _draw_block(rng, 0, 8, dim)
+        monkeypatch.setattr(measurement, "_stream", stub)
+        states, uniforms = _draw_block(rng, 0, 8, dim)
+        expected_states, expected_uniforms = reference_block(rng, 8, dim, stub_oracle)
+        assert np.array_equal(states, expected_states)
+        assert np.array_equal(uniforms, expected_uniforms)
+        redrawn = np.any(states != unstubbed, axis=(0, 2))
+        assert redrawn.tolist() == [trial == short_trial for trial in range(8)]
 
 
 class TestBornProbability:
@@ -304,10 +451,10 @@ class TestMonteCarlo:
 
 def single_shot_disagreements(first, second, trials, rng, pol):
     """Reference route for sequential_disagreements: single-shot measure
-    calls on each trial's own substream."""
+    calls on each trial's own substream, seeded by numpy's SeedSequence."""
     counts = [0, 0]
     for trial in range(trials):
-        gen = rng.substream(trial)
+        gen = oracle_stream(rng.seed, (trial,))
         for order, (outer, inner) in enumerate(((first, second), (second, first))):
             opening = measure(haar_random_ket(first.dim, gen), outer, gen, pol)
             interposed = measure(opening.post_state, inner, gen, pol)

@@ -31,6 +31,7 @@ from .lattice import (
 from .measurement import (
     Observable,
     SeededRng,
+    _generator_of,
     compatibility_verdict,
     commutes,
     haar_random_ket,
@@ -258,7 +259,7 @@ def generate_model(
     Haar-random pure states, bit-identical for identical seeds."""
     if n_observables < 1:
         raise ValueError(f"n_observables must be positive, got {n_observables}")
-    gen = rng.generator() if isinstance(rng, SeededRng) else rng
+    gen = _generator_of(rng)
     observables: list[Observable] = []
     while len(observables) < n_observables:
         commuting = gen.random() < commuting_fraction

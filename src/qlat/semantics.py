@@ -16,6 +16,7 @@ from .lattice import PropertyFamily, join, leq, meet, orthocomplement
 from .measurement import (
     Observable,
     SeededRng,
+    _generator_of,
     born_probability,
     criterion_holds,
     haar_random_ket,
@@ -333,7 +334,7 @@ def order_isomorphism_check(
     """
     if rng is None:
         rng = SeededRng(0)
-    gen = rng.generator() if isinstance(rng, SeededRng) else rng
+    gen = _generator_of(rng)
 
     states = []
     for _, member in family.pairs():

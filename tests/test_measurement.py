@@ -27,10 +27,8 @@ from qlat import (
 )
 from qlat import measurement
 from qlat.measurement import (
-    _ARRAY_HASH_MIN,
     _MC_BLOCK,
     _draw_block,
-    _haar_amplitudes,
     _measure_rows,
     _padded_stacks,
     interposition_residual,
@@ -93,10 +91,6 @@ class TestSeededRng:
     def test_derive_is_stable(self):
         assert SeededRng(9).derive(3, 1) == SeededRng(9).derive(3, 1)
 
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ValueError, match="algorithm"):
-            SeededRng(0, algorithm="mt19937")
-
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError, match="seed"):
             SeededRng(2**64)
@@ -105,11 +99,7 @@ class TestSeededRng:
         with pytest.raises(ValueError, match="key elements"):
             SeededRng(0).substream(-1)
         with pytest.raises(ValueError, match="key elements"):
-            SeededRng(0).stream_words(-np.arange(_ARRAY_HASH_MIN)[:, None])
-
-
-def oracle_words(seed, key):
-    return np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+            SeededRng(0).derive(3, 2**64)
 
 
 def oracle_stream(seed, key):
@@ -121,7 +111,8 @@ KEY_ELEMENTS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 
 
 class TestStreamWords:
-    """numpy's SeedSequence is the oracle for every substream's seed words."""
+    """numpy's SeedSequence is the oracle for every substream and every
+    derived seed; the derived seeds feed every report."""
 
     @pytest.fixture(params=SEEDS + ["random"])
     def seed(self, request):
@@ -129,37 +120,18 @@ class TestStreamWords:
             return int(np.random.SeedSequence(20031).generate_state(1, np.uint64)[0])
         return request.param
 
-    def keys(self):
+    def test_single_addresses_match_seed_sequence(self, seed):
+        rng = SeededRng(seed)
         singles = [(element,) for element in KEY_ELEMENTS]
         pairs = [(index, order) for index in (0, 7, 2**32 - 1, 2**32) for order in (0, 1)]
         mixed = [(2**64 - 1, 0), (5, 2**32 + 3), (2**40, 2**63, 1)]
-        return [(), *singles, *pairs, *mixed]
-
-    def test_single_addresses_match_seed_sequence(self, seed):
-        rng = SeededRng(seed)
-        for key in self.keys():
-            assert np.array_equal(rng.stream_words([key])[0], oracle_words(seed, key)), key
-            assert rng.derive(*key).seed == int(oracle_words(seed, key)[0])
+        for key in [(), *singles, *pairs, *mixed]:
+            words = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+            assert rng.derive(*key).seed == int(words[0]), key
             ours, theirs = rng.substream(*key), oracle_stream(seed, key)
             assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9))
             assert np.array_equal(ours.random(5), theirs.random(5))
-        theirs = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        assert np.array_equal(rng.generator().random(5), theirs.random(5))
-
-    def test_array_hash_matches_seed_sequence(self, seed):
-        rng = SeededRng(seed)
-        blocks = [
-            np.arange(300)[:, None],
-            np.array([(index, order) for index in range(40) for order in (0, 1)]),
-            np.array([[element, 1] for element in KEY_ELEMENTS * 2], dtype=np.uint64),
-            # elements of 2**32 or more, which take the one-address route
-            np.array([[index * 2**31] for index in range(8)], dtype=np.uint64),
-        ]
-        for keys in blocks:
-            assert len(keys) >= _ARRAY_HASH_MIN
-            words = rng.stream_words(keys)
-            for row, key in zip(words, keys.tolist()):
-                assert np.array_equal(row, oracle_words(seed, tuple(key))), key
+        assert np.array_equal(rng.generator().random(5), oracle_stream(seed, ()).random(5))
 
 
 def reference_haar(dim, gen):
@@ -172,36 +144,20 @@ def reference_haar(dim, gen):
             return raw / norm
 
 
-def reference_block(rng, trials, dim, stream=None):
-    """Haar states and uniforms of each trial, drawn one at a time from
-    SeedSequence-seeded substreams."""
-    states = np.empty((2, trials, dim), dtype=complex)
-    uniforms = np.empty((2, trials, 3))
-    for trial in range(trials):
-        gen = (stream or oracle_stream)(rng.seed, (trial,))
-        for order in range(2):
-            states[order, trial] = reference_haar(dim, gen)
-            uniforms[order, trial] = gen.random(3)
-    return states, uniforms
+class _ShortRow:
+    """A normals stream whose first draw has one row scaled far below the
+    Haar rejection threshold."""
 
-
-class _ShortFirstDraw:
-    """A generator whose first normal draw is scaled far below the Haar
-    rejection threshold."""
-
-    def __init__(self, gen):
+    def __init__(self, gen, row):
         self.gen = gen
-        self.short = True
+        self.row = row
 
-    def standard_normal(self, size=None, out=None):
-        values = self.gen.standard_normal(size, out=out)
-        if self.short:
-            values *= 1e-9
-            self.short = False
+    def standard_normal(self, size):
+        values = self.gen.standard_normal(size)
+        if self.row is not None:
+            values[self.row] *= 1e-9
+            self.row = None
         return values
-
-    def random(self, size=None, out=None):
-        return self.gen.random(size, out=out)
 
 
 class TestHaarRows:
@@ -209,40 +165,41 @@ class TestHaarRows:
         for dim in range(2, 9):
             ours, theirs = oracle_stream(80, (dim,)), oracle_stream(80, (dim,))
             for _ in range(200):
-                assert np.array_equal(_haar_amplitudes(dim, ours), reference_haar(dim, theirs))
+                state = haar_random_ket(dim, ours).amplitudes
+                assert np.array_equal(state, reference_haar(dim, theirs))
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_block_matches_single_draws_bit_for_bit(self, dim):
-        rng = SeededRng(90 + dim)
-        for trials in (1, _ARRAY_HASH_MIN, 300):
-            states, uniforms = _draw_block(rng, 0, trials, dim)
-            expected_states, expected_uniforms = reference_block(rng, trials, dim)
-            assert np.array_equal(states, expected_states)
-            assert np.array_equal(uniforms, expected_uniforms)
+        for trials in (1, 300):
+            normals, uniforms = oracle_stream(90, (dim, 0)), oracle_stream(90, (dim, 1))
+            states, draws = _draw_block(normals, uniforms, trials, dim)
+            normals, uniforms = oracle_stream(90, (dim, 0)), oracle_stream(90, (dim, 1))
+            for trial in range(trials):
+                for order in range(2):
+                    assert np.array_equal(states[order, trial], reference_haar(dim, normals))
+                    assert np.array_equal(draws[order, trial], uniforms.random(3))
 
     @pytest.mark.parametrize("dim", [2, 5, 8])
-    def test_short_draw_is_redrawn_as_single_draws_do(self, dim, monkeypatch):
-        rng = SeededRng(99)
-        short_trial = 3
-        real_stream = measurement._stream
-        target = rng.stream_words([(short_trial,)])[0]
+    def test_short_draw_is_redrawn_in_the_batch(self, dim):
+        # Only the short row (trial 3, order 1) changes, to the next Haar
+        # draw of the normals stream after the block; every other row and
+        # every uniform stays as drawn without it.
+        trials, short = 8, (3, 1)
 
-        def stub(words):
-            gen = real_stream(words)
-            return _ShortFirstDraw(gen) if np.array_equal(words, target) else gen
+        def streams():
+            return oracle_stream(99, (dim, 0)), oracle_stream(99, (dim, 1))
 
-        def stub_oracle(seed, key):
-            gen = oracle_stream(seed, key)
-            return _ShortFirstDraw(gen) if key == (short_trial,) else gen
-
-        unstubbed, _ = _draw_block(rng, 0, 8, dim)
-        monkeypatch.setattr(measurement, "_stream", stub)
-        states, uniforms = _draw_block(rng, 0, 8, dim)
-        expected_states, expected_uniforms = reference_block(rng, 8, dim, stub_oracle)
-        assert np.array_equal(states, expected_states)
-        assert np.array_equal(uniforms, expected_uniforms)
-        redrawn = np.any(states != unstubbed, axis=(0, 2))
-        assert redrawn.tolist() == [trial == short_trial for trial in range(8)]
+        states, draws = _draw_block(*streams(), trials, dim)
+        normals, uniforms = streams()
+        redrawn, redrawn_draws = _draw_block(_ShortRow(normals, short), uniforms, trials, dim)
+        changed = np.any(redrawn != states, axis=-1).T
+        assert changed.tolist() == [[(t, o) == short for o in range(2)] for t in range(trials)]
+        row = redrawn[short[1], short[0]]
+        assert np.vdot(row, row).real == pytest.approx(1.0, abs=1e-12)
+        after_block, _ = streams()
+        after_block.standard_normal((trials, 2, 2 * dim))
+        assert np.array_equal(row, reference_haar(dim, after_block))
+        assert np.array_equal(redrawn_draws, draws)
 
 
 class TestBornProbability:
@@ -450,15 +407,16 @@ class TestMonteCarlo:
 
 
 def single_shot_disagreements(first, second, trials, rng, pol):
-    """Reference route for sequential_disagreements: single-shot measure
-    calls on each trial's own substream, seeded by numpy's SeedSequence."""
+    """Reference route for sequential_disagreements: per trial and order, a
+    haar_random_ket from the normals stream and three single-shot measure
+    calls on the uniforms stream, both seeded by numpy's SeedSequence."""
+    normals, uniforms = oracle_stream(rng.seed, (0,)), oracle_stream(rng.seed, (1,))
     counts = [0, 0]
-    for trial in range(trials):
-        gen = oracle_stream(rng.seed, (trial,))
+    for _ in range(trials):
         for order, (outer, inner) in enumerate(((first, second), (second, first))):
-            opening = measure(haar_random_ket(first.dim, gen), outer, gen, pol)
-            interposed = measure(opening.post_state, inner, gen, pol)
-            closing = measure(interposed.post_state, outer, gen, pol)
+            opening = measure(haar_random_ket(first.dim, normals), outer, uniforms, pol)
+            interposed = measure(opening.post_state, inner, uniforms, pol)
+            closing = measure(interposed.post_state, outer, uniforms, pol)
             counts[order] += closing.outcome_index != opening.outcome_index
     return tuple(counts)
 
@@ -486,11 +444,15 @@ class TestBatchedEngine:
             batched = sequential_disagreements(*pair, 60, rng, pol)
             assert batched == single_shot_disagreements(*pair, 60, rng, pol)
 
-    def test_matches_single_shot_route_across_a_block_boundary(self, sigma_z, sigma_x, pol):
+    def test_matches_single_shot_route_across_a_block_boundary(
+        self, sigma_z, sigma_x, pol, monkeypatch
+    ):
         trials = _MC_BLOCK + 3
         rng = SeededRng(64)
-        batched = sequential_disagreements(sigma_z, sigma_x, trials, rng, pol)
-        assert batched == single_shot_disagreements(sigma_z, sigma_x, trials, rng, pol)
+        expected = single_shot_disagreements(sigma_z, sigma_x, trials, rng, pol)
+        assert sequential_disagreements(sigma_z, sigma_x, trials, rng, pol) == expected
+        monkeypatch.setattr(measurement, "_MC_BLOCK", 37)
+        assert sequential_disagreements(sigma_z, sigma_x, trials, rng, pol) == expected
 
     def test_incomplete_spectrum_raises_as_measure_does(self, sigma_x, pol):
         half = Projection(np.diag([1.0, 0.0]))

@@ -143,12 +143,19 @@ def verify_predictable_equals_compatible(
     return predictable == compatible and _splits_match(compatible, model, family, pol)
 
 
+def _splits(residual: float, compatible: bool, pol: TolerancePolicy) -> bool:
+    """The split rule on a member's pivot residual: a compatible member must
+    split along the support, below op_tol, and any other member must miss it
+    by more than 10 * op_tol, clear of the rounding band around op_tol."""
+    return residual < pol.op_tol if compatible else residual > 10.0 * pol.op_tol
+
+
 def _splits_match(
     compatible: set[str], model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy
 ) -> bool:
     """Each member splits along the support exactly when it is compatible."""
     return all(
-        (pivot_residual(member, model, pol) < pol.op_tol) == (label in compatible)
+        _splits(pivot_residual(member, model, pol), label in compatible, pol)
         for label, member in family.pairs()
     )
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from .domains import (
     PureStateModel,
+    _splits,
     compatible_domain,
     domain_report,
     objective_domain,
@@ -402,22 +403,19 @@ def _run_predictable_vs_compatible(cfg: ExperimentConfig):
         model, family = _domain_instance(cfg, index)
         predictable = predictable_domain(model, family, pol)
         compatible = compatible_domain(model, family, pol)
-        member_residual = 0.0
-        split_ok = True
-        min_outside = float("inf")
-        for label, member in family.pairs():
-            residual = pivot_residual(member, model, pol)
-            if label in compatible:
-                member_residual = max(member_residual, residual)
-                split_ok = split_ok and residual < pol.op_tol
-            else:
-                min_outside = min(min_outside, residual)
-                split_ok = split_ok and residual > 10.0 * pol.op_tol
+        residuals = [
+            (label in compatible, pivot_residual(member, model, pol))
+            for label, member in family.pairs()
+        ]
+        split_ok = all(_splits(residual, inside, pol) for inside, residual in residuals)
+        member_residual = max((residual for inside, residual in residuals if inside), default=0.0)
         yield predictable == compatible and split_ok, member_residual, {
             "predictable": sorted(predictable),
             "compatible": sorted(compatible),
             "split_identity_ok": split_ok,
-            "min_noncompatible_residual": None if min_outside == float("inf") else min_outside,
+            "min_noncompatible_residual": min(
+                (residual for inside, residual in residuals if not inside), default=None
+            ),
         }
 
 

@@ -170,16 +170,19 @@ def _haar_rows(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dim real parts, then dim imaginary parts, divided by their norm. Returns
     the states of all rows along the last axis and whether each row's norm
     exceeds 1e-6; a row at or below it must be redrawn, and its state is
-    meaningless.
-
-    The norm is sqrt(re.re + im.im) from one dot product per row, as
-    ``np.linalg.norm`` computes it for a single complex vector; summing the
-    squares in another order moves the last bit of some rows.
-    """
+    meaningless."""
     dim = normals.shape[-1] // 2
     raw = normals[..., :dim] + 1j * normals[..., dim:]
-    norms = np.sqrt(np.vecdot(raw.real, raw.real) + np.vecdot(raw.imag, raw.imag))
+    norms = _frobenius_norms(raw, 1)
     return raw / norms[..., None], norms > 1e-6
+
+
+def _frobenius_norms(entries: np.ndarray, axes: int) -> np.ndarray:
+    """The one Frobenius norm, over the last ``axes`` axes: sqrt(re.re +
+    im.im) from one dot product per flattened row, bit for bit as
+    ``np.linalg.norm`` computes it for one complex vector or matrix."""
+    flat = entries.reshape(*entries.shape[: entries.ndim - axes], -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def born_probability(state: Ket, projection: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
@@ -231,23 +234,25 @@ def _check_pair(first: Observable, second: Observable) -> None:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
 
 
-def _sandwich_defects(first: Observable, second: Observable) -> tuple[float, float]:
-    """From the norms |(I - P_n) Q_p P_n|_F over every (n, p), in both roles
-    of the two observables: the largest norm, and the larger of the two
-    sums of squared norms divided by the dimension."""
+def _pair_stacks(first: Observable, second: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """The projection stacks as p[n, 1] and q[1, k], so that their products
+    broadcast to (n, k, dim, dim), indexed by outcome pair."""
     _check_pair(first, second)
+    return first.projection_stack[:, None], second.projection_stack[None]
+
+
+def _sandwich_defects(first: Observable, second: Observable) -> tuple[float, float]:
+    """From the norms |(I - P_n) Q_k P_n|_F over every (n, k), in both roles
+    of the two observables: the largest norm, and the larger of the two
+    sums of squared norms divided by the dimension. Each sum runs over
+    Python floats in (outer, inner) outcome order, whatever numpy's order."""
+    p, q = _pair_stacks(first, second)
     eye = np.eye(first.dim, dtype=np.complex128)
-    worst = 0.0
-    rates = []
-    for outer, inner in ((first, second), (second, first)):
-        norms = [
-            float(np.linalg.norm((eye - p.matrix) @ q.matrix @ p.matrix))
-            for _, p in outer.spectrum
-            for _, q in inner.spectrum
-        ]
-        worst = max(worst, *norms)
-        rates.append(sum(norm**2 for norm in norms) / first.dim)
-    return worst, max(rates)
+    forward = _frobenius_norms((eye - p) @ q @ p, 2)
+    backward = _frobenius_norms((eye - q) @ p @ q, 2).T  # outer index k, inner n
+    worst = max(float(forward.max()), float(backward.max()))
+    rate = max(sum(norm**2 for norm in norms.ravel().tolist()) for norms in (forward, backward))
+    return worst, rate / first.dim
 
 
 def nondisturbance_residual(first: Observable, second: Observable) -> float:
@@ -258,24 +263,17 @@ def nondisturbance_residual(first: Observable, second: Observable) -> float:
 
 
 def interposition_residual(first: Observable, second: Observable) -> float:
-    worst = 0.0
-    for outer, inner in ((first, second), (second, first)):
-        for _, q in inner.spectrum:
-            mixed = sum(
-                p.matrix @ q.matrix @ p.matrix for _, p in outer.spectrum
-            )
-            worst = max(worst, float(np.linalg.norm(q.matrix - mixed)))
-    return worst
+    """Largest |Q_k - sum_n P_n Q_k P_n|_F or |P_n - sum_k Q_k P_n Q_k|_F:
+    how far an interposed nonselective measurement moves an outcome projection."""
+    p, q = _pair_stacks(first, second)
+    moved = np.concatenate([q[0] - (p @ q @ p).sum(axis=0), p[:, 0] - (q @ p @ q).sum(axis=1)])
+    return float(_frobenius_norms(moved, 2).max())
 
 
 def sequence_symmetry_residual(first: Observable, second: Observable) -> float:
-    worst = 0.0
-    for _, p in first.spectrum:
-        for _, q in second.spectrum:
-            forward = p.matrix @ q.matrix @ p.matrix
-            backward = q.matrix @ p.matrix @ q.matrix
-            worst = max(worst, float(np.linalg.norm(forward - backward)))
-    return worst
+    """Largest |P_n Q_k P_n - Q_k P_n Q_k|_F over every outcome pair (n, k)."""
+    p, q = _pair_stacks(first, second)
+    return float(_frobenius_norms(p @ q @ p - q @ p @ q, 2).max())
 
 
 # Threshold of each exact criterion decided by an operator residual, in
@@ -300,7 +298,6 @@ def criterion_holds(
 
 def commutes(first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """Commutation criterion on the representing operators."""
-    _check_pair(first, second)
     residual = commutator_norm(first.operator, second.operator)
     return criterion_holds("commutation", residual, first.dim, pol)
 
@@ -315,7 +312,6 @@ def interposition_invariant(
 ) -> bool:
     """True iff a nonselective measurement of either observable, interposed,
     leaves every outcome projection of the other unchanged."""
-    _check_pair(first, second)
     return criterion_holds("interposition", interposition_residual(first, second), first.dim, pol)
 
 
@@ -325,7 +321,6 @@ def sequence_symmetric(
     """True iff 'outcome b then c' and 'outcome c then b' are equally likely
     for every outcome pair and every state; operator equality of the two
     sandwich products is equivalent to equality of the quadratic forms."""
-    _check_pair(first, second)
     return criterion_holds(
         "sequence_symmetry", sequence_symmetry_residual(first, second), first.dim, pol
     )
@@ -564,7 +559,6 @@ def compatibility_verdict(
     joint observable is built whenever commutation holds; the agreement of
     the five verdicts is the quantity under audit here, not an assumption.
     """
-    _check_pair(first, second)
     if rng is None:
         rng = SeededRng(0)
     dim = first.dim

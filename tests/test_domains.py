@@ -211,6 +211,23 @@ class TestPivot:
             else:
                 assert residual > 10 * pol.op_tol
 
+    def test_split_inside_the_rounding_band_fails(self, ground_model, qubit_family, pol, monkeypatch):
+        # A member outside the compatible domain whose pivot residual sits
+        # between op_tol and 10 * op_tol splits neither clearly nor not at
+        # all; both verifiers then reject the instance.
+        from qlat import domains
+
+        compatible = compatible_domain(ground_model, qubit_family, pol)
+        assert compatible != {label for label, _ in qubit_family.pairs()}
+        members = {id(member): label for label, member in qubit_family.pairs()}
+
+        def banded(member, model, pol=pol):
+            return 0.0 if members[id(member)] in compatible else 5.0 * pol.op_tol
+
+        monkeypatch.setattr(domains, "pivot_residual", banded)
+        assert not verify_predictable_equals_compatible(ground_model, qubit_family, pol)
+        assert not domain_report(ground_model, qubit_family, pol).predictable_equals_compatible
+
 
 class TestEqualityCampaigns:
     def test_predictable_equals_compatible_random(self, pol):

@@ -12,6 +12,7 @@ from qlat import (
     compatibility_verdict,
     generate_observable_pair,
     haar_random_ket,
+    identity_projection,
     interposition_invariant,
     joint_observable,
     leq,
@@ -72,7 +73,7 @@ class TestObservable:
         assert matrices_close(observable.spectrum[1][1], pplus)
 
     def test_from_projection_trivial_bounds(self):
-        from qlat import identity_projection, zero_projection
+        from qlat import zero_projection
 
         assert Observable.from_projection(zero_projection(3)).eigenvalues == (0.0,)
         assert Observable.from_projection(identity_projection(3)).eigenvalues == (1.0,)
@@ -321,6 +322,99 @@ class TestExactRelations:
             for relation in (commutes, nondisturbing, interposition_invariant, sequence_symmetric):
                 assert relation(first, first, pol)
                 assert relation(first, second, pol) == relation(second, first, pol)
+
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            nondisturbance_residual,
+            min_disagreement_probability,
+            interposition_residual,
+            sequence_symmetry_residual,
+            commutes,
+            nondisturbing,
+            interposition_invariant,
+            sequence_symmetric,
+        ],
+    )
+    def test_residuals_reject_dimension_mismatch(self, residual, sigma_z):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            residual(sigma_z, Observable.from_operator(np.diag([1.0, 2.0, 3.0])))
+
+
+def oracle_residuals(first, second):
+    """Independent route for the projection-level residuals: one loop per
+    residual over the eigenprojection pairs, one np.linalg.norm per product.
+    Returns the worst sandwich leak, the disagreement rate of the worse
+    order, the interposition residual and the sequence-symmetry residual."""
+    eye = np.eye(first.dim, dtype=np.complex128)
+    worst, rates = 0.0, []
+    for outer, inner in ((first, second), (second, first)):
+        norms = [
+            float(np.linalg.norm((eye - p.matrix) @ q.matrix @ p.matrix))
+            for _, p in outer.spectrum
+            for _, q in inner.spectrum
+        ]
+        worst = max(worst, *norms)
+        rates.append(sum(norm**2 for norm in norms) / first.dim)
+
+    interposition = 0.0
+    for outer, inner in ((first, second), (second, first)):
+        for _, q in inner.spectrum:
+            mixed = sum(p.matrix @ q.matrix @ p.matrix for _, p in outer.spectrum)
+            interposition = max(interposition, float(np.linalg.norm(q.matrix - mixed)))
+
+    symmetry = 0.0
+    for _, p in first.spectrum:
+        for _, q in second.spectrum:
+            forward = p.matrix @ q.matrix @ p.matrix
+            backward = q.matrix @ p.matrix @ q.matrix
+            symmetry = max(symmetry, float(np.linalg.norm(forward - backward)))
+    return worst, max(rates), interposition, symmetry
+
+
+def assert_residuals_match_oracle(first, second):
+    assert (
+        nondisturbance_residual(first, second),
+        min_disagreement_probability(first, second),
+        interposition_residual(first, second),
+        sequence_symmetry_residual(first, second),
+    ) == oracle_residuals(first, second)
+
+
+class TestResidualOracle:
+    """The array expressions give the per-pair loops' bits, not only their
+    values: the residuals decide every verdict and the MC floor, and a
+    failing instance reports its residual."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("commuting", [True, False])
+    def test_generated_pairs(self, dim, commuting, pol):
+        gen = SeededRng(30 + dim).generator()
+        for _ in range(12):
+            first, second = generate_observable_pair(dim, commuting, gen, pol)
+            assert_residuals_match_oracle(first, second)
+            assert_residuals_match_oracle(second, first)
+
+    @pytest.mark.parametrize("dim", [3, 5, 8])
+    def test_unequal_outcome_counts_and_higher_rank(self, dim, pol):
+        gen = SeededRng(40 + dim).generator()
+        for _ in range(6):
+            columns = gen.standard_normal((dim, 2)) + 1j * gen.standard_normal((dim, 2))
+            plane = Observable.from_projection(projection_onto_span(columns), pol)
+            other, _ = generate_observable_pair(dim, False, gen, pol)
+            assert plane.projection_stack.shape[0] == 2
+            assert_residuals_match_oracle(plane, other)
+            assert_residuals_match_oracle(other, plane)
+
+    def test_single_outcome_observable(self, pol):
+        gen = SeededRng(48).generator()
+        for dim in (2, 4, 7):
+            whole = Observable.from_projection(identity_projection(dim), pol)
+            other, _ = generate_observable_pair(dim, False, gen, pol)
+            assert len(whole.spectrum) == 1
+            assert_residuals_match_oracle(whole, other)
+            assert_residuals_match_oracle(other, whole)
+            assert_residuals_match_oracle(whole, whole)
 
 
 class TestJointObservable:

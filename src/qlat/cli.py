@@ -1,7 +1,9 @@
 """Command line front end: campaign runner, family verifier, and audit.
 
-Exit codes: 0 success (no failing instances), 1 campaign failures,
-2 usage or validation errors, 3 I/O failures.
+Each command returns its document and failure count; ``main`` writes the
+document, to ``--out`` or stdout, and maps the result to the exit code:
+0 success (no failing instances), 1 campaign failures, 2 usage or
+validation errors, 3 I/O failures.
 """
 
 from __future__ import annotations
@@ -71,13 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        document, failures = args.handler(args)
+        _emit(document, args.out)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    return 0 if failures == 0 else 1
 
 
 class _UsageError(Exception):
@@ -93,16 +97,16 @@ def _load_json(path: str):
 
 
 def _emit(document: dict, out_path: str | None) -> None:
-    text = json.dumps(document, indent=2, sort_keys=True)
+    """Write a command's document to ``out_path``, or to stdout without one."""
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-            handle.write("\n")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[dict, int]:
     merged: dict = {}
     if args.config:
         document = _load_json(args.config)
@@ -119,35 +123,31 @@ def _cmd_run(args) -> int:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    if args.out is not None:
-        merged["output_path"] = args.out
     try:
         cfg = ExperimentConfig.from_dict(merged)
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc)) from None
     report = run_experiment(cfg)
-    if not cfg.output_path:
-        print(report.dumps())
-    return 0 if report.fail_count == 0 else 1
+    return report.to_json_dict(), report.fail_count
 
 
-def _cmd_verify_family(args) -> int:
+def _cmd_verify_family(args) -> tuple[dict, int]:
+    if not 0 <= args.seed < 2**64:
+        raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
+    if args.states < 0:
+        raise _UsageError(f"--states must be non-negative, got {args.states}")
     family = _load_family(args.family)
     instances = verify_family(family, args.seed, args.states)
     failures = sum(not record.passed for record in instances)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "family": {"dim": family.dim, "labels": list(family.labels)},
-            "instances": [record.to_json_dict() for record in instances],
-            "aggregate": {"pass": len(instances) - failures, "fail": failures},
-        },
-        args.out,
-    )
-    return 0 if failures == 0 else 1
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "family": {"dim": family.dim, "labels": list(family.labels)},
+        "instances": [record.to_json_dict() for record in instances],
+        "aggregate": {"pass": len(instances) - failures, "fail": failures},
+    }, failures
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple[dict, int]:
     family = _load_family(args.family)
     state_doc = _load_json(args.state)
     try:
@@ -186,8 +186,7 @@ def _cmd_audit(args) -> int:
         audit = completeness_audit(model, family, statements, args.mode)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    _emit({"schema_version": SCHEMA_VERSION, **audit.to_json_dict()}, args.out)
-    return 0
+    return {"schema_version": SCHEMA_VERSION, **audit.to_json_dict()}, 0
 
 
 def _load_family(path: str) -> PropertyFamily:

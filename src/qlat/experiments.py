@@ -3,7 +3,7 @@ and versioned JSON reports built for exact re-runs."""
 
 from __future__ import annotations
 
-import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -76,7 +76,7 @@ __all__ = [
     "verify_family",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Generated spectra keep at least this gap between eigenvalues so that
 # cluster boundaries never interact with the campaigns.
@@ -94,12 +94,21 @@ class ExperimentConfig:
     seed: int = 0
     commuting_fraction: float = 0.5
     tolerances: TolerancePolicy = field(default_factory=TolerancePolicy)
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
+            )
+        for name in ("dim", "instances", "mc_trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.commuting_fraction, bool) or not isinstance(
+            self.commuting_fraction, numbers.Real
+        ):
+            raise ValueError(
+                f"commuting_fraction must be a real number, got {self.commuting_fraction!r}"
             )
         if not 2 <= self.dim <= 8:
             raise ValueError(f"dim must be in [2, 8], got {self.dim!r}")
@@ -177,9 +186,6 @@ class CampaignReport:
                 "wall_time_s": self.wall_time_s,
             },
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def random_hermitian(dim: int, gen: np.random.Generator) -> HermitianOperator:
@@ -499,20 +505,13 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> CampaignReport:
-    """Dispatch the configured campaign and assemble its report; re-runs
+    """Dispatch the configured campaign and return its report; re-runs
     with the same config differ at most in wall time."""
     start = time.perf_counter()
     records = _numbered(cfg.experiment, _RUNNERS[cfg.experiment](cfg))
-    report = CampaignReport(
-        config=cfg,
-        instances=records,
-        wall_time_s=time.perf_counter() - start,
+    return CampaignReport(
+        config=cfg, instances=records, wall_time_s=time.perf_counter() - start
     )
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
-            handle.write(report.dumps())
-            handle.write("\n")
-    return report
 
 
 def verify_family(

@@ -433,13 +433,14 @@ def completeness_audit(
     mode_key = mode.lower()
     if mode_key not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    support_observable = Observable.from_projection(model.support, pol)
+    realist = mode_key == "sr"
+    support_observable = None if realist else Observable.from_projection(model.support, pol)
 
     records: list[StatementRecord] = []
     for statement in statements:
         equivalent = is_testable(statement, family, pol)
         testable = equivalent is not None
-        objective = testable and nondisturbing(
+        objective = not realist and testable and nondisturbing(
             Observable.from_projection(equivalent, pol), support_observable, pol
         )
         verdict_value = _membership(equivalent, model, pol)
@@ -453,7 +454,7 @@ def completeness_audit(
                 testable=testable,
                 verificationist=verdict_value,
                 kleene=kleene_truth(statement, model, family, pol),
-                meaningful=True if mode_key == "sr" else objective,
+                meaningful=realist or objective,
                 predictable=verdict_value is not TruthValue.UNDEFINED,
                 flagged=flagged,
             )

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
 import itertools
-import json
+import re
 import time
 
 import numpy as np
@@ -35,6 +35,7 @@ from qlat import (
     tarskian_truth,
     verificationist_truth,
 )
+from qlat.cli import main
 from qlat.semantics import TruthValue, atom_labels, is_testable
 
 from test_semantics import all_statements, random_statement, to_sympy
@@ -252,27 +253,19 @@ def test_criterion_7_valuations():
 
 
 def test_criterion_8_reproducibility(tmp_path):
+    wall_time = re.compile(rb'^ *"wall_time_s": .*\n', re.MULTILINE)
     ok = True
     for experiment, extra in (
-        ("compatibility_equivalence", {"mc_trials": 64}),
-        ("predictable_vs_compatible", {}),
-        ("lattice_laws", {}),
+        ("compatibility_equivalence", ["--mc-trials", "64"]),
+        ("predictable_vs_compatible", []),
+        ("lattice_laws", []),
     ):
-        documents = []
+        codes, reports = [], []
         for run in range(2):
             out = tmp_path / f"{experiment}_{run}.json"
-            cfg = ExperimentConfig(
-                experiment=experiment,
-                dim=3,
-                instances=40,
-                seed=7,
-                output_path=str(out),
-                **extra,
-            )
-            run_experiment(cfg)
-            document = json.loads(out.read_text())
-            document["aggregate"].pop("wall_time_s")
-            document["config"].pop("output_path")
-            documents.append(document)
-        ok = ok and documents[0] == documents[1]
+            argv = ["run", "--experiment", experiment, "--dim", "3", "--instances", "40",
+                    "--seed", "7", *extra, "--out", str(out)]
+            codes.append(main(argv))
+            reports.append(wall_time.sub(b"", out.read_bytes()))
+        ok = ok and codes == [0, 0] and reports[0] == reports[1]
     verdict_line(8, "re-running a config reproduces the report modulo wall time", ok)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,12 +41,25 @@ class TestExperimentConfig:
             ("mc_trials", 0),
             ("seed", -1),
             ("commuting_fraction", 1.5),
+            ("dim", 3.0),
+            ("dim", "3"),
+            ("instances", 2.5),
+            ("instances", True),
+            ("mc_trials", 4.0),
+            ("seed", 1.5),
+            ("seed", False),
+            ("commuting_fraction", "0.5"),
+            ("commuting_fraction", True),
         ],
     )
     def test_validation_names_field(self, field, value):
         kwargs = {"experiment": "lattice_laws", field: value}
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = ExperimentConfig(experiment="lattice_laws", dim=np.int64(3), seed=np.uint64(7))
+        assert cfg.dim == 3 and cfg.seed == 7
 
     def test_from_dict_rejects_unknown_field(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -116,8 +130,9 @@ class TestRunExperiment:
     def test_report_schema(self):
         cfg = ExperimentConfig(experiment="lattice_laws", dim=2, instances=3, seed=4)
         document = run_experiment(cfg).to_json_dict()
-        assert document["schema_version"] == 1
+        assert document["schema_version"] == 2
         assert set(document) == {"schema_version", "config", "instances", "aggregate"}
+        assert "output_path" not in document["config"]
         assert set(document["aggregate"]) == {"pass", "fail", "max_residual", "wall_time_s"}
         for record in document["instances"]:
             assert set(record) == {"index", "experiment", "pass", "residual", "detail"}
@@ -131,15 +146,6 @@ class TestRunExperiment:
         first = strip_wall_time(run_experiment(cfg).to_json_dict())
         second = strip_wall_time(run_experiment(cfg).to_json_dict())
         assert first == second
-
-    def test_writes_report_file(self, tmp_path):
-        out = tmp_path / "report.json"
-        cfg = ExperimentConfig(
-            experiment="lattice_laws", dim=2, instances=2, seed=5, output_path=str(out)
-        )
-        report = run_experiment(cfg)
-        on_disk = json.loads(out.read_text())
-        assert on_disk == report.to_json_dict()
 
 
 @pytest.fixture()
@@ -221,6 +227,24 @@ class TestCli:
         assert code == 2
         assert "dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"instances": 2.5}, {"dim": 3.0}, {"seed": 1.5}, {"instances": True}],
+    )
+    def test_non_integer_config_value_is_usage_error(self, tmp_path, capsys, fields):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "lattice_laws", **fields}))
+        code = main(["run", "--config", str(config)])
+        assert code == 2
+        assert next(iter(fields)) in capsys.readouterr().err
+
+    def test_config_output_path_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "lattice_laws", "output_path": "r.json"}))
+        code = main(["run", "--config", str(config)])
+        assert code == 2
+        assert "unknown config field 'output_path'" in capsys.readouterr().err
+
     def test_failing_campaign_exits_one(self, monkeypatch, capsys):
         import qlat.cli as cli_module
         from qlat.experiments import CampaignReport, InstanceRecord
@@ -251,6 +275,38 @@ class TestCli:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["run", "verify-family", "audit"])
+    def test_out_file_equals_stdout(
+        self, command, family_file, state_file, statements_file, tmp_path, capsys
+    ):
+        argv = {
+            "run": ["run", "--experiment", "compatibility_equivalence", "--dim", "3",
+                    "--instances", "4", "--mc-trials", "16", "--seed", "3"],
+            "verify-family": ["verify-family", "--family", family_file, "--states", "3"],
+            "audit": ["audit", "--family", family_file, "--state", state_file,
+                      "--statements", statements_file, "--mode", "standard"],
+        }[command]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.encode()
+        written = out.read_bytes()
+        if command == "run":
+            wall_time = re.compile(rb'^ *"wall_time_s": .*\n', re.MULTILINE)
+            printed, written = wall_time.sub(b"", printed), wall_time.sub(b"", written)
+        assert written == printed
+        assert written.endswith(b"}\n")
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--seed", "-1"), ("--seed", str(2**64)), ("--states", "-3")],
+    )
+    def test_verify_family_rejects_out_of_range_flag(self, family_file, capsys, flag, value):
+        code = main(["verify-family", "--family", family_file, flag, value])
+        assert code == 2
+        assert flag in capsys.readouterr().err
 
     def test_verify_family(self, family_file, capsys):
         code = main(["verify-family", "--family", family_file, "--states", "10"])

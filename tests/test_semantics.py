@@ -382,6 +382,65 @@ class TestCompletenessAudit:
             )
             assert (audit.verdict == "incomplete") == oblique_exists
 
+    def test_sr_mode_skips_nondisturbance_check(self, ground_model, qubit_family, monkeypatch):
+        import qlat.semantics as semantics_module
+
+        calls = []
+        original = semantics_module.nondisturbing
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(semantics_module, "nondisturbing", counting)
+        completeness_audit(ground_model, qubit_family, reference_statements(), "sr")
+        assert calls == []
+        completeness_audit(ground_model, qubit_family, reference_statements(), "standard")
+        assert len(calls) == 6  # one per testable statement
+
+    def test_reference_documents(self, ground_model, qubit_family):
+        # (text, testable, verificationist, kleene, flagged, meaningful in
+        # standard mode) per reference statement; predictable is
+        # verificationist != "undefined" in both modes
+        rows = [
+            ("0", True, "false", "false", False, True),
+            ("P0", True, "true", "true", False, True),
+            ("P1", True, "false", "false", False, True),
+            ("Pplus", True, "undefined", "undefined", False, False),
+            ("I", True, "true", "true", False, True),
+            ("(and P0 P1)", True, "false", "false", False, True),
+            ("(and P0 Pplus)", False, "undefined", "undefined", False, False),
+            ("(implies Pplus (or Pplus P0))", False, "undefined", "true", True, False),
+        ]
+        predictable = sorted(text for text, _, value, *_ in rows if value != "undefined")
+        flagged = ["(implies Pplus (or Pplus P0))"]
+        for mode in ("standard", "sr"):
+            document = completeness_audit(
+                ground_model, qubit_family, reference_statements(), mode
+            ).to_json_dict()
+            statements = [
+                {
+                    "text": text,
+                    "testable": testable,
+                    "verificationist": value,
+                    "kleene": kleene,
+                    "meaningful": mode == "sr" or meaningful,
+                    "predictable": value != "undefined",
+                    "flagged": is_flagged,
+                }
+                for text, testable, value, kleene, is_flagged, meaningful in rows
+            ]
+            meaningful_texts = sorted(row["text"] for row in statements if row["meaningful"])
+            assert document == {
+                "mode": mode,
+                "verdict": "complete" if mode == "standard" else "incomplete",
+                "witness": None if mode == "standard" else "Pplus",
+                "meaningful": meaningful_texts,
+                "predictable": predictable,
+                "flagged": flagged,
+                "statements": statements,
+            }
+
     def test_rejects_unknown_mode(self, ground_model, qubit_family):
         with pytest.raises(ValueError, match="mode"):
             completeness_audit(ground_model, qubit_family, [Elementary("I")], "classical")

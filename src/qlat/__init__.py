@@ -46,7 +46,6 @@ from .measurement import (
     measure,
     min_disagreement_probability,
     nondisturbing,
-    nondisturbing_mc,
     sequence_symmetric,
     sequential_disagreements,
 )
@@ -59,10 +58,10 @@ from .domains import (
     domain_report,
     objective_domain,
     pivot_residual,
+    pivot_residuals,
     predictable_domain,
+    splits_along_support,
     support_projection,
-    verify_objective_equals_predictable,
-    verify_predictable_equals_compatible,
 )
 from .semantics import (
     And,

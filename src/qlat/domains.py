@@ -1,6 +1,7 @@
 """State-relative property domains over a finite family: certainly true,
-certainly false, predictable, compatible, and objective subsets, plus the
-verifiers that check the equalities connecting them by independent routes."""
+certainly false, predictable, compatible, and objective subsets, the split
+rule on the members' pivot residuals, and one report that checks the
+equalities connecting them by independent routes."""
 
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ __all__ = [
     "compatible_domain",
     "objective_domain",
     "pivot_residual",
-    "verify_predictable_equals_compatible",
-    "verify_objective_equals_predictable",
+    "pivot_residuals",
+    "splits_along_support",
     "DomainReport",
     "domain_report",
 ]
@@ -132,44 +133,24 @@ def pivot_residual(
     return frobenius_distance(rebuilt, member)
 
 
-def verify_predictable_equals_compatible(
+def pivot_residuals(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
+) -> dict[str, float]:
+    """Every member's pivot residual, by label."""
+    return {label: pivot_residual(member, model, pol) for label, member in family.pairs()}
+
+
+def splits_along_support(
+    residuals: dict[str, float], compatible: set[str], pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
-    """Check predictable == compatible as label sets, and that for every
-    member the split identity holds exactly when the member commutes with
-    the support."""
-    predictable = predictable_domain(model, family, pol)
-    compatible = compatible_domain(model, family, pol)
-    return predictable == compatible and _splits_match(compatible, model, family, pol)
-
-
-def _splits(residual: float, compatible: bool, pol: TolerancePolicy) -> bool:
-    """The split rule on a member's pivot residual: a compatible member must
-    split along the support, below op_tol, and any other member must miss it
-    by more than 10 * op_tol, clear of the rounding band around op_tol."""
-    return residual < pol.op_tol if compatible else residual > 10.0 * pol.op_tol
-
-
-def _splits_match(
-    compatible: set[str], model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy
-) -> bool:
-    """Each member splits along the support exactly when it is compatible."""
+    """The split rule on the members' pivot residuals: a compatible member
+    must split along the support, below op_tol, and any other member must
+    miss it by more than 10 * op_tol, clear of the rounding band around
+    op_tol."""
     return all(
-        _splits(pivot_residual(member, model, pol), label in compatible, pol)
-        for label, member in family.pairs()
+        residual < pol.op_tol if label in compatible else residual > 10.0 * pol.op_tol
+        for label, residual in residuals.items()
     )
-
-
-def verify_objective_equals_predictable(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
-    """Check objective == predictable as label sets.
-
-    The two sides travel independent routes: the objective side runs the
-    exact non-disturbance criterion on yes/no observables, the predictable
-    side only uses the lattice order.
-    """
-    return objective_domain(model, family, pol) == predictable_domain(model, family, pol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +159,6 @@ class DomainReport:
     verdicts; certainly true and certainly false are disjoint by construction
     of the order, which is asserted when the report is built."""
 
-    family: PropertyFamily
     certainly_true: frozenset[str]
     certainly_false: frozenset[str]
     predictable: frozenset[str]
@@ -202,7 +182,9 @@ class DomainReport:
 def domain_report(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> DomainReport:
-    """Every domain computed once, with both equality verdicts read from them."""
+    """Every domain computed once, with both equality verdicts read from them;
+    predictable = compatible also asks that each member split along the
+    support exactly when it is compatible."""
     true_side = certainly_true_domain(model, family, pol)
     false_side = certainly_false_domain(model, family, pol)
     if true_side & false_side:
@@ -213,14 +195,14 @@ def domain_report(
     compatible = compatible_domain(model, family, pol)
     objective = objective_domain(model, family, pol)
     return DomainReport(
-        family=family,
         certainly_true=frozenset(true_side),
         certainly_false=frozenset(false_side),
         predictable=frozenset(predictable),
         compatible=frozenset(compatible),
         objective=frozenset(objective),
         predictable_equals_compatible=(
-            predictable == compatible and _splits_match(compatible, model, family, pol)
+            predictable == compatible
+            and splits_along_support(pivot_residuals(model, family, pol), compatible, pol)
         ),
         objective_equals_predictable=objective == predictable,
     )

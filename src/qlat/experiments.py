@@ -11,12 +11,12 @@ import numpy as np
 
 from .domains import (
     PureStateModel,
-    _splits,
     compatible_domain,
     domain_report,
     objective_domain,
-    pivot_residual,
+    pivot_residuals,
     predictable_domain,
+    splits_along_support,
     support_projection,
 )
 from .lattice import (
@@ -82,6 +82,9 @@ SCHEMA_VERSION = 2
 # cluster boundaries never interact with the campaigns.
 _SPECTRAL_GAP = 1e-3
 
+# Share of generate_property_family's draws that try an oblique member.
+_OBLIQUE_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -100,16 +103,17 @@ class ExperimentConfig:
             raise ValueError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
-        for name in ("dim", "instances", "mc_trials", "seed"):
+        for name in ("dim", "instances", "mc_trials", "seed", "commuting_fraction"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.commuting_fraction, bool) or not isinstance(
-            self.commuting_fraction, numbers.Real
-        ):
-            raise ValueError(
-                f"commuting_fraction must be a real number, got {self.commuting_fraction!r}"
-            )
+            kind, noun = numbers.Integral, "an integer"
+            if name == "commuting_fraction":
+                kind, noun = numbers.Real, "a real number"
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
+            # Numpy scalars become Python numbers, so the report serializes;
+            # an integral fraction stays an int and keeps its report bytes.
+            number = int(value) if isinstance(value, numbers.Integral) else float(value)
+            object.__setattr__(self, name, number)
         if not 2 <= self.dim <= 8:
             raise ValueError(f"dim must be in [2, 8], got {self.dim!r}")
         if self.instances < 1:
@@ -209,9 +213,7 @@ def _gapped_values(dim: int, gen: np.random.Generator) -> np.ndarray:
             return values
 
 
-def _observable_in_basis(
-    basis: np.ndarray, values: np.ndarray, pol: TolerancePolicy
-) -> Observable:
+def _observable_in_basis(basis: np.ndarray, values: np.ndarray) -> Observable:
     order = np.argsort(values)
     spectrum = [(float(values[i]), Projection.from_basis(basis[:, i : i + 1])) for i in order]
     matrix = (basis * values) @ basis.conj().T
@@ -242,8 +244,8 @@ def generate_observable_pair(
     if commuting:
         basis = random_unitary(dim, gen)
         return (
-            _observable_in_basis(basis, _gapped_values(dim, gen), pol),
-            _observable_in_basis(basis, _gapped_values(dim, gen), pol),
+            _observable_in_basis(basis, _gapped_values(dim, gen)),
+            _observable_in_basis(basis, _gapped_values(dim, gen)),
         )
     for _ in range(100):
         first = Observable.from_operator(random_hermitian(dim, gen), pol)
@@ -292,7 +294,6 @@ def generate_property_family(
     model: PureStateModel,
     gen: np.random.Generator,
     pol: TolerancePolicy = DEFAULT_POLICY,
-    oblique_fraction: float = 0.5,
 ) -> PropertyFamily:
     """Adversarial family around a state: members diagonal in a basis that
     contains the state axis (these commute with the support) mixed with
@@ -316,7 +317,7 @@ def generate_property_family(
     attempts = 0
     while len(entries) < n_members and attempts < 100 * n_members:
         attempts += 1
-        if gen.random() < oblique_fraction:
+        if gen.random() < _OBLIQUE_FRACTION:
             rank = int(gen.integers(1, dim))
             try_add(_random_subspace_projection(dim, rank, gen))
         else:
@@ -409,19 +410,15 @@ def _run_predictable_vs_compatible(cfg: ExperimentConfig):
         model, family = _domain_instance(cfg, index)
         predictable = predictable_domain(model, family, pol)
         compatible = compatible_domain(model, family, pol)
-        residuals = [
-            (label in compatible, pivot_residual(member, model, pol))
-            for label, member in family.pairs()
-        ]
-        split_ok = all(_splits(residual, inside, pol) for inside, residual in residuals)
-        member_residual = max((residual for inside, residual in residuals if inside), default=0.0)
-        yield predictable == compatible and split_ok, member_residual, {
+        residuals = pivot_residuals(model, family, pol)
+        split_ok = splits_along_support(residuals, compatible, pol)
+        inside = [residual for label, residual in residuals.items() if label in compatible]
+        outside = [residual for label, residual in residuals.items() if label not in compatible]
+        yield predictable == compatible and split_ok, max(inside, default=0.0), {
             "predictable": sorted(predictable),
             "compatible": sorted(compatible),
             "split_identity_ok": split_ok,
-            "min_noncompatible_residual": min(
-                (residual for inside, residual in residuals if not inside), default=None
-            ),
+            "min_noncompatible_residual": min(outside, default=None),
         }
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "commutes",
     "nondisturbing",
     "sequential_disagreements",
-    "nondisturbing_mc",
     "interposition_invariant",
     "sequence_symmetric",
     "joint_observable",
@@ -482,19 +481,6 @@ def _check_near_one(values: np.ndarray, tol: float, message: str) -> None:
         raise ValueError(message.format(float(values[deviation > tol][0])))
 
 
-def nondisturbing_mc(
-    first: Observable,
-    second: Observable,
-    trials: int,
-    rng: SeededRng,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> tuple[bool, int]:
-    """Operational non-disturbance check: (no disagreement seen, total count)."""
-    forward, backward = sequential_disagreements(first, second, trials, rng, pol)
-    count = forward + backward
-    return count == 0, count
-
-
 def min_disagreement_probability(first: Observable, second: Observable) -> float:
     """Exact disagreement rate of the worse measurement order over
     Haar-random initial states.
@@ -533,7 +519,6 @@ class CompatibilityVerdict:
 
     commutation: bool
     nondisturbance: bool
-    mc_passed: bool
     mc_trials: int
     mc_disagreements: int
     mc_floor: int
@@ -579,13 +564,11 @@ def compatibility_verdict(
     joint = _joint_of(first, second) if holds["commutation"] else None
     commeasurable = joint is not None
 
-    mc_passed, count = nondisturbing_mc(first, second, trials, rng, pol)
-    if holds["nondisturbance"]:
-        floor = 0
-        mc_consistent = mc_passed
-    else:
-        floor = _trial_floor(disagreement_rate)
-        mc_consistent = count > 0 or trials < floor
+    # The MC pass rule: no disagreement when exact non-disturbance holds,
+    # otherwise at least one once the trials reach the analytic floor.
+    count = sum(sequential_disagreements(first, second, trials, rng, pol))
+    floor = 0 if holds["nondisturbance"] else _trial_floor(disagreement_rate)
+    mc_consistent = count == 0 if holds["nondisturbance"] else (count > 0 or trials < floor)
 
     verdicts = (*holds.values(), commeasurable)
     violations = [residuals[criterion] for criterion, held in holds.items() if not held]
@@ -594,7 +577,6 @@ def compatibility_verdict(
     return CompatibilityVerdict(
         commutation=holds["commutation"],
         nondisturbance=holds["nondisturbance"],
-        mc_passed=mc_passed,
         mc_trials=trials,
         mc_disagreements=count,
         mc_floor=floor,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlat import (
+    ExperimentConfig,
     Ket,
     Projection,
     PropertyFamily,
@@ -21,9 +22,8 @@ from qlat import (
     orthocomplement,
     pivot_residual,
     predictable_domain,
+    run_experiment,
     support_projection,
-    verify_objective_equals_predictable,
-    verify_predictable_equals_compatible,
 )
 
 
@@ -83,8 +83,9 @@ class TestWorkedFamilyDomains:
         assert objective_domain(ground_model, qubit_family) == {"0", "P0", "P1", "I"}
 
     def test_equalities_hold(self, ground_model, qubit_family):
-        assert verify_predictable_equals_compatible(ground_model, qubit_family)
-        assert verify_objective_equals_predictable(ground_model, qubit_family)
+        report = domain_report(ground_model, qubit_family)
+        assert report.predictable_equals_compatible
+        assert report.objective_equals_predictable
 
     def test_report(self, ground_model, qubit_family):
         report = domain_report(ground_model, qubit_family)
@@ -214,19 +215,25 @@ class TestPivot:
     def test_split_inside_the_rounding_band_fails(self, ground_model, qubit_family, pol, monkeypatch):
         # A member outside the compatible domain whose pivot residual sits
         # between op_tol and 10 * op_tol splits neither clearly nor not at
-        # all; both verifiers then reject the instance.
+        # all; the report and the campaign then reject the instance.
         from qlat import domains
 
-        compatible = compatible_domain(ground_model, qubit_family, pol)
-        assert compatible != {label for label, _ in qubit_family.pairs()}
-        members = {id(member): label for label, member in qubit_family.pairs()}
+        exact = domains.pivot_residual
 
         def banded(member, model, pol=pol):
-            return 0.0 if members[id(member)] in compatible else 5.0 * pol.op_tol
+            return min(exact(member, model, pol), 5.0 * pol.op_tol)
 
         monkeypatch.setattr(domains, "pivot_residual", banded)
-        assert not verify_predictable_equals_compatible(ground_model, qubit_family, pol)
         assert not domain_report(ground_model, qubit_family, pol).predictable_equals_compatible
+        report = run_experiment(
+            ExperimentConfig(experiment="predictable_vs_compatible", dim=4, instances=5, seed=3)
+        )
+        assert report.fail_count == 5
+        assert not any(record.detail["split_identity_ok"] for record in report.instances)
+        assert all(
+            record.detail["min_noncompatible_residual"] == 5.0 * pol.op_tol
+            for record in report.instances
+        )
 
 
 class TestEqualityCampaigns:
@@ -235,30 +242,41 @@ class TestEqualityCampaigns:
         for _ in range(60):
             dim = 2 + int(gen.integers(0, 3))
             model, family = random_instance(dim, gen, pol)
-            assert verify_predictable_equals_compatible(model, family, pol)
+            assert domain_report(model, family, pol).predictable_equals_compatible
 
     def test_objective_equals_predictable_random(self, pol):
         gen = SeededRng(7).generator()
         for _ in range(60):
             dim = 2 + int(gen.integers(0, 3))
             model, family = random_instance(dim, gen, pol)
-            assert verify_objective_equals_predictable(model, family, pol)
+            assert domain_report(model, family, pol).objective_equals_predictable
 
 
 class TestReportMatchesVerifiers:
     """domain_report reads its equality flags off domains it computes once;
-    they must agree with the stand-alone verifiers, including instances
-    where an equality fails."""
+    they must agree with the verifier written out here from the free domain
+    functions, one pivot_residual per member and the split rule's two
+    inequalities, including instances where an equality fails."""
 
     @staticmethod
-    def flags(model, family, pol):
+    def verified(model, family, pol):
+        predictable = predictable_domain(model, family, pol)
+        compatible = compatible_domain(model, family, pol)
+        splits = True
+        for label, member in family.pairs():
+            residual = pivot_residual(member, model, pol)
+            if label in compatible:
+                splits = splits and residual < pol.op_tol
+            else:
+                splits = splits and residual > 10 * pol.op_tol
+        objective = objective_domain(model, family, pol)
+        return predictable == compatible and splits, objective == predictable
+
+    @classmethod
+    def flags(cls, model, family, pol):
         report = domain_report(model, family, pol)
         reported = (report.predictable_equals_compatible, report.objective_equals_predictable)
-        verified = (
-            verify_predictable_equals_compatible(model, family, pol),
-            verify_objective_equals_predictable(model, family, pol),
-        )
-        assert reported == verified
+        assert reported == cls.verified(model, family, pol)
         return reported
 
     # The loose policy makes the order and the commutator disagree on many
@@ -268,14 +286,15 @@ class TestReportMatchesVerifiers:
     )
     def test_random_instances(self, pol):
         gen = SeededRng(11).generator()
-        seen = set()
+        seen = []
         for _ in range(20):
             dim = 2 + int(gen.integers(0, 3))
             model, family = random_instance(dim, gen, pol)
-            seen.update(self.flags(model, family, pol))
-        assert True in seen
+            seen.append(self.flags(model, family, pol))
+        assert any(map(any, seen))
         if pol.op_tol > 0.1:
-            assert False in seen
+            assert not all(first for first, _ in seen)
+            assert not all(second for _, second in seen)
 
     def test_qubit_family(self, pol, qubit_family, plus_ket):
         gen = SeededRng(12).generator()

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ class TestExperimentConfig:
     def test_accepts_numpy_integers(self):
         cfg = ExperimentConfig(experiment="lattice_laws", dim=np.int64(3), seed=np.uint64(7))
         assert cfg.dim == 3 and cfg.seed == 7
+        assert type(cfg.dim) is int and type(cfg.seed) is int
+
+    # Numpy scalars are stored as Python numbers, so the report serializes;
+    # an integral commuting_fraction still prints as an integer.
+    @pytest.mark.parametrize(
+        "field,value,printed",
+        [
+            ("dim", np.int64(3), '"dim": 3,'),
+            ("commuting_fraction", np.float32(0.5), '"commuting_fraction": 0.5,'),
+            ("commuting_fraction", 1, '"commuting_fraction": 1,'),
+        ],
+        ids=["dim-int64", "fraction-float32", "fraction-int"],
+    )
+    def test_numpy_scalars_serialize(self, field, value, printed):
+        cfg = ExperimentConfig(experiment="lattice_laws", instances=2, **{field: value})
+        assert printed in json.dumps(run_experiment(cfg).to_json_dict())
 
     def test_from_dict_rejects_unknown_field(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -405,3 +422,12 @@ class TestCli:
         )
         assert code == 2
         assert "dim" in capsys.readouterr().err
+
+
+def test_readme_quick_start_runs(capsys):
+    # Every name the README's library example uses must still exist.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "incomplete" in capsys.readouterr().out

@@ -21,7 +21,6 @@ from qlat import (
     measure,
     min_disagreement_probability,
     nondisturbing,
-    nondisturbing_mc,
     projection_onto_span,
     sequence_symmetric,
     sequential_disagreements,
@@ -454,15 +453,13 @@ class TestJointObservable:
 
 class TestMonteCarlo:
     def test_commuting_pair_never_disagrees(self, diag_a, diag_b):
-        ok, count = nondisturbing_mc(diag_a, diag_b, 2000, SeededRng(31))
-        assert ok and count == 0
+        assert sequential_disagreements(diag_a, diag_b, 2000, SeededRng(31)) == (0, 0)
 
     def test_noncommuting_pair_disagrees_at_half_rate(self, sigma_z, sigma_x):
         forward, backward = sequential_disagreements(sigma_z, sigma_x, 4000, SeededRng(32))
         assert 0.45 < forward / 4000 < 0.55
         assert 0.45 < backward / 4000 < 0.55
-        ok, count = nondisturbing_mc(sigma_z, sigma_x, 1000, SeededRng(33))
-        assert not ok and count > 0
+        assert sum(sequential_disagreements(sigma_z, sigma_x, 1000, SeededRng(33))) > 0
 
     def test_rejects_zero_trials(self, sigma_z, sigma_x):
         with pytest.raises(ValueError, match="trials"):
@@ -593,6 +590,9 @@ class TestCompatibilityVerdict:
             or verdict.commeasurable
         )
         assert verdict.mc_consistent and verdict.mc_disagreements > 0
+        assert verdict.mc_disagreements == sum(
+            sequential_disagreements(sigma_z, sigma_x, 200, SeededRng(42))
+        )
         assert verdict.max_violation == pytest.approx(2 * np.sqrt(2))
 
     def test_random_ensemble_coincides(self, pol):

@@ -10,15 +10,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import PropertyFamily, join, leq, meet, orthocomplement
+from .lattice import PropertyFamily, join_stack, leq_stack, meet_stack, orthocomplement
 from .measurement import Observable, criterion_holds, nondisturbing
 from .numerics import (
     DEFAULT_POLICY,
     Ket,
     Projection,
     TolerancePolicy,
+    _frobenius_norms,
     commutator_norm,
-    frobenius_distance,
     matrices_close,
 )
 
@@ -70,22 +70,16 @@ def certainly_true_domain(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> set[str]:
     """Members lying above the support; exactly those with probability 1."""
-    return {
-        label
-        for label, member in family.pairs()
-        if leq(model.support, member, pol)
-    }
+    above = leq_stack(model.support.matrix, family.projection_stack, pol)
+    return {label for label, holds in zip(family.labels, above.tolist()) if holds}
 
 
 def certainly_false_domain(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> set[str]:
     """Members below the orthocomplement of the support; probability 0."""
-    return {
-        label
-        for label, member in family.pairs()
-        if leq(member, model.complement, pol)
-    }
+    below = leq_stack(family.projection_stack, model.complement.matrix, pol)
+    return {label for label, holds in zip(family.labels, below.tolist()) if holds}
 
 
 def predictable_domain(
@@ -120,6 +114,19 @@ def objective_domain(
     }
 
 
+def _pivot_defects(
+    members: np.ndarray, model: PureStateModel, pol: TolerancePolicy
+) -> np.ndarray:
+    """Frobenius defect of (E ^ S) v (E ^ S_perp) against E for each
+    member E of a (..., d, d) stack, with S the model's support."""
+    rebuilt = join_stack(
+        meet_stack(members, model.support.matrix, pol),
+        meet_stack(members, model.complement.matrix, pol),
+        pol,
+    )
+    return _frobenius_norms(rebuilt - members)
+
+
 def pivot_residual(
     member: Projection, model: PureStateModel, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> float:
@@ -129,15 +136,15 @@ def pivot_residual(
     Vanishes exactly when the member splits along the support, the algebraic
     signature of compatibility with it.
     """
-    rebuilt = join(meet(member, model.support, pol), meet(member, model.complement, pol), pol)
-    return frobenius_distance(rebuilt, member)
+    return float(_pivot_defects(member.matrix, model, pol))
 
 
 def pivot_residuals(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> dict[str, float]:
-    """Every member's pivot residual, by label."""
-    return {label: pivot_residual(member, model, pol) for label, member in family.pairs()}
+    """Every member's pivot residual, by label, from one stack over the family."""
+    defects = _pivot_defects(family.projection_stack, model, pol)
+    return dict(zip(family.labels, defects.tolist()))
 
 
 def splits_along_support(

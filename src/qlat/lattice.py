@@ -4,6 +4,7 @@ structural laws, and labelled property families with JSON serialization."""
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -11,9 +12,10 @@ from .numerics import (
     DEFAULT_POLICY,
     Projection,
     TolerancePolicy,
-    frobenius_distance,
+    _frobenius_norms,
     identity_projection,
     matrices_close,
+    validated_projections,
     zero_projection,
 )
 
@@ -22,12 +24,24 @@ __all__ = [
     "meet",
     "join",
     "orthocomplement",
+    "leq_stack",
+    "meet_stack",
+    "join_stack",
+    "orthocomplement_stack",
     "is_atom",
     "check_orthomodular",
     "check_covering",
     "de_morgan_gap",
+    "de_morgan_gaps",
+    "orthomodular_holds",
+    "family_laws",
     "PropertyFamily",
 ]
+
+# Each lattice operation and law check has one definition, over (..., d, d)
+# stacks of projection matrices that broadcast against each other. The
+# functions on Projection objects are its one-pair case, through the same
+# code, and give the same bits.
 
 
 def _check_dims(p: Projection, q: Projection) -> None:
@@ -35,38 +49,72 @@ def _check_dims(p: Projection, q: Projection) -> None:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
 
 
+def leq_stack(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Range inclusion over stacks: p <= q iff q @ p == p within op_tol."""
+    return _frobenius_norms(q @ p - p) < pol.op_tol
+
+
 def leq(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """Range inclusion: p <= q iff q @ p == p within op_tol."""
     _check_dims(p, q)
-    return float(np.linalg.norm(q.matrix @ p.matrix - p.matrix)) < pol.op_tol
+    return bool(leq_stack(p.matrix, q.matrix, pol))
+
+
+def orthocomplement_stack(p: np.ndarray) -> np.ndarray:
+    return validated_projections(np.eye(p.shape[-1], dtype=np.complex128) - p)
 
 
 def orthocomplement(p: Projection) -> Projection:
     return Projection(np.eye(p.dim, dtype=np.complex128) - p.matrix)
 
 
-def _sum_eigenspace(p: Projection, q: Projection, floor: float) -> Projection:
-    """Projection onto the eigenvectors of p + q with eigenvalue above floor.
+def _sum_ranges(sums: np.ndarray, floor: float) -> np.ndarray:
+    """Projections onto the eigenvectors with eigenvalue above floor, for
+    each matrix of a (..., d, d) stack of sums p + q; not yet validated.
 
     The spectrum of p + q lies in [0, 2]: range(p) & range(q) is the
     eigenspace of 2 and range(p) + range(q) the range. An eigenbasis is
     rank-revealing, so both stay stable for nearly parallel subspaces.
+    ``eigh`` sorts the eigenvalues in ascending order, so the kept columns
+    are the last k; one product serves every matrix of the same rank k.
     """
-    _check_dims(p, q)
-    eigenvalues, eigenvectors = np.linalg.eigh(p.matrix + q.matrix)
-    return Projection.from_basis(eigenvectors[:, eigenvalues > floor])
+    eigenvalues, eigenvectors = np.linalg.eigh(sums)
+    kept = eigenvalues > floor
+    if sums.ndim == 2:
+        columns = eigenvectors[:, kept]
+        return columns @ columns.conj().mT
+    dim = sums.shape[-1]
+    ranks = np.count_nonzero(kept, axis=-1)
+    ranges = np.empty_like(sums)
+    for rank in set(ranks.ravel().tolist()):
+        chosen = ranks == rank
+        columns = eigenvectors[chosen, ..., dim - rank :]
+        ranges[chosen] = columns @ columns.conj().mT
+    return ranges
+
+
+def meet_stack(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Validated p ^ q over stacks: the top eigenspace of p + q, counting
+    eigenvalues within eig_gap of 2."""
+    return validated_projections(_sum_ranges(p + q, 2.0 - pol.eig_gap))
+
+
+def join_stack(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Validated p v q over stacks: the range of p + q, counting eigenvalues
+    below eig_gap as zero."""
+    return validated_projections(_sum_ranges(p + q, pol.eig_gap))
 
 
 def meet(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
-    """Projection onto the intersection of the two ranges: the top eigenspace
-    of p + q, counting eigenvalues within eig_gap of 2."""
-    return _sum_eigenspace(p, q, 2.0 - pol.eig_gap)
+    """Projection onto the intersection of the two ranges (see meet_stack)."""
+    _check_dims(p, q)
+    return Projection(_sum_ranges(p.matrix + q.matrix, 2.0 - pol.eig_gap))
 
 
 def join(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
-    """Projection onto the span of the union of ranges: the range of p + q,
-    counting eigenvalues below eig_gap as zero."""
-    return _sum_eigenspace(p, q, pol.eig_gap)
+    """Projection onto the span of the union of ranges (see join_stack)."""
+    _check_dims(p, q)
+    return Projection(_sum_ranges(p.matrix + q.matrix, pol.eig_gap))
 
 
 def is_atom(p: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -77,21 +125,55 @@ def is_atom(p: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return p.rank == 1
 
 
+def orthomodular_holds(
+    p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
+) -> np.ndarray:
+    """Over stacks: where p <= q, q == p v (q ^ p_perp); vacuously true
+    elsewhere."""
+    rebuilt = join_stack(p, meet_stack(q, orthocomplement_stack(p), pol), pol)
+    return ~leq_stack(p, q, pol) | (_frobenius_norms(rebuilt - q) < pol.op_tol)
+
+
 def check_orthomodular(
     p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
     """If p <= q, verify q == p v (q ^ p_perp); vacuously true otherwise."""
-    if not leq(p, q, pol):
-        return True
-    rebuilt = join(p, meet(q, orthocomplement(p), pol), pol)
-    return matrices_close(rebuilt, q, pol)
+    _check_dims(p, q)
+    return bool(orthomodular_holds(p.matrix, q.matrix, pol))
+
+
+def de_morgan_gaps(
+    p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
+) -> np.ndarray:
+    """Over stacks: the Frobenius distance between p ^ q and
+    (p_perp v q_perp)_perp."""
+    dual = join_stack(orthocomplement_stack(p), orthocomplement_stack(q), pol)
+    return _frobenius_norms(meet_stack(p, q, pol) - orthocomplement_stack(dual))
 
 
 def de_morgan_gap(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Frobenius distance between p ^ q and (p_perp v q_perp)_perp."""
-    return frobenius_distance(
-        meet(p, q, pol), orthocomplement(join(orthocomplement(p), orthocomplement(q), pol))
-    )
+    _check_dims(p, q)
+    return float(de_morgan_gaps(p.matrix, q.matrix, pol))
+
+
+def family_laws(
+    family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[np.ndarray, np.ndarray]:
+    """The laws on every member pair (a, b) of the family: the De Morgan
+    gaps, one per unordered pair, and the orthomodular law on
+    (a, a v b), one per ordered pair.
+
+    Meet, join and the gap are symmetric bit for bit, since p + q == q + p,
+    so only the orthomodular law needs both orders.
+    """
+    stack = family.projection_stack
+    first, second = np.triu_indices(len(stack))
+    gaps = de_morgan_gaps(stack[first], stack[second], pol)
+    pair = np.empty((len(stack), len(stack)), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(first.size)
+    joins = join_stack(stack[first], stack[second], pol)[pair]
+    return gaps, orthomodular_holds(stack[:, None], joins, pol)
 
 
 def check_covering(
@@ -169,6 +251,13 @@ class PropertyFamily:
     @property
     def members(self) -> tuple[Projection, ...]:
         return self._members
+
+    @cached_property
+    def projection_stack(self) -> np.ndarray:
+        """The member matrices as one read-only (n, d, d) array, in label order."""
+        stack = np.stack([member.matrix for member in self._members])
+        stack.setflags(write=False)
+        return stack
 
     def pairs(self) -> tuple[tuple[str, Projection], ...]:
         return tuple(zip(self._labels, self._members))

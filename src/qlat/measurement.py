@@ -20,6 +20,7 @@ from .numerics import (
     Ket,
     Projection,
     TolerancePolicy,
+    _frobenius_norms,
     commutator_norm,
     spectral_decompose,
 )
@@ -174,14 +175,6 @@ def _haar_rows(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raw = normals[..., :dim] + 1j * normals[..., dim:]
     norms = _frobenius_norms(raw, 1)
     return raw / norms[..., None], norms > 1e-6
-
-
-def _frobenius_norms(entries: np.ndarray, axes: int) -> np.ndarray:
-    """The one Frobenius norm, over the last ``axes`` axes: sqrt(re.re +
-    im.im) from one dot product per flattened row, bit for bit as
-    ``np.linalg.norm`` computes it for one complex vector or matrix."""
-    flat = entries.reshape(*entries.shape[: entries.ndim - axes], -1)
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def born_probability(state: Ket, projection: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> float:

@@ -3,6 +3,7 @@ decomposition, and the tolerance policy every other module inherits."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "identity_projection",
     "projection_onto_span",
     "range_basis",
+    "validated_projections",
 ]
 
 
@@ -48,8 +50,13 @@ class TolerancePolicy:
     def __post_init__(self) -> None:
         for name in ("op_tol", "eig_gap", "norm_tol", "prob_tol"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            # Numpy scalars become Python floats, so the report serializes.
+            value = float(value)
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            object.__setattr__(self, name, value)
         if not self.eig_gap > self.op_tol:
             raise ValueError(
                 f"eig_gap ({self.eig_gap!r}) must be larger than op_tol ({self.op_tol!r})"
@@ -66,24 +73,55 @@ def _as_square_matrix(value) -> np.ndarray:
     return matrix
 
 
+def _frobenius_norms(entries: np.ndarray, axes: int = 2) -> np.ndarray:
+    """The one Frobenius norm, over the last ``axes`` axes: sqrt(re.re +
+    im.im) from one dot product per flattened row, bit for bit as
+    ``np.linalg.norm`` computes it for one complex vector or matrix."""
+    if entries.ndim == axes:
+        flat = entries.ravel(order="K")
+        return np.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+    flat = entries.reshape(*entries.shape[: entries.ndim - axes], -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def _matrix_name(index) -> str:
+    """'matrix' for a single matrix, 'matrix k' for entry k of a stack."""
+    if not index:
+        return "matrix"
+    return f"matrix {int(index[0]) if len(index) == 1 else tuple(int(i) for i in index)}"
+
+
 def _check_hermitian(matrix: np.ndarray, tol: float) -> None:
-    asymmetry = np.abs(matrix - matrix.conj().T)
+    """ValueError unless every matrix of a (..., d, d) stack equals its
+    conjugate transpose within tol; in a stack the message names the
+    matrix's index."""
+    asymmetry = np.abs(matrix - matrix.conj().mT)
     worst = float(asymmetry.max())
     if worst > tol:
-        i, j = np.unravel_index(int(np.argmax(asymmetry)), asymmetry.shape)
+        *index, i, j = np.unravel_index(int(np.argmax(asymmetry)), asymmetry.shape)
         raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {worst:.3e} at entry ({i}, {j})"
+            f"{_matrix_name(index)} is not Hermitian: max asymmetry {worst:.3e} at entry ({i}, {j})"
         )
 
 
 def _validated_projection(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Re-symmetrized matrix; ValueError unless Hermitian and idempotent within tol."""
+    """Re-symmetrized (..., d, d) stack; ValueError unless every matrix is
+    Hermitian and idempotent within tol."""
     _check_hermitian(matrix, tol)
-    matrix = (matrix + matrix.conj().T) / 2.0
-    residual = float(np.linalg.norm(matrix @ matrix - matrix))
-    if residual > tol:
-        raise ValueError(f"matrix is not idempotent: |P^2 - P| = {residual:.3e}")
+    matrix = (matrix + matrix.conj().mT) / 2.0
+    residuals = _frobenius_norms(matrix @ matrix - matrix)
+    worst = float(residuals if matrix.ndim == 2 else residuals.max())
+    if worst > tol:
+        index = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
+        raise ValueError(f"{_matrix_name(index)} is not idempotent: |P^2 - P| = {worst:.3e}")
     return matrix
+
+
+def validated_projections(matrices) -> np.ndarray:
+    """A (..., d, d) stack of projections, validated and re-symmetrized by
+    the rule of ``Projection`` applied to every matrix: a stack that holds
+    one non-projection raises the ValueError that names its index."""
+    return _validated_projection(np.asarray(matrices, dtype=np.complex128), DEFAULT_POLICY.op_tol)
 
 
 def _matrix_of(value) -> np.ndarray:
@@ -181,7 +219,7 @@ def frobenius_distance(left, right) -> float:
     b = _matrix_of(right)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a - b))
+    return float(_frobenius_norms(a - b))
 
 
 def matrices_close(left, right, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -221,7 +259,7 @@ def commutator_norm(left, right) -> float:
     b = _matrix_of(right)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a @ b - b @ a))
+    return float(_frobenius_norms(a @ b - b @ a))
 
 
 def is_projection(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -12,7 +12,7 @@ from functools import partial
 from typing import Mapping
 
 from .domains import PureStateModel
-from .lattice import PropertyFamily, join, leq, meet, orthocomplement
+from .lattice import PropertyFamily, join, leq, leq_stack, meet, orthocomplement
 from .measurement import (
     Observable,
     SeededRng,
@@ -343,7 +343,6 @@ def order_isomorphism_check(
         states.append(haar_random_ket(family.dim, gen))
 
     certain = 1.0 - pol.prob_tol
-    members = [member for _, member in family.pairs()]
     # Indices of the test states certain of each member.
     certain_of = [
         {
@@ -351,13 +350,15 @@ def order_isomorphism_check(
             for index, state in enumerate(states)
             if born_probability(state, member, pol) >= certain
         }
-        for member in members
+        for member in family.members
     ]
-    for first, certain_first in zip(members, certain_of):
-        for second, certain_second in zip(members, certain_of):
-            if leq(first, second, pol) != (certain_first <= certain_second):
-                return False
-    return True
+    stack = family.projection_stack
+    order = leq_stack(stack[:, None], stack[None], pol).tolist()
+    return all(
+        below == (certain_first <= certain_second)
+        for row, certain_first in zip(order, certain_of)
+        for below, certain_second in zip(row, certain_of)
+    )
 
 
 @dataclass(frozen=True, eq=False)

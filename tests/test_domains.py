@@ -16,11 +16,14 @@ from qlat import (
     domain_report,
     generate_property_family,
     haar_random_ket,
+    join,
     leq,
     matrices_close,
+    meet,
     objective_domain,
     orthocomplement,
     pivot_residual,
+    pivot_residuals,
     predictable_domain,
     run_experiment,
     support_projection,
@@ -212,18 +215,44 @@ class TestPivot:
             else:
                 assert residual > 10 * pol.op_tol
 
+    @pytest.mark.parametrize(
+        "pol", [TolerancePolicy(), TolerancePolicy(op_tol=0.3, eig_gap=0.5)], ids=["default", "loose"]
+    )
+    def test_stacked_domains_equal_per_member_loops(self, pol):
+        # The per-member routes written out: two meets and a join per
+        # member, one leq per member and side.
+        gen = SeededRng(13).generator()
+        for dim in range(2, 9):
+            model, family = random_instance(dim, gen, pol)
+            expected = {
+                label: float(np.linalg.norm(
+                    join(meet(member, model.support, pol), meet(member, model.complement, pol), pol).matrix
+                    - member.matrix
+                ))
+                for label, member in family.pairs()
+            }
+            assert pivot_residuals(model, family, pol) == expected
+            assert certainly_true_domain(model, family, pol) == {
+                label for label, member in family.pairs() if leq(model.support, member, pol)
+            }
+            assert certainly_false_domain(model, family, pol) == {
+                label for label, member in family.pairs() if leq(member, model.complement, pol)
+            }
+
     def test_split_inside_the_rounding_band_fails(self, ground_model, qubit_family, pol, monkeypatch):
         # A member outside the compatible domain whose pivot residual sits
         # between op_tol and 10 * op_tol splits neither clearly nor not at
         # all; the report and the campaign then reject the instance.
+        # The patch goes on the stacked defect that pivot_residuals, and so
+        # both the report and the campaign, read.
         from qlat import domains
 
-        exact = domains.pivot_residual
+        exact = domains._pivot_defects
 
-        def banded(member, model, pol=pol):
-            return min(exact(member, model, pol), 5.0 * pol.op_tol)
+        def banded(members, model, pol):
+            return np.minimum(exact(members, model, pol), 5.0 * pol.op_tol)
 
-        monkeypatch.setattr(domains, "pivot_residual", banded)
+        monkeypatch.setattr(domains, "_pivot_defects", banded)
         assert not domain_report(ground_model, qubit_family, pol).predictable_equals_compatible
         report = run_experiment(
             ExperimentConfig(experiment="predictable_vs_compatible", dim=4, instances=5, seed=3)

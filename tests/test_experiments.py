@@ -8,6 +8,7 @@ import pytest
 from qlat import (
     ExperimentConfig,
     SeededRng,
+    TolerancePolicy,
     commutes,
     generate_model,
     generate_observable_pair,
@@ -77,6 +78,12 @@ class TestExperimentConfig:
     def test_numpy_scalars_serialize(self, field, value, printed):
         cfg = ExperimentConfig(experiment="lattice_laws", instances=2, **{field: value})
         assert printed in json.dumps(run_experiment(cfg).to_json_dict())
+
+    def test_numpy_tolerance_serializes(self):
+        policy = TolerancePolicy(op_tol=np.float32(1e-9))
+        cfg = ExperimentConfig(experiment="lattice_laws", instances=2, tolerances=policy)
+        document = json.loads(json.dumps(run_experiment(cfg).to_json_dict()))
+        assert document["config"]["tolerances"]["op_tol"] == float(np.float32(1e-9))
 
     def test_from_dict_rejects_unknown_field(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -255,6 +262,17 @@ class TestCli:
         assert code == 2
         assert next(iter(fields)) in capsys.readouterr().err
 
+    # A bool tolerance used to run (and exit 1), a string one to fail with a
+    # message that named no field.
+    @pytest.mark.parametrize("value", [True, "1e-9"])
+    def test_non_real_tolerance_is_usage_error(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        tolerances = {"op_tol": value, "eig_gap": 2}
+        config.write_text(json.dumps({"experiment": "lattice_laws", "tolerances": tolerances}))
+        code = main(["run", "--config", str(config)])
+        assert code == 2
+        assert "op_tol must be a real number" in capsys.readouterr().err
+
     def test_config_output_path_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiment": "lattice_laws", "output_path": "r.json"}))
@@ -324,6 +342,20 @@ class TestCli:
         code = main(["verify-family", "--family", family_file, flag, value])
         assert code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            ([[[2, 0], [0, 0]], [[0, 0], [0, 0]]], "matrix is not idempotent"),
+            ([[[1, 0], [0.5, 0]], [[0, 0], [0, 0]]], "matrix is not Hermitian"),
+        ],
+    )
+    def test_verify_family_rejects_non_projection_member(self, tmp_path, capsys, matrix, message):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 2, "members": [{"label": "bad", "matrix": matrix}]}))
+        code = main(["verify-family", "--family", str(path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_verify_family(self, family_file, capsys):
         code = main(["verify-family", "--family", family_file, "--states", "10"])

@@ -18,6 +18,12 @@ from qlat import (
     orthocomplement,
     zero_projection,
 )
+from qlat import lattice
+from qlat.domains import PureStateModel
+from qlat.experiments import generate_property_family, verify_family
+from qlat.lattice import de_morgan_gap, family_laws, join_stack, leq_stack, meet_stack
+from qlat.measurement import SeededRng, haar_random_ket
+from qlat.numerics import _frobenius_norms, validated_projections
 
 
 def axes_projection(dim, *axes):
@@ -291,3 +297,110 @@ class TestPropertyFamily:
         family = PropertyFamily([("circ", np.outer(ket, ket.conj()))])
         restored = PropertyFamily.loads(family.dumps())
         assert matrices_close(restored.get("circ"), family.get("circ"))
+
+    def test_projection_stack_is_read_only(self, qubit_family):
+        stack = qubit_family.projection_stack
+        assert stack.shape == (5, 2, 2)
+        assert all(np.array_equal(m, p.matrix) for m, p in zip(stack, qubit_family.members))
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+
+
+# The per-pair routes as they stood before the lattice was stacked, written
+# out here as the oracle: one eigh of p + q per pair, a Projection for every
+# intermediate result, and np.linalg.norm for every distance.
+
+
+def oracle_sum_range(p, q, floor):
+    eigenvalues, eigenvectors = np.linalg.eigh(p.matrix + q.matrix)
+    return Projection.from_basis(eigenvectors[:, eigenvalues > floor])
+
+
+def oracle_meet(p, q, pol):
+    return oracle_sum_range(p, q, 2.0 - pol.eig_gap)
+
+
+def oracle_join(p, q, pol):
+    return oracle_sum_range(p, q, pol.eig_gap)
+
+
+def oracle_complement(p):
+    return Projection(np.eye(p.dim, dtype=complex) - p.matrix)
+
+
+def oracle_leq(p, q, pol):
+    return float(np.linalg.norm(q.matrix @ p.matrix - p.matrix)) < pol.op_tol
+
+
+def oracle_gap(p, q, pol):
+    dual = oracle_join(oracle_complement(p), oracle_complement(q), pol)
+    return float(np.linalg.norm(oracle_meet(p, q, pol).matrix - oracle_complement(dual).matrix))
+
+
+def oracle_orthomodular(p, q, pol):
+    if not oracle_leq(p, q, pol):
+        return True
+    rebuilt = oracle_join(p, oracle_meet(q, oracle_complement(p), pol), pol)
+    return float(np.linalg.norm(rebuilt.matrix - q.matrix)) < pol.op_tol
+
+
+def random_families(pol):
+    """Families around Haar-random states, d = 2..8: members aligned with a
+    basis through the state (with nontrivial meets) mixed with oblique ones."""
+    for dim in range(2, 9):
+        gen = SeededRng(dim).generator()
+        model = PureStateModel.from_ket(haar_random_ket(dim, gen))
+        yield generate_property_family(dim, 7, model, gen, pol)
+
+
+class TestStackedLattice:
+    def test_tables_equal_per_pair_oracle_bit_for_bit(self, pol):
+        for family in random_families(pol):
+            members, stack = family.members, family.projection_stack
+            first, second = np.triu_indices(len(members))
+            meets = meet_stack(stack[first], stack[second], pol)
+            joins = join_stack(stack[first], stack[second], pol)
+            gaps, orthomodular = family_laws(family, pol)
+            order = leq_stack(stack[:, None], stack[None], pol)
+            for k, (i, j) in enumerate(zip(first, second)):
+                a, b = members[i], members[j]
+                expected_meet = oracle_meet(a, b, pol).matrix
+                expected_join = oracle_join(a, b, pol).matrix
+                assert np.array_equal(meets[k], expected_meet)
+                assert np.array_equal(meet(b, a, pol).matrix, expected_meet)
+                assert np.array_equal(joins[k], expected_join)
+                assert np.array_equal(join(b, a, pol).matrix, expected_join)
+                assert gaps[k] == oracle_gap(a, b, pol) == oracle_gap(b, a, pol)
+                assert de_morgan_gap(b, a, pol) == gaps[k]
+            for i, a in enumerate(members):
+                for j, b in enumerate(members):
+                    assert order[i, j] == oracle_leq(a, b, pol) == leq(a, b, pol)
+                    joined = oracle_join(a, b, pol)
+                    assert orthomodular[i, j] == oracle_orthomodular(a, joined, pol)
+                    assert check_orthomodular(a, joined, pol) == orthomodular[i, j]
+
+    def test_meets_agree_with_anderson_duffin(self, pol):
+        # P ^ Q = 2 P (P + Q)^+ Q, from the parallel sum of Anderson and
+        # Duffin (J. Math. Anal. Appl. 26, 1969): no eigenspace cut at all.
+        nontrivial = 0
+        for family in random_families(pol):
+            stack = family.projection_stack
+            p, q = stack[:, None], stack[None]
+            parallel = 2.0 * p @ np.linalg.pinv(p + q, rcond=1e-8, hermitian=True) @ q
+            meets = meet_stack(p, q, pol)
+            assert np.abs(meets - parallel).max() < 1e-11
+            nontrivial += int(np.count_nonzero(_frobenius_norms(meets) > 0.5))
+        assert nontrivial > 100
+
+    def test_wrong_meet_cut_fails_the_family_laws(self, pol, monkeypatch):
+        family = next(random_families(pol))
+        assert verify_family(family, 0, 0, pol)[1].passed
+
+        def wrong_cut(p, q, pol=pol):
+            return validated_projections(lattice._sum_ranges(p + q, 1.0))
+
+        monkeypatch.setattr(lattice, "meet_stack", wrong_cut)
+        record = verify_family(family, 0, 0, pol)[1]
+        assert record.detail["check"] == "lattice_laws"
+        assert not record.passed
+        assert record.residual > 0.1

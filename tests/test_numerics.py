@@ -15,6 +15,7 @@ from qlat import (
     spectral_decompose,
     zero_projection,
 )
+from qlat.numerics import _frobenius_norms, validated_projections
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,6 +36,21 @@ class TestTolerancePolicy:
     def test_rejects_gap_below_op_tol(self):
         with pytest.raises(ValueError, match="eig_gap"):
             TolerancePolicy(op_tol=1e-6, eig_gap=1e-8)
+
+    @pytest.mark.parametrize("field", ["op_tol", "eig_gap", "norm_tol", "prob_tol"])
+    @pytest.mark.parametrize("value", [True, "1e-9", None, 1e-9j])
+    def test_rejects_bools_and_non_reals_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            TolerancePolicy(**{field: value})
+
+    def test_stores_python_floats(self):
+        policy = TolerancePolicy(op_tol=np.float32(1e-9), eig_gap=1, prob_tol=np.float64(1e-9))
+        assert all(
+            type(getattr(policy, field)) is float
+            for field in ("op_tol", "eig_gap", "norm_tol", "prob_tol")
+        )
+        assert policy.op_tol == float(np.float32(1e-9)) and policy.eig_gap == 1.0
+        assert TolerancePolicy() == TolerancePolicy(op_tol=1e-9)
 
 
 class TestKet:
@@ -64,7 +80,9 @@ class TestKet:
 class TestHermitianOperator:
     def test_error_names_worst_entry(self):
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        with pytest.raises(
+            ValueError, match=r"^matrix is not Hermitian: max asymmetry 1\.000e\+00 at entry \(0, 1\)$"
+        ):
             HermitianOperator(bad)
 
     def test_rejects_nonsquare(self):
@@ -82,7 +100,7 @@ class TestProjection:
         assert matrices_close(p.matrix, p.matrix.conj().T)
 
     def test_rejects_non_idempotent(self):
-        with pytest.raises(ValueError, match="idempotent"):
+        with pytest.raises(ValueError, match=r"^matrix is not idempotent: \|P\^2 - P\| = 2\.000e\+00$"):
             Projection(np.diag([2.0, 0.0]))
 
     def test_rank(self, pplus):
@@ -98,6 +116,58 @@ class TestProjection:
     def test_from_basis_validates(self):
         with pytest.raises(ValueError, match="idempotent"):
             Projection.from_basis(np.array([[1.0], [1.0]], dtype=complex))
+
+
+class TestValidatedProjections:
+    """The rule of Projection applied to a (..., d, d) stack."""
+
+    def stack(self, pplus):
+        return np.stack([np.eye(2), pplus.matrix, np.zeros((2, 2)), pplus.matrix]).astype(complex)
+
+    def test_matches_projection_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for dim in range(2, 9):
+            gaussian = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            columns = np.linalg.qr(gaussian)[0][:, : int(rng.integers(0, dim + 1))]
+            raw = columns @ columns.conj().T
+            expected = Projection(raw).matrix
+            assert all(np.array_equal(m, expected) for m in validated_projections([raw] * 3))
+
+    def test_non_hermitian_member_named_by_index(self, pplus):
+        stack = self.stack(pplus)
+        stack[2, 0, 1] = 0.25
+        with pytest.raises(
+            ValueError, match=r"^matrix 2 is not Hermitian: max asymmetry 2\.500e-01 at entry \(0, 1\)$"
+        ):
+            validated_projections(stack)
+
+    def test_non_idempotent_member_named_by_index(self, pplus):
+        stack = self.stack(pplus)
+        stack[3] = np.diag([2.0, 0.0])
+        with pytest.raises(ValueError, match=r"^matrix 3 is not idempotent: \|P\^2 - P\| = 2\.000e\+00$"):
+            validated_projections(stack)
+
+    def test_index_of_a_two_level_stack(self, pplus):
+        stack = np.stack([self.stack(pplus)] * 2)
+        stack[1, 2] = np.diag([2.0, 0.0])
+        with pytest.raises(ValueError, match=r"^matrix \(1, 2\) is not idempotent"):
+            validated_projections(stack)
+
+    def test_resymmetrizes_each_matrix(self, pplus):
+        stack = self.stack(pplus)
+        stack[1, 0, 1] += 1e-12
+        assert np.array_equal(validated_projections(stack)[1], Projection(stack[1]).matrix)
+
+
+class TestFrobeniusNorms:
+    def test_matches_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for dim in range(2, 9):
+            matrices = rng.standard_normal((40, dim, dim)) + 1j * rng.standard_normal((40, dim, dim))
+            stacked = _frobenius_norms(matrices)
+            for matrix, norm in zip(matrices, stacked):
+                assert norm == np.linalg.norm(matrix) == _frobenius_norms(matrix)
+                assert frobenius_distance(matrix, 0 * matrix) == np.linalg.norm(matrix)
 
 
 class TestSpectralDecompose:

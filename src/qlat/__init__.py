@@ -57,6 +57,7 @@ from .domains import (
     compatible_domain,
     domain_report,
     objective_domain,
+    objective_residuals,
     pivot_residual,
     pivot_residuals,
     predictable_domain,

@@ -11,14 +11,13 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import PropertyFamily, join_stack, leq_stack, meet_stack, orthocomplement
-from .measurement import Observable, criterion_holds, nondisturbing
+from .measurement import criterion_holds, leak_norms, yes_no_stack
 from .numerics import (
     DEFAULT_POLICY,
     Ket,
     Projection,
     TolerancePolicy,
     _frobenius_norms,
-    commutator_norm,
     matrices_close,
 )
 
@@ -29,6 +28,7 @@ __all__ = [
     "certainly_false_domain",
     "predictable_domain",
     "compatible_domain",
+    "objective_residuals",
     "objective_domain",
     "pivot_residual",
     "pivot_residuals",
@@ -92,12 +92,24 @@ def predictable_domain(
 def compatible_domain(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> set[str]:
-    """Members whose projection commutes with the support."""
+    """Members whose projection commutes with the support: |ES - SE|_F over
+    the family's stack, in the operand order of ``commutator_norm``."""
+    members, support = family.projection_stack, model.support.matrix
+    norms = _frobenius_norms(members @ support - support @ members)
     return {
         label
-        for label, member in family.pairs()
-        if criterion_holds("commutation", commutator_norm(member, model.support), family.dim, pol)
+        for label, norm in zip(family.labels, norms.tolist())
+        if criterion_holds("commutation", norm, family.dim, pol)
     }
+
+
+def objective_residuals(model: PureStateModel, members: np.ndarray) -> np.ndarray:
+    """The exact non-disturbance residual of each member of an (m, d, d)
+    stack of projections, as a yes/no observable, against the yes/no
+    observable of the support: the largest leak in either role, from one
+    ``leak_norms`` call over the members' yes/no stacks."""
+    forward, backward = leak_norms(yes_no_stack(members), yes_no_stack(model.support.matrix))
+    return np.maximum(forward.max(axis=(-2, -1)), backward.max(axis=(-2, -1)))
 
 
 def objective_domain(
@@ -106,11 +118,11 @@ def objective_domain(
     """Members measurable, as yes/no observables, without disturbing a
     measurement of the support; computed through the exact non-disturbance
     criterion rather than through the lattice order."""
-    support_observable = Observable.from_projection(model.support, pol)
+    residuals = objective_residuals(model, family.projection_stack)
     return {
         label
-        for label, member in family.pairs()
-        if nondisturbing(Observable.from_projection(member, pol), support_observable, pol)
+        for label, residual in zip(family.labels, residuals.tolist())
+        if criterion_holds("nondisturbance", residual, family.dim, pol)
     }
 
 

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .lattice import orthocomplement_stack
 from .numerics import (
     DEFAULT_POLICY,
     HermitianOperator,
@@ -33,6 +34,8 @@ __all__ = [
     "haar_random_ket",
     "born_probability",
     "measure",
+    "leak_norms",
+    "yes_no_stack",
     "criterion_holds",
     "commutes",
     "nondisturbing",
@@ -233,15 +236,35 @@ def _pair_stacks(first: Observable, second: Observable) -> tuple[np.ndarray, np.
     return first.projection_stack[:, None], second.projection_stack[None]
 
 
+def leak_norms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one Frobenius leak, |(I - P_n) Q_k P_n|_F, of outcome stacks p,
+    shape (..., n, d, d), and q, shape (..., k, d, d), whose leading batch
+    axes broadcast, in both roles: ``forward[..., n, k]`` is that norm and
+    ``backward[..., k, n]`` is |(I - Q_k) P_n Q_k|_F."""
+    eye = np.eye(p.shape[-1], dtype=np.complex128)
+    p, q = p[..., :, None, :, :], q[..., None, :, :, :]
+    forward = _frobenius_norms((eye - p) @ q @ p)
+    backward = _frobenius_norms((eye - q) @ p @ q)
+    return forward, backward.swapaxes(-1, -2)
+
+
+def yes_no_stack(projections: np.ndarray) -> np.ndarray:
+    """Outcome stacks of the yes/no observables of a (..., d, d) stack of
+    projections E, shape (..., 2, d, d): outcome 0 is I - E, validated by
+    ``validated_projections``, and outcome 1 is E itself. These are the
+    outcome projections that ``Observable.from_projection`` recomputes
+    through ``eigh``, except that E = 0 and E = I keep a zero outcome, which
+    leaks nothing."""
+    return np.stack([orthocomplement_stack(projections), projections], axis=-3)
+
+
 def _sandwich_defects(first: Observable, second: Observable) -> tuple[float, float]:
-    """From the norms |(I - P_n) Q_k P_n|_F over every (n, k), in both roles
-    of the two observables: the largest norm, and the larger of the two
-    sums of squared norms divided by the dimension. Each sum runs over
-    Python floats in (outer, inner) outcome order, whatever numpy's order."""
-    p, q = _pair_stacks(first, second)
-    eye = np.eye(first.dim, dtype=np.complex128)
-    forward = _frobenius_norms((eye - p) @ q @ p, 2)
-    backward = _frobenius_norms((eye - q) @ p @ q, 2).T  # outer index k, inner n
+    """From the leak norms over every outcome pair (n, k), in both roles of
+    the two observables: the largest norm, and the larger of the two sums of
+    squared norms divided by the dimension. Each sum runs over Python floats
+    in (outer, inner) outcome order, whatever numpy's order."""
+    _check_pair(first, second)
+    forward, backward = leak_norms(first.projection_stack, second.projection_stack)
     worst = max(float(forward.max()), float(backward.max()))
     rate = max(sum(norm**2 for norm in norms.ravel().tolist()) for norms in (forward, backward))
     return worst, rate / first.dim

@@ -94,10 +94,11 @@ def _matrix_name(index) -> str:
 def _check_hermitian(matrix: np.ndarray, tol: float) -> None:
     """ValueError unless every matrix of a (..., d, d) stack equals its
     conjugate transpose within tol; in a stack the message names the
-    matrix's index."""
+    matrix's index. A NaN or inf entry fails: the check asks that the
+    defect be at most tol, which NaN never is."""
     asymmetry = np.abs(matrix - matrix.conj().mT)
     worst = float(asymmetry.max())
-    if worst > tol:
+    if not worst <= tol:
         *index, i, j = np.unravel_index(int(np.argmax(asymmetry)), asymmetry.shape)
         raise ValueError(
             f"{_matrix_name(index)} is not Hermitian: max asymmetry {worst:.3e} at entry ({i}, {j})"
@@ -111,7 +112,7 @@ def _validated_projection(matrix: np.ndarray, tol: float) -> np.ndarray:
     matrix = (matrix + matrix.conj().mT) / 2.0
     residuals = _frobenius_norms(matrix @ matrix - matrix)
     worst = float(residuals if matrix.ndim == 2 else residuals.max())
-    if worst > tol:
+    if not worst <= tol:
         index = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
         raise ValueError(f"{_matrix_name(index)} is not idempotent: |P^2 - P| = {worst:.3e}")
     return matrix
@@ -141,7 +142,7 @@ class Ket:
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError(f"state vector must be a nonempty 1-d array, got shape {amps.shape}")
         sq_norm = float(np.vdot(amps, amps).real)
-        if abs(sq_norm - 1.0) > DEFAULT_POLICY.norm_tol:
+        if not abs(sq_norm - 1.0) <= DEFAULT_POLICY.norm_tol:
             raise ValueError(f"state vector is not normalized: squared norm is {sq_norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -11,16 +11,16 @@ from enum import Enum
 from functools import partial
 from typing import Mapping
 
-from .domains import PureStateModel
+import numpy as np
+
+from .domains import PureStateModel, objective_residuals
 from .lattice import PropertyFamily, join, leq, leq_stack, meet, orthocomplement
 from .measurement import (
-    Observable,
     SeededRng,
     _generator_of,
     born_probability,
     criterion_holds,
     haar_random_ket,
-    nondisturbing,
 )
 from .numerics import DEFAULT_POLICY, Ket, Projection, TolerancePolicy, commutator_norm, range_basis
 
@@ -413,6 +413,22 @@ class CompletenessAudit:
 _MODES = ("standard", "sr")
 
 
+def _objective(
+    equivalents: list[Projection | None], model: PureStateModel, pol: TolerancePolicy
+) -> list[bool]:
+    """Standard-mode meaningfulness of each statement: it has an elementary
+    equivalent, and that equivalent, as a yes/no observable, passes the
+    exact non-disturbance criterion against the support. One
+    ``objective_residuals`` call serves every testable statement."""
+    testable = [index for index, equivalent in enumerate(equivalents) if equivalent is not None]
+    meaningful = [False] * len(equivalents)
+    if testable:
+        members = np.stack([equivalents[index].matrix for index in testable])
+        for index, residual in zip(testable, objective_residuals(model, members).tolist()):
+            meaningful[index] = criterion_holds("nondisturbance", residual, model.state.dim, pol)
+    return meaningful
+
+
 def completeness_audit(
     model: PureStateModel,
     family: PropertyFamily,
@@ -435,15 +451,13 @@ def completeness_audit(
     if mode_key not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     realist = mode_key == "sr"
-    support_observable = None if realist else Observable.from_projection(model.support, pol)
+    statements = tuple(statements)
+    equivalents = [is_testable(statement, family, pol) for statement in statements]
+    meaningful = [True] * len(statements) if realist else _objective(equivalents, model, pol)
 
     records: list[StatementRecord] = []
-    for statement in statements:
-        equivalent = is_testable(statement, family, pol)
+    for statement, equivalent, objective in zip(statements, equivalents, meaningful):
         testable = equivalent is not None
-        objective = not realist and testable and nondisturbing(
-            Observable.from_projection(equivalent, pol), support_observable, pol
-        )
         verdict_value = _membership(equivalent, model, pol)
         flagged = not testable and (
             is_classical_tautology(statement) or is_classical_contradiction(statement)
@@ -455,7 +469,7 @@ def completeness_audit(
                 testable=testable,
                 verificationist=verdict_value,
                 kleene=kleene_truth(statement, model, family, pol),
-                meaningful=realist or objective,
+                meaningful=objective,
                 predictable=verdict_value is not TruthValue.UNDEFINED,
                 flagged=flagged,
             )

@@ -4,6 +4,7 @@ import pytest
 from qlat import (
     ExperimentConfig,
     Ket,
+    Observable,
     Projection,
     PropertyFamily,
     PureStateModel,
@@ -18,9 +19,12 @@ from qlat import (
     haar_random_ket,
     join,
     leq,
+    commutator_norm,
     matrices_close,
     meet,
+    nondisturbing,
     objective_domain,
+    objective_residuals,
     orthocomplement,
     pivot_residual,
     pivot_residuals,
@@ -28,6 +32,7 @@ from qlat import (
     run_experiment,
     support_projection,
 )
+from qlat.measurement import nondisturbance_residual
 
 
 def random_instance(dim, gen, pol):
@@ -263,6 +268,84 @@ class TestPivot:
             record.detail["min_noncompatible_residual"] == 5.0 * pol.op_tol
             for record in report.instances
         )
+
+
+class TestStackedYesNoRoute:
+    """The objective and compatible domains read the family's stack once;
+    the per-member routes through Observable.from_projection and
+    commutator_norm, written out here, are their oracle."""
+
+    @pytest.mark.parametrize(
+        "pol", [TolerancePolicy(), TolerancePolicy(op_tol=0.3, eig_gap=0.5)], ids=["default", "loose"]
+    )
+    def test_objective_domain_equals_per_member_observables(self, pol):
+        gen = SeededRng(21).generator()
+        for dim in range(2, 9):
+            for _ in range(3):
+                model, family = random_instance(dim, gen, pol)
+                assert {"0", "I"} <= set(family.labels) and model.support.rank == 1
+                support = Observable.from_projection(model.support, pol)
+                observables = [Observable.from_projection(member, pol) for member in family.members]
+                expected = [nondisturbance_residual(observable, support) for observable in observables]
+                residuals = objective_residuals(model, family.projection_stack)
+                np.testing.assert_allclose(residuals, expected, rtol=0, atol=1e-13)
+                assert objective_domain(model, family, pol) == {
+                    label
+                    for label, observable in zip(family.labels, observables)
+                    if nondisturbing(observable, support, pol)
+                }
+
+    @pytest.mark.parametrize(
+        "pol", [TolerancePolicy(), TolerancePolicy(op_tol=0.3, eig_gap=0.5)], ids=["default", "loose"]
+    )
+    def test_compatible_domain_equals_commutator_norm_loop_bit_for_bit(self, pol, monkeypatch):
+        from qlat import domains
+
+        seen = []
+        exact = domains.criterion_holds
+
+        def recording(criterion, residual, dim, pol):
+            seen.append((criterion, residual))
+            return exact(criterion, residual, dim, pol)
+
+        monkeypatch.setattr(domains, "criterion_holds", recording)
+        gen = SeededRng(22).generator()
+        for dim in range(2, 9):
+            model, family = random_instance(dim, gen, pol)
+            seen.clear()
+            compatible = compatible_domain(model, family, pol)
+            norms = [commutator_norm(member, model.support) for member in family.members]
+            assert seen == [("commutation", norm) for norm in norms]
+            assert compatible == {
+                label for label, norm in zip(family.labels, norms) if norm < pol.op_tol * dim
+            }
+
+    def test_noncommuting_residual_is_the_commutator_over_root_two(self, ground_model, pplus):
+        # For two yes/no observables every leak equals |[E, S]|_F / sqrt(2).
+        residual = objective_residuals(ground_model, pplus.matrix[None])
+        expected = commutator_norm(pplus, ground_model.support) / np.sqrt(2.0)
+        assert residual.tolist() == pytest.approx([expected], abs=1e-15)
+
+    def test_sandwich_mutant_fails_the_objective_campaign(self, monkeypatch):
+        # Q in place of P inside the sandwich, |(I - P_n) Q_k Q_k|_F: a
+        # compatible member's own complement then leaks, so the objective
+        # domain loses members that the order predicts. (Dropping one role
+        # of the kernel would survive: both roles give the same leaks on
+        # yes/no pairs.)
+        from qlat import domains
+        from qlat.numerics import _frobenius_norms
+
+        def q_for_p(p, q):
+            eye = np.eye(p.shape[-1], dtype=np.complex128)
+            p, q = p[..., :, None, :, :], q[..., None, :, :, :]
+            forward = _frobenius_norms((eye - p) @ q @ q)
+            backward = _frobenius_norms((eye - q) @ p @ p)
+            return forward, backward.swapaxes(-1, -2)
+
+        cfg = ExperimentConfig(experiment="objective_vs_predictable", dim=4, instances=5, seed=3)
+        assert run_experiment(cfg).fail_count == 0
+        monkeypatch.setattr(domains, "leak_norms", q_for_p)
+        assert run_experiment(cfg).fail_count == 5
 
 
 class TestEqualityCampaigns:

@@ -357,6 +357,17 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_verify_family_rejects_nan_member(self, tmp_path, capsys):
+        # Python's json reads NaN; the member must fail validation, naming
+        # the file, instead of reaching Projection.rank.
+        path = tmp_path / "family.json"
+        path.write_text('{"dim": 2, "members": [{"label": "bad", "matrix": '
+                        '[[[NaN, 0], [0, 0]], [[0, 0], [0, 0]]]}]}')
+        code = main(["verify-family", "--family", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: matrix is not Hermitian: max asymmetry nan" in err
+
     def test_verify_family(self, family_file, capsys):
         code = main(["verify-family", "--family", family_file, "--states", "10"])
         captured = capsys.readouterr()

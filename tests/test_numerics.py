@@ -58,6 +58,11 @@ class TestKet:
         with pytest.raises(ValueError, match="not normalized"):
             Ket(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match=r"^state vector is not normalized: squared norm is (nan|inf)$"):
+            Ket([bad, 1.0])
+
     def test_normalized_constructor(self):
         ket = Ket.normalized([3.0, 4.0])
         assert ket.dim == 2
@@ -102,6 +107,19 @@ class TestProjection:
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValueError, match=r"^matrix is not idempotent: \|P\^2 - P\| = 2\.000e\+00$"):
             Projection(np.diag([2.0, 0.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max asymmetry nan at entry \(0, 0\)$"):
+            Projection(np.full((2, 2), np.nan))
+
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max asymmetry inf at entry \(0, 1\)$"):
+            Projection(np.array([[1.0, np.inf], [0.0, 0.0]]))
+
+    def test_stack_names_the_nan_member(self):
+        stack = np.stack([np.eye(2), np.full((2, 2), np.nan)]).astype(complex)
+        with pytest.raises(ValueError, match=r"^matrix 1 is not Hermitian: max asymmetry nan at entry \(0, 0\)$"):
+            validated_projections(stack)
 
     def test_rank(self, pplus):
         assert pplus.rank == 1

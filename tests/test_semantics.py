@@ -14,10 +14,12 @@ from qlat import (
     Implies,
     Ket,
     Not,
+    Observable,
     Or,
     PropertyFamily,
     PureStateModel,
     SeededRng,
+    TolerancePolicy,
     TruthValue,
     atom_labels,
     born_probability,
@@ -31,6 +33,7 @@ from qlat import (
     is_testable,
     kleene_truth,
     matrices_close,
+    nondisturbing,
     order_isomorphism_check,
     parse_statement,
     projection_onto_span,
@@ -382,21 +385,54 @@ class TestCompletenessAudit:
             )
             assert (audit.verdict == "incomplete") == oblique_exists
 
+    @pytest.mark.parametrize(
+        "pol", [TolerancePolicy(), TolerancePolicy(op_tol=0.3, eig_gap=0.5)], ids=["default", "loose"]
+    )
+    def test_standard_meaningful_equals_per_statement_route(self, pol):
+        # The per-statement route written out: the elementary equivalent's
+        # yes/no observable against the support's, one pair at a time.
+        gen = SeededRng(56).generator()
+        seen = set()
+        for dim in range(2, 9):
+            model = PureStateModel.from_ket(haar_random_ket(dim, gen))
+            family = generate_property_family(dim, 6, model, gen, pol)
+            statements = [random_statement(list(family.labels), 2, gen) for _ in range(12)]
+            audit = completeness_audit(model, family, statements, "standard", pol)
+            support = Observable.from_projection(model.support, pol)
+            expected = []
+            for statement in statements:
+                equivalent = is_testable(statement, family, pol)
+                expected.append(
+                    equivalent is not None
+                    and nondisturbing(Observable.from_projection(equivalent, pol), support, pol)
+                )
+            assert [record.meaningful for record in audit.records] == expected
+            seen.update(expected)
+        assert seen == {True, False}
+
+    def test_standard_mode_without_testable_statements(self, ground_model, qubit_family):
+        statements = [parse_statement("(and P0 Pplus)"), TAUTOLOGY_EDGE]
+        audit = completeness_audit(ground_model, qubit_family, statements, "standard")
+        assert audit.meaningful == frozenset() and audit.verdict == "complete"
+
     def test_sr_mode_skips_nondisturbance_check(self, ground_model, qubit_family, monkeypatch):
-        import qlat.semantics as semantics_module
+        # Standard mode decides every testable statement with one stacked
+        # leak kernel call; sr mode makes none.
+        from qlat import domains
 
         calls = []
-        original = semantics_module.nondisturbing
+        original = domains.leak_norms
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(p, q):
+            calls.append((p.shape, q.shape))
+            return original(p, q)
 
-        monkeypatch.setattr(semantics_module, "nondisturbing", counting)
+        monkeypatch.setattr(domains, "leak_norms", counting)
         completeness_audit(ground_model, qubit_family, reference_statements(), "sr")
         assert calls == []
         completeness_audit(ground_model, qubit_family, reference_statements(), "standard")
-        assert len(calls) == 6  # one per testable statement
+        # the yes/no stacks of the 6 testable equivalents against the support's
+        assert calls == [((6, 2, 2, 2), (2, 2, 2))]
 
     def test_reference_documents(self, ground_model, qubit_family):
         # (text, testable, verificationist, kleene, flagged, meaningful in

@@ -54,6 +54,7 @@ from .domains import (
     PureStateModel,
     certainly_false_domain,
     certainly_true_domain,
+    certainty,
     compatible_domain,
     domain_report,
     objective_domain,

@@ -24,6 +24,7 @@ from .numerics import (
 __all__ = [
     "PureStateModel",
     "support_projection",
+    "certainty",
     "certainly_true_domain",
     "certainly_false_domain",
     "predictable_domain",
@@ -66,11 +67,21 @@ class PureStateModel:
         return orthocomplement(self.support)
 
 
+def certainty(
+    model: PureStateModel, members: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[np.ndarray, np.ndarray]:
+    """The certainty rule over a (..., d, d) stack of projections: the masks
+    of the members above the support (certainly true, probability 1) and of
+    those below its orthocomplement (certainly false, probability 0)."""
+    above = leq_stack(model.support.matrix, members, pol)
+    return above, leq_stack(members, model.complement.matrix, pol)
+
+
 def certainly_true_domain(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> set[str]:
     """Members lying above the support; exactly those with probability 1."""
-    above = leq_stack(model.support.matrix, family.projection_stack, pol)
+    above, _ = certainty(model, family.projection_stack, pol)
     return {label for label, holds in zip(family.labels, above.tolist()) if holds}
 
 
@@ -78,7 +89,7 @@ def certainly_false_domain(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> set[str]:
     """Members below the orthocomplement of the support; probability 0."""
-    below = leq_stack(family.projection_stack, model.complement.matrix, pol)
+    _, below = certainty(model, family.projection_stack, pol)
     return {label for label, holds in zip(family.labels, below.tolist()) if holds}
 
 
@@ -86,7 +97,8 @@ def predictable_domain(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> set[str]:
     """Union of the certainly true and certainly false domains."""
-    return certainly_true_domain(model, family, pol) | certainly_false_domain(model, family, pol)
+    above, below = certainty(model, family.projection_stack, pol)
+    return {label for label, holds in zip(family.labels, (above | below).tolist()) if holds}
 
 
 def compatible_domain(
@@ -204,8 +216,9 @@ def domain_report(
     """Every domain computed once, with both equality verdicts read from them;
     predictable = compatible also asks that each member split along the
     support exactly when it is compatible."""
-    true_side = certainly_true_domain(model, family, pol)
-    false_side = certainly_false_domain(model, family, pol)
+    above, below = certainty(model, family.projection_stack, pol)
+    true_side = {label for label, holds in zip(family.labels, above.tolist()) if holds}
+    false_side = {label for label, holds in zip(family.labels, below.tolist()) if holds}
     if true_side & false_side:
         raise ValueError(
             f"certainly true and certainly false overlap on {sorted(true_side & false_side)}"

@@ -493,8 +493,8 @@ def _check_unit_rows(states: np.ndarray) -> None:
 
 def _check_near_one(values: np.ndarray, tol: float, message: str) -> None:
     deviation = np.abs(values - 1.0)
-    if deviation.max() > tol:
-        raise ValueError(message.format(float(values[deviation > tol][0])))
+    if not deviation.max() <= tol:
+        raise ValueError(message.format(float(values[~(deviation <= tol)][0])))
 
 
 def min_disagreement_probability(first: Observable, second: Observable) -> float:

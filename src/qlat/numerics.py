@@ -54,8 +54,8 @@ class TolerancePolicy:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             # Numpy scalars become Python floats, so the report serializes.
             value = float(value)
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
             object.__setattr__(self, name, value)
         if not self.eig_gap > self.op_tol:
             raise ValueError(

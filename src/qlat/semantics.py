@@ -13,8 +13,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .domains import PureStateModel, objective_residuals
-from .lattice import PropertyFamily, join, leq, leq_stack, meet, orthocomplement
+from .domains import PureStateModel, certainty, objective_residuals
+from .lattice import PropertyFamily, join, leq_stack, meet, orthocomplement
 from .measurement import (
     SeededRng,
     _generator_of,
@@ -88,10 +88,6 @@ class TruthValue(Enum):
     TRUE = "true"
     FALSE = "false"
     UNDEFINED = "undefined"
-
-    @classmethod
-    def from_bool(cls, value: bool) -> "TruthValue":
-        return cls.TRUE if value else cls.FALSE
 
 
 _BINARY = {"and": And, "or": Or, "implies": Implies}
@@ -235,17 +231,17 @@ def is_testable(
     )
 
 
-def _membership(
-    projection: Projection | None, model: PureStateModel, pol: TolerancePolicy
-) -> TruthValue:
-    """Certainty value of a property in the model; UNDEFINED also when there
-    is no property, as for a statement without an elementary equivalent."""
-    if projection is not None:
-        if leq(model.support, projection, pol):
-            return TruthValue.TRUE
-        if leq(projection, model.complement, pol):
-            return TruthValue.FALSE
-    return TruthValue.UNDEFINED
+def _certainty_values(
+    model: PureStateModel, members: np.ndarray, pol: TolerancePolicy
+) -> list[TruthValue]:
+    """Certainty value of each member of an (m, d, d) stack of projections:
+    TRUE above the support, else FALSE below its orthocomplement, else
+    UNDEFINED."""
+    above, below = certainty(model, members, pol)
+    return [
+        TruthValue.TRUE if true else TruthValue.FALSE if false else TruthValue.UNDEFINED
+        for true, false in zip(above.tolist(), below.tolist())
+    ]
 
 
 def verificationist_truth(
@@ -261,26 +257,24 @@ def verificationist_truth(
     evaluate; testability, not componentwise definedness, is the criterion.
     The strong-Kleene reading lives in kleene_truth for reporting.
     """
-    return _membership(is_testable(statement, family, pol), model, pol)
-
-
-def _kleene_not(value: TruthValue) -> TruthValue:
-    if value is TruthValue.UNDEFINED:
-        return value
-    return TruthValue.from_bool(value is TruthValue.FALSE)
-
-
-def _kleene_and(a: TruthValue, b: TruthValue) -> TruthValue:
-    if TruthValue.FALSE in (a, b):
-        return TruthValue.FALSE
-    if TruthValue.UNDEFINED in (a, b):
+    equivalent = is_testable(statement, family, pol)
+    if equivalent is None:
         return TruthValue.UNDEFINED
-    return TruthValue.TRUE
+    return _certainty_values(model, equivalent.matrix[None], pol)[0]
 
 
-def _kleene_or(a: TruthValue, b: TruthValue) -> TruthValue:
-    # De Morgan dual of the conjunction table, which holds in strong Kleene logic.
-    return _kleene_not(_kleene_and(_kleene_not(a), _kleene_not(b)))
+# Strong Kleene (Kleene 1952, section 64): conjunction and disjunction are the
+# minimum and the maximum on FALSE < UNDEFINED < TRUE, negation reverses that
+# order, and implication is material, fold's default.
+_KLEENE_ORDER = (TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE)
+_kleene_and = partial(min, key=_KLEENE_ORDER.index)
+_kleene_or = partial(max, key=_KLEENE_ORDER.index)
+_kleene_not = dict(zip(_KLEENE_ORDER, reversed(_KLEENE_ORDER))).__getitem__
+
+
+def _kleene(statement: Statement, values: Mapping[str, TruthValue]) -> TruthValue:
+    """Strong-Kleene value of the statement from the values of its labels."""
+    return fold(statement, values.__getitem__, _kleene_not, _kleene_and, _kleene_or)
 
 
 def kleene_truth(
@@ -291,32 +285,38 @@ def kleene_truth(
 ) -> TruthValue:
     """Strong-Kleene propagation of elementary certainty values; reported
     alongside the verificationist value but never driving audits."""
-    return fold(
-        statement,
-        lambda label: _membership(family.get(label), model, pol),
-        _kleene_not,
-        _kleene_and,
-        _kleene_or,
-    )
+    labels = sorted(atom_labels(statement))
+    members = np.stack([family.get(label).matrix for label in labels])
+    return _kleene(statement, dict(zip(labels, _certainty_values(model, members, pol))))
 
 
 _MAX_TABLE_ATOMS = 16
 
 
-def _truth_table(statement: Statement):
+def _truth_table(statement: Statement) -> tuple[int, int]:
+    """The statement's classical truth table as a bitset, and the all-true
+    table, from one fold: bit r is the value under assignment r, in which
+    label i (in sorted order) holds when bit i of r is set. Negation is the
+    XOR against the all-true table; implication is material."""
     labels = sorted(atom_labels(statement))
     if len(labels) > _MAX_TABLE_ATOMS:
         raise ValueError(f"too many atoms for a truth table: {len(labels)}")
-    for bits in itertools.product((False, True), repeat=len(labels)):
-        yield tarskian_truth(statement, dict(zip(labels, bits)))
+    full = (1 << (1 << len(labels))) - 1
+    columns = {}
+    for bit, label in enumerate(labels):
+        run = 1 << bit  # the label's rows alternate runs of `run` unset and `run` set
+        columns[label] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    negation = partial(operator.xor, full)
+    return fold(statement, columns.__getitem__, negation, operator.and_, operator.or_), full
 
 
 def is_classical_tautology(statement: Statement) -> bool:
-    return all(_truth_table(statement))
+    table, full = _truth_table(statement)
+    return table == full
 
 
 def is_classical_contradiction(statement: Statement) -> bool:
-    return not any(_truth_table(statement))
+    return _truth_table(statement)[0] == 0
 
 
 def order_isomorphism_check(
@@ -327,7 +327,7 @@ def order_isomorphism_check(
 ) -> bool:
     """Check that the lattice order coincides with certainty entailment.
 
-    For every ordered member pair (E, E'): leq(E, E') must hold exactly when
+    For every ordered member pair (E, E'): E <= E' must hold exactly when
     every test state certain of E is also certain of E'. Test states are the
     range basis vectors of every member (which decide the question exactly)
     plus Haar-random states for extra falsification pressure.
@@ -413,22 +413,6 @@ class CompletenessAudit:
 _MODES = ("standard", "sr")
 
 
-def _objective(
-    equivalents: list[Projection | None], model: PureStateModel, pol: TolerancePolicy
-) -> list[bool]:
-    """Standard-mode meaningfulness of each statement: it has an elementary
-    equivalent, and that equivalent, as a yes/no observable, passes the
-    exact non-disturbance criterion against the support. One
-    ``objective_residuals`` call serves every testable statement."""
-    testable = [index for index, equivalent in enumerate(equivalents) if equivalent is not None]
-    meaningful = [False] * len(equivalents)
-    if testable:
-        members = np.stack([equivalents[index].matrix for index in testable])
-        for index, residual in zip(testable, objective_residuals(model, members).tolist()):
-            meaningful[index] = criterion_holds("nondisturbance", residual, model.state.dim, pol)
-    return meaningful
-
-
 def completeness_audit(
     model: PureStateModel,
     family: PropertyFamily,
@@ -453,31 +437,33 @@ def completeness_audit(
     realist = mode_key == "sr"
     statements = tuple(statements)
     equivalents = [is_testable(statement, family, pol) for statement in statements]
-    meaningful = [True] * len(statements) if realist else _objective(equivalents, model, pol)
-
-    records: list[StatementRecord] = []
-    for statement, equivalent, objective in zip(statements, equivalents, meaningful):
-        testable = equivalent is not None
-        verdict_value = _membership(equivalent, model, pol)
-        flagged = not testable and (
-            is_classical_tautology(statement) or is_classical_contradiction(statement)
+    label_values = dict(zip(family.labels, _certainty_values(model, family.projection_stack, pol)))
+    values = [TruthValue.UNDEFINED] * len(statements)
+    meaningful = [realist] * len(statements)
+    # One stack of the testable equivalents serves certainty and, in standard
+    # mode, the non-disturbance criterion against the support.
+    tested = [index for index, equivalent in enumerate(equivalents) if equivalent is not None]
+    if tested:
+        members = np.stack([equivalents[index].matrix for index in tested])
+        for index, value in zip(tested, _certainty_values(model, members, pol)):
+            values[index] = value
+        if not realist:
+            for index, residual in zip(tested, objective_residuals(model, members).tolist()):
+                meaningful[index] = criterion_holds("nondisturbance", residual, family.dim, pol)
+    records = [
+        StatementRecord(
+            statement=statement,
+            text=format_statement(statement),
+            testable=equivalent is not None,
+            verificationist=value,
+            kleene=_kleene(statement, label_values),
+            meaningful=objective,
+            predictable=value is not TruthValue.UNDEFINED,
+            flagged=equivalent is None
+            and (is_classical_tautology(statement) or is_classical_contradiction(statement)),
         )
-        records.append(
-            StatementRecord(
-                statement=statement,
-                text=format_statement(statement),
-                testable=testable,
-                verificationist=verdict_value,
-                kleene=kleene_truth(statement, model, family, pol),
-                meaningful=objective,
-                predictable=verdict_value is not TruthValue.UNDEFINED,
-                flagged=flagged,
-            )
-        )
-
-    meaningful = frozenset(record.text for record in records if record.meaningful)
-    predictable_set = frozenset(record.text for record in records if record.predictable)
-    complete = meaningful <= predictable_set
+        for statement, equivalent, value, objective in zip(statements, equivalents, values, meaningful)
+    ]
     witness = next(
         (record.text for record in records if record.meaningful and not record.predictable),
         None,
@@ -485,9 +471,9 @@ def completeness_audit(
     return CompletenessAudit(
         mode=mode_key,
         records=tuple(records),
-        meaningful=meaningful,
-        predictable=predictable_set,
-        verdict="complete" if complete else "incomplete",
+        meaningful=frozenset(record.text for record in records if record.meaningful),
+        predictable=frozenset(record.text for record in records if record.predictable),
+        verdict="complete" if witness is None else "incomplete",
         witness=witness,
         flagged=tuple(record.text for record in records if record.flagged),
     )

@@ -13,6 +13,7 @@ from qlat import (
     born_probability,
     certainly_false_domain,
     certainly_true_domain,
+    certainty,
     compatible_domain,
     domain_report,
     generate_property_family,
@@ -206,6 +207,27 @@ class TestPivot:
         monkeypatch.setattr(domains, "orthocomplement", counted)
         domain_report(model, family, pol)
         assert len(calls) == 1
+
+    def test_domains_read_one_certainty_call(self, pol, monkeypatch):
+        from qlat import domains
+
+        gen = SeededRng(14).generator()
+        model, family = random_instance(4, gen, pol)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return certainty(*args)
+
+        monkeypatch.setattr(domains, "certainty", counted)
+        report = domain_report(model, family, pol)
+        assert len(calls) == 1
+        assert predictable_domain(model, family, pol) == report.predictable
+        assert len(calls) == 2
+        above, below = certainty(model, family.projection_stack, pol)
+        labels = np.array(family.labels)
+        assert report.certainly_true == frozenset(labels[above].tolist())
+        assert report.certainly_false == frozenset(labels[below].tolist())
 
     def test_oblique_atom_residual_is_one(self, ground_model, pplus):
         # both meets vanish, so the rebuilt member is 0 and the defect is |E|

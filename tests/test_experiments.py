@@ -273,6 +273,17 @@ class TestCli:
         assert code == 2
         assert "op_tol must be a real number" in capsys.readouterr().err
 
+    # An infinite eig_gap used to run (and exit 1) and to print a report
+    # holding `Infinity`, which is not JSON.
+    def test_infinite_tolerance_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"experiment": "lattice_laws", "tolerances": {"eig_gap": Infinity}}')
+        code = main(["run", "--config", str(config)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "eig_gap must be strictly positive and finite" in captured.err
+        assert captured.out == ""
+
     def test_config_output_path_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiment": "lattice_laws", "output_path": "r.json"}))

@@ -28,6 +28,7 @@ from qlat import (
 from qlat import measurement
 from qlat.measurement import (
     _MC_BLOCK,
+    _check_unit_rows,
     _draw_block,
     _measure_rows,
     _padded_stacks,
@@ -554,6 +555,21 @@ class TestBatchedEngine:
         with pytest.raises(ValueError, match="outcome probabilities sum to") as batched:
             sequential_disagreements(broken, sigma_x, 4, rng, pol)
         assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_unit_row_guard_rejects_non_finite_rows(self, entry):
+        # NaN compares false against every threshold, so the guard must test
+        # for a deviation within tolerance, not for one beyond it.
+        rows = np.array([[1.0, 0.0], [entry, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="state vector is not normalized"):
+            _check_unit_rows(rows)
+        _check_unit_rows(rows[:1])
+
+    def test_probability_sum_guard_rejects_nan(self, sigma_x, pol):
+        stacks, last = _padded_stacks(sigma_x, sigma_x)
+        states = np.array([[[np.nan, 0.0]]], dtype=complex)
+        with pytest.raises(ValueError, match="outcome probabilities sum to nan"):
+            _measure_rows(states, stacks[:1], last[:1], np.array([[0.5]]), pol)
 
     def test_inverse_cdf_edge_cases(self, pol):
         # u = 1 puts u * total on the last edge, so every edge counts; the

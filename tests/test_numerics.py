@@ -33,6 +33,12 @@ class TestTolerancePolicy:
         with pytest.raises(ValueError, match=field):
             TolerancePolicy(**{field: 0.0})
 
+    @pytest.mark.parametrize("field", ["op_tol", "eig_gap", "norm_tol", "prob_tol"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be strictly positive and finite"):
+            TolerancePolicy(**{field: value})
+
     def test_rejects_gap_below_op_tol(self):
         with pytest.raises(ValueError, match="eig_gap"):
             TolerancePolicy(op_tol=1e-6, eig_gap=1e-8)

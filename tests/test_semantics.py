@@ -1,4 +1,7 @@
+import functools
 import itertools
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from qlat import (
     is_classical_tautology,
     is_testable,
     kleene_truth,
+    leq,
     matrices_close,
     nondisturbing,
     order_isomorphism_check,
@@ -42,6 +46,8 @@ from qlat import (
     verificationist_truth,
     zero_projection,
 )
+from qlat import domains, semantics
+from qlat.lattice import leq_stack
 
 TAUTOLOGY_EDGE = Implies(Elementary("Pplus"), Or(Elementary("Pplus"), Elementary("P0")))
 
@@ -81,6 +87,110 @@ def random_statement(labels, depth, gen):
         random_statement(labels, depth - 1, gen),
     )
     return (And, Or, Implies)[kind - 1](*inner)
+
+
+T, F, U = TruthValue.TRUE, TruthValue.FALSE, TruthValue.UNDEFINED
+
+# Strong Kleene (Kleene 1952, section 64), written out cell by cell.
+KLEENE_NOT = {T: F, U: U, F: T}
+KLEENE_AND = {
+    (T, T): T, (T, U): U, (T, F): F,
+    (U, T): U, (U, U): U, (U, F): F,
+    (F, T): F, (F, U): F, (F, F): F,
+}  # fmt: skip
+KLEENE_OR = {
+    (T, T): T, (T, U): T, (T, F): T,
+    (U, T): T, (U, U): U, (U, F): U,
+    (F, T): T, (F, U): U, (F, F): F,
+}  # fmt: skip
+
+
+def leq_certainty(projection, model, pol):
+    """The certainty rule one leq pair at a time: TRUE above the support,
+    else FALSE below its orthocomplement, else (or with no projection)
+    UNDEFINED."""
+    if projection is not None:
+        if leq(model.support, projection, pol):
+            return T
+        if leq(projection, model.complement, pol):
+            return F
+    return U
+
+
+def table_kleene(statement, values):
+    """Strong-Kleene value read from the written-out tables."""
+    return fold(
+        statement,
+        values.__getitem__,
+        KLEENE_NOT.__getitem__,
+        lambda left, right: KLEENE_AND[left, right],
+        lambda left, right: KLEENE_OR[left, right],
+    )
+
+
+def check_kleene_tables(model, family):
+    """kleene_truth against the tables on every label, its negation and every
+    ordered pair of labels under each binary connective."""
+    values = {label: kleene_truth(Elementary(label), model, family) for label in family.labels}
+    assert set(values.values()) == {T, F, U}  # so every cell of each table is reached
+    for label, value in values.items():
+        assert kleene_truth(Not(Elementary(label)), model, family) is KLEENE_NOT[value]
+    for a, b in itertools.product(family.labels, repeat=2):
+        cell = values[a], values[b]
+        left, right = Elementary(a), Elementary(b)
+        assert kleene_truth(And(left, right), model, family) is KLEENE_AND[cell]
+        assert kleene_truth(Or(left, right), model, family) is KLEENE_OR[cell]
+        material = KLEENE_OR[KLEENE_NOT[values[a]], values[b]]
+        assert kleene_truth(Implies(left, right), model, family) is material
+
+
+def check_per_member_route(pol, seed=57):
+    """Certainty masks, verificationist and Kleene values, from the public
+    functions and from completeness_audit, against the per-member leq route
+    at d = 2..8."""
+    gen = SeededRng(seed).generator()
+    seen = set()
+    for dim in range(2, 9):
+        model = PureStateModel.from_ket(haar_random_ket(dim, gen))
+        family = generate_property_family(dim, 6, model, gen, pol)
+        above, below = domains.certainty(model, family.projection_stack, pol)
+        assert above.tolist() == [leq(model.support, member, pol) for member in family.members]
+        assert below.tolist() == [leq(member, model.complement, pol) for member in family.members]
+        values = {label: leq_certainty(member, model, pol) for label, member in family.pairs()}
+        statements = [random_statement(list(family.labels), 2, gen) for _ in range(12)]
+        audit = completeness_audit(model, family, statements, "standard", pol)
+        for statement, record in zip(statements, audit.records):
+            verificationist = leq_certainty(is_testable(statement, family, pol), model, pol)
+            kleene = table_kleene(statement, values)
+            assert verificationist_truth(statement, model, family, pol) is verificationist
+            assert kleene_truth(statement, model, family, pol) is kleene
+            assert (record.verificationist, record.kleene) == (verificationist, kleene)
+            seen.add(verificationist)
+    assert seen == {T, F, U}
+
+
+def check_truth_tables(seed=58, count=150):
+    """The bitset table against tarskian_truth on every assignment, and both
+    detectors against the rows, for seeded statements over up to 6 atoms and
+    for the tautology, contradiction and contingency built from each."""
+    gen = SeededRng(seed).generator()
+    names = [f"a{i}" for i in range(6)]
+    widths = set()
+    for _ in range(count):
+        base = random_statement(names[: int(gen.integers(1, 7))], 4, gen)
+        for statement in (base, Or(base, Not(base)), And(base, Not(base)), Implies(base, base)):
+            labels = sorted(atom_labels(statement))
+            rows = [
+                tarskian_truth(statement, {label: bool(row >> i & 1) for i, label in enumerate(labels)})
+                for row in range(1 << len(labels))
+            ]
+            table, full = semantics._truth_table(statement)
+            assert full == (1 << len(rows)) - 1
+            assert table == sum(1 << row for row, value in enumerate(rows) if value)
+            assert is_classical_tautology(statement) == all(rows)
+            assert is_classical_contradiction(statement) == (not any(rows))
+            widths.add(len(labels))
+    assert widths == {1, 2, 3, 4, 5, 6}
 
 
 class TestParsing:
@@ -211,6 +321,36 @@ class TestTautologyDetectors:
         assert not is_classical_tautology(Elementary("a"))
         assert not is_classical_contradiction(Elementary("a"))
 
+    def test_bitset_table_equals_tarskian_on_every_assignment(self):
+        check_truth_tables()
+
+    def test_seventeen_atoms_raise_the_cap(self):
+        atoms = [Elementary(f"a{i:02d}") for i in range(17)]
+        wide = functools.reduce(Or, atoms)
+        for detector in (is_classical_tautology, is_classical_contradiction):
+            with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
+                detector(wide)
+        sixteen = functools.reduce(Or, atoms[:16])
+        assert not is_classical_tautology(sixteen) and not is_classical_contradiction(sixteen)
+        assert is_classical_tautology(Or(sixteen, Not(atoms[15])))
+
+    def test_audit_checks_labels_before_the_table_cap(self):
+        # Every statement is resolved against the family before any truth
+        # table is built, so a bad label later in the list raises first.
+        gen = SeededRng(59).generator()
+        family = PropertyFamily(
+            [(f"a{i:02d}", projection_onto_span(haar_random_ket(2, gen).amplitudes[:, None]))
+             for i in range(17)],
+            dim=2,
+        )
+        model = PureStateModel.from_ket(Ket.basis(2, 0))
+        wide = functools.reduce(Or, [Elementary(label) for label in family.labels[:17]])
+        assert is_testable(wide, family) is None
+        with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
+            completeness_audit(model, family, [wide], "sr")
+        with pytest.raises(ValueError, match="unresolved label 'ghost'"):
+            completeness_audit(model, family, [wide, Elementary("ghost")], "sr")
+
 
 class TestTestability:
     def test_elementary_returns_own_projection(self, qubit_family, pplus):
@@ -266,6 +406,25 @@ class TestVerificationistTruth:
         assert (
             verificationist_truth(statement, ground_model, qubit_family) is TruthValue.UNDEFINED
         )
+
+    def test_worked_family_matches_the_written_out_kleene_tables(
+        self, ground_model, qubit_family
+    ):
+        def value(label):
+            return kleene_truth(Elementary(label), ground_model, qubit_family)
+
+        assert (value("P0"), value("P1"), value("Pplus")) == (T, F, U)
+        check_kleene_tables(ground_model, qubit_family)
+
+    def test_kleene_rejects_unresolved_label(self, ground_model, qubit_family):
+        with pytest.raises(ValueError, match="unresolved label 'ghost'"):
+            kleene_truth(Or(Elementary("I"), Elementary("ghost")), ground_model, qubit_family)
+
+    @pytest.mark.parametrize(
+        "pol", [TolerancePolicy(), TolerancePolicy(op_tol=0.3, eig_gap=0.5)], ids=["default", "loose"]
+    )
+    def test_values_equal_the_per_member_leq_route(self, pol):
+        check_per_member_route(pol)
 
     def test_never_contradicts_certainty(self, pol):
         gen = SeededRng(52).generator()
@@ -480,3 +639,46 @@ class TestCompletenessAudit:
     def test_rejects_unknown_mode(self, ground_model, qubit_family):
         with pytest.raises(ValueError, match="mode"):
             completeness_audit(ground_model, qubit_family, [Elementary("I")], "classical")
+
+
+class TestStatementLayerMutants:
+    """Each monkeypatched mutant of a statement-layer rule makes a named
+    check fail; the checks pass on the real code in the tests above."""
+
+    def test_swapped_certainty_is_killed_by_the_per_member_route(self, monkeypatch, pol):
+        def swapped(model, members, pol=pol):
+            return (
+                leq_stack(model.complement.matrix, members, pol),
+                leq_stack(members, model.support.matrix, pol),
+            )
+
+        monkeypatch.setattr(domains, "certainty", swapped)
+        monkeypatch.setattr(semantics, "certainty", swapped)
+        with pytest.raises(AssertionError):
+            check_per_member_route(pol)
+
+    def test_undefined_as_false_is_killed_by_the_kleene_tables(
+        self, monkeypatch, ground_model, qubit_family
+    ):
+        conjunction = semantics._kleene_and
+
+        def undefined_as_false(left, right):
+            return F if U in (left, right) else conjunction(left, right)
+
+        monkeypatch.setattr(semantics, "_kleene_and", undefined_as_false)
+        with pytest.raises(AssertionError):
+            check_kleene_tables(ground_model, qubit_family)
+
+    def test_invert_for_xor_is_killed_by_the_truth_table_oracle(self, monkeypatch):
+        # ~table is the complement in unbounded two's complement; it agrees
+        # with the XOR against the all-true table on every row, but it is
+        # negative, so no table holding it equals the all-true table.
+        mutant = SimpleNamespace(
+            not_=operator.not_,
+            and_=operator.and_,
+            or_=operator.or_,
+            xor=lambda full, table: ~table,
+        )
+        monkeypatch.setattr(semantics, "operator", mutant)
+        with pytest.raises(AssertionError):
+            check_truth_tables()

@@ -23,7 +23,7 @@ from .experiments import (
     run_experiment,
     verify_family,
 )
-from .lattice import PropertyFamily
+from .lattice import PropertyFamily, _document_dim
 from .numerics import Ket
 from .semantics import completeness_audit, parse_statement
 
@@ -155,8 +155,8 @@ def _cmd_audit(args) -> tuple[dict, int]:
             [complex(entry[0], entry[1]) for entry in state_doc["amplitudes"]],
             dtype=np.complex128,
         )
-        declared_dim = int(state_doc["dim"])
-    except (KeyError, TypeError, IndexError) as exc:
+        declared_dim = _document_dim(state_doc)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise _UsageError(f"malformed state document: {exc}") from None
     if amplitudes.size != declared_dim:
         raise _UsageError(

@@ -216,17 +216,14 @@ def _gapped_values(dim: int, gen: np.random.Generator) -> np.ndarray:
 
 def _observable_in_basis(basis: np.ndarray, values: np.ndarray) -> Observable:
     order = np.argsort(values)
-    spectrum = [(float(values[i]), Projection.from_basis(basis[:, i : i + 1])) for i in order]
+    dyads = [basis[:, i : i + 1] @ basis[:, i : i + 1].conj().T for i in order]
     matrix = (basis * values) @ basis.conj().T
     operator = HermitianOperator((matrix + matrix.conj().T) / 2.0)
-    return Observable(operator, tuple(spectrum))
+    return Observable(operator, tuple(values[order]), dyads)
 
 
 def _min_spectral_gap(observable: Observable) -> float:
-    values = observable.eigenvalues
-    if len(values) < 2:
-        return float("inf")
-    return float(np.min(np.diff(np.asarray(values))))
+    return float(np.diff(observable.eigenvalues).min(initial=np.inf))
 
 
 def generate_observable_pair(

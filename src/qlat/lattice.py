@@ -4,6 +4,7 @@ structural laws, and labelled property families with JSON serialization."""
 from __future__ import annotations
 
 import json
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -292,7 +293,7 @@ class PropertyFamily:
     @classmethod
     def from_json_dict(cls, document: dict, pol: TolerancePolicy = DEFAULT_POLICY) -> "PropertyFamily":
         try:
-            dim = int(document["dim"])
+            dim = _document_dim(document)
             entries = [
                 (member["label"], _decode_matrix(member["matrix"]))
                 for member in document["members"]
@@ -304,6 +305,14 @@ class PropertyFamily:
     @classmethod
     def loads(cls, text: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "PropertyFamily":
         return cls.from_json_dict(json.loads(text), pol=pol)
+
+
+def _document_dim(document: dict) -> int:
+    """The "dim" of a family or state document: an integer, and not a bool."""
+    value = document["dim"]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"dim must be an integer, got {value!r}")
+    return int(value)
 
 
 def _encode_matrix(matrix: np.ndarray) -> list[list[list[float]]]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +22,8 @@ from .numerics import (
     TolerancePolicy,
     _frobenius_norms,
     commutator_norm,
-    spectral_decompose,
+    spectral_stack,
+    validated_projections,
 )
 
 __all__ = [
@@ -96,32 +96,37 @@ def _generator_of(rng) -> np.random.Generator:
 class Observable:
     """Hermitian operator with its clustered spectral resolution.
 
-    The spectrum lists (eigenvalue, eigenprojection) pairs with strictly
-    ascending eigenvalues; the projections are mutually orthogonal and sum to
-    the identity (guaranteed by spectral_decompose, re-checked in tests).
+    ``eigenvalues`` ascend strictly; ``projection_stack[k]``, the projection
+    of ``eigenvalues[k]``, is one read-only (k, d, d) stack, validated once,
+    here, by ``validated_projections``. The projections are mutually
+    orthogonal and sum to the identity (guaranteed by spectral_stack,
+    re-checked in tests, not checked here).
     """
 
     operator: HermitianOperator
-    spectrum: tuple[tuple[float, Projection], ...]
+    eigenvalues: tuple[float, ...]
+    projection_stack: np.ndarray
 
     def __post_init__(self) -> None:
-        spectrum = tuple((float(value), projection) for value, projection in self.spectrum)
-        if not spectrum:
+        eigenvalues = tuple(float(value) for value in self.eigenvalues)
+        if not eigenvalues:
             raise ValueError("spectrum must be nonempty")
-        dim = self.operator.dim
-        for _, projection in spectrum:
-            if projection.dim != dim:
-                raise ValueError("spectral projection dimension mismatch")
-        values = [value for value, _ in spectrum]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError(f"eigenvalues must be strictly ascending, got {values}")
-        object.__setattr__(self, "spectrum", spectrum)
+        if any(b <= a for a, b in zip(eigenvalues, eigenvalues[1:])):
+            raise ValueError(f"eigenvalues must be strictly ascending, got {list(eigenvalues)}")
+        stack = np.asarray(self.projection_stack, dtype=np.complex128)
+        expected = (len(eigenvalues), self.dim, self.dim)
+        if stack.shape != expected:
+            raise ValueError(f"projection stack has shape {stack.shape}, expected {expected}")
+        stack = validated_projections(stack)
+        stack.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "projection_stack", stack)
 
     @classmethod
     def from_operator(cls, operator, pol: TolerancePolicy = DEFAULT_POLICY) -> "Observable":
         if not isinstance(operator, HermitianOperator):
             operator = HermitianOperator(operator)
-        return cls(operator, tuple(spectral_decompose(operator, pol)))
+        return cls(operator, *spectral_stack(operator, pol))
 
     @classmethod
     def from_projection(cls, projection: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> "Observable":
@@ -131,16 +136,6 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.operator.dim
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(value for value, _ in self.spectrum)
-
-    @cached_property
-    def projection_stack(self) -> np.ndarray:
-        stack = np.stack([projection.matrix for _, projection in self.spectrum])
-        stack.setflags(write=False)
-        return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +212,7 @@ def measure(state: Ket, observable: Observable, rng, pol: TolerancePolicy = DEFA
     collapsed = stack[index] @ amplitudes
     collapsed = collapsed / np.linalg.norm(collapsed)
     return MeasurementOutcome(
-        eigenvalue=observable.spectrum[index][0],
+        eigenvalue=observable.eigenvalues[index],
         outcome_index=index,
         probability=float(min(probabilities[index], 1.0)),
         post_state=Ket(collapsed),
@@ -358,16 +353,12 @@ def joint_observable(
 
 
 def _joint_of(first: Observable, second: Observable) -> Observable:
-    k = len(second.spectrum)
-    entries: list[tuple[float, Projection]] = []
-    for n, (_, p) in enumerate(first.spectrum):
-        for q_index, (_, q) in enumerate(second.spectrum):
-            product = p.matrix @ q.matrix
-            if float(np.trace(product).real) < 0.5:
-                continue
-            entries.append((float(n * k + q_index), Projection(product)))
-    operator = sum(value * projection.matrix for value, projection in entries)
-    return Observable(HermitianOperator(operator), tuple(entries))
+    products = first.projection_stack[:, None] @ second.projection_stack[None]
+    kept = np.trace(products, axis1=-2, axis2=-1).real >= 0.5
+    values = np.flatnonzero(kept).astype(float)
+    matrix = np.einsum("k,kij->ij", values, products[kept])
+    operator = HermitianOperator((matrix + matrix.conj().T) / 2.0)
+    return Observable(operator, tuple(values), products[kept])
 
 
 # Trials per block of array work in sequential_disagreements; bounds memory
@@ -430,11 +421,11 @@ def _padded_stacks(first: Observable, second: Observable) -> tuple[np.ndarray, n
     """The projection stacks of both observables, padded with zero
     projections to a common outcome count, and the last real outcome index
     of each. A padded outcome has probability zero and is never chosen."""
-    outcomes = max(len(first.spectrum), len(second.spectrum))
-    stacks = np.zeros((2, outcomes, first.dim, first.dim), dtype=np.complex128)
-    stacks[0, : len(first.spectrum)] = first.projection_stack
-    stacks[1, : len(second.spectrum)] = second.projection_stack
-    return stacks, np.array([len(first.spectrum) - 1, len(second.spectrum) - 1])
+    counts = len(first.eigenvalues), len(second.eigenvalues)
+    stacks = np.zeros((2, max(counts), first.dim, first.dim), dtype=np.complex128)
+    stacks[0, : counts[0]] = first.projection_stack
+    stacks[1, : counts[1]] = second.projection_stack
+    return stacks, np.array(counts) - 1
 
 
 def _measure_rows(

@@ -17,6 +17,7 @@ __all__ = [
     "frobenius_distance",
     "matrices_close",
     "spectral_decompose",
+    "spectral_stack",
     "commutator_norm",
     "is_projection",
     "zero_projection",
@@ -228,10 +229,12 @@ def matrices_close(left, right, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return frobenius_distance(left, right) < pol.op_tol
 
 
-def spectral_decompose(
+def spectral_stack(
     operator, pol: TolerancePolicy = DEFAULT_POLICY
-) -> list[tuple[float, Projection]]:
-    """Eigenvalues with their eigenprojections, ascending, clustered by gap.
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """Eigenvalues, ascending and clustered by gap, and their eigenprojections
+    as one (k, d, d) stack of eigenvector dyads. The stack is not validated
+    here: the ``Observable`` that holds it validates it once.
 
     Eigenvalues closer than ``pol.eig_gap`` are merged into one cluster whose
     projection sums the corresponding eigenvector dyads, so nearly degenerate
@@ -242,16 +245,19 @@ def spectral_decompose(
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
     eigenvalues, eigenvectors = np.linalg.eigh(operator.matrix)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, eigenvalues.size):
-        if eigenvalues[i] - eigenvalues[i - 1] < pol.eig_gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return [
-        (float(np.mean(eigenvalues[indices])), Projection.from_basis(eigenvectors[:, indices]))
-        for indices in clusters
-    ]
+    # A cluster closes where the next eigenvalue lies at least eig_gap above.
+    starts = np.flatnonzero(np.diff(eigenvalues) >= pol.eig_gap) + 1
+    clusters = np.split(np.arange(eigenvalues.size), starts)
+    means = tuple(float(np.mean(eigenvalues[indices])) for indices in clusters)
+    return means, np.stack([eigenvectors[:, c] @ eigenvectors[:, c].conj().T for c in clusters])
+
+
+def spectral_decompose(
+    operator, pol: TolerancePolicy = DEFAULT_POLICY
+) -> list[tuple[float, Projection]]:
+    """``spectral_stack`` as (eigenvalue, validated Projection) pairs."""
+    eigenvalues, stack = spectral_stack(operator, pol)
+    return [(value, Projection(matrix)) for value, matrix in zip(eigenvalues, stack)]
 
 
 def commutator_norm(left, right) -> float:

@@ -319,6 +319,12 @@ def is_classical_contradiction(statement: Statement) -> bool:
     return _truth_table(statement)[0] == 0
 
 
+def _is_tautology_or_contradiction(statement: Statement) -> bool:
+    """Either detector's verdict from one truth table."""
+    table, full = _truth_table(statement)
+    return table in (0, full)
+
+
 def order_isomorphism_check(
     family: PropertyFamily,
     pol: TolerancePolicy = DEFAULT_POLICY,
@@ -459,8 +465,7 @@ def completeness_audit(
             kleene=_kleene(statement, label_values),
             meaningful=objective,
             predictable=value is not TruthValue.UNDEFINED,
-            flagged=equivalent is None
-            and (is_classical_tautology(statement) or is_classical_contradiction(statement)),
+            flagged=equivalent is None and _is_tautology_or_contradiction(statement),
         )
         for statement, equivalent, value, objective in zip(statements, equivalents, values, meaningful)
     ]

@@ -106,8 +106,8 @@ class TestGeneration:
         second_obs, second_states = generate_model(3, 4, 0.5, SeededRng(42))
         for a, b in zip(first_obs, second_obs):
             assert np.array_equal(a.operator.matrix, b.operator.matrix)
-            for (va, pa), (vb, pb) in zip(a.spectrum, b.spectrum):
-                assert va == vb and np.array_equal(pa.matrix, pb.matrix)
+            assert a.eigenvalues == b.eigenvalues
+            assert np.array_equal(a.projection_stack, b.projection_stack)
         for a, b in zip(first_states, second_states):
             assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
 
@@ -476,6 +476,24 @@ class TestCli:
         )
         assert code == 2
         assert "dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [2.9, "2", True], ids=["float", "str", "bool"])
+    def test_family_and_state_documents_need_an_integer_dim(
+        self, qubit_family, family_file, statements_file, tmp_path, capsys, dim
+    ):
+        # int() would read 2.9 and "2" as 2 and pass, and True as 1.
+        family = tmp_path / "family-dim.json"
+        family.write_text(json.dumps(dict(qubit_family.to_json_dict(), dim=dim)))
+        assert main(["verify-family", "--family", str(family)]) == 2
+        assert f"error: {family}: dim must be an integer, got {dim!r}" in capsys.readouterr().err
+
+        state = tmp_path / "state-dim.json"
+        state.write_text(json.dumps({"dim": dim, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+        argv = ["audit", "--family", family_file, "--state", str(state),
+                "--statements", statements_file, "--mode", "standard"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"malformed state document: dim must be an integer, got {dim!r}" in err
 
 
 def test_readme_quick_start_runs(capsys):

@@ -292,6 +292,12 @@ class TestPropertyFamily:
         entry = document["members"][1]["matrix"][0][0]
         assert entry == [1.0, 0.0]
 
+    @pytest.mark.parametrize("dim", [2.9, "2", True, None], ids=["float", "str", "bool", "null"])
+    def test_from_json_dict_rejects_a_non_integer_dim(self, qubit_family, dim):
+        document = dict(qubit_family.to_json_dict(), dim=dim)
+        with pytest.raises(ValueError, match=f"^dim must be an integer, got {dim!r}$"):
+            PropertyFamily.from_json_dict(document)
+
     def test_complex_members_round_trip(self):
         ket = np.array([1.0, 1.0j]) / np.sqrt(2)
         family = PropertyFamily([("circ", np.outer(ket, ket.conj()))])

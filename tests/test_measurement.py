@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from qlat import (
     sequential_disagreements,
 )
 from qlat import measurement
+from qlat.experiments import _observable_in_basis, random_unitary
 from qlat.measurement import (
     _MC_BLOCK,
     _check_unit_rows,
@@ -63,20 +66,63 @@ class TestObservable:
         assert sigma_z.eigenvalues == (-1.0, 1.0)
 
     def test_rejects_unsorted_spectrum(self, sigma_z):
-        flipped = tuple(reversed(sigma_z.spectrum))
+        flipped = tuple(reversed(sigma_z.eigenvalues))
         with pytest.raises(ValueError, match="ascending"):
-            Observable(sigma_z.operator, flipped)
+            Observable(sigma_z.operator, flipped, sigma_z.projection_stack[::-1])
 
     def test_from_projection_is_dichotomic(self, pplus):
         observable = Observable.from_projection(pplus)
         assert observable.eigenvalues == (0.0, 1.0)
-        assert matrices_close(observable.spectrum[1][1], pplus)
+        assert matrices_close(observable.projection_stack[1], pplus)
 
     def test_from_projection_trivial_bounds(self):
         from qlat import zero_projection
 
         assert Observable.from_projection(zero_projection(3)).eigenvalues == (0.0,)
         assert Observable.from_projection(identity_projection(3)).eigenvalues == (1.0,)
+
+    def test_stack_is_read_only_and_values_are_floats(self, sigma_x):
+        observable = Observable(sigma_x.operator, np.array([-1, 1]), sigma_x.projection_stack)
+        assert observable.eigenvalues == (-1.0, 1.0)
+        assert all(type(value) is float for value in observable.eigenvalues)
+        with pytest.raises(ValueError):
+            observable.projection_stack[0, 0, 0] = 1.0
+
+    def test_rejects_a_stack_of_the_wrong_shape(self, sigma_z):
+        message = r"projection stack has shape \(1, 2, 2\), expected \(2, 2, 2\)"
+        with pytest.raises(ValueError, match=message):
+            Observable(sigma_z.operator, (-1.0, 1.0), sigma_z.projection_stack[:1])
+        with pytest.raises(ValueError, match=r"expected \(2, 3, 3\)"):
+            Observable(HermitianOperator(np.eye(3)), (0.0, 1.0), sigma_z.projection_stack)
+        with pytest.raises(ValueError, match="spectrum must be nonempty"):
+            Observable(sigma_z.operator, (), sigma_z.projection_stack[:0])
+        # The shape is checked before the stack is validated, so a malformed
+        # stack gets this message and not one from the validation's numpy.
+        for malformed in (
+            sigma_z.projection_stack[:0],
+            np.zeros(2),
+            np.zeros((1, 2)),
+            np.zeros((1, 2, 3)),
+            np.zeros((1, 1, 2, 2)),
+        ):
+            shape = re.escape(str(np.shape(malformed)))
+            with pytest.raises(ValueError, match=rf"projection stack has shape {shape}, expected"):
+                Observable(sigma_z.operator, (1.0,), malformed)
+
+    def test_rejects_a_non_idempotent_stack_naming_its_index(self):
+        check_rejects_non_idempotent_stack()
+
+
+def check_rejects_non_idempotent_stack():
+    """The stack is validated as projections once, at construction: a
+    Hermitian but non-idempotent entry raises the message that names it."""
+    stack = np.array([np.diag([1.0, 0.0]), np.diag([0.5, 0.5])], dtype=np.complex128)
+    try:
+        Observable(HermitianOperator(np.diag([0.0, 1.0])), (0.0, 1.0), stack)
+    except ValueError as exc:
+        assert str(exc) == "matrix 1 is not idempotent: |P^2 - P| = 3.536e-01", exc
+    else:
+        raise AssertionError("an Observable accepted a non-idempotent stack")
 
 
 class TestSeededRng:
@@ -274,8 +320,8 @@ class TestMeasure:
             observable = Observable.from_operator(random_hermitian(dim, gen))
             state = haar_random_ket(dim, gen)
             total = sum(
-                born_probability(state, projection, pol)
-                for _, projection in observable.spectrum
+                born_probability(state, Projection(projection), pol)
+                for projection in observable.projection_stack
             )
             assert total == pytest.approx(1.0, abs=pol.prob_tol)
 
@@ -350,24 +396,24 @@ def oracle_residuals(first, second):
     worst, rates = 0.0, []
     for outer, inner in ((first, second), (second, first)):
         norms = [
-            float(np.linalg.norm((eye - p.matrix) @ q.matrix @ p.matrix))
-            for _, p in outer.spectrum
-            for _, q in inner.spectrum
+            float(np.linalg.norm((eye - p) @ q @ p))
+            for p in outer.projection_stack
+            for q in inner.projection_stack
         ]
         worst = max(worst, *norms)
         rates.append(sum(norm**2 for norm in norms) / first.dim)
 
     interposition = 0.0
     for outer, inner in ((first, second), (second, first)):
-        for _, q in inner.spectrum:
-            mixed = sum(p.matrix @ q.matrix @ p.matrix for _, p in outer.spectrum)
-            interposition = max(interposition, float(np.linalg.norm(q.matrix - mixed)))
+        for q in inner.projection_stack:
+            mixed = sum(p @ q @ p for p in outer.projection_stack)
+            interposition = max(interposition, float(np.linalg.norm(q - mixed)))
 
     symmetry = 0.0
-    for _, p in first.spectrum:
-        for _, q in second.spectrum:
-            forward = p.matrix @ q.matrix @ p.matrix
-            backward = q.matrix @ p.matrix @ q.matrix
+    for p in first.projection_stack:
+        for q in second.projection_stack:
+            forward = p @ q @ p
+            backward = q @ p @ q
             symmetry = max(symmetry, float(np.linalg.norm(forward - backward)))
     return worst, max(rates), interposition, symmetry
 
@@ -411,7 +457,7 @@ class TestResidualOracle:
         for dim in (2, 4, 7):
             whole = Observable.from_projection(identity_projection(dim), pol)
             other, _ = generate_observable_pair(dim, False, gen, pol)
-            assert len(whole.spectrum) == 1
+            assert len(whole.eigenvalues) == 1
             assert_residuals_match_oracle(whole, other)
             assert_residuals_match_oracle(other, whole)
             assert_residuals_match_oracle(whole, whole)
@@ -421,18 +467,18 @@ class TestJointObservable:
     def test_self_pair(self, sigma_z):
         joint = joint_observable(sigma_z, sigma_z)
         assert joint is not None
-        for (_, joint_projection), (_, original) in zip(joint.spectrum, sigma_z.spectrum):
-            assert leq(joint_projection, original)
+        for joint_projection, original in zip(joint.projection_stack, sigma_z.projection_stack):
+            assert leq(Projection(joint_projection), Projection(original))
 
     def test_degenerate_pair_resolves_axes(self):
         first = Observable.from_operator(np.diag([1.0, 1.0, 2.0]))
         second = Observable.from_operator(np.diag([3.0, 4.0, 4.0]))
         joint = joint_observable(first, second)
         assert joint is not None
-        assert len(joint.spectrum) == 3
-        ranks = [projection.rank for _, projection in joint.spectrum]
+        assert len(joint.eigenvalues) == 3
+        ranks = [Projection(projection).rank for projection in joint.projection_stack]
         assert ranks == [1, 1, 1]
-        axes = [np.argmax(np.diag(projection.matrix).real) for _, projection in joint.spectrum]
+        axes = [np.argmax(np.diag(projection).real) for projection in joint.projection_stack]
         assert sorted(axes) == [0, 1, 2]
 
     def test_noncommuting_pair_has_no_witness(self, sigma_z, sigma_x):
@@ -445,11 +491,84 @@ class TestJointObservable:
             first, second = generate_observable_pair(dim, True, gen, pol)
             joint = joint_observable(first, second, pol)
             assert joint is not None
-            for _, joint_projection in joint.spectrum:
-                below_first = sum(leq(joint_projection, p, pol) for _, p in first.spectrum)
-                below_second = sum(leq(joint_projection, p, pol) for _, p in second.spectrum)
+            for joint_projection in map(Projection, joint.projection_stack):
+                below_first = sum(
+                    leq(joint_projection, Projection(p), pol) for p in first.projection_stack
+                )
+                below_second = sum(
+                    leq(joint_projection, Projection(q), pol) for q in second.projection_stack
+                )
                 assert below_first == 1
                 assert below_second == 1
+
+
+def per_product_joint(first, second):
+    """The joint witness as it stood before the stack, written out as the
+    oracle: one Projection per kept product P_n Q_p, in loop order, with
+    eigenvalue n * K + p."""
+    k = len(second.eigenvalues)
+    entries = []
+    for n, p in enumerate(first.projection_stack):
+        for q_index, q in enumerate(second.projection_stack):
+            product = p @ q
+            if float(np.trace(product).real) < 0.5:
+                continue
+            entries.append((float(n * k + q_index), Projection(product).matrix))
+    return entries
+
+
+def per_column_observable(basis, values):
+    """``_observable_in_basis``'s spectrum as it stood before the stack:
+    one Projection.from_basis per column, in ascending order of value."""
+    order = np.argsort(values)
+    matrices = [Projection.from_basis(basis[:, i : i + 1]).matrix for i in order]
+    return tuple(float(values[i]) for i in order), np.stack(matrices)
+
+
+class TestStackOracles:
+    """The stacks equal the per-matrix routes they replace: bit for bit
+    where the same dyads are formed, within rounding for the joint's
+    broadcast products."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_observable_in_basis_equals_the_per_column_route(self, dim):
+        gen = SeededRng(80 + dim).generator()
+        for _ in range(20):
+            basis = random_unitary(dim, gen)
+            values = gen.standard_normal(dim)
+            observable = _observable_in_basis(basis, values)
+            expected_values, expected = per_column_observable(basis, values)
+            assert observable.eigenvalues == expected_values
+            assert np.array_equal(observable.projection_stack, expected)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_joint_equals_the_per_product_route(self, dim, pol):
+        gen = SeededRng(90 + dim).generator()
+        pairs = [generate_observable_pair(dim, True, gen, pol) for _ in range(10)]
+        columns = gen.standard_normal((dim, 1)) + 1j * gen.standard_normal((dim, 1))
+        line = Observable.from_projection(projection_onto_span(columns), pol)
+        pairs += [(line, line), (line, Observable.from_operator(np.eye(dim), pol))]
+        degenerate = np.diag(np.arange(dim) // 2 * 1.0), np.diag(np.arange(dim) % 2 * 1.0)
+        pairs.append(tuple(Observable.from_operator(matrix, pol) for matrix in degenerate))
+        for first, second in pairs:
+            for outer, inner in ((first, second), (second, first)):
+                joint = joint_observable(outer, inner, pol)
+                entries = per_product_joint(outer, inner)
+                assert joint.eigenvalues == tuple(value for value, _ in entries)
+                expected = np.stack([matrix for _, matrix in entries])
+                assert np.abs(joint.projection_stack - expected).max() <= 1e-14
+                operator = sum(value * matrix for value, matrix in entries)
+                assert np.abs(joint.operator.matrix - operator).max() <= 1e-12
+
+
+class TestStackMutants:
+    def test_unvalidated_constructor_is_killed_by_the_non_idempotent_stack(self, monkeypatch):
+        def unvalidated(self):
+            object.__setattr__(self, "eigenvalues", tuple(map(float, self.eigenvalues)))
+
+        monkeypatch.setattr(Observable, "__post_init__", unvalidated)
+        with pytest.raises(AssertionError):
+            check_rejects_non_idempotent_stack()
 
 
 class TestMonteCarlo:
@@ -488,9 +607,9 @@ class TestMonteCarlo:
             first, second = generate_observable_pair(dim, False, gen, pol)
             eye = np.eye(dim)
             analytic = sum(
-                np.linalg.norm((eye - p.matrix) @ q.matrix @ p.matrix) ** 2
-                for _, p in first.spectrum
-                for _, q in second.spectrum
+                np.linalg.norm((eye - p) @ q @ p) ** 2
+                for p in first.projection_stack
+                for q in second.projection_stack
             ) / dim
             forward, _ = sequential_disagreements(
                 first, second, trials, SeededRng(36 + offset), pol
@@ -530,7 +649,7 @@ class TestBatchedEngine:
         plane = projection_onto_span(gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2)))
         first = Observable.from_projection(plane, pol)
         second, _ = generate_observable_pair(4, False, gen, pol)
-        assert (len(first.spectrum), len(second.spectrum)) == (2, 4)
+        assert (len(first.eigenvalues), len(second.eigenvalues)) == (2, 4)
         rng = SeededRng(63)
         for pair in ((first, second), (second, first)):
             batched = sequential_disagreements(*pair, 60, rng, pol)
@@ -548,7 +667,7 @@ class TestBatchedEngine:
 
     def test_incomplete_spectrum_raises_as_measure_does(self, sigma_x, pol):
         half = Projection(np.diag([1.0, 0.0]))
-        broken = Observable(HermitianOperator(half.matrix), ((1.0, half),))
+        broken = Observable(HermitianOperator(half.matrix), (1.0,), half.matrix[None])
         rng = SeededRng(65)
         with pytest.raises(ValueError, match="outcome probabilities sum to") as single:
             single_shot_disagreements(broken, sigma_x, 4, rng, pol)

@@ -4,6 +4,7 @@ import pytest
 from qlat import (
     HermitianOperator,
     Ket,
+    Observable,
     Projection,
     TolerancePolicy,
     commutator_norm,
@@ -15,7 +16,7 @@ from qlat import (
     spectral_decompose,
     zero_projection,
 )
-from qlat.numerics import _frobenius_norms, validated_projections
+from qlat.numerics import _frobenius_norms, spectral_stack, validated_projections
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -194,6 +195,45 @@ class TestFrobeniusNorms:
                 assert frobenius_distance(matrix, 0 * matrix) == np.linalg.norm(matrix)
 
 
+def random_hermitians(count=1000, seed=2024):
+    """Gaussian Hermitian matrices of dimension 2-8: generically one
+    eigenvalue per cluster."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, 9))
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        yield (raw + raw.conj().T) / 2
+
+
+def clustered_hermitians(pol, count=200, seed=2025):
+    """Rotated spectra drawn from {-1, 0, 2}, each value offset by 0 or
+    eig_gap / 10: degenerate and nearly degenerate clusters of every rank."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, 9))
+        values = rng.choice([-1.0, 0.0, 2.0], dim) + rng.choice([0.0, pol.eig_gap / 10], dim)
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        basis, _ = np.linalg.qr(raw)
+        matrix = (basis * values) @ basis.conj().T
+        yield (matrix + matrix.conj().T) / 2
+
+
+def per_cluster_route(matrix, pol):
+    """The decomposition as it stood before the stack, written out as the
+    oracle: a cluster loop over eigh's eigenvalues, one Projection.from_basis
+    per cluster, and the matrices stacked."""
+    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(matrix, dtype=np.complex128))
+    clusters = [[0]]
+    for i in range(1, eigenvalues.size):
+        if eigenvalues[i] - eigenvalues[i - 1] < pol.eig_gap:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    values = tuple(float(np.mean(eigenvalues[indices])) for indices in clusters)
+    matrices = [Projection.from_basis(eigenvectors[:, indices]).matrix for indices in clusters]
+    return values, np.stack(matrices)
+
+
 class TestSpectralDecompose:
     def test_identity(self):
         decomposition = spectral_decompose(np.eye(3))
@@ -225,6 +265,8 @@ class TestSpectralDecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="asymmetry"):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="asymmetry"):
+            spectral_stack(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -237,11 +279,8 @@ class TestSpectralDecompose:
             assert np.array_equal(a.matrix, b.matrix)
 
     def test_resolution_invariants_random(self, pol):
-        rng = np.random.default_rng(2024)
-        for trial in range(1000):
-            dim = int(rng.integers(2, 9))
-            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            matrix = (raw + raw.conj().T) / 2
+        for matrix in random_hermitians():
+            dim = matrix.shape[0]
             decomposition = spectral_decompose(matrix, pol)
             projections = [p.matrix for _, p in decomposition]
             total = sum(projections)
@@ -251,6 +290,34 @@ class TestSpectralDecompose:
                     assert np.linalg.norm(projections[i] @ projections[j]) < pol.op_tol
             rebuilt = sum(v * p for (v, _), p in zip(decomposition, projections))
             assert frobenius_distance(rebuilt, matrix) < dim * pol.op_tol
+
+    def test_stacks_equal_the_per_cluster_route_bit_for_bit(self, pol):
+        """The observable's validated stack and the pairs' matrices both
+        equal one Projection.from_basis per cluster, bit for bit."""
+        ranks = set()
+        for matrix in [*random_hermitians(), *clustered_hermitians(pol)]:
+            expected_values, expected = per_cluster_route(matrix, pol)
+            observable = Observable.from_operator(matrix, pol)
+            assert observable.eigenvalues == expected_values
+            assert np.array_equal(observable.projection_stack, expected)
+            decomposition = spectral_decompose(matrix, pol)
+            assert tuple(value for value, _ in decomposition) == expected_values
+            assert np.array_equal(np.stack([p.matrix for _, p in decomposition]), expected)
+            ranks.update(round(float(np.trace(p).real)) for p in expected)
+        assert ranks >= set(range(1, 8))  # clusters of every rank up to 7
+
+    def test_stack_holds_the_unvalidated_dyads(self, pol):
+        """``spectral_stack`` leaves validation to the Observable that holds
+        the stack: its entries are the raw eigenvector dyads, one per
+        cluster, and their validation only re-symmetrizes them."""
+        for matrix in clustered_hermitians(pol, count=50):
+            eigenvalues, stack = spectral_stack(matrix, pol)
+            expected_values, expected = per_cluster_route(matrix, pol)
+            assert eigenvalues == expected_values
+            assert all(type(value) is float for value in eigenvalues)
+            assert stack.shape == (len(eigenvalues), *matrix.shape)
+            assert np.array_equal(validated_projections(stack), expected)
+            assert np.abs(stack - expected).max() <= 1e-15
 
 
 class TestCommutatorNorm:

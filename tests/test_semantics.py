@@ -516,6 +516,35 @@ class TestCompletenessAudit:
         assert flagged_rows[0]["verificationist"] == "undefined"
         assert flagged_rows[0]["kleene"] == "true"
 
+    @pytest.mark.parametrize("mode", ["standard", "sr"])
+    def test_one_truth_table_per_untestable_statement(
+        self, ground_model, qubit_family, monkeypatch, mode
+    ):
+        texts = ["P0", "(and P0 Pplus)", "(and (and P0 Pplus) (not P0))", "(or P0 P1)"]
+        statements = [*reference_statements(), *map(parse_statement, texts)]
+        tables = []
+        truth_table = semantics._truth_table
+
+        def counted(statement):
+            tables.append(statement)
+            return truth_table(statement)
+
+        monkeypatch.setattr(semantics, "_truth_table", counted)
+        audit = completeness_audit(ground_model, qubit_family, statements, mode)
+        untestable = [record for record in audit.records if not record.testable]
+        assert len(untestable) >= 3
+        assert [format_statement(statement) for statement in tables] == [
+            record.text for record in untestable
+        ]
+        monkeypatch.undo()
+        assert list(audit.flagged) == [
+            record.text
+            for record in untestable
+            if is_classical_tautology(record.statement)
+            or is_classical_contradiction(record.statement)
+        ]
+        assert "(and (and P0 Pplus) (not P0))" in audit.flagged
+
     def test_commuting_family_complete_in_both_modes(self, pol):
         family = PropertyFamily(
             [("low", np.diag([1.0, 0, 0]).astype(complex)),

@@ -15,7 +15,6 @@ from .numerics import (
     commutator_norm,
     frobenius_distance,
     identity_projection,
-    is_projection,
     matrices_close,
     projection_onto_span,
     spectral_decompose,
@@ -40,26 +39,19 @@ from .measurement import (
     commutes,
     compatibility_verdict,
     haar_random_ket,
-    interposition_invariant,
-    joint_observable,
     mc_trial_floor,
     measure,
     min_disagreement_probability,
-    nondisturbing,
-    sequence_symmetric,
     sequential_disagreements,
 )
 from .domains import (
     DomainReport,
     PureStateModel,
-    certainly_false_domain,
-    certainly_true_domain,
     certainty,
     compatible_domain,
     domain_report,
     objective_domain,
     objective_residuals,
-    pivot_residual,
     pivot_residuals,
     predictable_domain,
     splits_along_support,
@@ -78,20 +70,18 @@ from .semantics import (
     completeness_audit,
     fold,
     format_statement,
-    is_classical_contradiction,
-    is_classical_tautology,
     is_testable,
     kleene_truth,
     order_isomorphism_check,
     parse_statement,
     tarskian_truth,
+    truth_table,
     verificationist_truth,
 )
 from .experiments import (
     EXPERIMENTS,
     CampaignReport,
     ExperimentConfig,
-    generate_model,
     generate_observable_pair,
     generate_property_family,
     reference_qubit_family,

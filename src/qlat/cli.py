@@ -88,12 +88,19 @@ class _UsageError(Exception):
     pass
 
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"{path} is not valid JSON: {exc}") from None
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _emit(document: dict, out_path: str | None) -> None:
@@ -170,15 +177,15 @@ def _cmd_audit(args) -> tuple[dict, int]:
         raise _UsageError(str(exc)) from None
 
     statements = []
-    with open(args.statements, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                statements.append(parse_statement(text))
-            except ValueError as exc:
-                raise _UsageError(f"{args.statements}:{line_number}: {exc}") from None
+    # Text mode has already turned every line ending into "\n".
+    for line_number, line in enumerate(_read_text(args.statements).split("\n"), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            statements.append(parse_statement(text))
+        except ValueError as exc:
+            raise _UsageError(f"{args.statements}:{line_number}: {exc}") from None
     if not statements:
         raise _UsageError(f"{args.statements} contains no statements")
 

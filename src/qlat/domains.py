@@ -25,13 +25,10 @@ __all__ = [
     "PureStateModel",
     "support_projection",
     "certainty",
-    "certainly_true_domain",
-    "certainly_false_domain",
     "predictable_domain",
     "compatible_domain",
     "objective_residuals",
     "objective_domain",
-    "pivot_residual",
     "pivot_residuals",
     "splits_along_support",
     "DomainReport",
@@ -75,22 +72,6 @@ def certainty(
     those below its orthocomplement (certainly false, probability 0)."""
     above = leq_stack(model.support.matrix, members, pol)
     return above, leq_stack(members, model.complement.matrix, pol)
-
-
-def certainly_true_domain(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> set[str]:
-    """Members lying above the support; exactly those with probability 1."""
-    above, _ = certainty(model, family.projection_stack, pol)
-    return {label for label, holds in zip(family.labels, above.tolist()) if holds}
-
-
-def certainly_false_domain(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> set[str]:
-    """Members below the orthocomplement of the support; probability 0."""
-    _, below = certainty(model, family.projection_stack, pol)
-    return {label for label, holds in zip(family.labels, below.tolist()) if holds}
 
 
 def predictable_domain(
@@ -151,22 +132,11 @@ def _pivot_defects(
     return _frobenius_norms(rebuilt - members)
 
 
-def pivot_residual(
-    member: Projection, model: PureStateModel, pol: TolerancePolicy = DEFAULT_POLICY
-) -> float:
-    """Frobenius defect of (E ^ S) v (E ^ S_perp) against E itself, with S
-    the model's support.
-
-    Vanishes exactly when the member splits along the support, the algebraic
-    signature of compatibility with it.
-    """
-    return float(_pivot_defects(member.matrix, model, pol))
-
-
 def pivot_residuals(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> dict[str, float]:
-    """Every member's pivot residual, by label, from one stack over the family."""
+    """Every member's pivot residual, by label, from one stack over the
+    family; it vanishes exactly when the member splits along the support."""
     defects = _pivot_defects(family.projection_stack, model, pol)
     return dict(zip(family.labels, defects.tolist()))
 

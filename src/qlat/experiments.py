@@ -33,7 +33,6 @@ from .lattice import (
 from .measurement import (
     Observable,
     SeededRng,
-    _generator_of,
     compatibility_verdict,
     commutes,
     haar_random_ket,
@@ -68,7 +67,6 @@ __all__ = [
     "random_hermitian",
     "random_unitary",
     "generate_observable_pair",
-    "generate_model",
     "generate_property_family",
     "reference_qubit_family",
     "reference_qubit_model",
@@ -253,31 +251,6 @@ def generate_observable_pair(
         if not commutes(first, second, pol):
             return first, second
     raise RuntimeError("failed to draw a non-commuting pair in 100 attempts")
-
-
-def generate_model(
-    dim: int,
-    n_observables: int,
-    commuting_fraction: float,
-    rng: SeededRng,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> tuple[list[Observable], list[PureStateModel]]:
-    """Seeded observables (pairwise grouped for the commuting fraction) and
-    Haar-random pure states, bit-identical for identical seeds."""
-    if n_observables < 1:
-        raise ValueError(f"n_observables must be positive, got {n_observables}")
-    gen = _generator_of(rng)
-    observables: list[Observable] = []
-    while len(observables) < n_observables:
-        commuting = gen.random() < commuting_fraction
-        first, second = generate_observable_pair(dim, commuting, gen, pol)
-        observables.append(first)
-        if len(observables) < n_observables:
-            observables.append(second)
-    states = [
-        PureStateModel.from_ket(haar_random_ket(dim, gen)) for _ in range(n_observables)
-    ]
-    return observables, states
 
 
 def _random_subspace_projection(

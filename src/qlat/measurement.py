@@ -9,6 +9,7 @@ audited rather than assumed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,7 @@ __all__ = [
     "yes_no_stack",
     "criterion_holds",
     "commutes",
-    "nondisturbing",
     "sequential_disagreements",
-    "interposition_invariant",
-    "sequence_symmetric",
-    "joint_observable",
     "min_disagreement_probability",
     "mc_trial_floor",
     "compatibility_verdict",
@@ -63,14 +60,11 @@ class SeededRng:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _uint64(self.seed, "seed must be a 64-bit unsigned integer"))
 
     def _sequence(self, key: tuple[int, ...]) -> np.random.SeedSequence:
-        for element in key:
-            if not 0 <= int(element) < 2**64:
-                raise ValueError(f"key elements must be 64-bit unsigned integers, got {element!r}")
-        return np.random.SeedSequence(int(self.seed), spawn_key=key)
+        key = tuple(_uint64(element, "key elements must be 64-bit unsigned integers") for element in key)
+        return np.random.SeedSequence(self.seed, spawn_key=key)
 
     def generator(self) -> np.random.Generator:
         return self.substream()
@@ -82,6 +76,15 @@ class SeededRng:
     def derive(self, *key: int) -> "SeededRng":
         """New independent seeded source addressed by the given index path."""
         return SeededRng(int(self._sequence(key).generate_state(1, np.uint64)[0]))
+
+
+def _uint64(value, message: str) -> int:
+    """The value as an int; ValueError with the message unless it is an
+    integer, and not a bool, in [0, 2**64)."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and 0 <= int(value) < 2**64):
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
 
 
 def _generator_of(rng) -> np.random.Generator:
@@ -312,47 +315,10 @@ def commutes(first: Observable, second: Observable, pol: TolerancePolicy = DEFAU
     return criterion_holds("commutation", residual, first.dim, pol)
 
 
-def nondisturbing(first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Exact non-disturbance criterion, imposed in both measurement orders."""
-    return criterion_holds("nondisturbance", nondisturbance_residual(first, second), first.dim, pol)
-
-
-def interposition_invariant(
-    first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
-    """True iff a nonselective measurement of either observable, interposed,
-    leaves every outcome projection of the other unchanged."""
-    return criterion_holds("interposition", interposition_residual(first, second), first.dim, pol)
-
-
-def sequence_symmetric(
-    first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
-    """True iff 'outcome b then c' and 'outcome c then b' are equally likely
-    for every outcome pair and every state; operator equality of the two
-    sandwich products is equivalent to equality of the quadratic forms."""
-    return criterion_holds(
-        "sequence_symmetry", sequence_symmetry_residual(first, second), first.dim, pol
-    )
-
-
-def joint_observable(
-    first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY
-) -> Observable | None:
-    """Commeasurability witness.
-
-    For a commuting pair, returns an observable whose eigenprojections are
-    the nonzero products P_n Q_p and whose eigenvalue n * K + p (K the number
-    of second-observable outcomes) injectively encodes the outcome pair, so a
-    single measurement determines a value for both observables. Returns None
-    for non-commuting pairs.
-    """
-    if not commutes(first, second, pol):
-        return None
-    return _joint_of(first, second)
-
-
 def _joint_of(first: Observable, second: Observable) -> Observable:
+    """Commeasurability witness of a commuting pair: its eigenprojections are
+    the nonzero products P_n Q_k, and its eigenvalue n * K + k (K outcomes of
+    the second) encodes the outcome pair, so one measurement gives both."""
     products = first.projection_stack[:, None] @ second.projection_stack[None]
     kept = np.trace(products, axis1=-2, axis2=-1).real >= 0.5
     values = np.flatnonzero(kept).astype(float)

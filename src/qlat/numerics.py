@@ -19,7 +19,6 @@ __all__ = [
     "spectral_decompose",
     "spectral_stack",
     "commutator_norm",
-    "is_projection",
     "zero_projection",
     "identity_projection",
     "projection_onto_span",
@@ -167,11 +166,6 @@ class Ket:
         vec[index] = 1.0
         return cls(vec)
 
-    def overlap(self, other: "Ket") -> complex:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
@@ -267,17 +261,6 @@ def commutator_norm(left, right) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return float(_frobenius_norms(a @ b - b @ a))
-
-
-def is_projection(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True iff the square matrix passes the validation of ``Projection``
-    with ``pol.op_tol`` in place of the default threshold."""
-    m = _as_square_matrix(matrix)
-    try:
-        _validated_projection(m, pol.op_tol)
-    except ValueError:
-        return False
-    return True
 
 
 def range_basis(projection: Projection) -> np.ndarray:

@@ -40,8 +40,7 @@ __all__ = [
     "is_testable",
     "verificationist_truth",
     "kleene_truth",
-    "is_classical_tautology",
-    "is_classical_contradiction",
+    "truth_table",
     "order_isomorphism_check",
     "StatementRecord",
     "CompletenessAudit",
@@ -102,7 +101,8 @@ def parse_statement(text: str) -> Statement:
 
     Grammar: stmt := label | (not stmt) | (and stmt stmt) | (or stmt stmt)
     | (implies stmt stmt). Labels are bare symbols without parentheses or
-    whitespace.
+    whitespace. Connectives nest at most 256 deep; deeper text raises
+    ValueError.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -113,7 +113,12 @@ def parse_statement(text: str) -> Statement:
     return statement
 
 
-def _parse(tokens: list[str], position: int) -> tuple[Statement, int]:
+# Deepest connective nesting that parse_statement accepts: the parser and every
+# fold over the tree recurse once per level, well under Python's default 1000.
+_MAX_DEPTH = 256
+
+
+def _parse(tokens: list[str], position: int, depth: int = 0) -> tuple[Statement, int]:
     if position >= len(tokens):
         raise ValueError("unexpected end of statement")
     token = tokens[position]
@@ -121,15 +126,17 @@ def _parse(tokens: list[str], position: int) -> tuple[Statement, int]:
         raise ValueError(f"unexpected ')' at token {position}")
     if token != "(":
         return Elementary(token), position + 1
+    if depth == _MAX_DEPTH:
+        raise ValueError(f"statement nests connectives deeper than {_MAX_DEPTH} levels")
     if position + 1 >= len(tokens):
         raise ValueError("unexpected end after '('")
     head = tokens[position + 1]
     if head == "not":
-        operand, after = _parse(tokens, position + 2)
+        operand, after = _parse(tokens, position + 2, depth + 1)
         return Not(operand), _expect_close(tokens, after)
     if head in _BINARY:
-        left, after_left = _parse(tokens, position + 2)
-        right, after_right = _parse(tokens, after_left)
+        left, after_left = _parse(tokens, position + 2, depth + 1)
+        right, after_right = _parse(tokens, after_left, depth + 1)
         return _BINARY[head](left, right), _expect_close(tokens, after_right)
     raise ValueError(f"unknown connective {head!r}")
 
@@ -293,11 +300,13 @@ def kleene_truth(
 _MAX_TABLE_ATOMS = 16
 
 
-def _truth_table(statement: Statement) -> tuple[int, int]:
+def truth_table(statement: Statement) -> tuple[int, int]:
     """The statement's classical truth table as a bitset, and the all-true
     table, from one fold: bit r is the value under assignment r, in which
     label i (in sorted order) holds when bit i of r is set. Negation is the
-    XOR against the all-true table; implication is material."""
+    XOR against the all-true table; implication is material. A tautology's
+    table is the all-true one and a contradiction's is 0; more than 16 atoms
+    raise ValueError."""
     labels = sorted(atom_labels(statement))
     if len(labels) > _MAX_TABLE_ATOMS:
         raise ValueError(f"too many atoms for a truth table: {len(labels)}")
@@ -308,21 +317,6 @@ def _truth_table(statement: Statement) -> tuple[int, int]:
         columns[label] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
     negation = partial(operator.xor, full)
     return fold(statement, columns.__getitem__, negation, operator.and_, operator.or_), full
-
-
-def is_classical_tautology(statement: Statement) -> bool:
-    table, full = _truth_table(statement)
-    return table == full
-
-
-def is_classical_contradiction(statement: Statement) -> bool:
-    return _truth_table(statement)[0] == 0
-
-
-def _is_tautology_or_contradiction(statement: Statement) -> bool:
-    """Either detector's verdict from one truth table."""
-    table, full = _truth_table(statement)
-    return table in (0, full)
 
 
 def order_isomorphism_check(
@@ -456,6 +450,13 @@ def completeness_audit(
         if not realist:
             for index, residual in zip(tested, objective_residuals(model, members).tolist()):
                 meaningful[index] = criterion_holds("nondisturbance", residual, family.dim, pol)
+    # An untestable statement is flagged when it is a classical tautology or
+    # contradiction: its truth table is all true (full) or all false (0).
+    flagged = [False] * len(statements)
+    for index, equivalent in enumerate(equivalents):
+        if equivalent is None:
+            table, full = truth_table(statements[index])
+            flagged[index] = table in (0, full)
     records = [
         StatementRecord(
             statement=statement,
@@ -465,9 +466,11 @@ def completeness_audit(
             kleene=_kleene(statement, label_values),
             meaningful=objective,
             predictable=value is not TruthValue.UNDEFINED,
-            flagged=equivalent is None and _is_tautology_or_contradiction(statement),
+            flagged=constant,
         )
-        for statement, equivalent, value, objective in zip(statements, equivalents, values, meaningful)
+        for statement, equivalent, value, objective, constant in zip(
+            statements, equivalents, values, meaningful, flagged
+        )
     ]
     witness = next(
         (record.text for record in records if record.meaningful and not record.predictable),

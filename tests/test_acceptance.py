@@ -26,7 +26,6 @@ from qlat import (
     join,
     matrices_close,
     meet,
-    nondisturbing,
     reference_qubit_family,
     reference_qubit_model,
     run_experiment,
@@ -35,6 +34,7 @@ from qlat import (
     verificationist_truth,
 )
 from qlat.cli import main
+from qlat.measurement import criterion_holds, nondisturbance_residual
 from qlat.semantics import TruthValue, atom_labels, is_testable
 
 from test_semantics import all_statements, random_statement, to_sympy
@@ -83,7 +83,7 @@ def test_criterion_2_operational_consistency():
     for dim in (2, 3, 4, 5, 6):
         gen = SeededRng(300 + dim).generator()
         first, second = generate_observable_pair(dim, True, gen, POL)
-        ok = ok and nondisturbing(first, second, POL)
+        ok = ok and criterion_holds("nondisturbance", nondisturbance_residual(first, second), dim, POL)
         counts = sequential_disagreements(first, second, trials, SeededRng(400 + dim), POL)
         ok = ok and counts == (0, 0)
 

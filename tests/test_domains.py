@@ -11,8 +11,6 @@ from qlat import (
     SeededRng,
     TolerancePolicy,
     born_probability,
-    certainly_false_domain,
-    certainly_true_domain,
     certainty,
     compatible_domain,
     domain_report,
@@ -23,17 +21,15 @@ from qlat import (
     commutator_norm,
     matrices_close,
     meet,
-    nondisturbing,
     objective_domain,
     objective_residuals,
     orthocomplement,
-    pivot_residual,
     pivot_residuals,
     predictable_domain,
     run_experiment,
     support_projection,
 )
-from qlat.measurement import nondisturbance_residual
+from qlat.measurement import criterion_holds, nondisturbance_residual
 
 
 def random_instance(dim, gen, pol):
@@ -77,10 +73,10 @@ class TestSupport:
 
 class TestWorkedFamilyDomains:
     def test_certainly_true(self, ground_model, qubit_family):
-        assert certainly_true_domain(ground_model, qubit_family) == {"P0", "I"}
+        assert domain_report(ground_model, qubit_family).certainly_true == {"P0", "I"}
 
     def test_certainly_false(self, ground_model, qubit_family):
-        assert certainly_false_domain(ground_model, qubit_family) == {"0", "P1"}
+        assert domain_report(ground_model, qubit_family).certainly_false == {"0", "P1"}
 
     def test_predictable_excludes_superposed_atom(self, ground_model, qubit_family):
         assert predictable_domain(ground_model, qubit_family) == {"0", "P0", "P1", "I"}
@@ -110,10 +106,9 @@ class TestMembershipTrivia:
         for _ in range(30):
             dim = int(gen.integers(2, 7))
             model, family = random_instance(dim, gen, pol)
-            true_side = certainly_true_domain(model, family, pol)
-            false_side = certainly_false_domain(model, family, pol)
-            compatible = compatible_domain(model, family, pol)
-            objective = objective_domain(model, family, pol)
+            report = domain_report(model, family, pol)
+            true_side, false_side = report.certainly_true, report.certainly_false
+            compatible, objective = report.compatible, report.objective
             assert "I" in true_side
             assert "0" in false_side
             # the support and its complement open every generated family
@@ -154,18 +149,17 @@ class TestDomainInvariants:
         for _ in range(50):
             dim = int(gen.integers(2, 7))
             model, family = random_instance(dim, gen, pol)
-            true_side = certainly_true_domain(model, family, pol)
-            false_side = certainly_false_domain(model, family, pol)
-            assert not (true_side & false_side)
-            for label, member in family.pairs():
+            above, below = certainty(model, family.projection_stack, pol)
+            assert not (above & below).any()
+            for certainly_true, member in zip(above.tolist(), family.members):
                 complement = orthocomplement(member)
                 in_false_dual = leq(complement, orthocomplement(model.support), pol)
                 # E certainly true iff its complement is certainly false
-                assert (label in true_side) == leq(model.support, member, pol)
+                assert certainly_true == leq(model.support, member, pol)
                 assert leq(model.support, member, pol) == in_false_dual
 
     def test_membership_monotone(self, ground_model, qubit_family, pol):
-        true_side = certainly_true_domain(ground_model, qubit_family, pol)
+        true_side = domain_report(ground_model, qubit_family, pol).certainly_true
         for label, member in qubit_family.pairs():
             if label not in true_side:
                 continue
@@ -229,14 +223,13 @@ class TestPivot:
         assert report.certainly_true == frozenset(labels[above].tolist())
         assert report.certainly_false == frozenset(labels[below].tolist())
 
-    def test_oblique_atom_residual_is_one(self, ground_model, pplus):
+    def test_oblique_atom_residual_is_one(self, ground_model, qubit_family):
         # both meets vanish, so the rebuilt member is 0 and the defect is |E|
-        assert pivot_residual(pplus, ground_model) == pytest.approx(1.0)
+        assert pivot_residuals(ground_model, qubit_family)["Pplus"] == pytest.approx(1.0)
 
     def test_compatible_members_split_exactly(self, ground_model, qubit_family, pol):
         compatible = compatible_domain(ground_model, qubit_family, pol)
-        for label, member in qubit_family.pairs():
-            residual = pivot_residual(member, ground_model, pol)
+        for label, residual in pivot_residuals(ground_model, qubit_family, pol).items():
             if label in compatible:
                 assert residual < pol.op_tol
             else:
@@ -259,12 +252,9 @@ class TestPivot:
                 for label, member in family.pairs()
             }
             assert pivot_residuals(model, family, pol) == expected
-            assert certainly_true_domain(model, family, pol) == {
-                label for label, member in family.pairs() if leq(model.support, member, pol)
-            }
-            assert certainly_false_domain(model, family, pol) == {
-                label for label, member in family.pairs() if leq(member, model.complement, pol)
-            }
+            above, below = certainty(model, family.projection_stack, pol)
+            assert above.tolist() == [leq(model.support, member, pol) for member in family.members]
+            assert below.tolist() == [leq(member, model.complement, pol) for member in family.members]
 
     def test_split_inside_the_rounding_band_fails(self, ground_model, qubit_family, pol, monkeypatch):
         # A member outside the compatible domain whose pivot residual sits
@@ -313,8 +303,8 @@ class TestStackedYesNoRoute:
                 np.testing.assert_allclose(residuals, expected, rtol=0, atol=1e-13)
                 assert objective_domain(model, family, pol) == {
                     label
-                    for label, observable in zip(family.labels, observables)
-                    if nondisturbing(observable, support, pol)
+                    for label, residual in zip(family.labels, expected)
+                    if criterion_holds("nondisturbance", residual, dim, pol)
                 }
 
     @pytest.mark.parametrize(
@@ -389,7 +379,7 @@ class TestEqualityCampaigns:
 class TestReportMatchesVerifiers:
     """domain_report reads its equality flags off domains it computes once;
     they must agree with the verifier written out here from the free domain
-    functions, one pivot_residual per member and the split rule's two
+    functions, each member's entry of pivot_residuals and the split rule's two
     inequalities, including instances where an equality fails."""
 
     @staticmethod
@@ -397,8 +387,7 @@ class TestReportMatchesVerifiers:
         predictable = predictable_domain(model, family, pol)
         compatible = compatible_domain(model, family, pol)
         splits = True
-        for label, member in family.pairs():
-            residual = pivot_residual(member, model, pol)
+        for label, residual in pivot_residuals(model, family, pol).items():
             if label in compatible:
                 splits = splits and residual < pol.op_tol
             else:

@@ -10,7 +10,6 @@ from qlat import (
     SeededRng,
     TolerancePolicy,
     commutes,
-    generate_model,
     generate_observable_pair,
     generate_property_family,
     haar_random_ket,
@@ -102,19 +101,20 @@ class TestExperimentConfig:
 
 class TestGeneration:
     def test_deterministic_per_seed(self):
-        first_obs, first_states = generate_model(3, 4, 0.5, SeededRng(42))
-        second_obs, second_states = generate_model(3, 4, 0.5, SeededRng(42))
-        for a, b in zip(first_obs, second_obs):
-            assert np.array_equal(a.operator.matrix, b.operator.matrix)
-            assert a.eigenvalues == b.eigenvalues
-            assert np.array_equal(a.projection_stack, b.projection_stack)
-        for a, b in zip(first_states, second_states):
-            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+        first_gen, second_gen = SeededRng(42).generator(), SeededRng(42).generator()
+        for commuting in (True, False, True, False):
+            first_pair = generate_observable_pair(3, commuting, first_gen)
+            second_pair = generate_observable_pair(3, commuting, second_gen)
+            for a, b in zip(first_pair, second_pair):
+                assert np.array_equal(a.operator.matrix, b.operator.matrix)
+                assert a.eigenvalues == b.eigenvalues
+                assert np.array_equal(a.projection_stack, b.projection_stack)
 
     def test_commuting_fraction_one(self):
-        observables, _ = generate_model(4, 10, 1.0, SeededRng(1))
-        for i in range(0, 10, 2):
-            assert commutes(observables[i], observables[i + 1])
+        gen = SeededRng(1).generator()
+        for _ in range(5):
+            first, second = generate_observable_pair(4, True, gen)
+            assert commutes(first, second)
 
     def test_commuting_fraction_zero(self):
         gen = SeededRng(2).generator()
@@ -476,6 +476,52 @@ class TestCli:
         )
         assert code == 2
         assert "dim" in capsys.readouterr().err
+
+    def test_audit_accepts_the_deepest_nesting(self, family_file, state_file, tmp_path, capsys):
+        deep = tmp_path / "deep.txt"
+        deep.write_text("(not " * 256 + "P0" + ")" * 256 + "\n")
+        argv = ["audit", "--family", family_file, "--state", state_file,
+                "--statements", str(deep), "--mode", "standard"]
+        assert main(argv) == 0
+        [row] = json.loads(capsys.readouterr().out)["statements"]
+        assert (row["testable"], row["verificationist"]) == (True, "true")
+
+    @pytest.mark.parametrize("depth", [257, 2000])
+    def test_audit_rejects_deeper_nesting(self, family_file, state_file, tmp_path, capsys, depth):
+        # 2000 levels once overflowed the parser's recursion (exit 1).
+        deep = tmp_path / "deep.txt"
+        deep.write_text("P0\n" + "(not " * depth + "P0" + ")" * depth + "\n")
+        argv = ["audit", "--family", family_file, "--state", state_file,
+                "--statements", str(deep), "--mode", "standard"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{deep}:2: statement nests connectives deeper than 256 levels" in err
+
+    def test_run_rejects_a_non_utf8_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"experiment": "lattice_laws"\xff}')
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"error: {config} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_verify_family_rejects_a_non_utf8_family(self, qubit_family, tmp_path, capsys):
+        family = tmp_path / "family.json"
+        family.write_bytes(qubit_family.dumps().encode() + b"\xff")
+        assert main(["verify-family", "--family", str(family)]) == 2
+        assert f"error: {family} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["family", "state", "statements"])
+    def test_audit_rejects_non_utf8_inputs(
+        self, family_file, state_file, statements_file, tmp_path, capsys, which
+    ):
+        inputs = {"family": family_file, "state": state_file, "statements": statements_file}
+        bad = tmp_path / f"bad-{which}"
+        bad.write_bytes(open(inputs[which], "rb").read() + b"\xff\n")
+        inputs[which] = str(bad)
+        argv = ["audit", "--mode", "sr"]
+        for name, path in inputs.items():
+            argv += [f"--{name}", path]
+        assert main(argv) == 2
+        assert f"error: {bad} is not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dim", [2.9, "2", True], ids=["float", "str", "bool"])
     def test_family_and_state_documents_need_an_integer_dim(

@@ -15,16 +15,12 @@ from qlat import (
     generate_observable_pair,
     haar_random_ket,
     identity_projection,
-    interposition_invariant,
-    joint_observable,
     leq,
     matrices_close,
     mc_trial_floor,
     measure,
     min_disagreement_probability,
-    nondisturbing,
     projection_onto_span,
-    sequence_symmetric,
     sequential_disagreements,
 )
 from qlat import measurement
@@ -35,6 +31,7 @@ from qlat.measurement import (
     _draw_block,
     _measure_rows,
     _padded_stacks,
+    criterion_holds,
     interposition_residual,
     nondisturbance_residual,
     sequence_symmetry_residual,
@@ -147,6 +144,24 @@ class TestSeededRng:
             SeededRng(0).substream(-1)
         with pytest.raises(ValueError, match="key elements"):
             SeededRng(0).derive(3, 2**64)
+
+    @pytest.mark.parametrize("seed", [True, 1.7, 1.0, "1"])
+    def test_rejects_non_integer_seed(self, seed):
+        # int() would read each of these as 1 and give seed 1's streams.
+        with pytest.raises(ValueError, match=r"seed must be a 64-bit unsigned integer, got"):
+            SeededRng(seed)
+
+    @pytest.mark.parametrize("element", [True, 1.5])
+    def test_rejects_non_integer_key(self, element):
+        with pytest.raises(ValueError, match="key elements must be 64-bit unsigned integers, got"):
+            SeededRng(0).substream(element)
+        with pytest.raises(ValueError, match="key elements"):
+            SeededRng(0).derive(3, element)
+
+    def test_numpy_integers_address_the_same_streams(self):
+        rng = SeededRng(np.uint64(5))
+        assert type(rng.seed) is int and rng == SeededRng(5)
+        assert np.array_equal(rng.substream(np.int32(2)).random(3), SeededRng(5).substream(2).random(3))
 
 
 def oracle_stream(seed, key):
@@ -332,28 +347,33 @@ class TestExactRelations:
         assert not commutes(sigma_z, sigma_x)
         assert commutes(sigma_z, sigma_z)
 
+    @staticmethod
+    def holds(criterion, residual, first, second):
+        """The exact verdict as compatibility_verdict takes it."""
+        return criterion_holds(criterion, residual(first, second), first.dim)
+
     def test_nondisturbance(self, sigma_z, sigma_x, diag_a, diag_b):
-        assert nondisturbing(diag_a, diag_b)
-        assert not nondisturbing(sigma_z, sigma_x)
-        assert nondisturbing(sigma_z, sigma_z)
+        assert self.holds("nondisturbance", nondisturbance_residual, diag_a, diag_b)
+        assert not self.holds("nondisturbance", nondisturbance_residual, sigma_z, sigma_x)
+        assert self.holds("nondisturbance", nondisturbance_residual, sigma_z, sigma_z)
 
     def test_nondisturbance_residual_value(self, sigma_z, sigma_x):
         # (I - |0><0|) |+><+| |0><0| is rank one with entry 1/2
         assert nondisturbance_residual(sigma_z, sigma_x) == pytest.approx(0.5)
 
     def test_interposition(self, sigma_z, sigma_x, diag_a, diag_b):
-        assert interposition_invariant(diag_a, diag_b)
-        assert interposition_invariant(sigma_z, sigma_z)
-        assert not interposition_invariant(sigma_z, sigma_x)
+        assert self.holds("interposition", interposition_residual, diag_a, diag_b)
+        assert self.holds("interposition", interposition_residual, sigma_z, sigma_z)
+        assert not self.holds("interposition", interposition_residual, sigma_z, sigma_x)
 
     def test_interposition_residual_value(self, sigma_z, sigma_x):
         # sum_n P_n |+><+| P_n = I/2, distance to |+><+| is 1/sqrt(2)
         assert interposition_residual(sigma_z, sigma_x) == pytest.approx(1 / np.sqrt(2))
 
     def test_sequence_symmetry(self, sigma_z, sigma_x, diag_a, diag_b):
-        assert sequence_symmetric(diag_a, diag_b)
-        assert sequence_symmetric(sigma_x, sigma_x)
-        assert not sequence_symmetric(sigma_z, sigma_x)
+        assert self.holds("sequence_symmetry", sequence_symmetry_residual, diag_a, diag_b)
+        assert self.holds("sequence_symmetry", sequence_symmetry_residual, sigma_x, sigma_x)
+        assert not self.holds("sequence_symmetry", sequence_symmetry_residual, sigma_z, sigma_x)
 
     def test_sequence_symmetry_residual_value(self, sigma_z, sigma_x):
         # P0 Px P0 = |0><0|/2 against Px P0 Px = |+><+|/2
@@ -365,9 +385,15 @@ class TestExactRelations:
         for trial in range(60):
             dim = int(gen.integers(2, 6))
             first, second = generate_observable_pair(dim, trial % 2 == 0, gen, pol)
-            for relation in (commutes, nondisturbing, interposition_invariant, sequence_symmetric):
-                assert relation(first, first, pol)
-                assert relation(first, second, pol) == relation(second, first, pol)
+            reflexive, forward, backward = (
+                compatibility_verdict(a, b, pol, trials=1)
+                for a, b in ((first, first), (first, second), (second, first))
+            )
+            for criterion in (
+                "commutation", "nondisturbance", "interposition", "sequence_symmetry", "commeasurable"
+            ):
+                assert getattr(reflexive, criterion)
+                assert getattr(forward, criterion) == getattr(backward, criterion)
 
     @pytest.mark.parametrize(
         "residual",
@@ -377,9 +403,7 @@ class TestExactRelations:
             interposition_residual,
             sequence_symmetry_residual,
             commutes,
-            nondisturbing,
-            interposition_invariant,
-            sequence_symmetric,
+            compatibility_verdict,
         ],
     )
     def test_residuals_reject_dimension_mismatch(self, residual, sigma_z):
@@ -465,7 +489,7 @@ class TestResidualOracle:
 
 class TestJointObservable:
     def test_self_pair(self, sigma_z):
-        joint = joint_observable(sigma_z, sigma_z)
+        joint = compatibility_verdict(sigma_z, sigma_z, trials=1).joint
         assert joint is not None
         for joint_projection, original in zip(joint.projection_stack, sigma_z.projection_stack):
             assert leq(Projection(joint_projection), Projection(original))
@@ -473,7 +497,7 @@ class TestJointObservable:
     def test_degenerate_pair_resolves_axes(self):
         first = Observable.from_operator(np.diag([1.0, 1.0, 2.0]))
         second = Observable.from_operator(np.diag([3.0, 4.0, 4.0]))
-        joint = joint_observable(first, second)
+        joint = compatibility_verdict(first, second, trials=1).joint
         assert joint is not None
         assert len(joint.eigenvalues) == 3
         ranks = [Projection(projection).rank for projection in joint.projection_stack]
@@ -482,14 +506,14 @@ class TestJointObservable:
         assert sorted(axes) == [0, 1, 2]
 
     def test_noncommuting_pair_has_no_witness(self, sigma_z, sigma_x):
-        assert joint_observable(sigma_z, sigma_x) is None
+        assert compatibility_verdict(sigma_z, sigma_x, trials=1).joint is None
 
     def test_witness_determines_both_values(self, pol):
         gen = SeededRng(22).generator()
         for _ in range(30):
             dim = int(gen.integers(2, 6))
             first, second = generate_observable_pair(dim, True, gen, pol)
-            joint = joint_observable(first, second, pol)
+            joint = compatibility_verdict(first, second, pol, trials=1).joint
             assert joint is not None
             for joint_projection in map(Projection, joint.projection_stack):
                 below_first = sum(
@@ -552,7 +576,7 @@ class TestStackOracles:
         pairs.append(tuple(Observable.from_operator(matrix, pol) for matrix in degenerate))
         for first, second in pairs:
             for outer, inner in ((first, second), (second, first)):
-                joint = joint_observable(outer, inner, pol)
+                joint = compatibility_verdict(outer, inner, pol, trials=1).joint
                 entries = per_product_joint(outer, inner)
                 assert joint.eigenvalues == tuple(value for value, _ in entries)
                 expected = np.stack([matrix for _, matrix in entries])

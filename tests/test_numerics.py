@@ -10,7 +10,6 @@ from qlat import (
     commutator_norm,
     frobenius_distance,
     identity_projection,
-    is_projection,
     matrices_close,
     projection_onto_span,
     spectral_decompose,
@@ -350,14 +349,21 @@ class TestCommutatorNorm:
 
 
 class TestIsProjection:
-    def test_examples(self):
-        assert is_projection(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        # (1/2 [[1,1],[1,1]])^2 = 1/4 [[2,2],[2,2]] = itself
-        assert is_projection(np.full((2, 2), 0.5))
-        assert not is_projection(np.diag([2.0, 0.0]))
+    """Whether a matrix is a projection is decided by one validation, the
+    rule of ``Projection``, which ``validated_projections`` applies to every
+    matrix of a stack."""
 
-    def test_non_hermitian_is_false_not_an_error(self):
-        assert not is_projection(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    def test_examples(self):
+        Projection(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        # (1/2 [[1,1],[1,1]])^2 = 1/4 [[2,2],[2,2]] = itself
+        Projection(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="not idempotent"):
+            Projection(np.diag([2.0, 0.0]))
+
+    def test_oblique_idempotent_is_not_hermitian(self):
+        # idempotent, but a projection along a non-orthogonal direction
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Projection(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize(
         "matrix, valid",
@@ -371,18 +377,14 @@ class TestIsProjection:
         ],
     )
     def test_agrees_with_projection_validation(self, matrix, valid):
-        assert is_projection(matrix) is valid
         if valid:
             Projection(matrix)
+            validated_projections(matrix[None])
         else:
             with pytest.raises(ValueError):
                 Projection(matrix)
-
-    def test_honours_policy(self):
-        loose = TolerancePolicy(op_tol=1e-5, eig_gap=1e-4)
-        for matrix in (np.diag([1.0, 1e-6]), np.array([[1.0, 1e-6], [0.0, 0.0]])):
-            assert not is_projection(matrix)
-            assert is_projection(matrix, loose)
+            with pytest.raises(ValueError, match="matrix 0 "):
+                validated_projections(matrix[None])
 
 
 class TestProjectionOntoSpan:

@@ -31,23 +31,22 @@ from qlat import (
     format_statement,
     generate_property_family,
     haar_random_ket,
-    is_classical_contradiction,
-    is_classical_tautology,
     is_testable,
     kleene_truth,
     leq,
     matrices_close,
-    nondisturbing,
     order_isomorphism_check,
     parse_statement,
     projection_onto_span,
     reference_statements,
     tarskian_truth,
+    truth_table,
     verificationist_truth,
     zero_projection,
 )
 from qlat import domains, semantics
 from qlat.lattice import leq_stack
+from qlat.measurement import criterion_holds, nondisturbance_residual
 
 TAUTOLOGY_EDGE = Implies(Elementary("Pplus"), Or(Elementary("Pplus"), Elementary("P0")))
 
@@ -170,9 +169,10 @@ def check_per_member_route(pol, seed=57):
 
 
 def check_truth_tables(seed=58, count=150):
-    """The bitset table against tarskian_truth on every assignment, and both
-    detectors against the rows, for seeded statements over up to 6 atoms and
-    for the tautology, contradiction and contingency built from each."""
+    """The bitset table against tarskian_truth on every assignment, and its
+    tautology and contradiction readings against the rows, for seeded
+    statements over up to 6 atoms and for the tautology, contradiction and
+    contingency built from each."""
     gen = SeededRng(seed).generator()
     names = [f"a{i}" for i in range(6)]
     widths = set()
@@ -184,11 +184,11 @@ def check_truth_tables(seed=58, count=150):
                 tarskian_truth(statement, {label: bool(row >> i & 1) for i, label in enumerate(labels)})
                 for row in range(1 << len(labels))
             ]
-            table, full = semantics._truth_table(statement)
+            table, full = truth_table(statement)
             assert full == (1 << len(rows)) - 1
             assert table == sum(1 << row for row, value in enumerate(rows) if value)
-            assert is_classical_tautology(statement) == all(rows)
-            assert is_classical_contradiction(statement) == (not any(rows))
+            assert (table == full) == all(rows)
+            assert (table == 0) == (not any(rows))
             widths.add(len(labels))
     assert widths == {1, 2, 3, 4, 5, 6}
 
@@ -214,6 +214,18 @@ class TestParsing:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_statement(text)
+
+    @pytest.mark.parametrize("connective", ["not", "and"])
+    def test_nesting_depth_limit(self, connective):
+        def nested(depth):
+            close = ")" if connective == "not" else " E2)"
+            return f"({connective} " * depth + "E1" + close * depth
+
+        deepest = nested(256)
+        assert format_statement(parse_statement(deepest)) == deepest
+        for depth in (257, 2000):
+            with pytest.raises(ValueError, match="deeper than 256 levels"):
+                parse_statement(nested(depth))
 
     def test_structural_identity(self):
         assert parse_statement("(and E1 E2)") == And(Elementary("E1"), Elementary("E2"))
@@ -315,11 +327,13 @@ class TestTarskianTruth:
 
 class TestTautologyDetectors:
     def test_detects_shapes(self):
-        assert is_classical_tautology(Or(Elementary("a"), Not(Elementary("a"))))
-        assert is_classical_tautology(TAUTOLOGY_EDGE)
-        assert is_classical_contradiction(And(Elementary("a"), Not(Elementary("a"))))
-        assert not is_classical_tautology(Elementary("a"))
-        assert not is_classical_contradiction(Elementary("a"))
+        # A tautology's table is all true (full), a contradiction's is 0; the
+        # label a holds in row 1 of its two rows.
+        a = Elementary("a")
+        assert truth_table(Or(a, Not(a))) == (0b11, 0b11)
+        assert truth_table(TAUTOLOGY_EDGE) == (0b1111, 0b1111)
+        assert truth_table(And(a, Not(a))) == (0, 0b11)
+        assert truth_table(a) == (0b10, 0b11)
 
     def test_bitset_table_equals_tarskian_on_every_assignment(self):
         check_truth_tables()
@@ -327,12 +341,13 @@ class TestTautologyDetectors:
     def test_seventeen_atoms_raise_the_cap(self):
         atoms = [Elementary(f"a{i:02d}") for i in range(17)]
         wide = functools.reduce(Or, atoms)
-        for detector in (is_classical_tautology, is_classical_contradiction):
-            with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
-                detector(wide)
+        with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
+            truth_table(wide)
         sixteen = functools.reduce(Or, atoms[:16])
-        assert not is_classical_tautology(sixteen) and not is_classical_contradiction(sixteen)
-        assert is_classical_tautology(Or(sixteen, Not(atoms[15])))
+        table, full = truth_table(sixteen)
+        assert full == (1 << (1 << 16)) - 1
+        assert table == full - 1  # false only where every atom is
+        assert truth_table(Or(sixteen, Not(atoms[15]))) == (full, full)
 
     def test_audit_checks_labels_before_the_table_cap(self):
         # Every statement is resolved against the family before any truth
@@ -523,13 +538,12 @@ class TestCompletenessAudit:
         texts = ["P0", "(and P0 Pplus)", "(and (and P0 Pplus) (not P0))", "(or P0 P1)"]
         statements = [*reference_statements(), *map(parse_statement, texts)]
         tables = []
-        truth_table = semantics._truth_table
 
         def counted(statement):
             tables.append(statement)
             return truth_table(statement)
 
-        monkeypatch.setattr(semantics, "_truth_table", counted)
+        monkeypatch.setattr(semantics, "truth_table", counted)
         audit = completeness_audit(ground_model, qubit_family, statements, mode)
         untestable = [record for record in audit.records if not record.testable]
         assert len(untestable) >= 3
@@ -537,11 +551,9 @@ class TestCompletenessAudit:
             record.text for record in untestable
         ]
         monkeypatch.undo()
+        constant = [truth_table(record.statement) for record in untestable]
         assert list(audit.flagged) == [
-            record.text
-            for record in untestable
-            if is_classical_tautology(record.statement)
-            or is_classical_contradiction(record.statement)
+            record.text for record, (table, full) in zip(untestable, constant) if table in (0, full)
         ]
         assert "(and (and P0 Pplus) (not P0))" in audit.flagged
 
@@ -592,7 +604,12 @@ class TestCompletenessAudit:
                 equivalent = is_testable(statement, family, pol)
                 expected.append(
                     equivalent is not None
-                    and nondisturbing(Observable.from_projection(equivalent, pol), support, pol)
+                    and criterion_holds(
+                        "nondisturbance",
+                        nondisturbance_residual(Observable.from_projection(equivalent, pol), support),
+                        dim,
+                        pol,
+                    )
                 )
             assert [record.meaningful for record in audit.records] == expected
             seen.update(expected)

@@ -14,11 +14,9 @@ from .numerics import (
     TolerancePolicy,
     commutator_norm,
     frobenius_distance,
-    identity_projection,
     matrices_close,
     projection_onto_span,
     spectral_decompose,
-    zero_projection,
 )
 from .lattice import (
     PropertyFamily,

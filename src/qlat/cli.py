@@ -23,7 +23,7 @@ from .experiments import (
     run_experiment,
     verify_family,
 )
-from .lattice import PropertyFamily, _document_dim
+from .lattice import PropertyFamily, _decode_complex, _document_dim
 from .numerics import Ket
 from .semantics import completeness_audit, parse_statement
 
@@ -159,12 +159,11 @@ def _cmd_audit(args) -> tuple[dict, int]:
     state_doc = _load_json(args.state)
     try:
         amplitudes = np.array(
-            [complex(entry[0], entry[1]) for entry in state_doc["amplitudes"]],
-            dtype=np.complex128,
+            [_decode_complex(entry) for entry in state_doc["amplitudes"]], dtype=np.complex128
         )
         declared_dim = _document_dim(state_doc)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise _UsageError(f"malformed state document: {exc}") from None
+        raise _UsageError(f"{args.state}: malformed state document: {exc}") from None
     if amplitudes.size != declared_dim:
         raise _UsageError(
             f"state dim {declared_dim} does not match {amplitudes.size} amplitudes"

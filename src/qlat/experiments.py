@@ -503,11 +503,9 @@ def _family_checks(family: PropertyFamily, rng: SeededRng, states: int, pol: Tol
 
     gen = rng.substream(1)
     probes = [haar_random_ket(family.dim, gen) for _ in range(states)]
-    probes += [
-        Ket.normalized(range_basis(member)[:, 0])
-        for _, member in family.pairs()
-        if member.rank == 1
-    ]
+    stack = family.projection_stack
+    ranks = np.rint(np.trace(stack, axis1=-2, axis2=-1).real)
+    probes += [Ket.normalized(range_basis(row)[:, 0]) for row in stack[ranks == 1]]
     reports = [domain_report(PureStateModel.from_ket(probe), family, pol) for probe in probes]
     domain_ok = all(
         report.predictable_equals_compatible and report.objective_equals_predictable

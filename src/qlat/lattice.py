@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from functools import cached_property
 
 import numpy as np
 
@@ -14,10 +13,8 @@ from .numerics import (
     Projection,
     TolerancePolicy,
     _frobenius_norms,
-    identity_projection,
-    matrices_close,
+    _matrix_of,
     validated_projections,
-    zero_projection,
 )
 
 __all__ = [
@@ -196,50 +193,59 @@ def check_covering(
 
 
 class PropertyFamily:
-    """Finite labelled family of properties on one space.
+    """Finite labelled family of properties on one space, held as one
+    read-only (n, d, d) projection stack whose row k carries label k.
 
     The zero and identity projections are adjoined on construction when
     absent. Members are deduplicated with the repo-wide equality notion: a
-    projection within op_tol (Frobenius) of an earlier member is dropped
-    together with its label.
+    projection within op_tol (Frobenius) of an earlier kept member is
+    dropped together with its label.
     """
 
     def __init__(self, entries, *, dim: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY):
-        members: list[Projection] = []
         labels: list[str] = []
+        matrices: list[np.ndarray] = []
         for label, raw in entries:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"labels must be nonempty strings, got {label!r}")
-            projection = raw if isinstance(raw, Projection) else Projection(raw)
+            matrix = _matrix_of(raw)
             if dim is None:
-                dim = projection.dim
-            if projection.dim != dim:
+                dim = matrix.shape[0]
+            if matrix.shape[0] != dim:
                 raise ValueError(
-                    f"member {label!r} has dimension {projection.dim}, expected {dim}"
+                    f"member {label!r} has dimension {matrix.shape[0]}, expected {dim}"
                 )
             if label in labels:
                 raise ValueError(f"duplicate label {label!r}")
-            if any(matrices_close(projection, m, pol) for m in members):
-                continue
             labels.append(label)
-            members.append(projection)
+            matrices.append(matrix)
         if dim is None:
             raise ValueError("cannot build an empty family without an explicit dimension")
-        for fallbacks, special in (
-            (("0", "zero"), zero_projection(dim)),
-            (("I", "identity"), identity_projection(dim)),
-        ):
-            if any(matrices_close(special, m, pol) for m in members):
-                continue
-            label = next((name for name in fallbacks if name not in labels), None)
+        stack = validated_projections(
+            np.asarray(matrices, dtype=np.complex128).reshape(-1, dim, dim),
+            names=[f"member {label!r}" for label in labels],
+        )
+        # Greedy: a row is kept unless it is close to a row kept before it. The
+        # bounds come last, so each is adjoined only when no member is close.
+        stack = np.concatenate([stack, [np.zeros((dim, dim)), np.eye(dim)]])
+        close = (_frobenius_norms(stack[:, None] - stack[None]) < pol.op_tol).tolist()
+        kept: list[int] = []
+        for row, near in enumerate(close):
+            if not any(near[k] for k in kept):
+                kept.append(row)
+        names = [labels[row] for row in kept if row < len(labels)]
+        bounds = {len(labels): ("0", "zero"), len(labels) + 1: ("I", "identity")}
+        for fallbacks in (bounds[row] for row in kept if row in bounds):
+            label = next((name for name in fallbacks if name not in names), None)
             if label is None:
                 raise ValueError(f"no available label for the adjoined {fallbacks[1]} projection")
-            labels.append(label)
-            members.append(special)
+            names.append(label)
+        stack = stack[kept]
+        stack.setflags(write=False)
         self._dim = dim
-        self._labels = tuple(labels)
-        self._members = tuple(members)
-        self._by_label = dict(zip(labels, members))
+        self._labels = tuple(names)
+        self._stack = stack
+        self._rows = {label: row for row, label in enumerate(names)}
 
     @property
     def dim(self) -> int:
@@ -250,30 +256,25 @@ class PropertyFamily:
         return self._labels
 
     @property
-    def members(self) -> tuple[Projection, ...]:
-        return self._members
-
-    @cached_property
     def projection_stack(self) -> np.ndarray:
         """The member matrices as one read-only (n, d, d) array, in label order."""
-        stack = np.stack([member.matrix for member in self._members])
-        stack.setflags(write=False)
-        return stack
+        return self._stack
 
-    def pairs(self) -> tuple[tuple[str, Projection], ...]:
-        return tuple(zip(self._labels, self._members))
+    def index(self, label: str) -> int:
+        """The row of the labelled member in ``projection_stack``."""
+        if label not in self._rows:
+            raise ValueError(f"unresolved label {label!r}")
+        return self._rows[label]
 
     def get(self, label: str) -> Projection:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise ValueError(f"unresolved label {label!r}") from None
+        """The labelled member as a validated ``Projection``."""
+        return Projection(self._stack[self.index(label)])
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._labels)
 
     def __contains__(self, label: str) -> bool:
-        return label in self._by_label
+        return label in self._rows
 
     def __repr__(self) -> str:
         return f"PropertyFamily(dim={self._dim}, labels={list(self._labels)!r})"
@@ -282,8 +283,8 @@ class PropertyFamily:
         return {
             "dim": self._dim,
             "members": [
-                {"label": label, "matrix": _encode_matrix(member.matrix)}
-                for label, member in self.pairs()
+                {"label": label, "matrix": _encode_matrix(row)}
+                for label, row in zip(self._labels, self._stack)
             ],
         }
 
@@ -319,8 +320,18 @@ def _encode_matrix(matrix: np.ndarray) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
+def _decode_complex(entry) -> complex:
+    """One ``[re, im]`` entry of a document as ``complex(re, im)``, which keeps
+    the bits of both parts; ValueError unless it is a list of two non-bool reals."""
+    if not (isinstance(entry, list) and len(entry) == 2) or any(
+        isinstance(part, bool) or not isinstance(part, numbers.Real) for part in entry
+    ):
+        raise ValueError(f"entries must be [re, im] pairs of numbers, got {entry!r}")
+    return complex(entry[0], entry[1])
+
+
 def _decode_matrix(rows) -> np.ndarray:
     return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in rows],
+        [[_decode_complex(entry) for entry in row] for row in rows],
         dtype=np.complex128,
     )

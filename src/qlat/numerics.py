@@ -3,6 +3,7 @@ decomposition, and the tolerance policy every other module inherits."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -19,8 +20,6 @@ __all__ = [
     "spectral_decompose",
     "spectral_stack",
     "commutator_norm",
-    "zero_projection",
-    "identity_projection",
     "projection_onto_span",
     "range_basis",
     "validated_projections",
@@ -80,49 +79,54 @@ def _frobenius_norms(entries: np.ndarray, axes: int = 2) -> np.ndarray:
     if entries.ndim == axes:
         flat = entries.ravel(order="K")
         return np.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
-    flat = entries.reshape(*entries.shape[: entries.ndim - axes], -1)
+    # The row length is spelled out, since -1 is ambiguous for an empty stack.
+    flat = entries.reshape(*entries.shape[:-axes], math.prod(entries.shape[-axes:]))
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _matrix_name(index) -> str:
-    """'matrix' for a single matrix, 'matrix k' for entry k of a stack."""
+def _matrix_name(index, names=None) -> str:
+    """'matrix' for a single matrix, 'matrix k' for entry k of a stack, or
+    ``names[k]`` when the matrices of a (k, d, d) stack are named."""
     if not index:
         return "matrix"
+    if names is not None:
+        return names[int(index[0])]
     return f"matrix {int(index[0]) if len(index) == 1 else tuple(int(i) for i in index)}"
 
 
-def _check_hermitian(matrix: np.ndarray, tol: float) -> None:
+def _check_hermitian(matrix: np.ndarray, tol: float, names=None) -> None:
     """ValueError unless every matrix of a (..., d, d) stack equals its
     conjugate transpose within tol; in a stack the message names the
     matrix's index. A NaN or inf entry fails: the check asks that the
-    defect be at most tol, which NaN never is."""
+    defect be at most tol, which NaN never is. An empty stack passes."""
     asymmetry = np.abs(matrix - matrix.conj().mT)
-    worst = float(asymmetry.max())
+    worst = float(asymmetry.max(initial=0.0))
     if not worst <= tol:
         *index, i, j = np.unravel_index(int(np.argmax(asymmetry)), asymmetry.shape)
         raise ValueError(
-            f"{_matrix_name(index)} is not Hermitian: max asymmetry {worst:.3e} at entry ({i}, {j})"
+            f"{_matrix_name(index, names)} is not Hermitian: max asymmetry {worst:.3e} at entry ({i}, {j})"
         )
 
 
-def _validated_projection(matrix: np.ndarray, tol: float) -> np.ndarray:
+def _validated_projection(matrix: np.ndarray, tol: float, names=None) -> np.ndarray:
     """Re-symmetrized (..., d, d) stack; ValueError unless every matrix is
     Hermitian and idempotent within tol."""
-    _check_hermitian(matrix, tol)
+    _check_hermitian(matrix, tol, names)
     matrix = (matrix + matrix.conj().mT) / 2.0
     residuals = _frobenius_norms(matrix @ matrix - matrix)
-    worst = float(residuals if matrix.ndim == 2 else residuals.max())
+    worst = float(residuals.max(initial=0.0))
     if not worst <= tol:
         index = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-        raise ValueError(f"{_matrix_name(index)} is not idempotent: |P^2 - P| = {worst:.3e}")
+        raise ValueError(f"{_matrix_name(index, names)} is not idempotent: |P^2 - P| = {worst:.3e}")
     return matrix
 
 
-def validated_projections(matrices) -> np.ndarray:
+def validated_projections(matrices, names=None) -> np.ndarray:
     """A (..., d, d) stack of projections, validated and re-symmetrized by
     the rule of ``Projection`` applied to every matrix: a stack that holds
-    one non-projection raises the ValueError that names its index."""
-    return _validated_projection(np.asarray(matrices, dtype=np.complex128), DEFAULT_POLICY.op_tol)
+    one non-projection raises the ValueError that names its index, or its
+    name when ``names`` gives one per matrix of a (k, d, d) stack."""
+    return _validated_projection(np.asarray(matrices, dtype=np.complex128), DEFAULT_POLICY.op_tol, names)
 
 
 def _matrix_of(value) -> np.ndarray:
@@ -263,19 +267,11 @@ def commutator_norm(left, right) -> float:
     return float(_frobenius_norms(a @ b - b @ a))
 
 
-def range_basis(projection: Projection) -> np.ndarray:
-    """Orthonormal basis of the range as the columns of a d x rank array,
-    taken from the eigenvectors of eigenvalue near 1."""
-    eigenvalues, eigenvectors = np.linalg.eigh(projection.matrix)
+def range_basis(projection) -> np.ndarray:
+    """Orthonormal basis of the range of a projection or its matrix, as the
+    columns of a d x rank array: the eigenvectors of eigenvalue near 1."""
+    eigenvalues, eigenvectors = np.linalg.eigh(_matrix_of(projection))
     return eigenvectors[:, eigenvalues > 0.5]
-
-
-def zero_projection(dim: int) -> Projection:
-    return Projection.from_basis(np.zeros((dim, 0), dtype=np.complex128))
-
-
-def identity_projection(dim: int) -> Projection:
-    return Projection(np.eye(dim, dtype=np.complex128))
 
 
 def projection_onto_span(columns, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:

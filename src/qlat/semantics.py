@@ -14,15 +14,9 @@ from typing import Mapping
 import numpy as np
 
 from .domains import PureStateModel, certainty, objective_residuals
-from .lattice import PropertyFamily, join, leq_stack, meet, orthocomplement
-from .measurement import (
-    SeededRng,
-    _generator_of,
-    born_probability,
-    criterion_holds,
-    haar_random_ket,
-)
-from .numerics import DEFAULT_POLICY, Ket, Projection, TolerancePolicy, commutator_norm, range_basis
+from .lattice import PropertyFamily, join_stack, leq_stack, meet_stack, orthocomplement_stack
+from .measurement import SeededRng, _generator_of, _haar_states, criterion_holds
+from .numerics import DEFAULT_POLICY, TolerancePolicy, commutator_norm
 
 __all__ = [
     "Statement",
@@ -113,9 +107,10 @@ def parse_statement(text: str) -> Statement:
     return statement
 
 
-# Deepest connective nesting that parse_statement accepts: the parser and every
-# fold over the tree recurse once per level, well under Python's default 1000.
+# Deepest connective nesting that parse_statement and fold accept: both recurse
+# once per level, well under Python's default limit of 1000.
 _MAX_DEPTH = 256
+_TOO_DEEP = f"statement nests connectives deeper than {_MAX_DEPTH} levels"
 
 
 def _parse(tokens: list[str], position: int, depth: int = 0) -> tuple[Statement, int]:
@@ -127,7 +122,7 @@ def _parse(tokens: list[str], position: int, depth: int = 0) -> tuple[Statement,
     if token != "(":
         return Elementary(token), position + 1
     if depth == _MAX_DEPTH:
-        raise ValueError(f"statement nests connectives deeper than {_MAX_DEPTH} levels")
+        raise ValueError(_TOO_DEEP)
     if position + 1 >= len(tokens):
         raise ValueError("unexpected end after '('")
     head = tokens[position + 1]
@@ -154,12 +149,13 @@ def fold(statement: Statement, elementary, negation, conjunction, disjunction, i
     ``disjunction`` and ``implication`` combine the values of the operands,
     both of which are always computed, left before right. Implication
     defaults to the material reading, ``disjunction(negation(left), right)``.
-    Raises TypeError on a node that is not a statement.
+    Raises TypeError on a node that is not a statement, and ValueError on a
+    tree that nests connectives deeper than parse_statement accepts (256).
     """
     if implication is None:
         implication = partial(_material, negation, disjunction)
     binary = {And: conjunction, Or: disjunction, Implies: implication}
-    return _walk(statement, (elementary, negation, binary))
+    return _walk(statement, (elementary, negation, binary), 0)
 
 
 def _material(negation, disjunction, left, right):
@@ -168,16 +164,20 @@ def _material(negation, disjunction, left, right):
 
 # A module function, not a closure in fold: a closure that calls itself is a
 # reference cycle, garbage that only the cyclic collector frees.
-def _walk(node, algebra):
+# ``depth`` counts the connectives above the node. Some node has more than 256
+# above it exactly when connectives nest deeper than the parser's limit.
+def _walk(node, algebra, depth):
+    if depth > _MAX_DEPTH:
+        raise ValueError(_TOO_DEEP)
     elementary, negation, binary = algebra
     if isinstance(node, Elementary):
         return elementary(node.label)
     if isinstance(node, Not):
-        return negation(_walk(node.operand, algebra))
+        return negation(_walk(node.operand, algebra, depth + 1))
     combine = binary.get(type(node))
     if combine is None:
         raise TypeError(f"not a statement: {node!r}")
-    return combine(_walk(node.left, algebra), _walk(node.right, algebra))
+    return combine(_walk(node.left, algebra, depth + 1), _walk(node.right, algebra, depth + 1))
 
 
 def format_statement(statement: Statement) -> str:
@@ -213,28 +213,28 @@ def tarskian_truth(statement: Statement, assignment: Mapping[str, bool]) -> bool
 
 def is_testable(
     statement: Statement, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> Projection | None:
-    """Elementary equivalent of the statement, or None when no single yes/no
-    measurement can verify it.
+) -> np.ndarray | None:
+    """Elementary equivalent of the statement, a validated (d, d) projection
+    matrix, or None when no single yes/no measurement can verify it.
 
     A compound is accepted exactly when its constituent properties pairwise
     commute; its connective tree is then evaluated inside the Boolean
     subalgebra they generate (not -> orthocomplement, and -> meet, or ->
     join, implication materially). Elementary statements are always testable
-    and return their own projection.
+    and return their own row of the family's projection stack.
     """
     labels = sorted(atom_labels(statement))
-    projections = {label: family.get(label) for label in labels}
+    rows = {label: family.projection_stack[family.index(label)] for label in labels}
     for a, b in itertools.combinations(labels, 2):
-        residual = commutator_norm(projections[a], projections[b])
+        residual = commutator_norm(rows[a], rows[b])
         if not criterion_holds("commutation", residual, family.dim, pol):
             return None
     return fold(
         statement,
-        projections.__getitem__,
-        orthocomplement,
-        partial(meet, pol=pol),
-        partial(join, pol=pol),
+        rows.__getitem__,
+        orthocomplement_stack,
+        partial(meet_stack, pol=pol),
+        partial(join_stack, pol=pol),
     )
 
 
@@ -267,7 +267,7 @@ def verificationist_truth(
     equivalent = is_testable(statement, family, pol)
     if equivalent is None:
         return TruthValue.UNDEFINED
-    return _certainty_values(model, equivalent.matrix[None], pol)[0]
+    return _certainty_values(model, equivalent[None], pol)[0]
 
 
 # Strong Kleene (Kleene 1952, section 64): conjunction and disjunction are the
@@ -293,7 +293,7 @@ def kleene_truth(
     """Strong-Kleene propagation of elementary certainty values; reported
     alongside the verificationist value but never driving audits."""
     labels = sorted(atom_labels(statement))
-    members = np.stack([family.get(label).matrix for label in labels])
+    members = family.projection_stack[[family.index(label) for label in labels]]
     return _kleene(statement, dict(zip(labels, _certainty_values(model, members, pol))))
 
 
@@ -334,31 +334,29 @@ def order_isomorphism_check(
     """
     if rng is None:
         rng = SeededRng(0)
-    gen = _generator_of(rng)
-
-    states = []
-    for _, member in family.pairs():
-        states.extend(Ket.normalized(vector) for vector in range_basis(member).T)
-    for _ in range(samples):
-        states.append(haar_random_ket(family.dim, gen))
-
-    certain = 1.0 - pol.prob_tol
-    # Indices of the test states certain of each member.
-    certain_of = [
-        {
-            index
-            for index, state in enumerate(states)
-            if born_probability(state, member, pol) >= certain
-        }
-        for member in family.members
-    ]
     stack = family.projection_stack
-    order = leq_stack(stack[:, None], stack[None], pol).tolist()
-    return all(
-        below == (certain_first <= certain_second)
-        for row, certain_first in zip(order, certain_of)
-        for below, certain_second in zip(row, certain_of)
-    )
+    eigenvalues, eigenvectors = np.linalg.eigh(stack)
+    haar = _haar_states(family.dim, _generator_of(rng), (samples,))
+    states = np.concatenate([eigenvectors.mT[eigenvalues > 0.5], haar])
+    certain = _certain_in(stack, states, pol)
+    # entailed[a, b]: no test state is certain of member a but not of member b.
+    entailed = ~(certain[:, None] & ~certain[None]).any(axis=-1)
+    order = leq_stack(stack[:, None], stack[None], pol)
+    return bool((order == entailed).all())
+
+
+def _certain_in(members: np.ndarray, states: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """The (m, s) mask of the members of an (m, d, d) stack that are certain,
+    with Born probability at least 1 - prob_tol, in each of s states. A
+    probability outside [0, 1] beyond prob_tol raises ValueError, as
+    ``born_probability`` does."""
+    probabilities = np.einsum("si,mij,sj->ms", states.conj(), members, states).real
+    outside = (probabilities < -pol.prob_tol) | (probabilities > 1.0 + pol.prob_tol)
+    if outside.any():
+        raise ValueError(
+            f"probability {float(probabilities[outside][0])!r} outside [0, 1] beyond tolerance"
+        )
+    return probabilities >= 1.0 - pol.prob_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,13 +441,12 @@ def completeness_audit(
     # One stack of the testable equivalents serves certainty and, in standard
     # mode, the non-disturbance criterion against the support.
     tested = [index for index, equivalent in enumerate(equivalents) if equivalent is not None]
-    if tested:
-        members = np.stack([equivalents[index].matrix for index in tested])
-        for index, value in zip(tested, _certainty_values(model, members, pol)):
-            values[index] = value
-        if not realist:
-            for index, residual in zip(tested, objective_residuals(model, members).tolist()):
-                meaningful[index] = criterion_holds("nondisturbance", residual, family.dim, pol)
+    members = np.reshape([equivalents[index] for index in tested], (-1, family.dim, family.dim))
+    for index, value in zip(tested, _certainty_values(model, members, pol)):
+        values[index] = value
+    if not realist:
+        for index, residual in zip(tested, objective_residuals(model, members).tolist()):
+            meaningful[index] = criterion_holds("nondisturbance", residual, family.dim, pol)
     # An untestable statement is flagged when it is a classical tautology or
     # contradiction: its truth table is all true (full) or all false (0).
     flagged = [False] * len(statements)

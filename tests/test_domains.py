@@ -131,16 +131,22 @@ class TestMembershipTrivia:
             # keep only the members that commute with the support
             commuting = [
                 (label, member)
-                for label, member in base.pairs()
+                for label, member in zip(base.labels, base.projection_stack)
                 if label not in ("0", "I")
-                and np.linalg.norm(
-                    member.matrix @ model.support.matrix
-                    - model.support.matrix @ member.matrix
-                )
+                and np.linalg.norm(member @ model.support.matrix - model.support.matrix @ member)
                 < pol.op_tol * dim
             ]
             family = PropertyFamily(commuting, dim=dim, pol=pol)
             assert predictable_domain(model, family, pol) == set(family.labels)
+
+
+class TestEmptyStacks:
+    def test_empty_stack_gives_empty_masks_and_residuals(self):
+        model = PureStateModel.from_ket(Ket.basis(3, 0))
+        empty = np.zeros((0, 3, 3), dtype=complex)
+        above, below = certainty(model, empty)
+        assert above.shape == below.shape == (0,)
+        assert objective_residuals(model, empty).shape == (0,)
 
 
 class TestDomainInvariants:
@@ -151,7 +157,8 @@ class TestDomainInvariants:
             model, family = random_instance(dim, gen, pol)
             above, below = certainty(model, family.projection_stack, pol)
             assert not (above & below).any()
-            for certainly_true, member in zip(above.tolist(), family.members):
+            for certainly_true, label in zip(above.tolist(), family.labels):
+                member = family.get(label)
                 complement = orthocomplement(member)
                 in_false_dual = leq(complement, orthocomplement(model.support), pol)
                 # E certainly true iff its complement is certainly false
@@ -160,11 +167,11 @@ class TestDomainInvariants:
 
     def test_membership_monotone(self, ground_model, qubit_family, pol):
         true_side = domain_report(ground_model, qubit_family, pol).certainly_true
-        for label, member in qubit_family.pairs():
+        for label in qubit_family.labels:
             if label not in true_side:
                 continue
-            for other_label, other in qubit_family.pairs():
-                if leq(member, other, pol):
+            for other_label in qubit_family.labels:
+                if leq(qubit_family.get(label), qubit_family.get(other_label), pol):
                     assert other_label in true_side
 
     def test_probability_consistency(self, pol):
@@ -173,8 +180,8 @@ class TestDomainInvariants:
             dim = int(gen.integers(2, 6))
             model, family = random_instance(dim, gen, pol)
             report = domain_report(model, family, pol)
-            for label, member in family.pairs():
-                probability = born_probability(model.state, member, pol)
+            for label in family.labels:
+                probability = born_probability(model.state, family.get(label), pol)
                 if label in report.certainly_true:
                     assert probability == pytest.approx(1.0, abs=pol.prob_tol)
                 elif label in report.certainly_false:
@@ -190,7 +197,7 @@ class TestPivot:
         gen = SeededRng(13).generator()
         model = PureStateModel.from_ket(haar_random_ket(5, gen))
         family = generate_property_family(5, 10, model, gen, pol)
-        assert len(family.pairs()) == 12  # ten members, then 0 and I
+        assert len(family) == 12  # ten members, then 0 and I
         model = PureStateModel.from_ket(model.state)  # nothing cached yet
         calls = []
 
@@ -244,17 +251,18 @@ class TestPivot:
         gen = SeededRng(13).generator()
         for dim in range(2, 9):
             model, family = random_instance(dim, gen, pol)
+            members = [family.get(label) for label in family.labels]
             expected = {
                 label: float(np.linalg.norm(
                     join(meet(member, model.support, pol), meet(member, model.complement, pol), pol).matrix
                     - member.matrix
                 ))
-                for label, member in family.pairs()
+                for label, member in zip(family.labels, members)
             }
             assert pivot_residuals(model, family, pol) == expected
             above, below = certainty(model, family.projection_stack, pol)
-            assert above.tolist() == [leq(model.support, member, pol) for member in family.members]
-            assert below.tolist() == [leq(member, model.complement, pol) for member in family.members]
+            assert above.tolist() == [leq(model.support, member, pol) for member in members]
+            assert below.tolist() == [leq(member, model.complement, pol) for member in members]
 
     def test_split_inside_the_rounding_band_fails(self, ground_model, qubit_family, pol, monkeypatch):
         # A member outside the compatible domain whose pivot residual sits
@@ -297,7 +305,9 @@ class TestStackedYesNoRoute:
                 model, family = random_instance(dim, gen, pol)
                 assert {"0", "I"} <= set(family.labels) and model.support.rank == 1
                 support = Observable.from_projection(model.support, pol)
-                observables = [Observable.from_projection(member, pol) for member in family.members]
+                observables = [
+                    Observable.from_projection(family.get(label), pol) for label in family.labels
+                ]
                 expected = [nondisturbance_residual(observable, support) for observable in observables]
                 residuals = objective_residuals(model, family.projection_stack)
                 np.testing.assert_allclose(residuals, expected, rtol=0, atol=1e-13)
@@ -326,7 +336,7 @@ class TestStackedYesNoRoute:
             model, family = random_instance(dim, gen, pol)
             seen.clear()
             compatible = compatible_domain(model, family, pol)
-            norms = [commutator_norm(member, model.support) for member in family.members]
+            norms = [commutator_norm(member, model.support) for member in family.projection_stack]
             assert seen == [("commutation", norm) for norm in norms]
             assert compatible == {
                 label for label, norm in zip(family.labels, norms) if norm < pol.op_tol * dim

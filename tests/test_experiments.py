@@ -129,7 +129,7 @@ class TestGeneration:
         assert matrices_close(family.get("E1"), model.support)
         assert family.get("E2").rank == 3
         assert len(family) == 12  # ten members plus the adjoined bounds
-        assert all(member.dim == 4 for _, member in family.pairs())
+        assert family.projection_stack.shape == (12, 4, 4)
 
 
 class TestRunExperiment:
@@ -357,8 +357,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "matrix,message",
         [
-            ([[[2, 0], [0, 0]], [[0, 0], [0, 0]]], "matrix is not idempotent"),
-            ([[[1, 0], [0.5, 0]], [[0, 0], [0, 0]]], "matrix is not Hermitian"),
+            ([[[2, 0], [0, 0]], [[0, 0], [0, 0]]], "member 'bad' is not idempotent"),
+            ([[[1, 0], [0.5, 0]], [[0, 0], [0, 0]]], "member 'bad' is not Hermitian"),
         ],
     )
     def test_verify_family_rejects_non_projection_member(self, tmp_path, capsys, matrix, message):
@@ -367,6 +367,41 @@ class TestCli:
         code = main(["verify-family", "--family", str(path)])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry", [[1.0, 0.0, 7.0], [True, False], [1.0], [1.0, "0"], [None, 0.0], "10", 1.0]
+    )
+    def test_verify_family_rejects_a_malformed_entry(self, tmp_path, capsys, entry):
+        # [1.0, 0.0, 7.0] and [true, false] were once read as 1+0j (exit 0).
+        matrix = [[entry, [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 2, "members": [{"label": "P0", "matrix": matrix}]}))
+        assert main(["verify-family", "--family", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: entries must be [re, im] pairs of numbers, got {entry!r}" in err
+
+    @pytest.mark.parametrize("entry", [[True, False], [1.0, 0.0, 7.0], [1.0], "10"])
+    def test_audit_rejects_a_malformed_amplitude(
+        self, family_file, statements_file, tmp_path, capsys, entry
+    ):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"dim": 2, "amplitudes": [entry, [0.0, 0.0]]}))
+        argv = ["audit", "--family", family_file, "--state", str(state),
+                "--statements", statements_file, "--mode", "standard"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {state}: malformed state document: entries must be [re, im]" in err
+
+    def test_entries_keep_their_bits(self):
+        # complex(re, im), not re + 1j * im, which gives nan + inf j for
+        # (x, inf) and turns the sign of a zero real part.
+        from qlat.lattice import _decode_complex
+
+        for re_part, im_part in ((1.0, float("inf")), (-0.0, 1.0), (0.5, -0.0)):
+            value = _decode_complex([re_part, im_part])
+            assert np.copysign(1.0, value.real) == np.copysign(1.0, re_part)
+            assert np.copysign(1.0, value.imag) == np.copysign(1.0, im_part)
+            assert (value.real, value.imag) == (re_part, im_part)
 
     def test_verify_family_rejects_nan_member(self, tmp_path, capsys):
         # Python's json reads NaN; the member must fail validation, naming
@@ -377,7 +412,7 @@ class TestCli:
         code = main(["verify-family", "--family", str(path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: {path}: matrix is not Hermitian: max asymmetry nan" in err
+        assert f"error: {path}: member 'bad' is not Hermitian: max asymmetry nan" in err
 
     def test_verify_family(self, family_file, capsys):
         code = main(["verify-family", "--family", family_file, "--states", "10"])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +10,12 @@ from qlat import (
     check_covering,
     check_orthomodular,
     frobenius_distance,
-    identity_projection,
     is_atom,
     join,
     leq,
     matrices_close,
     meet,
     orthocomplement,
-    zero_projection,
 )
 from qlat import lattice
 from qlat.domains import PureStateModel
@@ -47,7 +46,7 @@ def random_atom(dim, rng):
 
 class TestLeq:
     def test_everything_below_identity(self, p0):
-        assert leq(p0, identity_projection(2))
+        assert leq(p0, Projection(np.eye(2)))
 
     def test_orthogonal_atoms_incomparable(self, p0, p1):
         assert not leq(p0, p1)
@@ -59,7 +58,7 @@ class TestLeq:
 
     def test_dim_mismatch(self, p0):
         with pytest.raises(ValueError, match="mismatch"):
-            leq(p0, identity_projection(3))
+            leq(p0, Projection(np.eye(3)))
 
     def test_order_laws_random(self, pol):
         rng = np.random.default_rng(77)
@@ -90,10 +89,10 @@ class TestMeetJoin:
         assert matrices_close(meet(left, right), axes_projection(3, 1))
 
     def test_join_with_zero_is_neutral(self, pplus):
-        assert matrices_close(join(pplus, zero_projection(2)), pplus)
+        assert matrices_close(join(pplus, Projection(np.zeros((2, 2)))), pplus)
 
     def test_join_orthogonal_atoms_spans_all(self, p0, p1):
-        assert matrices_close(join(p0, p1), identity_projection(2))
+        assert matrices_close(join(p0, p1), Projection(np.eye(2)))
 
     def test_join_axes(self):
         joined = join(axes_projection(3, 0), axes_projection(3, 1))
@@ -188,7 +187,7 @@ class TestMeetJoin:
 
 class TestOrthocomplement:
     def test_identity_complement_is_zero(self):
-        assert orthocomplement(identity_projection(4)).rank == 0
+        assert orthocomplement(Projection(np.eye(4))).rank == 0
 
     def test_qubit_atoms(self, p0, p1):
         assert matrices_close(orthocomplement(p0), p1)
@@ -200,20 +199,20 @@ class TestOrthocomplement:
     def test_involution_and_bounds(self, pplus, pol):
         assert matrices_close(orthocomplement(orthocomplement(pplus)), pplus)
         assert meet(pplus, orthocomplement(pplus), pol).rank == 0
-        assert matrices_close(join(pplus, orthocomplement(pplus), pol), identity_projection(2))
+        assert matrices_close(join(pplus, orthocomplement(pplus), pol), Projection(np.eye(2)))
 
 
 class TestIsAtom:
     def test_examples(self, p0, pplus):
         assert is_atom(p0)
         assert is_atom(pplus)  # trace is 1
-        assert not is_atom(identity_projection(3))
-        assert not is_atom(zero_projection(2))
+        assert not is_atom(Projection(np.eye(3)))
+        assert not is_atom(Projection(np.zeros((2, 2))))
 
 
 class TestOrthomodular:
     def test_atom_below_identity(self, p0):
-        assert check_orthomodular(p0, identity_projection(2))
+        assert check_orthomodular(p0, Projection(np.eye(2)))
 
     def test_axis_in_plane(self):
         assert check_orthomodular(axes_projection(3, 0), axes_projection(3, 0, 1))
@@ -232,7 +231,7 @@ class TestOrthomodular:
 
 class TestCovering:
     def test_atom_over_zero(self, p0):
-        assert check_covering(p0, zero_projection(2))
+        assert check_covering(p0, Projection(np.zeros((2, 2))))
 
     def test_atom_over_itself(self, p0):
         assert check_covering(p0, p0)
@@ -243,7 +242,7 @@ class TestCovering:
 
     def test_rejects_non_atom(self, p0):
         with pytest.raises(ValueError, match="rank-one"):
-            check_covering(identity_projection(2), p0)
+            check_covering(Projection(np.eye(2)), p0)
 
     def test_holds_random(self, pol):
         rng = np.random.default_rng(81)
@@ -274,11 +273,13 @@ class TestPropertyFamily:
 
     def test_dimension_mismatch_rejected(self, p0):
         with pytest.raises(ValueError, match="dimension"):
-            PropertyFamily([("a", p0), ("b", identity_projection(3))])
+            PropertyFamily([("a", p0), ("b", Projection(np.eye(3)))])
 
     def test_unresolved_label(self, qubit_family):
         with pytest.raises(ValueError, match="unresolved"):
             qubit_family.get("missing")
+        with pytest.raises(ValueError, match="^unresolved label 'missing'$"):
+            qubit_family.index("missing")
 
     def test_json_round_trip(self, qubit_family):
         text = qubit_family.dumps()
@@ -304,10 +305,55 @@ class TestPropertyFamily:
         restored = PropertyFamily.loads(family.dumps())
         assert matrices_close(restored.get("circ"), family.get("circ"))
 
+    def test_deduplicates_greedily_against_kept_members(self):
+        # Rank-one projections at angles 0, delta and 2 * delta lie
+        # sqrt(2) * sin(angle difference) apart: 0.6e-9 between neighbours,
+        # 1.2e-9 between the ends. The middle one is within op_tol of the
+        # first and is dropped; the last is within op_tol only of the
+        # dropped middle one, so it stays.
+        delta = 0.6e-9 / np.sqrt(2.0)
+
+        def ray(angle):
+            vector = np.array([np.cos(angle), np.sin(angle), 0.0], dtype=complex)
+            return np.outer(vector, vector.conj())
+
+        family = PropertyFamily([("a", ray(0.0)), ("b", ray(delta)), ("c", ray(2 * delta))])
+        assert family.labels == ("a", "c", "0", "I")
+
+    def test_empty_family_holds_the_bounds(self):
+        family = PropertyFamily([], dim=3)
+        assert family.labels == ("0", "I")
+        assert np.array_equal(family.projection_stack, [np.zeros((3, 3)), np.eye(3)])
+        assert leq_stack(np.zeros((0, 3, 3)), np.eye(3)).shape == (0,)
+
+    def test_invalid_member_named_by_label(self, p0):
+        oblique = np.array([[1.0, 0.5], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^member 'bad' is not Hermitian: max asymmetry 5\.000e-01"):
+            PropertyFamily([("ok", p0), ("bad", oblique)])
+        with pytest.raises(ValueError, match=r"^member 'bad' is not idempotent"):
+            PropertyFamily([("ok", p0), ("bad", 2.0 * p0.matrix)])
+
+    def test_loading_builds_no_projection(self, monkeypatch):
+        # The golden d = 8 family: twelve members, validated as one stack.
+        text = (Path(__file__).parent / "data" / "golden" / "d8" / "family.json").read_text()
+        built = []
+        validate = Projection.__post_init__
+
+        def counted(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Projection, "__post_init__", counted)
+        family = PropertyFamily.loads(text)
+        assert len(family) == 14
+        assert built == []
+
     def test_projection_stack_is_read_only(self, qubit_family):
         stack = qubit_family.projection_stack
         assert stack.shape == (5, 2, 2)
-        assert all(np.array_equal(m, p.matrix) for m, p in zip(stack, qubit_family.members))
+        for row, label in enumerate(qubit_family.labels):
+            assert qubit_family.index(label) == row
+            assert np.array_equal(stack[row], qubit_family.get(label).matrix)
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1.0
 
@@ -362,7 +408,8 @@ def random_families(pol):
 class TestStackedLattice:
     def test_tables_equal_per_pair_oracle_bit_for_bit(self, pol):
         for family in random_families(pol):
-            members, stack = family.members, family.projection_stack
+            members = [family.get(label) for label in family.labels]
+            stack = family.projection_stack
             first, second = np.triu_indices(len(members))
             meets = meet_stack(stack[first], stack[second], pol)
             joins = join_stack(stack[first], stack[second], pol)

@@ -14,7 +14,6 @@ from qlat import (
     compatibility_verdict,
     generate_observable_pair,
     haar_random_ket,
-    identity_projection,
     leq,
     matrices_close,
     mc_trial_floor,
@@ -73,10 +72,8 @@ class TestObservable:
         assert matrices_close(observable.projection_stack[1], pplus)
 
     def test_from_projection_trivial_bounds(self):
-        from qlat import zero_projection
-
-        assert Observable.from_projection(zero_projection(3)).eigenvalues == (0.0,)
-        assert Observable.from_projection(identity_projection(3)).eigenvalues == (1.0,)
+        assert Observable.from_projection(Projection(np.zeros((3, 3)))).eigenvalues == (0.0,)
+        assert Observable.from_projection(Projection(np.eye(3))).eigenvalues == (1.0,)
 
     def test_stack_is_read_only_and_values_are_floats(self, sigma_x):
         observable = Observable(sigma_x.operator, np.array([-1, 1]), sigma_x.projection_stack)
@@ -479,7 +476,7 @@ class TestResidualOracle:
     def test_single_outcome_observable(self, pol):
         gen = SeededRng(48).generator()
         for dim in (2, 4, 7):
-            whole = Observable.from_projection(identity_projection(dim), pol)
+            whole = Observable.from_projection(Projection(np.eye(dim)), pol)
             other, _ = generate_observable_pair(dim, False, gen, pol)
             assert len(whole.eigenvalues) == 1
             assert_residuals_match_oracle(whole, other)

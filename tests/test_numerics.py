@@ -9,11 +9,9 @@ from qlat import (
     TolerancePolicy,
     commutator_norm,
     frobenius_distance,
-    identity_projection,
     matrices_close,
     projection_onto_span,
     spectral_decompose,
-    zero_projection,
 )
 from qlat.numerics import _frobenius_norms, spectral_stack, validated_projections
 
@@ -129,8 +127,8 @@ class TestProjection:
 
     def test_rank(self, pplus):
         assert pplus.rank == 1
-        assert identity_projection(5).rank == 5
-        assert zero_projection(3).rank == 0
+        assert Projection(np.eye(5)).rank == 5
+        assert Projection(np.zeros((3, 3))).rank == 0
 
     def test_from_basis(self, pplus):
         column = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2)
@@ -181,6 +179,25 @@ class TestValidatedProjections:
         stack = self.stack(pplus)
         stack[1, 0, 1] += 1e-12
         assert np.array_equal(validated_projections(stack)[1], Projection(stack[1]).matrix)
+
+    def test_named_members(self, pplus):
+        stack = self.stack(pplus)
+        stack[2, 0, 1] = 0.25
+        names = [f"member {label!r}" for label in "abcd"]
+        with pytest.raises(ValueError, match=r"^member 'c' is not Hermitian: max asymmetry 2\.500e-01"):
+            validated_projections(stack, names=names)
+        stack[2] = np.diag([2.0, 0.0])
+        with pytest.raises(ValueError, match=r"^member 'c' is not idempotent: \|P\^2 - P\| = 2\.000e\+00$"):
+            validated_projections(stack, names=names)
+
+    def test_empty_stack_gives_empty_results(self):
+        empty = np.zeros((0, 3, 3), dtype=complex)
+        assert validated_projections(empty).shape == (0, 3, 3)
+        assert _frobenius_norms(empty).shape == (0,)
+        assert _frobenius_norms(np.zeros((2, 0, 3, 3))).shape == (2, 0)
+        nan = np.full((1, 3, 3), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="^matrix 0 is not Hermitian: max asymmetry nan"):
+            validated_projections(np.concatenate([empty, nan]))
 
 
 class TestFrobeniusNorms:
@@ -239,7 +256,7 @@ class TestSpectralDecompose:
         assert len(decomposition) == 1
         value, projection = decomposition[0]
         assert value == pytest.approx(1.0)
-        assert matrices_close(projection, identity_projection(3))
+        assert matrices_close(projection, Projection(np.eye(3)))
 
     def test_diagonal_qubit(self):
         decomposition = spectral_decompose(SIGMA_Z)

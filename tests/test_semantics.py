@@ -19,6 +19,7 @@ from qlat import (
     Not,
     Observable,
     Or,
+    Projection,
     PropertyFamily,
     PureStateModel,
     SeededRng,
@@ -42,11 +43,11 @@ from qlat import (
     tarskian_truth,
     truth_table,
     verificationist_truth,
-    zero_projection,
 )
 from qlat import domains, semantics
 from qlat.lattice import leq_stack
 from qlat.measurement import criterion_holds, nondisturbance_residual
+from qlat.numerics import range_basis
 
 TAUTOLOGY_EDGE = Implies(Elementary("Pplus"), Or(Elementary("Pplus"), Elementary("P0")))
 
@@ -104,11 +105,12 @@ KLEENE_OR = {
 }  # fmt: skip
 
 
-def leq_certainty(projection, model, pol):
-    """The certainty rule one leq pair at a time: TRUE above the support,
-    else FALSE below its orthocomplement, else (or with no projection)
-    UNDEFINED."""
-    if projection is not None:
+def leq_certainty(matrix, model, pol):
+    """The certainty rule one leq pair at a time on a projection matrix:
+    TRUE above the support, else FALSE below its orthocomplement, else (or
+    with no matrix) UNDEFINED."""
+    if matrix is not None:
+        projection = Projection(matrix)
         if leq(model.support, projection, pol):
             return T
         if leq(projection, model.complement, pol):
@@ -153,9 +155,13 @@ def check_per_member_route(pol, seed=57):
         model = PureStateModel.from_ket(haar_random_ket(dim, gen))
         family = generate_property_family(dim, 6, model, gen, pol)
         above, below = domains.certainty(model, family.projection_stack, pol)
-        assert above.tolist() == [leq(model.support, member, pol) for member in family.members]
-        assert below.tolist() == [leq(member, model.complement, pol) for member in family.members]
-        values = {label: leq_certainty(member, model, pol) for label, member in family.pairs()}
+        members = [family.get(label) for label in family.labels]
+        assert above.tolist() == [leq(model.support, member, pol) for member in members]
+        assert below.tolist() == [leq(member, model.complement, pol) for member in members]
+        values = {
+            label: leq_certainty(row, model, pol)
+            for label, row in zip(family.labels, family.projection_stack)
+        }
         statements = [random_statement(list(family.labels), 2, gen) for _ in range(12)]
         audit = completeness_audit(model, family, statements, "standard", pol)
         for statement, record in zip(statements, audit.records):
@@ -261,6 +267,23 @@ class TestFold:
             self.render(node)
         with pytest.raises(TypeError, match="not a statement"):
             format_statement(node)
+
+    @pytest.mark.parametrize("connective", ["not", "and"])
+    def test_depth_limit_of_trees_built_in_python(self, qubit_family, connective):
+        # Without the limit, 2,000 levels raised RecursionError from the fold.
+        def nested(depth):
+            statement = Elementary("P0")
+            for _ in range(depth):
+                statement = Not(statement) if connective == "not" else And(statement, Elementary("P1"))
+            return statement
+
+        deepest = nested(256)
+        assert parse_statement(format_statement(deepest)) == deepest
+        for depth in (257, 2000):
+            statement = nested(depth)
+            for walk in (format_statement, truth_table, lambda s: is_testable(s, qubit_family)):
+                with pytest.raises(ValueError, match="deeper than 256 levels"):
+                    walk(statement)
 
 
 class TestTarskianTruth:
@@ -373,7 +396,7 @@ class TestTestability:
 
     def test_contradiction_over_complementary_members(self, qubit_family):
         statement = And(Elementary("P0"), Elementary("P1"))
-        assert matrices_close(is_testable(statement, qubit_family), zero_projection(2))
+        assert matrices_close(is_testable(statement, qubit_family), Projection(np.zeros((2, 2))))
 
     def test_noncommuting_pair_untestable(self, qubit_family):
         assert is_testable(And(Elementary("P0"), Elementary("Pplus")), qubit_family) is None
@@ -386,7 +409,7 @@ class TestTestability:
     def test_commuting_tree_evaluates_in_boolean_subalgebra(self, qubit_family):
         statement = Or(Elementary("P0"), Elementary("P1"))
         equivalent = is_testable(statement, qubit_family)
-        assert equivalent is not None and equivalent.rank == 2
+        assert equivalent is not None and Projection(equivalent).rank == 2
         implied = is_testable(Implies(Elementary("P0"), Elementary("P1")), qubit_family)
         # (not P0) v P1 = P1 v P1 = P1 complement is |1><1| joined with itself
         assert matrices_close(implied, qubit_family.get("P1"))
@@ -454,7 +477,7 @@ class TestVerificationistTruth:
                 if equivalent is None:
                     continue
                 value = verificationist_truth(statement, model, family, pol)
-                probability = born_probability(model.state, equivalent, pol)
+                probability = born_probability(model.state, Projection(equivalent), pol)
                 if value is TruthValue.TRUE:
                     assert probability == pytest.approx(1.0, abs=pol.prob_tol)
                 elif value is TruthValue.FALSE:
@@ -477,21 +500,52 @@ class TestOrderIsomorphism:
         family = generate_property_family(4, 9, model, gen, pol)
         assert order_isomorphism_check(family, pol, rng=SeededRng(54), samples=200)
 
-    def test_one_born_evaluation_per_member_and_state(self, qubit_family, monkeypatch):
-        import qlat.semantics
+    def test_stacked_route_equals_the_per_member_and_state_loop(self, pol, monkeypatch):
+        # The per-(member, state) route written out: a Ket per range basis
+        # vector of each member and per Haar draw, one born_probability per
+        # member and state, and one leq per ordered member pair.
+        seen = {}
+        stacked_certain, stacked_leq = semantics._certain_in, semantics.leq_stack
 
-        calls = []
-        born = qlat.semantics.born_probability
+        def spy_certain(stack, test_states, pol):
+            seen["states"] = test_states
+            seen["certain"] = stacked_certain(stack, test_states, pol)
+            return seen["certain"]
 
-        def counted(*args):
-            calls.append(args)
-            return born(*args)
+        def spy_leq(p, q, pol):
+            seen["order"] = stacked_leq(p, q, pol)
+            return seen["order"]
 
-        monkeypatch.setattr(qlat.semantics, "born_probability", counted)
-        assert order_isomorphism_check(qubit_family, samples=10)
-        members = [member for _, member in qubit_family.pairs()]
-        states = sum(member.rank for member in members) + 10
-        assert len(calls) <= len(members) * states
+        monkeypatch.setattr(semantics, "_certain_in", spy_certain)
+        monkeypatch.setattr(semantics, "leq_stack", spy_leq)
+        for dim in range(2, 7):
+            gen = SeededRng(60 + dim).generator()
+            model = PureStateModel.from_ket(haar_random_ket(dim, gen))
+            family = generate_property_family(dim, 7, model, gen, pol)
+            members = [family.get(label) for label in family.labels]
+            states = [Ket.normalized(v) for member in members for v in range_basis(member).T]
+            draws = SeededRng(dim).generator()
+            states += [haar_random_ket(dim, draws) for _ in range(12)]
+            certain = [
+                [born_probability(state, member, pol) >= 1.0 - pol.prob_tol for state in states]
+                for member in members
+            ]
+            order = [[leq(a, b, pol) for b in members] for a in members]
+            entailed = [
+                [all(b_row[s] for s, holds in enumerate(a_row) if holds) for b_row in certain]
+                for a_row in certain
+            ]
+
+            verdict = order_isomorphism_check(family, pol, rng=SeededRng(dim), samples=12)
+            np.testing.assert_allclose(
+                seen["states"], [state.amplitudes for state in states], rtol=0, atol=1e-14
+            )
+            assert seen["certain"].tolist() == certain
+            assert seen["order"].tolist() == order
+            assert verdict and order == entailed
+            # Neither table is constant, so the comparison is not vacuous.
+            assert {holds for row in certain for holds in row} == {True, False}
+            assert {below for row in order for below in row} == {True, False}
 
 
 class TestCompletenessAudit:
@@ -581,7 +635,7 @@ class TestCompletenessAudit:
 
             oblique_exists = any(
                 commutator_norm(member, model.support) >= pol.op_tol * dim
-                for _, member in family.pairs()
+                for member in family.projection_stack
             )
             assert (audit.verdict == "incomplete") == oblique_exists
 
@@ -606,7 +660,9 @@ class TestCompletenessAudit:
                     equivalent is not None
                     and criterion_holds(
                         "nondisturbance",
-                        nondisturbance_residual(Observable.from_projection(equivalent, pol), support),
+                        nondisturbance_residual(
+                            Observable.from_projection(Projection(equivalent), pol), support
+                        ),
                         dim,
                         pol,
                     )

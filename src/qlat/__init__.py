@@ -20,13 +20,13 @@ from .numerics import (
 )
 from .lattice import (
     PropertyFamily,
-    check_covering,
-    check_orthomodular,
+    covering_holds,
     is_atom,
     join,
     leq,
     meet,
     orthocomplement,
+    orthomodular_holds,
 )
 from .measurement import (
     CompatibilityVerdict,

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import PropertyFamily, join_stack, leq_stack, meet_stack, orthocomplement
+from .lattice import PropertyFamily, join, leq, meet
 from .measurement import criterion_holds, leak_norms, yes_no_stack
 from .numerics import (
     DEFAULT_POLICY,
@@ -61,7 +61,7 @@ class PureStateModel:
     @cached_property
     def complement(self) -> Projection:
         """Orthocomplement of the support, built once per model."""
-        return orthocomplement(self.support)
+        return Projection(np.eye(self.state.dim, dtype=np.complex128) - self.support.matrix)
 
 
 def certainty(
@@ -70,8 +70,8 @@ def certainty(
     """The certainty rule over a (..., d, d) stack of projections: the masks
     of the members above the support (certainly true, probability 1) and of
     those below its orthocomplement (certainly false, probability 0)."""
-    above = leq_stack(model.support.matrix, members, pol)
-    return above, leq_stack(members, model.complement.matrix, pol)
+    above = leq(model.support.matrix, members, pol)
+    return above, leq(members, model.complement.matrix, pol)
 
 
 def predictable_domain(
@@ -124,9 +124,9 @@ def _pivot_defects(
 ) -> np.ndarray:
     """Frobenius defect of (E ^ S) v (E ^ S_perp) against E for each
     member E of a (..., d, d) stack, with S the model's support."""
-    rebuilt = join_stack(
-        meet_stack(members, model.support.matrix, pol),
-        meet_stack(members, model.complement.matrix, pol),
+    rebuilt = join(
+        meet(members, model.support.matrix, pol),
+        meet(members, model.complement.matrix, pol),
         pol,
     )
     return _frobenius_norms(rebuilt - members)

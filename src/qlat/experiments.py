@@ -21,14 +21,14 @@ from .domains import (
 )
 from .lattice import (
     PropertyFamily,
-    check_covering,
-    check_orthomodular,
-    de_morgan_gap,
+    covering_holds,
+    de_morgan_gaps,
     family_laws,
     is_atom,
     join,
     leq,
     meet,
+    orthomodular_holds,
 )
 from .measurement import (
     Observable,
@@ -43,6 +43,7 @@ from .numerics import (
     Ket,
     Projection,
     TolerancePolicy,
+    _ranks,
     frobenius_distance,
     matrices_close,
     projection_onto_span,
@@ -409,11 +410,13 @@ def _nondistributivity_witness(pol: TolerancePolicy):
     """Row for the worked qubit triple, on which the distributive law
     strictly fails."""
     family = reference_qubit_family(pol)
-    ground, excited, superposed = (family.get(label) for label in ("P0", "P1", "Pplus"))
+    stack = family.projection_stack
+    ground, excited, superposed = (stack[family.index(label)] for label in ("P0", "P1", "Pplus"))
     lhs = meet(superposed, join(ground, excited, pol), pol)
     rhs = join(meet(superposed, ground, pol), meet(superposed, excited, pol), pol)
     gap = frobenius_distance(lhs, rhs)
-    passed = matrices_close(lhs, superposed, pol) and rhs.rank == 0 and gap > 100.0 * pol.op_tol
+    rhs_zero = _ranks(rhs, pol.eig_gap) == 0
+    passed = bool(matrices_close(lhs, superposed, pol) and rhs_zero and gap > 100.0 * pol.op_tol)
     return passed, 0.0 if passed else gap, {"check": "nondistributivity_witness", "gap": gap}
 
 
@@ -428,12 +431,12 @@ def _run_lattice_laws(cfg: ExperimentConfig):
         q = _random_subspace_projection(dim, int(gen.integers(1, dim)), gen)
         ket = haar_random_ket(dim, gen)
         atom = support_projection(ket)
-        comparable = join(p, _random_subspace_projection(dim, 1, gen), pol)
-        orthomodular_ok = check_orthomodular(p, comparable, pol)
-        gap = de_morgan_gap(p, q, pol)
-        covering_ok = check_covering(atom, p, pol)
-        witness_atom = support_projection(Ket(range_basis(p)[:, 0]))
-        atomicity_ok = is_atom(witness_atom, pol) and leq(witness_atom, p, pol)
+        comparable = join(p.matrix, _random_subspace_projection(dim, 1, gen).matrix, pol)
+        orthomodular_ok = bool(orthomodular_holds(p.matrix, comparable, pol))
+        gap = float(de_morgan_gaps(p.matrix, q.matrix, pol))
+        covering_ok = bool(covering_holds(atom.matrix, p.matrix, pol))
+        witness_atom = support_projection(Ket(range_basis(p)[:, 0])).matrix
+        atomicity_ok = bool(is_atom(witness_atom, pol) and leq(witness_atom, p.matrix, pol))
         passed = orthomodular_ok and gap < pol.op_tol and covering_ok and atomicity_ok
         yield passed, gap, {
             "orthomodular": orthomodular_ok,
@@ -504,8 +507,7 @@ def _family_checks(family: PropertyFamily, rng: SeededRng, states: int, pol: Tol
     gen = rng.substream(1)
     probes = [haar_random_ket(family.dim, gen) for _ in range(states)]
     stack = family.projection_stack
-    ranks = np.rint(np.trace(stack, axis1=-2, axis2=-1).real)
-    probes += [Ket.normalized(range_basis(row)[:, 0]) for row in stack[ranks == 1]]
+    probes += [Ket.normalized(range_basis(row)[:, 0]) for row in stack[is_atom(stack, pol)]]
     reports = [domain_report(PureStateModel.from_ket(probe), family, pol) for probe in probes]
     domain_ok = all(
         report.predictable_equals_compatible and report.objective_equals_predictable

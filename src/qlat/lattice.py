@@ -14,6 +14,7 @@ from .numerics import (
     TolerancePolicy,
     _frobenius_norms,
     _matrix_of,
+    _ranks,
     validated_projections,
 )
 
@@ -22,14 +23,8 @@ __all__ = [
     "meet",
     "join",
     "orthocomplement",
-    "leq_stack",
-    "meet_stack",
-    "join_stack",
-    "orthocomplement_stack",
     "is_atom",
-    "check_orthomodular",
-    "check_covering",
-    "de_morgan_gap",
+    "covering_holds",
     "de_morgan_gaps",
     "orthomodular_holds",
     "family_laws",
@@ -37,33 +32,17 @@ __all__ = [
 ]
 
 # Each lattice operation and law check has one definition, over (..., d, d)
-# stacks of projection matrices that broadcast against each other. The
-# functions on Projection objects are its one-pair case, through the same
-# code, and give the same bits.
+# arrays of projection matrices that broadcast against each other; a single
+# (d, d) matrix is the one-element case.
 
 
-def _check_dims(p: Projection, q: Projection) -> None:
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-
-
-def leq_stack(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Range inclusion over stacks: p <= q iff q @ p == p within op_tol."""
+def leq(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Range inclusion: p <= q iff q @ p == p within op_tol."""
     return _frobenius_norms(q @ p - p) < pol.op_tol
 
 
-def leq(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Range inclusion: p <= q iff q @ p == p within op_tol."""
-    _check_dims(p, q)
-    return bool(leq_stack(p.matrix, q.matrix, pol))
-
-
-def orthocomplement_stack(p: np.ndarray) -> np.ndarray:
+def orthocomplement(p: np.ndarray) -> np.ndarray:
     return validated_projections(np.eye(p.shape[-1], dtype=np.complex128) - p)
-
-
-def orthocomplement(p: Projection) -> Projection:
-    return Projection(np.eye(p.dim, dtype=np.complex128) - p.matrix)
 
 
 def _sum_ranges(sums: np.ndarray, floor: float) -> np.ndarray:
@@ -91,68 +70,37 @@ def _sum_ranges(sums: np.ndarray, floor: float) -> np.ndarray:
     return ranges
 
 
-def meet_stack(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Validated p ^ q over stacks: the top eigenspace of p + q, counting
-    eigenvalues within eig_gap of 2."""
+def meet(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Validated p ^ q, the projection onto the intersection of the ranges:
+    the top eigenspace of p + q, counting eigenvalues within eig_gap of 2."""
     return validated_projections(_sum_ranges(p + q, 2.0 - pol.eig_gap))
 
 
-def join_stack(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Validated p v q over stacks: the range of p + q, counting eigenvalues
-    below eig_gap as zero."""
+def join(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Validated p v q, the projection onto the span of the ranges: the range
+    of p + q, counting eigenvalues below eig_gap as zero."""
     return validated_projections(_sum_ranges(p + q, pol.eig_gap))
 
 
-def meet(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
-    """Projection onto the intersection of the two ranges (see meet_stack)."""
-    _check_dims(p, q)
-    return Projection(_sum_ranges(p.matrix + q.matrix, 2.0 - pol.eig_gap))
-
-
-def join(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
-    """Projection onto the span of the union of ranges (see join_stack)."""
-    _check_dims(p, q)
-    return Projection(_sum_ranges(p.matrix + q.matrix, pol.eig_gap))
-
-
-def is_atom(p: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True iff the projection has rank one."""
-    trace = float(np.trace(p.matrix).real)
-    if abs(trace - round(trace)) > pol.eig_gap:
-        raise ValueError(f"projection trace {trace!r} is not near an integer rank")
-    return p.rank == 1
+def is_atom(p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """True where the projection has rank one."""
+    return _ranks(p, pol.eig_gap) == 1
 
 
 def orthomodular_holds(
     p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
-    """Over stacks: where p <= q, q == p v (q ^ p_perp); vacuously true
-    elsewhere."""
-    rebuilt = join_stack(p, meet_stack(q, orthocomplement_stack(p), pol), pol)
-    return ~leq_stack(p, q, pol) | (_frobenius_norms(rebuilt - q) < pol.op_tol)
-
-
-def check_orthomodular(
-    p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
-    """If p <= q, verify q == p v (q ^ p_perp); vacuously true otherwise."""
-    _check_dims(p, q)
-    return bool(orthomodular_holds(p.matrix, q.matrix, pol))
+    """Where p <= q, q == p v (q ^ p_perp); vacuously true elsewhere."""
+    rebuilt = join(p, meet(q, orthocomplement(p), pol), pol)
+    return ~leq(p, q, pol) | (_frobenius_norms(rebuilt - q) < pol.op_tol)
 
 
 def de_morgan_gaps(
     p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
-    """Over stacks: the Frobenius distance between p ^ q and
-    (p_perp v q_perp)_perp."""
-    dual = join_stack(orthocomplement_stack(p), orthocomplement_stack(q), pol)
-    return _frobenius_norms(meet_stack(p, q, pol) - orthocomplement_stack(dual))
-
-
-def de_morgan_gap(p: Projection, q: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Frobenius distance between p ^ q and (p_perp v q_perp)_perp."""
-    _check_dims(p, q)
-    return float(de_morgan_gaps(p.matrix, q.matrix, pol))
+    """The Frobenius distance between p ^ q and (p_perp v q_perp)_perp."""
+    dual = join(orthocomplement(p), orthocomplement(q), pol)
+    return _frobenius_norms(meet(p, q, pol) - orthocomplement(dual))
 
 
 def family_laws(
@@ -170,13 +118,13 @@ def family_laws(
     gaps = de_morgan_gaps(stack[first], stack[second], pol)
     pair = np.empty((len(stack), len(stack)), dtype=np.intp)
     pair[first, second] = pair[second, first] = np.arange(first.size)
-    joins = join_stack(stack[first], stack[second], pol)[pair]
+    joins = join(stack[first], stack[second], pol)[pair]
     return gaps, orthomodular_holds(stack[:, None], joins, pol)
 
 
-def check_covering(
-    atom: Projection, p: Projection, pol: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
+def covering_holds(
+    atom: np.ndarray, p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
+) -> np.ndarray:
     """Covering law for an atom over p.
 
     Either the atom already lies below p, or p v atom sits exactly one rank
@@ -184,12 +132,9 @@ def check_covering(
     rank identity is equivalent to the absence of any strictly intermediate
     projection, so no search over intermediates is needed.
     """
-    if not is_atom(atom, pol):
+    if not is_atom(atom, pol).all():
         raise ValueError("first argument must be a rank-one projection")
-    _check_dims(atom, p)
-    if leq(atom, p, pol):
-        return True
-    return join(p, atom, pol).rank == p.rank + 1
+    return leq(atom, p, pol) | (_ranks(join(p, atom, pol), pol.eig_gap) == _ranks(p, pol.eig_gap) + 1)
 
 
 class PropertyFamily:
@@ -322,12 +267,16 @@ def _encode_matrix(matrix: np.ndarray) -> list[list[list[float]]]:
 
 def _decode_complex(entry) -> complex:
     """One ``[re, im]`` entry of a document as ``complex(re, im)``, which keeps
-    the bits of both parts; ValueError unless it is a list of two non-bool reals."""
+    the bits of both parts; ValueError unless it is a list of two non-bool reals
+    within the float range."""
     if not (isinstance(entry, list) and len(entry) == 2) or any(
         isinstance(part, bool) or not isinstance(part, numbers.Real) for part in entry
     ):
         raise ValueError(f"entries must be [re, im] pairs of numbers, got {entry!r}")
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError:
+        raise ValueError("entries must be [re, im] pairs within the float range") from None
 
 
 def _decode_matrix(rows) -> np.ndarray:

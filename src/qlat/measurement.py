@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import orthocomplement_stack
+from .lattice import orthocomplement
 from .numerics import (
     DEFAULT_POLICY,
     HermitianOperator,
@@ -253,7 +253,7 @@ def yes_no_stack(projections: np.ndarray) -> np.ndarray:
     outcome projections that ``Observable.from_projection`` recomputes
     through ``eigh``, except that E = 0 and E = I keep a zero outcome, which
     leaks nothing."""
-    return np.stack([orthocomplement_stack(projections), projections], axis=-3)
+    return np.stack([orthocomplement(projections), projections], axis=-3)
 
 
 def _sandwich_defects(first: Observable, second: Observable) -> tuple[float, float]:
@@ -364,7 +364,7 @@ def sequential_disagreements(
     for start in range(0, trials, _MC_BLOCK):
         block = min(_MC_BLOCK, trials - start)
         states, draws = _draw_block(normals, uniforms, block, first.dim)
-        _check_unit_rows(states)
+        _check_unit_rows(states, pol.norm_tol)
         opened, states = _measure_rows(states, opening, last, draws[..., 0], pol)
         _, states = _measure_rows(states, interposed, last[::-1], draws[..., 1], pol)
         closed, _ = _measure_rows(states, opening, last, draws[..., 2], pol)
@@ -431,7 +431,7 @@ def _measure_rows(
         index[empty] = probabilities[empty].argmax(axis=-1)
     collapsed = projected[order, index, trial]
     collapsed /= np.sqrt(_squared_norms(collapsed))[..., None]
-    _check_unit_rows(collapsed)
+    _check_unit_rows(collapsed, pol.norm_tol)
     return index, collapsed
 
 
@@ -439,11 +439,11 @@ def _squared_norms(states: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", states.conj(), states).real
 
 
-def _check_unit_rows(states: np.ndarray) -> None:
+def _check_unit_rows(states: np.ndarray, tol: float) -> None:
     """The ``Ket`` normalization guard on every state along the last axis."""
     _check_near_one(
         _squared_norms(states),
-        DEFAULT_POLICY.norm_tol,
+        tol,
         "state vector is not normalized: squared norm is {!r}",
     )
 

@@ -121,6 +121,18 @@ def _validated_projection(matrix: np.ndarray, tol: float, names=None) -> np.ndar
     return matrix
 
 
+def _ranks(matrices: np.ndarray, tol: float) -> np.ndarray:
+    """The rank of each projection of a (..., d, d) stack: its trace rounded
+    to an integer (a float array); ValueError unless every trace lies within
+    tol of it."""
+    traces = np.trace(matrices, axis1=-2, axis2=-1).real
+    ranks = np.rint(traces)
+    near = np.abs(traces - ranks) <= tol
+    if not near.all():
+        raise ValueError(f"projection trace {float(traces[~near][0])!r} is not near an integer rank")
+    return ranks
+
+
 def validated_projections(matrices, names=None) -> np.ndarray:
     """A (..., d, d) stack of projections, validated and re-symmetrized by
     the rule of ``Projection`` applied to every matrix: a stack that holds
@@ -211,7 +223,7 @@ class Projection(HermitianOperator):
 
     @property
     def rank(self) -> int:
-        return int(round(float(np.trace(self.matrix).real)))
+        return int(_ranks(self.matrix, DEFAULT_POLICY.eig_gap))
 
 
 def frobenius_distance(left, right) -> float:

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .domains import PureStateModel, certainty, objective_residuals
-from .lattice import PropertyFamily, join_stack, leq_stack, meet_stack, orthocomplement_stack
+from .lattice import PropertyFamily, join, leq, meet, orthocomplement
 from .measurement import SeededRng, _generator_of, _haar_states, criterion_holds
 from .numerics import DEFAULT_POLICY, TolerancePolicy, commutator_norm
 
@@ -232,9 +232,9 @@ def is_testable(
     return fold(
         statement,
         rows.__getitem__,
-        orthocomplement_stack,
-        partial(meet_stack, pol=pol),
-        partial(join_stack, pol=pol),
+        orthocomplement,
+        partial(meet, pol=pol),
+        partial(join, pol=pol),
     )
 
 
@@ -341,7 +341,7 @@ def order_isomorphism_check(
     certain = _certain_in(stack, states, pol)
     # entailed[a, b]: no test state is certain of member a but not of member b.
     entailed = ~(certain[:, None] & ~certain[None]).any(axis=-1)
-    order = leq_stack(stack[:, None], stack[None], pol)
+    order = leq(stack[:, None], stack[None], pol)
     return bool((order == entailed).all())
 
 

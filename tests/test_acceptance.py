@@ -35,6 +35,7 @@ from qlat import (
 )
 from qlat.cli import main
 from qlat.measurement import criterion_holds, nondisturbance_residual
+from qlat.numerics import _ranks
 from qlat.semantics import TruthValue, atom_labels, is_testable
 
 from test_semantics import all_statements, random_statement, to_sympy
@@ -163,14 +164,14 @@ def test_criterion_5_lattice_laws_and_nondistributivity():
         report = run_experiment(cfg)
         ok = ok and report.fail_count == 0
 
-    ground = Projection(np.diag([1.0, 0.0]).astype(complex))
-    excited = Projection(np.diag([0.0, 1.0]).astype(complex))
-    superposed = Projection(np.full((2, 2), 0.5, dtype=complex))
+    ground = Projection(np.diag([1.0, 0.0]).astype(complex)).matrix
+    excited = Projection(np.diag([0.0, 1.0]).astype(complex)).matrix
+    superposed = Projection(np.full((2, 2), 0.5, dtype=complex)).matrix
     lhs = meet(superposed, join(ground, excited, POL), POL)
     rhs = join(meet(superposed, ground, POL), meet(superposed, excited, POL), POL)
     witness_strict = (
         matrices_close(lhs, superposed, POL)
-        and rhs.rank == 0
+        and _ranks(rhs, POL.eig_gap) == 0
         and frobenius_distance(lhs, rhs) > 100 * POL.op_tol
     )
     ok = ok and witness_strict

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -158,12 +160,12 @@ class TestDomainInvariants:
             above, below = certainty(model, family.projection_stack, pol)
             assert not (above & below).any()
             for certainly_true, label in zip(above.tolist(), family.labels):
-                member = family.get(label)
+                member = family.projection_stack[family.index(label)]
                 complement = orthocomplement(member)
-                in_false_dual = leq(complement, orthocomplement(model.support), pol)
+                in_false_dual = leq(complement, orthocomplement(model.support.matrix), pol)
                 # E certainly true iff its complement is certainly false
-                assert certainly_true == leq(model.support, member, pol)
-                assert leq(model.support, member, pol) == in_false_dual
+                assert certainly_true == leq(model.support.matrix, member, pol)
+                assert leq(model.support.matrix, member, pol) == in_false_dual
 
     def test_membership_monotone(self, ground_model, qubit_family, pol):
         true_side = domain_report(ground_model, qubit_family, pol).certainly_true
@@ -171,7 +173,8 @@ class TestDomainInvariants:
             if label not in true_side:
                 continue
             for other_label in qubit_family.labels:
-                if leq(qubit_family.get(label), qubit_family.get(other_label), pol):
+                stack = qubit_family.projection_stack
+                if leq(stack[qubit_family.index(label)], stack[qubit_family.index(other_label)], pol):
                     assert other_label in true_side
 
     def test_probability_consistency(self, pol):
@@ -200,12 +203,15 @@ class TestPivot:
         assert len(family) == 12  # ten members, then 0 and I
         model = PureStateModel.from_ket(model.state)  # nothing cached yet
         calls = []
+        build = PureStateModel.complement.func
 
-        def counted(projection):
-            calls.append(projection)
-            return orthocomplement(projection)
+        def counted(model):
+            calls.append(model)
+            return build(model)
 
-        monkeypatch.setattr(domains, "orthocomplement", counted)
+        complement = cached_property(counted)
+        complement.__set_name__(PureStateModel, "complement")
+        monkeypatch.setattr(domains.PureStateModel, "complement", complement)
         domain_report(model, family, pol)
         assert len(calls) == 1
 
@@ -251,18 +257,18 @@ class TestPivot:
         gen = SeededRng(13).generator()
         for dim in range(2, 9):
             model, family = random_instance(dim, gen, pol)
-            members = [family.get(label) for label in family.labels]
+            members = list(family.projection_stack)
+            support, complement = model.support.matrix, model.complement.matrix
             expected = {
                 label: float(np.linalg.norm(
-                    join(meet(member, model.support, pol), meet(member, model.complement, pol), pol).matrix
-                    - member.matrix
+                    join(meet(member, support, pol), meet(member, complement, pol), pol) - member
                 ))
                 for label, member in zip(family.labels, members)
             }
             assert pivot_residuals(model, family, pol) == expected
             above, below = certainty(model, family.projection_stack, pol)
-            assert above.tolist() == [leq(model.support, member, pol) for member in members]
-            assert below.tolist() == [leq(member, model.complement, pol) for member in members]
+            assert above.tolist() == [leq(support, member, pol) for member in members]
+            assert below.tolist() == [leq(member, complement, pol) for member in members]
 
     def test_split_inside_the_rounding_band_fails(self, ground_model, qubit_family, pol, monkeypatch):
         # A member outside the compatible domain whose pivot residual sits

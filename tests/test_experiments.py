@@ -380,7 +380,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {path}: entries must be [re, im] pairs of numbers, got {entry!r}" in err
 
-    @pytest.mark.parametrize("entry", [[True, False], [1.0, 0.0, 7.0], [1.0], "10"])
+    # [0.0, 10**400]: json reads the integer exactly; complex() cannot hold it.
+    @pytest.mark.parametrize("entry", [[True, False], [1.0, 0.0, 7.0], [1.0], "10", [0.0, 10**400]])
     def test_audit_rejects_a_malformed_amplitude(
         self, family_file, statements_file, tmp_path, capsys, entry
     ):
@@ -391,6 +392,15 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error: {state}: malformed state document: entries must be [re, im]" in err
+
+    def test_verify_family_rejects_an_entry_beyond_the_float_range(self, tmp_path, capsys):
+        # json reads a 401-digit integer exactly; complex() cannot hold it.
+        matrix = [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 2, "members": [{"label": "P0", "matrix": matrix}]}))
+        assert main(["verify-family", "--family", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: entries must be [re, im] pairs within the float range" in err
 
     def test_entries_keep_their_bits(self):
         # complex(re, im), not re + 1j * im, which gives nan + inf j for

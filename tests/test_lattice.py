@@ -7,8 +7,7 @@ import pytest
 from qlat import (
     Projection,
     PropertyFamily,
-    check_covering,
-    check_orthomodular,
+    covering_holds,
     frobenius_distance,
     is_atom,
     join,
@@ -20,15 +19,19 @@ from qlat import (
 from qlat import lattice
 from qlat.domains import PureStateModel
 from qlat.experiments import generate_property_family, verify_family
-from qlat.lattice import de_morgan_gap, family_laws, join_stack, leq_stack, meet_stack
+from qlat.lattice import de_morgan_gaps, family_laws, orthomodular_holds
 from qlat.measurement import SeededRng, haar_random_ket
-from qlat.numerics import _frobenius_norms, validated_projections
+from qlat.numerics import DEFAULT_POLICY, _frobenius_norms, _ranks, validated_projections
+
+
+def rank_of(matrix):
+    return int(_ranks(matrix, DEFAULT_POLICY.eig_gap))
 
 
 def axes_projection(dim, *axes):
     diagonal = np.zeros(dim)
     diagonal[list(axes)] = 1.0
-    return Projection(np.diag(diagonal).astype(complex))
+    return validated_projections(np.diag(diagonal))
 
 
 def random_projection(dim, rng, rank=None):
@@ -37,7 +40,7 @@ def random_projection(dim, rng, rank=None):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(raw)
     basis = q[:, :rank]
-    return Projection(basis @ basis.conj().T)
+    return validated_projections(basis @ basis.conj().T)
 
 
 def random_atom(dim, rng):
@@ -46,19 +49,19 @@ def random_atom(dim, rng):
 
 class TestLeq:
     def test_everything_below_identity(self, p0):
-        assert leq(p0, Projection(np.eye(2)))
+        assert leq(p0.matrix, np.eye(2))
 
     def test_orthogonal_atoms_incomparable(self, p0, p1):
-        assert not leq(p0, p1)
+        assert not leq(p0.matrix, p1.matrix)
 
     def test_oblique_atoms_incomparable(self, p0, pplus):
         # Q P != P checked by the 2x2 product by hand: |0><0| |+><+| has norm 1/2
-        assert not leq(pplus, p0)
-        assert not leq(p0, pplus)
+        assert not leq(pplus.matrix, p0.matrix)
+        assert not leq(p0.matrix, pplus.matrix)
 
     def test_dim_mismatch(self, p0):
         with pytest.raises(ValueError, match="mismatch"):
-            leq(p0, Projection(np.eye(3)))
+            leq(p0.matrix, np.eye(3))
 
     def test_order_laws_random(self, pol):
         rng = np.random.default_rng(77)
@@ -78,10 +81,10 @@ class TestLeq:
 
 class TestMeetJoin:
     def test_meet_idempotent(self, pplus):
-        assert matrices_close(meet(pplus, pplus), pplus)
+        assert matrices_close(meet(pplus.matrix, pplus.matrix), pplus)
 
     def test_meet_orthogonal_atoms_is_zero(self, p0, p1):
-        assert meet(p0, p1).rank == 0
+        assert rank_of(meet(p0.matrix, p1.matrix)) == 0
 
     def test_meet_plane_intersection(self):
         left = axes_projection(3, 0, 1)
@@ -89,10 +92,10 @@ class TestMeetJoin:
         assert matrices_close(meet(left, right), axes_projection(3, 1))
 
     def test_join_with_zero_is_neutral(self, pplus):
-        assert matrices_close(join(pplus, Projection(np.zeros((2, 2)))), pplus)
+        assert matrices_close(join(pplus.matrix, np.zeros((2, 2))), pplus)
 
     def test_join_orthogonal_atoms_spans_all(self, p0, p1):
-        assert matrices_close(join(p0, p1), Projection(np.eye(2)))
+        assert matrices_close(join(p0.matrix, p1.matrix), np.eye(2))
 
     def test_join_axes(self):
         joined = join(axes_projection(3, 0), axes_projection(3, 1))
@@ -133,7 +136,7 @@ class TestMeetJoin:
             a = random_projection(dim, rng, rank=int(rng.integers(0, dim + 1)))
             b = random_projection(dim, rng, rank=int(rng.integers(0, dim + 1)))
             eye = np.eye(dim)
-            stacked = np.vstack([eye - a.matrix, eye - b.matrix])
+            stacked = np.vstack([eye - a, eye - b])
             _, singular, vh = np.linalg.svd(stacked)
             basis = vh.conj().T[:, singular < 1e-10]
             expected = (
@@ -153,14 +156,14 @@ class TestMeetJoin:
                 for rank_b in range(dim + 1):
                     a = random_projection(dim, rng, rank=rank_a)
                     b = random_projection(dim, rng, rank=rank_b)
-                    u, singular, _ = np.linalg.svd(np.hstack([a.matrix, b.matrix]))
+                    u, singular, _ = np.linalg.svd(np.hstack([a, b]))
                     basis = u[:, singular > 1e-10]
                     expected = basis @ basis.conj().T
                     assert frobenius_distance(join(a, b, pol), expected) < pol.op_tol
 
     @pytest.mark.parametrize("operation", [meet, join])
     def test_one_eigh_and_one_projection(self, operation, p0, pplus, monkeypatch):
-        counts = {"eigh": 0, "projections": 0}
+        counts = {"eigh": 0, "stacks": 0, "projections": 0}
         validate = Projection.__post_init__
         eigh = np.linalg.eigh
 
@@ -172,53 +175,69 @@ class TestMeetJoin:
             counts["eigh"] += 1
             return eigh(matrix)
 
+        def counted_stack(matrices):
+            counts["stacks"] += 1
+            return validated_projections(matrices)
+
         monkeypatch.setattr(Projection, "__post_init__", counted_validate)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        operation(p0, pplus)
-        assert counts == {"eigh": 1, "projections": 1}
+        monkeypatch.setattr(lattice, "validated_projections", counted_stack)
+        operation(p0.matrix, pplus.matrix)
+        assert counts == {"eigh": 1, "stacks": 1, "projections": 0}
 
     def test_distributivity_fails_on_witness(self, p0, p1, pplus, pol):
+        p0, p1, pplus = p0.matrix, p1.matrix, pplus.matrix
         lhs = meet(pplus, join(p0, p1, pol), pol)
         rhs = join(meet(pplus, p0, pol), meet(pplus, p1, pol), pol)
         assert matrices_close(lhs, pplus, pol)
-        assert rhs.rank == 0
+        assert rank_of(rhs) == 0
         assert frobenius_distance(lhs, rhs) > 100 * pol.op_tol
 
 
 class TestOrthocomplement:
     def test_identity_complement_is_zero(self):
-        assert orthocomplement(Projection(np.eye(4))).rank == 0
+        assert rank_of(orthocomplement(np.eye(4))) == 0
 
     def test_qubit_atoms(self, p0, p1):
-        assert matrices_close(orthocomplement(p0), p1)
+        assert matrices_close(orthocomplement(p0.matrix), p1)
 
     def test_superposed_atom(self, pplus):
         expected = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-        assert matrices_close(orthocomplement(pplus), expected)
+        assert matrices_close(orthocomplement(pplus.matrix), expected)
 
     def test_involution_and_bounds(self, pplus, pol):
+        pplus = pplus.matrix
         assert matrices_close(orthocomplement(orthocomplement(pplus)), pplus)
-        assert meet(pplus, orthocomplement(pplus), pol).rank == 0
-        assert matrices_close(join(pplus, orthocomplement(pplus), pol), Projection(np.eye(2)))
+        assert rank_of(meet(pplus, orthocomplement(pplus), pol)) == 0
+        assert matrices_close(join(pplus, orthocomplement(pplus), pol), np.eye(2))
 
 
 class TestIsAtom:
     def test_examples(self, p0, pplus):
-        assert is_atom(p0)
-        assert is_atom(pplus)  # trace is 1
-        assert not is_atom(Projection(np.eye(3)))
-        assert not is_atom(Projection(np.zeros((2, 2))))
+        assert is_atom(p0.matrix)
+        assert is_atom(pplus.matrix)  # trace is 1
+        assert not is_atom(np.eye(3))
+        assert not is_atom(np.zeros((2, 2)))
+
+    def test_mask_over_a_stack(self, qubit_family):
+        assert is_atom(qubit_family.projection_stack).tolist() == [False, True, True, True, False]
+
+    @pytest.mark.parametrize("trace", [0.5, np.nan], ids=["half", "nan"])
+    def test_rejects_a_trace_off_an_integer_rank(self, trace):
+        matrix = np.diag([trace, 0.0])
+        with pytest.raises(ValueError, match=f"^projection trace {trace!r} is not near an integer rank$"):
+            is_atom(np.stack([np.eye(2), matrix]))
 
 
 class TestOrthomodular:
     def test_atom_below_identity(self, p0):
-        assert check_orthomodular(p0, Projection(np.eye(2)))
+        assert orthomodular_holds(p0.matrix, np.eye(2))
 
     def test_axis_in_plane(self):
-        assert check_orthomodular(axes_projection(3, 0), axes_projection(3, 0, 1))
+        assert orthomodular_holds(axes_projection(3, 0), axes_projection(3, 0, 1))
 
     def test_vacuous_when_incomparable(self, pplus, p0):
-        assert check_orthomodular(pplus, p0)
+        assert orthomodular_holds(pplus.matrix, p0.matrix)
 
     def test_holds_on_constructed_comparable_pairs(self, pol):
         rng = np.random.default_rng(80)
@@ -226,29 +245,29 @@ class TestOrthomodular:
             dim = int(rng.integers(2, 7))
             p = random_projection(dim, rng)
             q = join(p, random_atom(dim, rng), pol)
-            assert check_orthomodular(p, q, pol)
+            assert orthomodular_holds(p, q, pol)
 
 
 class TestCovering:
     def test_atom_over_zero(self, p0):
-        assert check_covering(p0, Projection(np.zeros((2, 2))))
+        assert covering_holds(p0.matrix, np.zeros((2, 2)))
 
     def test_atom_over_itself(self, p0):
-        assert check_covering(p0, p0)
+        assert covering_holds(p0.matrix, p0.matrix)
 
     def test_oblique_atom_over_atom(self, pplus, p0):
         # join is the whole plane: rank 2 = 1 + 1
-        assert check_covering(pplus, p0)
+        assert covering_holds(pplus.matrix, p0.matrix)
 
     def test_rejects_non_atom(self, p0):
         with pytest.raises(ValueError, match="rank-one"):
-            check_covering(Projection(np.eye(2)), p0)
+            covering_holds(np.eye(2), p0.matrix)
 
     def test_holds_random(self, pol):
         rng = np.random.default_rng(81)
         for _ in range(500):
             dim = int(rng.integers(2, 6))
-            assert check_covering(random_atom(dim, rng), random_projection(dim, rng), pol)
+            assert covering_holds(random_atom(dim, rng), random_projection(dim, rng), pol)
 
 
 class TestPropertyFamily:
@@ -324,7 +343,7 @@ class TestPropertyFamily:
         family = PropertyFamily([], dim=3)
         assert family.labels == ("0", "I")
         assert np.array_equal(family.projection_stack, [np.zeros((3, 3)), np.eye(3)])
-        assert leq_stack(np.zeros((0, 3, 3)), np.eye(3)).shape == (0,)
+        assert leq(np.zeros((0, 3, 3)), np.eye(3)).shape == (0,)
 
     def test_invalid_member_named_by_label(self, p0):
         oblique = np.array([[1.0, 0.5], [0.0, 0.0]])
@@ -411,26 +430,26 @@ class TestStackedLattice:
             members = [family.get(label) for label in family.labels]
             stack = family.projection_stack
             first, second = np.triu_indices(len(members))
-            meets = meet_stack(stack[first], stack[second], pol)
-            joins = join_stack(stack[first], stack[second], pol)
+            meets = meet(stack[first], stack[second], pol)
+            joins = join(stack[first], stack[second], pol)
             gaps, orthomodular = family_laws(family, pol)
-            order = leq_stack(stack[:, None], stack[None], pol)
+            order = leq(stack[:, None], stack[None], pol)
             for k, (i, j) in enumerate(zip(first, second)):
                 a, b = members[i], members[j]
                 expected_meet = oracle_meet(a, b, pol).matrix
                 expected_join = oracle_join(a, b, pol).matrix
                 assert np.array_equal(meets[k], expected_meet)
-                assert np.array_equal(meet(b, a, pol).matrix, expected_meet)
+                assert np.array_equal(meet(b.matrix, a.matrix, pol), expected_meet)
                 assert np.array_equal(joins[k], expected_join)
-                assert np.array_equal(join(b, a, pol).matrix, expected_join)
+                assert np.array_equal(join(b.matrix, a.matrix, pol), expected_join)
                 assert gaps[k] == oracle_gap(a, b, pol) == oracle_gap(b, a, pol)
-                assert de_morgan_gap(b, a, pol) == gaps[k]
+                assert de_morgan_gaps(b.matrix, a.matrix, pol) == gaps[k]
             for i, a in enumerate(members):
                 for j, b in enumerate(members):
-                    assert order[i, j] == oracle_leq(a, b, pol) == leq(a, b, pol)
+                    assert order[i, j] == oracle_leq(a, b, pol) == leq(a.matrix, b.matrix, pol)
                     joined = oracle_join(a, b, pol)
                     assert orthomodular[i, j] == oracle_orthomodular(a, joined, pol)
-                    assert check_orthomodular(a, joined, pol) == orthomodular[i, j]
+                    assert orthomodular_holds(a.matrix, joined.matrix, pol) == orthomodular[i, j]
 
     def test_meets_agree_with_anderson_duffin(self, pol):
         # P ^ Q = 2 P (P + Q)^+ Q, from the parallel sum of Anderson and
@@ -440,7 +459,7 @@ class TestStackedLattice:
             stack = family.projection_stack
             p, q = stack[:, None], stack[None]
             parallel = 2.0 * p @ np.linalg.pinv(p + q, rcond=1e-8, hermitian=True) @ q
-            meets = meet_stack(p, q, pol)
+            meets = meet(p, q, pol)
             assert np.abs(meets - parallel).max() < 1e-11
             nontrivial += int(np.count_nonzero(_frobenius_norms(meets) > 0.5))
         assert nontrivial > 100
@@ -452,7 +471,7 @@ class TestStackedLattice:
         def wrong_cut(p, q, pol=pol):
             return validated_projections(lattice._sum_ranges(p + q, 1.0))
 
-        monkeypatch.setattr(lattice, "meet_stack", wrong_cut)
+        monkeypatch.setattr(lattice, "meet", wrong_cut)
         record = verify_family(family, 0, 0, pol)[1]
         assert record.detail["check"] == "lattice_laws"
         assert not record.passed

@@ -9,6 +9,7 @@ from qlat import (
     Observable,
     Projection,
     SeededRng,
+    TolerancePolicy,
     born_probability,
     commutes,
     compatibility_verdict,
@@ -489,7 +490,7 @@ class TestJointObservable:
         joint = compatibility_verdict(sigma_z, sigma_z, trials=1).joint
         assert joint is not None
         for joint_projection, original in zip(joint.projection_stack, sigma_z.projection_stack):
-            assert leq(Projection(joint_projection), Projection(original))
+            assert leq(joint_projection, original)
 
     def test_degenerate_pair_resolves_axes(self):
         first = Observable.from_operator(np.diag([1.0, 1.0, 2.0]))
@@ -512,12 +513,12 @@ class TestJointObservable:
             first, second = generate_observable_pair(dim, True, gen, pol)
             joint = compatibility_verdict(first, second, pol, trials=1).joint
             assert joint is not None
-            for joint_projection in map(Projection, joint.projection_stack):
+            for joint_projection in joint.projection_stack:
                 below_first = sum(
-                    leq(joint_projection, Projection(p), pol) for p in first.projection_stack
+                    leq(joint_projection, p, pol) for p in first.projection_stack
                 )
                 below_second = sum(
-                    leq(joint_projection, Projection(q), pol) for q in second.projection_stack
+                    leq(joint_projection, q, pol) for q in second.projection_stack
                 )
                 assert below_first == 1
                 assert below_second == 1
@@ -697,13 +698,22 @@ class TestBatchedEngine:
         assert str(batched.value) == str(single.value)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_unit_row_guard_rejects_non_finite_rows(self, entry):
+    def test_unit_row_guard_rejects_non_finite_rows(self, entry, pol):
         # NaN compares false against every threshold, so the guard must test
         # for a deviation within tolerance, not for one beyond it.
         rows = np.array([[1.0, 0.0], [entry, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="state vector is not normalized"):
-            _check_unit_rows(rows)
-        _check_unit_rows(rows[:1])
+            _check_unit_rows(rows, pol.norm_tol)
+        _check_unit_rows(rows[:1], pol.norm_tol)
+
+    def test_unit_row_guard_reads_the_configured_norm_tol(self, pol):
+        # Haar draws and collapsed states are unit vectors only to rounding,
+        # so a norm_tol of 1e-300 must reject them; the default keeps the counts.
+        first, second = generate_observable_pair(3, False, SeededRng(7).generator(), pol)
+        assert sequential_disagreements(first, second, 64, SeededRng(7), pol) == (33, 36)
+        strict = TolerancePolicy(norm_tol=1e-300)
+        with pytest.raises(ValueError, match="state vector is not normalized"):
+            sequential_disagreements(first, second, 64, SeededRng(7), strict)
 
     def test_probability_sum_guard_rejects_nan(self, sigma_x, pol):
         stacks, last = _padded_stacks(sigma_x, sigma_x)

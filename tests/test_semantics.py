@@ -45,7 +45,6 @@ from qlat import (
     verificationist_truth,
 )
 from qlat import domains, semantics
-from qlat.lattice import leq_stack
 from qlat.measurement import criterion_holds, nondisturbance_residual
 from qlat.numerics import range_basis
 
@@ -110,10 +109,9 @@ def leq_certainty(matrix, model, pol):
     TRUE above the support, else FALSE below its orthocomplement, else (or
     with no matrix) UNDEFINED."""
     if matrix is not None:
-        projection = Projection(matrix)
-        if leq(model.support, projection, pol):
+        if leq(model.support.matrix, matrix, pol):
             return T
-        if leq(projection, model.complement, pol):
+        if leq(matrix, model.complement.matrix, pol):
             return F
     return U
 
@@ -155,9 +153,10 @@ def check_per_member_route(pol, seed=57):
         model = PureStateModel.from_ket(haar_random_ket(dim, gen))
         family = generate_property_family(dim, 6, model, gen, pol)
         above, below = domains.certainty(model, family.projection_stack, pol)
-        members = [family.get(label) for label in family.labels]
-        assert above.tolist() == [leq(model.support, member, pol) for member in members]
-        assert below.tolist() == [leq(member, model.complement, pol) for member in members]
+        members = list(family.projection_stack)
+        support, complement = model.support.matrix, model.complement.matrix
+        assert above.tolist() == [leq(support, member, pol) for member in members]
+        assert below.tolist() == [leq(member, complement, pol) for member in members]
         values = {
             label: leq_certainty(row, model, pol)
             for label, row in zip(family.labels, family.projection_stack)
@@ -505,7 +504,7 @@ class TestOrderIsomorphism:
         # vector of each member and per Haar draw, one born_probability per
         # member and state, and one leq per ordered member pair.
         seen = {}
-        stacked_certain, stacked_leq = semantics._certain_in, semantics.leq_stack
+        stacked_certain, stacked_leq = semantics._certain_in, semantics.leq
 
         def spy_certain(stack, test_states, pol):
             seen["states"] = test_states
@@ -517,7 +516,7 @@ class TestOrderIsomorphism:
             return seen["order"]
 
         monkeypatch.setattr(semantics, "_certain_in", spy_certain)
-        monkeypatch.setattr(semantics, "leq_stack", spy_leq)
+        monkeypatch.setattr(semantics, "leq", spy_leq)
         for dim in range(2, 7):
             gen = SeededRng(60 + dim).generator()
             model = PureStateModel.from_ket(haar_random_ket(dim, gen))
@@ -530,7 +529,7 @@ class TestOrderIsomorphism:
                 [born_probability(state, member, pol) >= 1.0 - pol.prob_tol for state in states]
                 for member in members
             ]
-            order = [[leq(a, b, pol) for b in members] for a in members]
+            order = [[leq(a.matrix, b.matrix, pol) for b in members] for a in members]
             entailed = [
                 [all(b_row[s] for s, holds in enumerate(a_row) if holds) for b_row in certain]
                 for a_row in certain
@@ -750,8 +749,8 @@ class TestStatementLayerMutants:
     def test_swapped_certainty_is_killed_by_the_per_member_route(self, monkeypatch, pol):
         def swapped(model, members, pol=pol):
             return (
-                leq_stack(model.complement.matrix, members, pol),
-                leq_stack(members, model.support.matrix, pol),
+                leq(model.complement.matrix, members, pol),
+                leq(members, model.support.matrix, pol),
             )
 
         monkeypatch.setattr(domains, "certainty", swapped)

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         document, failures = args.handler(args)
         _emit(document, args.out)
@@ -97,10 +97,13 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise _UsageError(f"{path} nests JSON arrays or objects too deeply") from None
 
 
 def _emit(document: dict, out_path: str | None) -> None:
@@ -201,6 +204,11 @@ def _load_family(path: str) -> PropertyFamily:
         return PropertyFamily.from_json_dict(document)
     except ValueError as exc:
         raise _UsageError(f"{path}: {exc}") from None
+
+
+# Built once, after the handlers it names: parse_args gives each call a fresh
+# Namespace and leaves the parser as it was, so every call of main shares it.
+_PARSER = build_parser()
 
 
 if __name__ == "__main__":

@@ -142,6 +142,9 @@ class ExperimentConfig:
         if tolerances is not None:
             if not isinstance(tolerances, dict):
                 raise ValueError("config field 'tolerances' must be an object")
+            unknown = set(tolerances) - {f.name for f in fields(TolerancePolicy)}
+            if unknown:
+                raise ValueError(f"unknown tolerance field {sorted(unknown)[0]!r}")
             kwargs["tolerances"] = TolerancePolicy(**tolerances)
         return cls(**kwargs)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -87,6 +88,11 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_field(self):
         with pytest.raises(ValueError, match="bogus"):
             ExperimentConfig.from_dict({"experiment": "lattice_laws", "bogus": 1})
+
+    def test_from_dict_rejects_unknown_tolerance_field(self):
+        # It used to reach TolerancePolicy(**tolerances) and raise a TypeError.
+        with pytest.raises(ValueError, match="^unknown tolerance field 'bogus'$"):
+            ExperimentConfig.from_dict({"experiment": "lattice_laws", "tolerances": {"bogus": 1}})
 
     def test_from_dict_requires_experiment(self):
         with pytest.raises(ValueError, match="experiment"):
@@ -542,6 +548,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{deep}:2: statement nests connectives deeper than 256 levels" in err
 
+    # 100,000 open brackets overflowed json's recursion (exit 1, a traceback).
+    @pytest.mark.parametrize("flag", ["config", "family", "state"])
+    def test_deeply_nested_json_is_usage_error(
+        self, family_file, state_file, statements_file, tmp_path, capsys, flag
+    ):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = {
+            "config": ["run", "--config", str(deep)],
+            "family": ["verify-family", "--family", str(deep)],
+            "state": ["audit", "--family", family_file, "--state", str(deep),
+                      "--statements", statements_file, "--mode", "standard"],
+        }[flag]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {deep} nests JSON arrays or objects too deeply\n"
+        assert captured.out == ""
+
     def test_run_rejects_a_non_utf8_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b'{"experiment": "lattice_laws"\xff}')
@@ -585,6 +609,44 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"malformed state document: dim must be an integer, got {dim!r}" in err
+
+
+class TestSharedParser:
+    """``main`` parses every call with the one parser built at import."""
+
+    RUN = ["run", "--experiment", "lattice_laws", "--dim", "2", "--instances", "2"]
+
+    def test_no_call_builds_a_parser(self, family_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built an ArgumentParser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert main(self.RUN) == 0
+        assert main(["verify-family", "--family", family_file, "--states", "2"]) == 0
+
+    def test_no_call_carries_state_into_the_next(
+        self, family_file, state_file, statements_file, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("QLAT_SEED", raising=False)
+        assert main(self.RUN + ["--seed", "5"]) == 0
+        first = capsys.readouterr().out
+        assert json.loads(first)["config"]["seed"] == 5
+
+        # argparse rejects it: --family is required.
+        with pytest.raises(SystemExit) as rejected:
+            main(["audit", "--state", state_file, "--statements", statements_file,
+                  "--mode", "sr"])
+        assert rejected.value.code == 2
+        # A usage error raised by the handler.
+        assert main(["verify-family", "--family", family_file, "--states", "-1"]) == 2
+        capsys.readouterr()
+
+        assert main(self.RUN) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+        assert main(self.RUN + ["--seed", "5"]) == 0
+        again = capsys.readouterr().out
+        wall = re.compile(r'^\s*"wall_time_s": .*\n', re.MULTILINE)
+        assert wall.sub("", again) == wall.sub("", first)
 
 
 def test_readme_quick_start_runs(capsys):

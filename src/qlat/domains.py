@@ -123,13 +123,13 @@ def _pivot_defects(
     members: np.ndarray, model: PureStateModel, pol: TolerancePolicy
 ) -> np.ndarray:
     """Frobenius defect of (E ^ S) v (E ^ S_perp) against E for each
-    member E of a (..., d, d) stack, with S the model's support."""
-    rebuilt = join(
-        meet(members, model.support.matrix, pol),
-        meet(members, model.complement.matrix, pol),
-        pol,
-    )
-    return _frobenius_norms(rebuilt - members)
+    member E of an (n, d, d) stack, with S the model's support. Both meets
+    come from one ``meet`` against the (2, 1, d, d) stack [S, S_perp], so
+    one ``eigh`` call over 2n matrices, and each keeps the bits of its own
+    ``meet`` call; one ``join`` then rebuilds the members."""
+    sides = np.stack([model.support.matrix, model.complement.matrix])[:, None]
+    on_support, off_support = meet(members, sides, pol)
+    return _frobenius_norms(join(on_support, off_support, pol) - members)
 
 
 def pivot_residuals(

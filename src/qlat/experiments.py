@@ -43,10 +43,11 @@ from .numerics import (
     Ket,
     Projection,
     TolerancePolicy,
+    _frobenius_norms,
     _ranks,
+    _span_basis,
     frobenius_distance,
     matrices_close,
-    projection_onto_span,
     range_basis,
 )
 from .semantics import (
@@ -273,34 +274,40 @@ def generate_property_family(
     """Adversarial family around a state: members diagonal in a basis that
     contains the state axis (these commute with the support) mixed with
     Haar-random oblique subspaces (these generically do not). The support and
-    its orthocomplement always open the family."""
+    its orthocomplement always open the family as E1 and E2.
+
+    A candidate is its orthonormal columns, and its rank, never 0 or ``dim``,
+    their count: a random unitary's first ``rank`` in [1, dim), or the
+    ``_span_basis`` of a proper nonempty subset of the aligned basis. Its dyad
+    is dropped when one check over the kept stack finds a member within
+    op_tol, and ``PropertyFamily`` validates the kept dyads once.
+    """
+    if dim < 2 or dim != model.state.dim:
+        raise ValueError(
+            f"dim must be at least 2 and match the state's dimension {model.state.dim}, got {dim}"
+        )
     psi = model.state.amplitudes
     padding = gen.standard_normal((dim, dim - 1)) + 1j * gen.standard_normal((dim, dim - 1))
     aligned_basis, _ = np.linalg.qr(np.column_stack([psi, padding]))
 
-    entries: list[tuple[str, Projection]] = []
-
-    def try_add(projection: Projection) -> None:
-        if any(matrices_close(projection, existing, pol) for _, existing in entries):
-            return
-        if projection.rank in (0, dim):
-            return
-        entries.append((f"E{len(entries) + 1}", projection))
-
-    try_add(model.support)
-    try_add(model.complement)
-    attempts = 0
-    while len(entries) < n_members and attempts < 100 * n_members:
+    kept = np.empty((max(n_members, 2), dim, dim), dtype=np.complex128)
+    kept[0], kept[1] = model.support.matrix, model.complement.matrix
+    count, attempts = 2, 0
+    while count < n_members and attempts < 100 * n_members:
         attempts += 1
         if gen.random() < _OBLIQUE_FRACTION:
             rank = int(gen.integers(1, dim))
-            try_add(_random_subspace_projection(dim, rank, gen))
+            columns = random_unitary(dim, gen)[:, :rank]
         else:
             mask = gen.random(dim) < 0.5
             if not mask.any() or mask.all():
                 continue
-            try_add(projection_onto_span(aligned_basis[:, mask], pol))
-    return PropertyFamily(entries, dim=dim, pol=pol)
+            columns = _span_basis(aligned_basis[:, mask], pol)
+        matrix = columns @ columns.conj().T
+        if not (_frobenius_norms(kept[:count] - matrix) < pol.op_tol).any():
+            kept[count] = matrix
+            count += 1
+    return PropertyFamily(((f"E{row + 1}", kept[row]) for row in range(count)), dim=dim, pol=pol)
 
 
 def reference_qubit_family(pol: TolerancePolicy = DEFAULT_POLICY) -> PropertyFamily:

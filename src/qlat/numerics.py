@@ -286,17 +286,20 @@ def range_basis(projection) -> np.ndarray:
     return eigenvectors[:, eigenvalues > 0.5]
 
 
+def _span_basis(columns: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """Orthonormal basis of the column span of a d x k complex array: the
+    left singular vectors whose singular value exceeds ``pol.eig_gap``, so
+    the rank does not depend on the column order."""
+    u, singular, _ = np.linalg.svd(columns, full_matrices=False)
+    return u[:, singular > pol.eig_gap]
+
+
 def projection_onto_span(columns, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
     """Projection onto the column span of a d x k array (a 1-d vector counts
-    as a single column).
-
-    The basis is the left singular vectors whose singular value exceeds
-    ``pol.eig_gap``, so the rank does not depend on the column order.
-    """
+    as a single column), on the basis of ``_span_basis``."""
     array = np.asarray(columns, dtype=np.complex128)
     if array.ndim == 1:
         array = array[:, None]
     if array.ndim != 2 or array.shape[0] == 0:
         raise ValueError(f"expected columns in a d x k array, got shape {array.shape}")
-    u, singular, _ = np.linalg.svd(array, full_matrices=False)
-    return Projection.from_basis(u[:, singular > pol.eig_gap])
+    return Projection.from_basis(_span_basis(array, pol))

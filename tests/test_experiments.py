@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -136,6 +137,50 @@ class TestGeneration:
         assert family.get("E2").rank == 3
         assert len(family) == 12  # ten members plus the adjoined bounds
         assert family.projection_stack.shape == (12, 4, 4)
+
+    # SHA-256 per dim over seeds 0, 1, 2 and n_members 0, 1, 2, 10 of each
+    # call's labels, projection_stack bytes and the next gen.random() after
+    # it: any change to the draws, their order or the kept bits shows here.
+    FAMILY_DIGESTS = {
+        2: "4286e070f3a7945145d02312eadb56aac702003325582e244168a06c7660a4c3",
+        3: "3fb8bed002f9d34f2d1a4e14844d59c1f9c0d505551a69abc98784f3cb155f46",
+        4: "60d8c4c76060005b559eb2153d9a9c2d09e508f1d22df564f33be79b27d128d8",
+        5: "05cb98b13a9b66ec983af14988baba1bf47981eba3dd7d6973f33170c687af98",
+        6: "40f0e2a1668d85a5ff056a07ff2765924fbd8cc71b048640c30f94ba702919d5",
+        7: "60d268dc0455c81d7104c03f4bf6dbec1740eeeee1ef6351dabfb0fb2102e03c",
+        8: "046e48628dc839db26d452762b846e69840b6c2afa53c7d64406ab72690781df",
+    }
+
+    @pytest.mark.parametrize("dim", sorted(FAMILY_DIGESTS))
+    def test_property_family_pinned_bit_for_bit(self, dim):
+        digest = hashlib.sha256()
+        for seed in (0, 1, 2):
+            for n_members in (0, 1, 2, 10):
+                gen = SeededRng(seed).generator()
+                model = PureStateModel.from_ket(haar_random_ket(dim, gen))
+                family = generate_property_family(dim, n_members, model, gen)
+                digest.update(repr(family.labels).encode())
+                digest.update(family.projection_stack.tobytes())
+                digest.update(np.float64(gen.random()).tobytes())
+        assert digest.hexdigest() == self.FAMILY_DIGESTS[dim]
+
+    def test_property_family_opens_with_support_and_complement(self, pol):
+        for n_members in (0, 1, 2):
+            gen = SeededRng(4).generator()
+            model = PureStateModel.from_ket(haar_random_ket(5, gen))
+            family = generate_property_family(5, n_members, model, gen, pol)
+            assert family.labels == ("E1", "E2", "0", "I")
+            assert np.array_equal(family.get("E1").matrix, model.support.matrix)
+            assert np.array_equal(family.get("E2").matrix, model.complement.matrix)
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_property_family_rejects_a_dim_off_the_state(self, pol, dim):
+        gen = SeededRng(5).generator()
+        model = PureStateModel.from_ket(haar_random_ket(4, gen))
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match=f"state's dimension 4, got {dim}$"):
+            generate_property_family(dim, 10, model, gen, pol)
+        assert gen.bit_generator.state == state
 
 
 class TestRunExperiment:

@@ -17,7 +17,7 @@ from qlat import (
     orthocomplement,
 )
 from qlat import lattice
-from qlat.domains import PureStateModel
+from qlat.domains import PureStateModel, _pivot_defects
 from qlat.experiments import generate_property_family, verify_family
 from qlat.lattice import de_morgan_gaps, family_laws, orthomodular_holds
 from qlat.measurement import SeededRng, haar_random_ket
@@ -416,17 +416,18 @@ def oracle_orthomodular(p, q, pol):
 
 
 def random_families(pol):
-    """Families around Haar-random states, d = 2..8: members aligned with a
-    basis through the state (with nontrivial meets) mixed with oblique ones."""
+    """(model, family) pairs around Haar-random states, d = 2..8: members
+    aligned with a basis through the state (with nontrivial meets) mixed
+    with oblique ones."""
     for dim in range(2, 9):
         gen = SeededRng(dim).generator()
         model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-        yield generate_property_family(dim, 7, model, gen, pol)
+        yield model, generate_property_family(dim, 7, model, gen, pol)
 
 
 class TestStackedLattice:
     def test_tables_equal_per_pair_oracle_bit_for_bit(self, pol):
-        for family in random_families(pol):
+        for _, family in random_families(pol):
             members = [family.get(label) for label in family.labels]
             stack = family.projection_stack
             first, second = np.triu_indices(len(members))
@@ -455,7 +456,7 @@ class TestStackedLattice:
         # P ^ Q = 2 P (P + Q)^+ Q, from the parallel sum of Anderson and
         # Duffin (J. Math. Anal. Appl. 26, 1969): no eigenspace cut at all.
         nontrivial = 0
-        for family in random_families(pol):
+        for _, family in random_families(pol):
             stack = family.projection_stack
             p, q = stack[:, None], stack[None]
             parallel = 2.0 * p @ np.linalg.pinv(p + q, rcond=1e-8, hermitian=True) @ q
@@ -464,8 +465,19 @@ class TestStackedLattice:
             nontrivial += int(np.count_nonzero(_frobenius_norms(meets) > 0.5))
         assert nontrivial > 100
 
+    def test_pivot_meets_in_one_call_equal_two_meets_bit_for_bit(self, pol):
+        for model, family in random_families(pol):
+            stack = family.projection_stack
+            rebuilt = join(
+                meet(stack, model.support.matrix, pol),
+                meet(stack, model.complement.matrix, pol),
+                pol,
+            )
+            expected = _frobenius_norms(rebuilt - stack)
+            assert np.array_equal(_pivot_defects(stack, model, pol), expected)
+
     def test_wrong_meet_cut_fails_the_family_laws(self, pol, monkeypatch):
-        family = next(random_families(pol))
+        _, family = next(random_families(pol))
         assert verify_family(family, 0, 0, pol)[1].passed
 
         def wrong_cut(p, q, pol=pol):

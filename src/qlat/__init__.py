@@ -48,6 +48,7 @@ from .domains import (
     certainty,
     compatible_domain,
     domain_report,
+    domain_reports,
     objective_domain,
     objective_residuals,
     pivot_residuals,

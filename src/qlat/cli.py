@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .domains import PureStateModel
 from .experiments import (
     EXPERIMENTS,
@@ -23,7 +21,7 @@ from .experiments import (
     run_experiment,
     verify_family,
 )
-from .lattice import PropertyFamily, _decode_complex, _document_dim
+from .lattice import PropertyFamily, _decode_matrix, _document_dim
 from .numerics import Ket
 from .semantics import completeness_audit, parse_statement
 
@@ -161,9 +159,7 @@ def _cmd_audit(args) -> tuple[dict, int]:
     family = _load_family(args.family)
     state_doc = _load_json(args.state)
     try:
-        amplitudes = np.array(
-            [_decode_complex(entry) for entry in state_doc["amplitudes"]], dtype=np.complex128
-        )
+        amplitudes = _decode_matrix([state_doc["amplitudes"]])[0]
         declared_dim = _document_dim(state_doc)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise _UsageError(f"{args.state}: malformed state document: {exc}") from None

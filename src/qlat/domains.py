@@ -17,6 +17,7 @@ from .numerics import (
     Ket,
     Projection,
     TolerancePolicy,
+    _commutator_norms,
     _frobenius_norms,
     matrices_close,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "splits_along_support",
     "DomainReport",
     "domain_report",
+    "domain_reports",
 ]
 
 
@@ -64,14 +66,23 @@ class PureStateModel:
         return Projection(np.eye(self.state.dim, dtype=np.complex128) - self.support.matrix)
 
 
+def _sides(models) -> tuple[np.ndarray, np.ndarray]:
+    """Support and complement of one model, two (d, d) matrices, or of K
+    models, two (K, 1, d, d) stacks; against n members, (n,) or (K, n) results."""
+    if isinstance(models, PureStateModel):
+        return models.support.matrix, models.complement.matrix
+    sides = np.stack([[model.support.matrix, model.complement.matrix] for model in models])
+    return sides[:, None, 0], sides[:, None, 1]
+
+
 def certainty(
     model: PureStateModel, members: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The certainty rule over a (..., d, d) stack of projections: the masks
+    """The certainty rule over an (n, d, d) stack of projections: the masks
     of the members above the support (certainly true, probability 1) and of
-    those below its orthocomplement (certainly false, probability 0)."""
-    above = leq(model.support.matrix, members, pol)
-    return above, leq(members, model.complement.matrix, pol)
+    those below its orthocomplement (certainly false, probability 0); (K, n) for K models."""
+    support, complement = _sides(model)
+    return leq(support, members, pol), leq(members, complement, pol)
 
 
 def predictable_domain(
@@ -87,8 +98,7 @@ def compatible_domain(
 ) -> set[str]:
     """Members whose projection commutes with the support: |ES - SE|_F over
     the family's stack, in the operand order of ``commutator_norm``."""
-    members, support = family.projection_stack, model.support.matrix
-    norms = _frobenius_norms(members @ support - support @ members)
+    norms = _commutator_norms(family.projection_stack, model.support.matrix)
     return {
         label
         for label, norm in zip(family.labels, norms.tolist())
@@ -100,8 +110,9 @@ def objective_residuals(model: PureStateModel, members: np.ndarray) -> np.ndarra
     """The exact non-disturbance residual of each member of an (m, d, d)
     stack of projections, as a yes/no observable, against the yes/no
     observable of the support: the largest leak in either role, from one
-    ``leak_norms`` call over the members' yes/no stacks."""
-    forward, backward = leak_norms(yes_no_stack(members), yes_no_stack(model.support.matrix))
+    ``leak_norms`` call over the members' yes/no stacks; (K, m) of them for
+    a sequence of K models."""
+    forward, backward = leak_norms(yes_no_stack(members), yes_no_stack(_sides(model)[0]))
     return np.maximum(forward.max(axis=(-2, -1)), backward.max(axis=(-2, -1)))
 
 
@@ -112,23 +123,20 @@ def objective_domain(
     measurement of the support; computed through the exact non-disturbance
     criterion rather than through the lattice order."""
     residuals = objective_residuals(model, family.projection_stack)
-    return {
-        label
-        for label, residual in zip(family.labels, residuals.tolist())
-        if criterion_holds("nondisturbance", residual, family.dim, pol)
-    }
+    undisturbed = criterion_holds("nondisturbance", residuals, family.dim, pol)
+    return {label for label, holds in zip(family.labels, undisturbed.tolist()) if holds}
 
 
 def _pivot_defects(
     members: np.ndarray, model: PureStateModel, pol: TolerancePolicy
 ) -> np.ndarray:
     """Frobenius defect of (E ^ S) v (E ^ S_perp) against E for each
-    member E of an (n, d, d) stack, with S the model's support. Both meets
-    come from one ``meet`` against the (2, 1, d, d) stack [S, S_perp], so
-    one ``eigh`` call over 2n matrices, and each keeps the bits of its own
-    ``meet`` call; one ``join`` then rebuilds the members."""
-    sides = np.stack([model.support.matrix, model.complement.matrix])[:, None]
-    on_support, off_support = meet(members, sides, pol)
+    member E of an (n, d, d) stack and each support S of ``_sides``. Both
+    meets come from one ``meet`` against the pair [S, S_perp], so one
+    ``eigh`` call over 2n (or 2Kn) matrices; one ``join`` then rebuilds the
+    members."""
+    meets = meet(members[:, None], np.stack(_sides(model), axis=-3), pol)
+    on_support, off_support = meets[..., 0, :, :], meets[..., 1, :, :]
     return _frobenius_norms(join(on_support, off_support, pol) - members)
 
 
@@ -185,26 +193,38 @@ def domain_report(
 ) -> DomainReport:
     """Every domain computed once, with both equality verdicts read from them;
     predictable = compatible also asks that each member split along the
-    support exactly when it is compatible."""
-    above, below = certainty(model, family.projection_stack, pol)
-    true_side = {label for label, holds in zip(family.labels, above.tolist()) if holds}
-    false_side = {label for label, holds in zip(family.labels, below.tolist()) if holds}
-    if true_side & false_side:
-        raise ValueError(
-            f"certainly true and certainly false overlap on {sorted(true_side & false_side)}"
-        )
-    predictable = true_side | false_side
-    compatible = compatible_domain(model, family, pol)
-    objective = objective_domain(model, family, pol)
-    return DomainReport(
-        certainly_true=frozenset(true_side),
-        certainly_false=frozenset(false_side),
-        predictable=frozenset(predictable),
-        compatible=frozenset(compatible),
-        objective=frozenset(objective),
-        predictable_equals_compatible=(
-            predictable == compatible
-            and splits_along_support(pivot_residuals(model, family, pol), compatible, pol)
-        ),
-        objective_equals_predictable=objective == predictable,
+    support exactly when it is compatible. One model's ``domain_reports``."""
+    return domain_reports([model], family, pol)[0]
+
+
+def domain_reports(
+    models, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
+) -> list[DomainReport]:
+    """The ``domain_report`` of each of a sequence of models, from one stacked
+    pass: certainty, the commutators with the supports, the leak norms and
+    the two pivot meets are each computed once over all K supports."""
+    models, stack, labels = list(models), family.projection_stack, family.labels
+    if not models:
+        return []
+    masks = (
+        *certainty(models, stack, pol),
+        criterion_holds("commutation", _commutator_norms(stack, _sides(models)[0]), family.dim, pol),
+        criterion_holds("nondisturbance", objective_residuals(models, stack), family.dim, pol),
     )
+    reports = []
+    for defects, *rows in zip(_pivot_defects(stack, models, pol).tolist(), *(m.tolist() for m in masks)):
+        true_side, false_side, compatible, objective = (
+            {label for label, holds in zip(labels, row) if holds} for row in rows
+        )
+        if true_side & false_side:
+            raise ValueError(
+                f"certainly true and certainly false overlap on {sorted(true_side & false_side)}"
+            )
+        predictable = true_side | false_side
+        splits = splits_along_support(dict(zip(labels, defects)), compatible, pol)
+        reports.append(DomainReport(
+            *map(frozenset, (true_side, false_side, predictable, compatible, objective)),
+            predictable_equals_compatible=predictable == compatible and splits,
+            objective_equals_predictable=objective == predictable,
+        ))
+    return reports

@@ -12,7 +12,7 @@ import numpy as np
 from .domains import (
     PureStateModel,
     compatible_domain,
-    domain_report,
+    domain_reports,
     objective_domain,
     pivot_residuals,
     predictable_domain,
@@ -518,7 +518,7 @@ def _family_checks(family: PropertyFamily, rng: SeededRng, states: int, pol: Tol
     probes = [haar_random_ket(family.dim, gen) for _ in range(states)]
     stack = family.projection_stack
     probes += [Ket.normalized(range_basis(row)[:, 0]) for row in stack[is_atom(stack, pol)]]
-    reports = [domain_report(PureStateModel.from_ket(probe), family, pol) for probe in probes]
+    reports = domain_reports([PureStateModel.from_ket(probe) for probe in probes], family, pol)
     domain_ok = all(
         report.predictable_equals_compatible and report.objective_equals_predictable
         for report in reports

@@ -280,6 +280,22 @@ def _decode_complex(entry) -> complex:
 
 
 def _decode_matrix(rows) -> np.ndarray:
+    """A document's rows of ``[re, im]`` entries as a complex array with the
+    bits of ``complex(re, im)``: once one scan finds lists of one nonempty
+    length of two-element lists of exact ints or floats (so no bool), one
+    float64 array of the pairs viewed as complex128. Anything else, or a part
+    beyond the float range, goes through ``_decode_complex`` entry by entry."""
+    if type(rows) is list and rows and all(
+        type(row) is list and len(row) == len(rows[0]) > 0 and all(
+            type(entry) is list and len(entry) == 2
+            and type(entry[0]) in (int, float) and type(entry[1]) in (int, float) for entry in row
+        )
+        for row in rows
+    ):
+        try:
+            return np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
+        except OverflowError:
+            pass
     return np.array(
         [[_decode_complex(entry) for entry in row] for row in rows],
         dtype=np.complex128,

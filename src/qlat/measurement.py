@@ -304,8 +304,8 @@ _DIM_SCALED = {
 def criterion_holds(
     criterion: str, residual: float, dim: int, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
-    """Verdict of one exact criterion from its residual: the residual must
-    stay below op_tol, times the dimension for commutation and interposition."""
+    """Verdict of one exact criterion from its residual, or their mask from an
+    array: below op_tol, times the dimension for commutation and interposition."""
     return residual < pol.op_tol * (dim if _DIM_SCALED[criterion] else 1)
 
 

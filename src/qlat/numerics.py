@@ -276,7 +276,12 @@ def commutator_norm(left, right) -> float:
     b = _matrix_of(right)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(_frobenius_norms(a @ b - b @ a))
+    return float(_commutator_norms(a, b))
+
+
+def _commutator_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|ab - ba|_F over (..., d, d) stacks of matrices that broadcast."""
+    return _frobenius_norms(a @ b - b @ a)
 
 
 def range_basis(projection) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .domains import PureStateModel, certainty, objective_residuals
 from .lattice import PropertyFamily, join, leq, meet, orthocomplement
 from .measurement import SeededRng, _generator_of, _haar_states, criterion_holds
-from .numerics import DEFAULT_POLICY, TolerancePolicy, commutator_norm
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _commutator_norms
 
 __all__ = [
     "Statement",
@@ -215,27 +215,49 @@ def is_testable(
     statement: Statement, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray | None:
     """Elementary equivalent of the statement, a validated (d, d) projection
-    matrix, or None when no single yes/no measurement can verify it.
+    matrix, or None when no single yes/no measurement can verify it; the
+    one-statement case of ``_equivalents``, the audit's stacked pass.
 
     A compound is accepted exactly when its constituent properties pairwise
     commute; its connective tree is then evaluated inside the Boolean
     subalgebra they generate (not -> orthocomplement, and -> meet, or ->
-    join, implication materially). Elementary statements are always testable
-    and return their own row of the family's projection stack.
-    """
-    labels = sorted(atom_labels(statement))
-    rows = {label: family.projection_stack[family.index(label)] for label in labels}
-    for a, b in itertools.combinations(labels, 2):
-        residual = commutator_norm(rows[a], rows[b])
-        if not criterion_holds("commutation", residual, family.dim, pol):
-            return None
-    return fold(
-        statement,
-        rows.__getitem__,
-        orthocomplement,
-        partial(meet, pol=pol),
-        partial(join, pol=pol),
-    )
+    join, implication materially). An elementary statement is always
+    testable and returns its own row of the family's projection stack."""
+    return _equivalents([statement], family, pol)[0]
+
+
+def _equivalents(statements, family: PropertyFamily, pol: TolerancePolicy) -> list:
+    """``is_testable`` of each statement, from one stacked pass. One (n, n)
+    table of the members' pairwise commutator norms decides testability,
+    once a statement's labels resolve in sorted order. The testable trees
+    are then evaluated bottom up, identical subterms sharing one key, with
+    one orthocomplement, meet and join call per height across statements."""
+    stack = family.projection_stack
+    norms = _commutator_norms(stack[:, None], stack[None])
+    commute = criterion_holds("commutation", norms, family.dim, pol).tolist()
+    # Row k sits under key k, and a connective node under (kind, *operand keys).
+    values, heights = dict(enumerate(stack)), dict.fromkeys(range(len(stack)), 0)
+    levels: dict[tuple, list] = {}  # (height, kind): the keys of those nodes
+
+    def node(kind, *operands):
+        key = (kind, *operands)
+        if key not in heights:
+            heights[key] = 1 + max(heights[operand] for operand in operands)
+            levels.setdefault((heights[key], kind), []).append(key)
+        return key
+
+    connectives = [partial(node, kind) for kind in ("not", "and", "or")]
+    roots = []
+    for statement in statements:
+        rows = [family.index(label) for label in sorted(atom_labels(statement))]
+        testable = all(commute[a][b] for a, b in itertools.combinations(rows, 2))
+        roots.append(fold(statement, family.index, *connectives) if testable else None)
+    operations = {"not": orthocomplement, "and": partial(meet, pol=pol), "or": partial(join, pol=pol)}
+    for (_, kind), keys in sorted(levels.items()):
+        _, *columns = zip(*keys)  # the first column holds the kind
+        stacks = (np.stack([values[operand] for operand in column]) for column in columns)
+        values.update(zip(keys, operations[kind](*stacks)))
+    return [None if root is None else values[root] for root in roots]
 
 
 def _certainty_values(
@@ -434,7 +456,7 @@ def completeness_audit(
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     realist = mode_key == "sr"
     statements = tuple(statements)
-    equivalents = [is_testable(statement, family, pol) for statement in statements]
+    equivalents = _equivalents(statements, family, pol)
     label_values = dict(zip(family.labels, _certainty_values(model, family.projection_stack, pol)))
     values = [TruthValue.UNDEFINED] * len(statements)
     meaningful = [realist] * len(statements)

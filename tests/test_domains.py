@@ -1,9 +1,11 @@
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 from qlat import (
+    DomainReport,
     ExperimentConfig,
     Ket,
     Observable,
@@ -16,6 +18,7 @@ from qlat import (
     certainty,
     compatible_domain,
     domain_report,
+    domain_reports,
     generate_property_family,
     haar_random_ket,
     join,
@@ -294,6 +297,36 @@ class TestPivot:
             record.detail["min_noncompatible_residual"] == 5.0 * pol.op_tol
             for record in report.instances
         )
+
+
+class TestStackedReports:
+    """verify_family reads one stacked domain_reports pass over its probe
+    states; it must equal one domain_report per model, field by field."""
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    @pytest.mark.parametrize(
+        "pol", [TolerancePolicy(), TolerancePolicy(op_tol=0.3, eig_gap=0.5)], ids=["default", "loose"]
+    )
+    def test_equal_one_report_per_model(self, pol, count):
+        gen = SeededRng(31).generator()
+        seen = set()
+        for dim in range(2, 9):
+            model, family = random_instance(dim, gen, pol)
+            # the family's own state, then its rank-one members' states, then
+            # Haar-random ones
+            atoms = [row for row in family.projection_stack if round(np.trace(row).real) == 1]
+            kets = [model.state] + [Ket(np.linalg.eigh(row)[1][:, -1]) for row in atoms]
+            kets += [haar_random_ket(dim, gen) for _ in range(count)]
+            models = [PureStateModel.from_ket(ket) for ket in kets[:count]]
+            stacked = domain_reports(models, family, pol)
+            assert len(stacked) == count
+            for model, report in zip(models, stacked):
+                single = domain_report(model, family, pol)
+                for field in fields(DomainReport):
+                    assert getattr(report, field.name) == getattr(single, field.name), field.name
+                seen.add((report.predictable_equals_compatible, report.objective_equals_predictable))
+        if count and pol.op_tol > 0.1:
+            assert len(seen) > 1
 
 
 class TestStackedYesNoRoute:

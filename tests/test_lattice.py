@@ -488,3 +488,86 @@ class TestStackedLattice:
         assert record.detail["check"] == "lattice_laws"
         assert not record.passed
         assert record.residual > 0.1
+
+
+def reference_decode(rows):
+    """The entry-by-entry decoder that ``_decode_matrix`` replaced."""
+    return np.array(
+        [[lattice._decode_complex(entry) for entry in row] for row in rows], dtype=np.complex128
+    )
+
+
+class TestDecodeMatrix:
+    """``_decode_matrix`` converts a well-formed document in one call; its
+    values and its errors must be those of the entry-by-entry route."""
+
+    def test_keeps_the_bits_of_complex(self):
+        gen = np.random.default_rng(5)
+        mantissas = gen.uniform(-1.0, 1.0, 120)
+        parts = np.ldexp(mantissas, gen.integers(-1074, 1024, 120)).tolist()
+        parts += [0.0, -0.0, float("inf"), float("-inf"), 10**200, -(10**199), 0, 7, 2**53 + 1]
+        parts += [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        parts += [0.0] * (-len(parts) % 12)
+        pairs = [parts[i : i + 2] for i in range(0, len(parts), 2)]
+        rows = [pairs[i : i + 6] for i in range(0, len(pairs), 6)]
+        decoded = lattice._decode_matrix(rows)
+        assert decoded.dtype == np.complex128 and decoded.shape == (len(rows), 6)
+        assert decoded.tobytes() == reference_decode(rows).tobytes()
+        # the bits of complex(re, im) directly, without numpy's conversion
+        assert decoded.tolist() == [[complex(re, im) for re, im in row] for row in rows]
+        signs = np.signbit(decoded.view(np.float64))
+        assert signs.ravel().tolist() == [np.signbit(float(part)) for part in parts]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [[]], [[], []], [[[1.0, 0.0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        ids=["no-rows", "empty-row", "empty-rows", "one-entry", "ints"],
+    )
+    def test_small_and_empty_documents(self, rows):
+        decoded = lattice._decode_matrix(rows)
+        expected = reference_decode(rows)
+        assert decoded.shape == expected.shape and decoded.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.0, "0"], ["0", 0.0], [True, 0.0], [0.0, False], [1.0, 0.0, 7.0], [1.0],
+         [[1.0, 0.0], 0.0], [0.0, [0.0]], (1.0, 0.0), None, "10", 1.0,
+         [np.float64(1.0), 0.0]],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("where", ["first", "last", "later-row"])
+    def test_malformed_entry_gives_the_entry_by_entry_error(self, bad, where):
+        rows = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]
+        row, column = {"first": (0, 0), "last": (2, 2), "later-row": (1, 1)}[where]
+        rows[row][column] = bad
+        self.assert_same_outcome(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+            [[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], []],
+            [[[1.0, 0.0], [0.0, 0.0]], "ab"],
+            [[[1.0, 0.0], [0.0, 0.0]], ([0.0, 0.0], [1.0, 0.0])],
+            "ab",
+            [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -(2**1024)]]],
+        ],
+        ids=["short-later-row", "long-later-row", "empty-later-row", "string-row", "tuple-row",
+             "string", "huge-first", "huge-last"],
+    )
+    def test_malformed_rows_give_the_entry_by_entry_error(self, rows):
+        self.assert_same_outcome(rows)
+
+    @staticmethod
+    def assert_same_outcome(rows):
+        try:
+            expected = reference_decode(rows)
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                lattice._decode_matrix(rows)
+            assert str(raised.value) == str(exc)
+        else:
+            decoded = lattice._decode_matrix(rows)
+            assert decoded.shape == expected.shape and decoded.tobytes() == expected.tobytes()

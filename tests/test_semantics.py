@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,9 +34,12 @@ from qlat import (
     generate_property_family,
     haar_random_ket,
     is_testable,
+    join,
     kleene_truth,
     leq,
     matrices_close,
+    meet,
+    orthocomplement,
     order_isomorphism_check,
     parse_statement,
     projection_onto_span,
@@ -45,8 +49,9 @@ from qlat import (
     verificationist_truth,
 )
 from qlat import domains, semantics
+from qlat.cli import main
 from qlat.measurement import criterion_holds, nondisturbance_residual
-from qlat.numerics import range_basis
+from qlat.numerics import _frobenius_norms, _ranks, commutator_norm, range_basis
 
 TAUTOLOGY_EDGE = Implies(Elementary("Pplus"), Or(Elementary("Pplus"), Elementary("P0")))
 
@@ -412,6 +417,105 @@ class TestTestability:
         implied = is_testable(Implies(Elementary("P0"), Elementary("P1")), qubit_family)
         # (not P0) v P1 = P1 v P1 = P1 complement is |1><1| joined with itself
         assert matrices_close(implied, qubit_family.get("P1"))
+
+
+def reference_is_testable(statement, family, pol):
+    """The per-statement route that ``is_testable`` once took on its own:
+    labels resolved in sorted order, one ``commutator_norm`` per label pair,
+    then one fold of single-matrix lattice operations over the tree."""
+    labels = sorted(atom_labels(statement))
+    rows = {label: family.projection_stack[family.index(label)] for label in labels}
+    for a, b in itertools.combinations(labels, 2):
+        residual = commutator_norm(rows[a], rows[b])
+        if not criterion_holds("commutation", residual, family.dim, pol):
+            return None
+    return fold(
+        statement,
+        rows.__getitem__,
+        orthocomplement,
+        functools.partial(meet, pol=pol),
+        functools.partial(join, pol=pol),
+    )
+
+
+def shared_statements(labels, gen, count):
+    """``count`` random depth-3 statements over the labels; every other one
+    is a connective over two members of a pool of four depth-2 subterms, so
+    labels and subterms repeat within and across statements."""
+    pool = [random_statement(labels, 2, gen) for _ in range(4)]
+    statements = []
+    for index in range(count):
+        if index % 2:
+            left, right = (pool[int(gen.integers(len(pool)))] for _ in range(2))
+            statements.append((And, Or, Implies)[index % 3](left, right))
+        else:
+            statements.append(random_statement(labels, 3, gen))
+    return statements
+
+
+class TestStackedTestability:
+    """completeness_audit decides testability for all its statements in one
+    stacked pass; the per-statement fold written out above is its oracle."""
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_equals_the_per_statement_fold(self, pol, seed):
+        gen = SeededRng(seed).generator()
+        seen = set()
+        for dim in range(2, 9):
+            model = PureStateModel.from_ket(haar_random_ket(dim, gen))
+            family = generate_property_family(dim, 8, model, gen, pol)
+            statements = shared_statements(list(family.labels), gen, 40)
+            stacked = semantics._equivalents(statements, family, pol)
+            for statement, equivalent in zip(statements, stacked):
+                expected = reference_is_testable(statement, family, pol)
+                assert (equivalent is None) == (expected is None)
+                seen.add(expected is None)
+                if expected is not None:
+                    assert _ranks(equivalent, pol.eig_gap) == _ranks(expected, pol.eig_gap)
+                    assert _frobenius_norms(equivalent - expected) < pol.op_tol
+            audit = completeness_audit(model, family, statements, "standard", pol)
+            assert [record.testable for record in audit.records] == [
+                equivalent is not None for equivalent in stacked
+            ]
+        assert seen == {True, False}
+
+    def test_depth_and_labels_still_raise_through_the_audit(self, ground_model, qubit_family):
+        deep = Elementary("P0")
+        for _ in range(257):
+            deep = Not(deep)
+        with pytest.raises(ValueError, match="deeper than 256 levels"):
+            completeness_audit(ground_model, qubit_family, [Elementary("P1"), deep], "standard")
+        # labels resolve in sorted order, so 'ghost' is named before 'zebra'
+        unknown = And(Elementary("zebra"), Or(Elementary("P0"), Elementary("ghost")))
+        for mode in ("standard", "sr"):
+            with pytest.raises(ValueError, match="unresolved label 'ghost'"):
+                completeness_audit(ground_model, qubit_family, [Elementary("P1"), unknown], mode)
+        with pytest.raises(TypeError, match="not a statement"):
+            completeness_audit(ground_model, qubit_family, [Elementary("P1"), Not(3)], "sr")
+
+    def test_eigh_calls_stay_flat_as_statements_are_added(self, tmp_path, monkeypatch):
+        case = Path(__file__).parent / "data" / "golden" / "d8"
+        text = (case / "statements.txt").read_text(encoding="utf-8")
+        doubled = tmp_path / "statements.txt"
+        doubled.write_text(text + text, encoding="utf-8")
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        counts = []
+        for statements in (case / "statements.txt", doubled):
+            calls.clear()
+            argv = ["audit", "--family", str(case / "family.json"), "--state",
+                    str(case / "state.json"), "--statements", str(statements),
+                    "--mode", "standard", "--out", str(tmp_path / "audit.json")]
+            assert main(argv) == 0
+            counts.append(len(calls))
+        assert counts[0] <= 9  # 14 when each statement folded its own tree
+        assert counts[1] <= counts[0]
 
 
 class TestVerificationistTruth:

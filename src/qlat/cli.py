@@ -21,7 +21,7 @@ from .experiments import (
     run_experiment,
     verify_family,
 )
-from .lattice import PropertyFamily, _decode_matrix, _document_dim
+from .lattice import PropertyFamily, _checked_dim, _decode_matrix
 from .numerics import Ket
 from .semantics import completeness_audit, parse_statement
 
@@ -160,19 +160,19 @@ def _cmd_audit(args) -> tuple[dict, int]:
     state_doc = _load_json(args.state)
     try:
         amplitudes = _decode_matrix([state_doc["amplitudes"]])[0]
-        declared_dim = _document_dim(state_doc)
+        declared_dim = _checked_dim(state_doc["dim"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise _UsageError(f"{args.state}: malformed state document: {exc}") from None
     if amplitudes.size != declared_dim:
         raise _UsageError(
-            f"state dim {declared_dim} does not match {amplitudes.size} amplitudes"
+            f"{args.state}: state dim {declared_dim} does not match {amplitudes.size} amplitudes"
         )
     if declared_dim != family.dim:
-        raise _UsageError(f"state dim {declared_dim} does not match family dim {family.dim}")
+        raise _UsageError(f"{args.state}: state dim {declared_dim} does not match family dim {family.dim}")
     try:
-        model = PureStateModel.from_ket(Ket(amplitudes))
+        model = PureStateModel(Ket(amplitudes))
     except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise _UsageError(f"{args.state}: {exc}") from None
 
     statements = []
     # Text mode has already turned every line ending into "\n".

@@ -19,7 +19,6 @@ from .numerics import (
     TolerancePolicy,
     _commutator_norms,
     _frobenius_norms,
-    matrices_close,
 )
 
 __all__ = [
@@ -49,16 +48,11 @@ class PureStateModel:
     certainly true exactly in this state."""
 
     state: Ket
-    support: Projection
 
-    def __post_init__(self) -> None:
-        amplitudes = self.state.amplitudes
-        if not matrices_close(self.support, np.outer(amplitudes, amplitudes.conj())):
-            raise ValueError("support does not match the outer product of the state")
-
-    @classmethod
-    def from_ket(cls, state: Ket) -> "PureStateModel":
-        return cls(state=state, support=support_projection(state))
+    @cached_property
+    def support(self) -> Projection:
+        """Rank-one projection onto the state, built once per model."""
+        return support_projection(self.state)
 
     @cached_property
     def complement(self) -> Projection:

@@ -21,6 +21,7 @@ from .domains import (
 )
 from .lattice import (
     PropertyFamily,
+    _checked_dim,
     covering_holds,
     de_morgan_gaps,
     family_laws,
@@ -104,7 +105,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
-        for name in ("dim", "instances", "mc_trials", "seed", "commuting_fraction"):
+        object.__setattr__(self, "dim", _checked_dim(self.dim))
+        for name in ("instances", "mc_trials", "seed", "commuting_fraction"):
             value = getattr(self, name)
             kind, noun = numbers.Integral, "an integer"
             if name == "commuting_fraction":
@@ -115,8 +117,6 @@ class ExperimentConfig:
             # an integral fraction stays an int and keeps its report bytes.
             number = int(value) if isinstance(value, numbers.Integral) else float(value)
             object.__setattr__(self, name, number)
-        if not 2 <= self.dim <= 8:
-            raise ValueError(f"dim must be in [2, 8], got {self.dim!r}")
         if self.instances < 1:
             raise ValueError(f"instances must be positive, got {self.instances!r}")
         if self.mc_trials < 1:
@@ -265,7 +265,6 @@ def _random_subspace_projection(
 
 
 def generate_property_family(
-    dim: int,
     n_members: int,
     model: PureStateModel,
     gen: np.random.Generator,
@@ -276,17 +275,15 @@ def generate_property_family(
     Haar-random oblique subspaces (these generically do not). The support and
     its orthocomplement always open the family as E1 and E2.
 
-    A candidate is its orthonormal columns, and its rank, never 0 or ``dim``,
-    their count: a random unitary's first ``rank`` in [1, dim), or the
+    A candidate is its orthonormal columns, and its rank, never 0 or the state's
+    dimension d, their count: a random unitary's first ``rank`` in [1, d), or the
     ``_span_basis`` of a proper nonempty subset of the aligned basis. Its dyad
     is dropped when one check over the kept stack finds a member within
     op_tol, and ``PropertyFamily`` validates the kept dyads once.
     """
-    if dim < 2 or dim != model.state.dim:
-        raise ValueError(
-            f"dim must be at least 2 and match the state's dimension {model.state.dim}, got {dim}"
-        )
-    psi = model.state.amplitudes
+    psi, dim = model.state.amplitudes, model.state.dim
+    if dim < 2:
+        raise ValueError(f"the state's dimension must be at least 2, got {dim}")
     padding = gen.standard_normal((dim, dim - 1)) + 1j * gen.standard_normal((dim, dim - 1))
     aligned_basis, _ = np.linalg.qr(np.column_stack([psi, padding]))
 
@@ -307,7 +304,7 @@ def generate_property_family(
         if not (_frobenius_norms(kept[:count] - matrix) < pol.op_tol).any():
             kept[count] = matrix
             count += 1
-    return PropertyFamily(((f"E{row + 1}", kept[row]) for row in range(count)), dim=dim, pol=pol)
+    return PropertyFamily(((f"E{row + 1}", kept[row]) for row in range(count)), pol=pol)
 
 
 def reference_qubit_family(pol: TolerancePolicy = DEFAULT_POLICY) -> PropertyFamily:
@@ -329,7 +326,7 @@ def reference_qubit_family(pol: TolerancePolicy = DEFAULT_POLICY) -> PropertyFam
 
 
 def reference_qubit_model() -> PureStateModel:
-    return PureStateModel.from_ket(Ket.basis(2, 0))
+    return PureStateModel(Ket.basis(2, 0))
 
 
 def reference_statements() -> tuple[Statement, ...]:
@@ -381,8 +378,8 @@ def _run_compatibility_equivalence(cfg: ExperimentConfig):
 
 def _domain_instance(cfg: ExperimentConfig, index: int) -> tuple[PureStateModel, PropertyFamily]:
     gen = SeededRng(cfg.seed).substream(index, 0)
-    model = PureStateModel.from_ket(haar_random_ket(cfg.dim, gen))
-    family = generate_property_family(cfg.dim, 10, model, gen, cfg.tolerances)
+    model = PureStateModel(haar_random_ket(cfg.dim, gen))
+    family = generate_property_family(10, model, gen, cfg.tolerances)
     return model, family
 
 
@@ -518,7 +515,7 @@ def _family_checks(family: PropertyFamily, rng: SeededRng, states: int, pol: Tol
     probes = [haar_random_ket(family.dim, gen) for _ in range(states)]
     stack = family.projection_stack
     probes += [Ket.normalized(range_basis(row)[:, 0]) for row in stack[is_atom(stack, pol)]]
-    reports = domain_reports([PureStateModel.from_ket(probe) for probe in probes], family, pol)
+    reports = domain_reports([PureStateModel(probe) for probe in probes], family, pol)
     domain_ok = all(
         report.predictable_equals_compatible and report.objective_equals_predictable
         for report in reports

@@ -239,7 +239,7 @@ class PropertyFamily:
     @classmethod
     def from_json_dict(cls, document: dict, pol: TolerancePolicy = DEFAULT_POLICY) -> "PropertyFamily":
         try:
-            dim = _document_dim(document)
+            dim = _checked_dim(document["dim"])
             entries = [
                 (member["label"], _decode_matrix(member["matrix"]))
                 for member in document["members"]
@@ -253,11 +253,13 @@ class PropertyFamily:
         return cls.from_json_dict(json.loads(text), pol=pol)
 
 
-def _document_dim(document: dict) -> int:
-    """The "dim" of a family or state document: an integer, and not a bool."""
-    value = document["dim"]
+def _checked_dim(value) -> int:
+    """A "dim" input, of a run config or a family or state document: an
+    integer, not a bool, in [2, 8], the one range that every input accepts."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"dim must be an integer, got {value!r}")
+    if not 2 <= value <= 8:
+        raise ValueError(f"dim must be in [2, 8], got {value}")
     return int(value)
 
 

@@ -9,7 +9,6 @@ from qlat import (
     ExperimentConfig,
     Ket,
     Observable,
-    Projection,
     PropertyFamily,
     PureStateModel,
     SeededRng,
@@ -38,19 +37,41 @@ from qlat.measurement import criterion_holds, nondisturbance_residual
 
 
 def random_instance(dim, gen, pol):
-    model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-    family = generate_property_family(dim, 8, model, gen, pol)
+    model = PureStateModel(haar_random_ket(dim, gen))
+    family = generate_property_family(8, model, gen, pol)
     return model, family
 
 
 class TestPureStateModel:
-    def test_rejects_support_of_another_state(self):
-        with pytest.raises(ValueError, match="does not match"):
-            PureStateModel(Ket.basis(2, 0), support_projection(Ket.basis(2, 1)))
+    def test_support_is_the_states_projection_bit_for_bit(self):
+        gen = SeededRng(6).generator()
+        for dim in (2, 5, 8):
+            ket = haar_random_ket(dim, gen)
+            assert np.array_equal(PureStateModel(ket).support.matrix, support_projection(ket).matrix)
 
-    def test_rejects_rank_two_support(self):
-        with pytest.raises(ValueError, match="support"):
-            PureStateModel(Ket.basis(3, 0), Projection(np.diag([1.0, 1.0, 0.0])))
+    def test_state_is_the_one_field(self):
+        assert [field.name for field in fields(PureStateModel)] == ["state"]
+        ket = Ket.basis(2, 0)
+        with pytest.raises(TypeError):
+            PureStateModel(ket, support_projection(ket))
+
+    def test_support_built_once_however_often_read(self, pol, monkeypatch):
+        from qlat import domains
+
+        gen = SeededRng(7).generator()
+        model = PureStateModel(haar_random_ket(4, gen))
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return support_projection(state)
+
+        monkeypatch.setattr(domains, "support_projection", counted)
+        family = generate_property_family(8, model, gen, pol)
+        certainty(model, family.projection_stack, pol)
+        domain_reports([model, model], family, pol)
+        domain_report(model, family, pol)
+        assert calls == [model.state]
 
 
 class TestSupport:
@@ -70,10 +91,6 @@ class TestSupport:
         for _ in range(50):
             ket = haar_random_ket(int(gen.integers(2, 7)), gen)
             assert born_probability(ket, support_projection(ket)) == pytest.approx(1.0)
-
-    def test_model_validates_support(self, p1):
-        with pytest.raises(ValueError, match="support"):
-            PureStateModel(state=Ket.basis(2, 0), support=p1)
 
 
 class TestWorkedFamilyDomains:
@@ -124,7 +141,7 @@ class TestMembershipTrivia:
         family = PropertyFamily([], dim=3)
         gen = SeededRng(3).generator()
         for _ in range(20):
-            model = PureStateModel.from_ket(haar_random_ket(3, gen))
+            model = PureStateModel(haar_random_ket(3, gen))
             assert predictable_domain(model, family, pol) == {"0", "I"}
             assert objective_domain(model, family, pol) == {"0", "I"}
 
@@ -147,7 +164,7 @@ class TestMembershipTrivia:
 
 class TestEmptyStacks:
     def test_empty_stack_gives_empty_masks_and_residuals(self):
-        model = PureStateModel.from_ket(Ket.basis(3, 0))
+        model = PureStateModel(Ket.basis(3, 0))
         empty = np.zeros((0, 3, 3), dtype=complex)
         above, below = certainty(model, empty)
         assert above.shape == below.shape == (0,)
@@ -201,10 +218,10 @@ class TestPivot:
         from qlat import domains
 
         gen = SeededRng(13).generator()
-        model = PureStateModel.from_ket(haar_random_ket(5, gen))
-        family = generate_property_family(5, 10, model, gen, pol)
+        model = PureStateModel(haar_random_ket(5, gen))
+        family = generate_property_family(10, model, gen, pol)
         assert len(family) == 12  # ten members, then 0 and I
-        model = PureStateModel.from_ket(model.state)  # nothing cached yet
+        model = PureStateModel(model.state)  # nothing cached yet
         calls = []
         build = PureStateModel.complement.func
 
@@ -317,7 +334,7 @@ class TestStackedReports:
             atoms = [row for row in family.projection_stack if round(np.trace(row).real) == 1]
             kets = [model.state] + [Ket(np.linalg.eigh(row)[1][:, -1]) for row in atoms]
             kets += [haar_random_ket(dim, gen) for _ in range(count)]
-            models = [PureStateModel.from_ket(ket) for ket in kets[:count]]
+            models = [PureStateModel(ket) for ket in kets[:count]]
             stacked = domain_reports(models, family, pol)
             assert len(stacked) == count
             for model, report in zip(models, stacked):
@@ -473,4 +490,4 @@ class TestReportMatchesVerifiers:
         states = [Ket.basis(2, 0), Ket.basis(2, 1), plus_ket]
         states += [haar_random_ket(2, gen) for _ in range(5)]
         for state in states:
-            assert self.flags(PureStateModel.from_ket(state), qubit_family, pol) == (True, True)
+            assert self.flags(PureStateModel(state), qubit_family, pol) == (True, True)

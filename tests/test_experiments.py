@@ -9,6 +9,7 @@ import pytest
 
 from qlat import (
     ExperimentConfig,
+    Ket,
     SeededRng,
     TolerancePolicy,
     commutes,
@@ -131,8 +132,8 @@ class TestGeneration:
 
     def test_property_family_contents(self, pol):
         gen = SeededRng(3).generator()
-        model = PureStateModel.from_ket(haar_random_ket(4, gen))
-        family = generate_property_family(4, 10, model, gen, pol)
+        model = PureStateModel(haar_random_ket(4, gen))
+        family = generate_property_family(10, model, gen, pol)
         assert matrices_close(family.get("E1"), model.support)
         assert family.get("E2").rank == 3
         assert len(family) == 12  # ten members plus the adjoined bounds
@@ -157,8 +158,8 @@ class TestGeneration:
         for seed in (0, 1, 2):
             for n_members in (0, 1, 2, 10):
                 gen = SeededRng(seed).generator()
-                model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-                family = generate_property_family(dim, n_members, model, gen)
+                model = PureStateModel(haar_random_ket(dim, gen))
+                family = generate_property_family(n_members, model, gen)
                 digest.update(repr(family.labels).encode())
                 digest.update(family.projection_stack.tobytes())
                 digest.update(np.float64(gen.random()).tobytes())
@@ -167,19 +168,18 @@ class TestGeneration:
     def test_property_family_opens_with_support_and_complement(self, pol):
         for n_members in (0, 1, 2):
             gen = SeededRng(4).generator()
-            model = PureStateModel.from_ket(haar_random_ket(5, gen))
-            family = generate_property_family(5, n_members, model, gen, pol)
+            model = PureStateModel(haar_random_ket(5, gen))
+            family = generate_property_family(n_members, model, gen, pol)
             assert family.labels == ("E1", "E2", "0", "I")
             assert np.array_equal(family.get("E1").matrix, model.support.matrix)
             assert np.array_equal(family.get("E2").matrix, model.complement.matrix)
 
-    @pytest.mark.parametrize("dim", [1, 3, 5])
-    def test_property_family_rejects_a_dim_off_the_state(self, pol, dim):
+    def test_property_family_rejects_a_one_dimensional_state(self, pol):
         gen = SeededRng(5).generator()
-        model = PureStateModel.from_ket(haar_random_ket(4, gen))
+        model = PureStateModel(Ket.basis(1, 0))
         state = gen.bit_generator.state
-        with pytest.raises(ValueError, match=f"state's dimension 4, got {dim}$"):
-            generate_property_family(dim, 10, model, gen, pol)
+        with pytest.raises(ValueError, match="at least 2, got 1$"):
+            generate_property_family(10, model, gen, pol)
         assert gen.bit_generator.state == state
 
 
@@ -654,6 +654,45 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"malformed state document: dim must be an integer, got {dim!r}" in err
+
+    # Rejected before any (dim, dim) matrix is built, so a huge dim allocates nothing.
+    @pytest.mark.parametrize("dim", [-1, 0, 1, 9, 10**30])
+    def test_family_and_state_documents_keep_dim_in_range(
+        self, family_file, statements_file, tmp_path, capsys, dim
+    ):
+        family = tmp_path / "family-dim.json"
+        family.write_text(json.dumps({"dim": dim, "members": []}))
+        assert main(["verify-family", "--family", str(family)]) == 2
+        assert f"error: {family}: dim must be in [2, 8], got {dim}\n" in capsys.readouterr().err
+
+        state = tmp_path / "state-dim.json"
+        state.write_text(json.dumps({"dim": dim, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+        argv = ["audit", "--family", family_file, "--state", str(state),
+                "--statements", statements_file, "--mode", "standard"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {state}: malformed state document: dim must be in [2, 8], got {dim}\n" in err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"dim": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "state dim 3 does not match 2 amplitudes"),
+            ({"dim": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+             "state dim 3 does not match family dim 2"),
+            ({"dim": 2, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]},
+             "state vector is not normalized: squared norm is 2.0"),
+        ],
+        ids=["amplitudes", "family", "norm"],
+    )
+    def test_audit_state_errors_name_the_file(
+        self, family_file, statements_file, tmp_path, capsys, document, message
+    ):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(document))
+        argv = ["audit", "--family", family_file, "--state", str(state),
+                "--statements", statements_file, "--mode", "standard"]
+        assert main(argv) == 2
+        assert f"error: {state}: {message}\n" in capsys.readouterr().err
 
 
 class TestSharedParser:

@@ -421,8 +421,8 @@ def random_families(pol):
     with oblique ones."""
     for dim in range(2, 9):
         gen = SeededRng(dim).generator()
-        model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-        yield model, generate_property_family(dim, 7, model, gen, pol)
+        model = PureStateModel(haar_random_ket(dim, gen))
+        yield model, generate_property_family(7, model, gen, pol)
 
 
 class TestStackedLattice:

@@ -155,8 +155,8 @@ def check_per_member_route(pol, seed=57):
     gen = SeededRng(seed).generator()
     seen = set()
     for dim in range(2, 9):
-        model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-        family = generate_property_family(dim, 6, model, gen, pol)
+        model = PureStateModel(haar_random_ket(dim, gen))
+        family = generate_property_family(6, model, gen, pol)
         above, below = domains.certainty(model, family.projection_stack, pol)
         members = list(family.projection_stack)
         support, complement = model.support.matrix, model.complement.matrix
@@ -385,7 +385,7 @@ class TestTautologyDetectors:
              for i in range(17)],
             dim=2,
         )
-        model = PureStateModel.from_ket(Ket.basis(2, 0))
+        model = PureStateModel(Ket.basis(2, 0))
         wide = functools.reduce(Or, [Elementary(label) for label in family.labels[:17]])
         assert is_testable(wide, family) is None
         with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
@@ -462,8 +462,8 @@ class TestStackedTestability:
         gen = SeededRng(seed).generator()
         seen = set()
         for dim in range(2, 9):
-            model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-            family = generate_property_family(dim, 8, model, gen, pol)
+            model = PureStateModel(haar_random_ket(dim, gen))
+            family = generate_property_family(8, model, gen, pol)
             statements = shared_statements(list(family.labels), gen, 40)
             stacked = semantics._equivalents(statements, family, pol)
             for statement, equivalent in zip(statements, stacked):
@@ -522,7 +522,7 @@ class TestVerificationistTruth:
     def test_identity_true_in_every_state(self, qubit_family):
         gen = SeededRng(51).generator()
         for _ in range(20):
-            model = PureStateModel.from_ket(haar_random_ket(2, gen))
+            model = PureStateModel(haar_random_ket(2, gen))
             value = verificationist_truth(Elementary("I"), model, qubit_family)
             assert value is TruthValue.TRUE
 
@@ -571,8 +571,8 @@ class TestVerificationistTruth:
         gen = SeededRng(52).generator()
         for _ in range(25):
             dim = int(gen.integers(2, 6))
-            model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-            family = generate_property_family(dim, 6, model, gen, pol)
+            model = PureStateModel(haar_random_ket(dim, gen))
+            family = generate_property_family(6, model, gen, pol)
             labels = list(family.labels)
             for _ in range(10):
                 statement = random_statement(labels, 2, gen)
@@ -599,8 +599,8 @@ class TestOrderIsomorphism:
 
     def test_adversarial_family(self, pol):
         gen = SeededRng(53).generator()
-        model = PureStateModel.from_ket(haar_random_ket(4, gen))
-        family = generate_property_family(4, 9, model, gen, pol)
+        model = PureStateModel(haar_random_ket(4, gen))
+        family = generate_property_family(9, model, gen, pol)
         assert order_isomorphism_check(family, pol, rng=SeededRng(54), samples=200)
 
     def test_stacked_route_equals_the_per_member_and_state_loop(self, pol, monkeypatch):
@@ -623,8 +623,8 @@ class TestOrderIsomorphism:
         monkeypatch.setattr(semantics, "leq", spy_leq)
         for dim in range(2, 7):
             gen = SeededRng(60 + dim).generator()
-            model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-            family = generate_property_family(dim, 7, model, gen, pol)
+            model = PureStateModel(haar_random_ket(dim, gen))
+            family = generate_property_family(7, model, gen, pol)
             members = [family.get(label) for label in family.labels]
             states = [Ket.normalized(v) for member in members for v in range_basis(member).T]
             draws = SeededRng(dim).generator()
@@ -720,7 +720,7 @@ class TestCompletenessAudit:
              ("mid", np.diag([1.0, 1.0, 0]).astype(complex))],
             dim=3,
         )
-        model = PureStateModel.from_ket(Ket.basis(3, 0))
+        model = PureStateModel(Ket.basis(3, 0))
         statements = [Elementary(label) for label in family.labels]
         for mode in ("standard", "sr"):
             audit = completeness_audit(model, family, statements, mode)
@@ -730,8 +730,8 @@ class TestCompletenessAudit:
         gen = SeededRng(55).generator()
         for _ in range(20):
             dim = int(gen.integers(2, 5))
-            model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-            family = generate_property_family(dim, 6, model, gen, pol)
+            model = PureStateModel(haar_random_ket(dim, gen))
+            family = generate_property_family(6, model, gen, pol)
             statements = [Elementary(label) for label in family.labels]
             audit = completeness_audit(model, family, statements, "sr", pol)
             from qlat import commutator_norm
@@ -751,8 +751,8 @@ class TestCompletenessAudit:
         gen = SeededRng(56).generator()
         seen = set()
         for dim in range(2, 9):
-            model = PureStateModel.from_ket(haar_random_ket(dim, gen))
-            family = generate_property_family(dim, 6, model, gen, pol)
+            model = PureStateModel(haar_random_ket(dim, gen))
+            family = generate_property_family(6, model, gen, pol)
             statements = [random_statement(list(family.labels), 2, gen) for _ in range(12)]
             audit = completeness_audit(model, family, statements, "standard", pol)
             support = Observable.from_projection(model.support, pol)

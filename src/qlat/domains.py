@@ -62,11 +62,17 @@ class PureStateModel:
 
 def _sides(models) -> tuple[np.ndarray, np.ndarray]:
     """Support and complement of one model, two (d, d) matrices, or of K
-    models, two (K, 1, d, d) stacks; against n members, (n,) or (K, n) results."""
+    models, two (K, 1, d, d) stacks; against n members, or a (K, n, d, d)
+    stack of K families, (n,) or (K, n) results."""
     if isinstance(models, PureStateModel):
         return models.support.matrix, models.complement.matrix
     sides = np.stack([[model.support.matrix, model.complement.matrix] for model in models])
     return sides[:, None, 0], sides[:, None, 1]
+
+
+def _labels_where(labels, mask) -> set[str]:
+    """The labels whose entry of a boolean row holds."""
+    return {label for label, holds in zip(labels, mask) if holds}
 
 
 def certainty(
@@ -84,7 +90,7 @@ def predictable_domain(
 ) -> set[str]:
     """Union of the certainly true and certainly false domains."""
     above, below = certainty(model, family.projection_stack, pol)
-    return {label for label, holds in zip(family.labels, (above | below).tolist()) if holds}
+    return _labels_where(family.labels, (above | below).tolist())
 
 
 def compatible_domain(
@@ -118,20 +124,29 @@ def objective_domain(
     criterion rather than through the lattice order."""
     residuals = objective_residuals(model, family.projection_stack)
     undisturbed = criterion_holds("nondisturbance", residuals, family.dim, pol)
-    return {label for label, holds in zip(family.labels, undisturbed.tolist()) if holds}
+    return _labels_where(family.labels, undisturbed.tolist())
 
 
 def _pivot_defects(
     members: np.ndarray, model: PureStateModel, pol: TolerancePolicy
 ) -> np.ndarray:
     """Frobenius defect of (E ^ S) v (E ^ S_perp) against E for each
-    member E of an (n, d, d) stack and each support S of ``_sides``. Both
-    meets come from one ``meet`` against the pair [S, S_perp], so one
+    member E and each support S of ``_sides``: an (n, d, d) stack against one
+    model or K models, or a (K, n, d, d) stack whose family k goes with model
+    k. Both meets come from one ``meet`` against the pair [S, S_perp], so one
     ``eigh`` call over 2n (or 2Kn) matrices; one ``join`` then rebuilds the
     members."""
-    meets = meet(members[:, None], np.stack(_sides(model), axis=-3), pol)
+    meets = meet(members[..., None, :, :], np.stack(_sides(model), axis=-3), pol)
     on_support, off_support = meets[..., 0, :, :], meets[..., 1, :, :]
     return _frobenius_norms(join(on_support, off_support, pol) - members)
+
+
+def _split_inputs(models, members: np.ndarray, pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """What ``splits_along_support`` reads, as arrays shaped like ``certainty``'s:
+    the compatible masks, from |ES - SE|_F, and the pivot defects."""
+    norms = _commutator_norms(members, _sides(models)[0])
+    compatible = criterion_holds("commutation", norms, members.shape[-1], pol)
+    return compatible, _pivot_defects(members, models, pol)
 
 
 def pivot_residuals(
@@ -200,16 +215,15 @@ def domain_reports(
     models, stack, labels = list(models), family.projection_stack, family.labels
     if not models:
         return []
+    commuting, defect_rows = _split_inputs(models, stack, pol)
     masks = (
         *certainty(models, stack, pol),
-        criterion_holds("commutation", _commutator_norms(stack, _sides(models)[0]), family.dim, pol),
+        commuting,
         criterion_holds("nondisturbance", objective_residuals(models, stack), family.dim, pol),
     )
     reports = []
-    for defects, *rows in zip(_pivot_defects(stack, models, pol).tolist(), *(m.tolist() for m in masks)):
-        true_side, false_side, compatible, objective = (
-            {label for label, holds in zip(labels, row) if holds} for row in rows
-        )
+    for defects, *rows in zip(defect_rows.tolist(), *(m.tolist() for m in masks)):
+        true_side, false_side, compatible, objective = (_labels_where(labels, row) for row in rows)
         if true_side & false_side:
             raise ValueError(
                 f"certainly true and certainly false overlap on {sorted(true_side & false_side)}"

@@ -11,13 +11,13 @@ import numpy as np
 
 from .domains import (
     PureStateModel,
-    compatible_domain,
+    _labels_where,
+    _sides,
+    _split_inputs,
+    certainty,
     domain_reports,
-    objective_domain,
-    pivot_residuals,
-    predictable_domain,
+    objective_residuals,
     splits_along_support,
-    support_projection,
 )
 from .lattice import (
     PropertyFamily,
@@ -34,22 +34,25 @@ from .lattice import (
 from .measurement import (
     Observable,
     SeededRng,
+    _check_unit_rows,
     compatibility_verdict,
     commutes,
+    criterion_holds,
     haar_random_ket,
 )
 from .numerics import (
     DEFAULT_POLICY,
     HermitianOperator,
     Ket,
-    Projection,
     TolerancePolicy,
     _frobenius_norms,
+    _leading_dyads,
     _ranks,
-    _span_basis,
+    _span_dyads,
     frobenius_distance,
     matrices_close,
     range_basis,
+    validated_projections,
 )
 from .semantics import (
     And,
@@ -196,16 +199,22 @@ class CampaignReport:
         }
 
 
+def _gaussian_matrix(dim: int, gen: np.random.Generator, columns: int | None = None) -> np.ndarray:
+    """A dim x columns (default dim) matrix of independent complex Gaussian
+    entries: the real parts, then the imaginary parts, from ``gen``."""
+    shape = (dim, dim if columns is None else columns)
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
 def random_hermitian(dim: int, gen: np.random.Generator) -> HermitianOperator:
     """Symmetrized matrix of independent standard Gaussian entries."""
-    raw = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    raw = _gaussian_matrix(dim, gen)
     return HermitianOperator((raw + raw.conj().T) / 2.0)
 
 
 def random_unitary(dim: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary from the QR factor of a Gaussian matrix."""
-    raw = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-    q, _ = np.linalg.qr(raw)
+    q, _ = np.linalg.qr(_gaussian_matrix(dim, gen))
     return q
 
 
@@ -258,10 +267,9 @@ def generate_observable_pair(
     raise RuntimeError("failed to draw a non-commuting pair in 100 attempts")
 
 
-def _random_subspace_projection(
-    dim: int, rank: int, gen: np.random.Generator
-) -> Projection:
-    return Projection.from_basis(random_unitary(dim, gen)[:, :rank])
+# Instances per block of stacked linear algebra in the lattice and domain
+# campaigns; bounds memory for large campaigns without changing any byte.
+_INSTANCE_BLOCK = 32
 
 
 def generate_property_family(
@@ -277,34 +285,88 @@ def generate_property_family(
 
     A candidate is its orthonormal columns, and its rank, never 0 or the state's
     dimension d, their count: a random unitary's first ``rank`` in [1, d), or the
-    ``_span_basis`` of a proper nonempty subset of the aligned basis. Its dyad
-    is dropped when one check over the kept stack finds a member within
-    op_tol, and ``PropertyFamily`` validates the kept dyads once.
+    column span of a proper nonempty subset of the aligned basis. Its dyad is
+    dropped when it lies within op_tol of a member kept before it, and
+    ``PropertyFamily`` validates the kept dyads once. The one-model case of
+    ``_property_families``.
     """
-    psi, dim = model.state.amplitudes, model.state.dim
+    return _property_families(n_members, [model], [gen], pol)[0]
+
+
+def _property_families(
+    n_members: int, models, gens, pol: TolerancePolicy
+) -> list[PropertyFamily]:
+    """``generate_property_family`` for each model of a sequence of
+    same-dimension models with its own generator, the linear algebra of all
+    of them in stacked calls.
+
+    Each generator is read in the order of a one-family loop of draws: its
+    aligned basis's padding, then per attempt an oblique-or-aligned uniform
+    and that candidate's rank and Gaussian matrix or its subset mask. QR, SVD
+    and the dedup distances read no randomness, so each round draws, per
+    family, at most the attempts that such a loop would still certainly make:
+    the members still missing, within the cap of 100 * n_members attempts.
+    Then one QR call gives the oblique candidates of the round and one SVD
+    call per column count the aligned ones; each family keeps its candidates
+    greedily in draw order, from one table of their distances to its kept
+    members and to each other. Rounds repeat until every family is full or
+    has made its attempts.
+    """
+    dim = models[0].state.dim
     if dim < 2:
         raise ValueError(f"the state's dimension must be at least 2, got {dim}")
-    padding = gen.standard_normal((dim, dim - 1)) + 1j * gen.standard_normal((dim, dim - 1))
-    aligned_basis, _ = np.linalg.qr(np.column_stack([psi, padding]))
+    states = np.stack([model.state.amplitudes for model in models])[..., None]
+    padding = np.stack([_gaussian_matrix(dim, gen, dim - 1) for gen in gens])
+    aligned_bases, _ = np.linalg.qr(np.concatenate([states, padding], axis=-1))
 
-    kept = np.empty((max(n_members, 2), dim, dim), dtype=np.complex128)
-    kept[0], kept[1] = model.support.matrix, model.complement.matrix
-    count, attempts = 2, 0
-    while count < n_members and attempts < 100 * n_members:
-        attempts += 1
-        if gen.random() < _OBLIQUE_FRACTION:
-            rank = int(gen.integers(1, dim))
-            columns = random_unitary(dim, gen)[:, :rank]
-        else:
-            mask = gen.random(dim) < 0.5
-            if not mask.any() or mask.all():
-                continue
-            columns = _span_basis(aligned_basis[:, mask], pol)
-        matrix = columns @ columns.conj().T
-        if not (_frobenius_norms(kept[:count] - matrix) < pol.op_tol).any():
-            kept[count] = matrix
-            count += 1
-    return PropertyFamily(((f"E{row + 1}", kept[row]) for row in range(count)), pol=pol)
+    kept = np.zeros((len(models), max(n_members, 2), dim, dim), dtype=np.complex128)
+    kept[:, :2] = np.concatenate(_sides(models), axis=1)
+    counts, attempts, cap = [2] * len(models), [0] * len(models), 100 * n_members
+    active = [k for k in range(len(models)) if counts[k] < n_members]
+    while active:
+        # Each candidate of the round goes to its (family row, draw slot).
+        oblique, aligned, drawn = [], {}, []
+        for row, k in enumerate(active):
+            gen, slot = gens[k], 0
+            for _ in range(min(n_members - counts[k], cap - attempts[k])):
+                attempts[k] += 1
+                if gen.random() < _OBLIQUE_FRACTION:
+                    rank = int(gen.integers(1, dim))
+                    oblique.append(((row, slot), rank, _gaussian_matrix(dim, gen)))
+                else:
+                    mask = gen.random(dim) < 0.5
+                    if not mask.any() or mask.all():
+                        continue
+                    columns = aligned_bases[k][:, mask]
+                    aligned.setdefault(columns.shape[1], []).append(((row, slot), columns))
+                slot += 1
+            drawn.append(slot)
+
+        fresh = np.zeros((len(active), max(drawn), dim, dim), dtype=np.complex128)
+        if oblique:
+            slots, ranks, raws = zip(*oblique)
+            unitaries, _ = np.linalg.qr(np.stack(raws))
+            fresh[tuple(zip(*slots))] = _leading_dyads(unitaries, ranks)
+        for group in aligned.values():
+            slots, columns = zip(*group)
+            fresh[tuple(zip(*slots))] = _span_dyads(np.stack(columns), pol)
+        for row, k in enumerate(active):
+            start, chosen = counts[k], []
+            # near[j][i]: candidate j lies within op_tol of kept member i, or
+            # of candidate i - start.
+            rows = np.concatenate([kept[k, :start], fresh[row]])
+            near = (_frobenius_norms(rows - fresh[row, :, None]) < pol.op_tol).tolist()
+            for slot in range(drawn[row]):
+                close = near[slot]
+                if not any(close[:start]) and not any(close[start + j] for j in chosen):
+                    chosen.append(slot)
+            kept[k, start : start + len(chosen)] = fresh[row, chosen]
+            counts[k] += len(chosen)
+        active = [k for k in active if counts[k] < n_members and attempts[k] < cap]
+    return [
+        PropertyFamily(((f"E{row + 1}", kept[k, row]) for row in range(counts[k])), pol=pol)
+        for k in range(len(models))
+    ]
 
 
 def reference_qubit_family(pol: TolerancePolicy = DEFAULT_POLICY) -> PropertyFamily:
@@ -376,20 +438,51 @@ def _run_compatibility_equivalence(cfg: ExperimentConfig):
         }
 
 
-def _domain_instance(cfg: ExperimentConfig, index: int) -> tuple[PureStateModel, PropertyFamily]:
-    gen = SeededRng(cfg.seed).substream(index, 0)
-    model = PureStateModel(haar_random_ket(cfg.dim, gen))
-    family = generate_property_family(10, model, gen, cfg.tolerances)
-    return model, family
+def _instance_blocks(cfg: ExperimentConfig, first: int = 0):
+    """The campaign's instance indices, from ``first``, in blocks of at most
+    ``_INSTANCE_BLOCK``."""
+    stop = first + cfg.instances
+    for start in range(first, stop, _INSTANCE_BLOCK):
+        yield range(start, min(start + _INSTANCE_BLOCK, stop))
 
 
-def _run_predictable_vs_compatible(cfg: ExperimentConfig):
-    pol = cfg.tolerances
-    for index in range(cfg.instances):
-        model, family = _domain_instance(cfg, index)
-        predictable = predictable_domain(model, family, pol)
-        compatible = compatible_domain(model, family, pol)
-        residuals = pivot_residuals(model, family, pol)
+def _domain_blocks(cfg: ExperimentConfig):
+    """Per block, the models and families of its instances: instance i's
+    Haar state and then its 10-member family, drawn from its own substream
+    ``(i, 0)``, with the family's linear algebra stacked over the block."""
+    base = SeededRng(cfg.seed)
+    for indices in _instance_blocks(cfg):
+        gens = [base.substream(index, 0) for index in indices]
+        models = [PureStateModel(haar_random_ket(cfg.dim, gen)) for gen in gens]
+        yield models, _property_families(10, models, gens, cfg.tolerances)
+
+
+def _stacked_rows(rows_of, models, families, pol: TolerancePolicy) -> list:
+    """The rows that ``rows_of(models, families, members, pol)`` yields for
+    each family and its model, in order, from one call per member count:
+    the families of that count go in as one (K, n, d, d) stack of members,
+    as ``lattice._sum_ranges`` groups its matrices by rank."""
+    rows = [None] * len(families)
+    sizes = [len(family) for family in families]
+    for size in dict.fromkeys(sizes):
+        chosen = [k for k, count in enumerate(sizes) if count == size]
+        members = np.stack([families[k].projection_stack for k in chosen])
+        group = rows_of([models[k] for k in chosen], [families[k] for k in chosen], members, pol)
+        for k, row in zip(chosen, group):
+            rows[k] = row
+    return rows
+
+
+def _predictable_vs_compatible_rows(models, families, members: np.ndarray, pol: TolerancePolicy):
+    """Predictable = compatible, with the split rule, for each model and its family."""
+    above, below = certainty(models, members, pol)
+    commuting, defects = _split_inputs(models, members, pol)
+    for family, true_or_false, compatible_mask, defect_row in zip(
+        families, (above | below).tolist(), commuting.tolist(), defects.tolist()
+    ):
+        predictable = _labels_where(family.labels, true_or_false)
+        compatible = _labels_where(family.labels, compatible_mask)
+        residuals = dict(zip(family.labels, defect_row))
         split_ok = splits_along_support(residuals, compatible, pol)
         inside = [residual for label, residual in residuals.items() if label in compatible]
         outside = [residual for label, residual in residuals.items() if label not in compatible]
@@ -401,16 +494,30 @@ def _run_predictable_vs_compatible(cfg: ExperimentConfig):
         }
 
 
-def _run_objective_vs_predictable(cfg: ExperimentConfig):
-    pol = cfg.tolerances
-    for index in range(cfg.instances):
-        model, family = _domain_instance(cfg, index)
-        objective = objective_domain(model, family, pol)
-        predictable = predictable_domain(model, family, pol)
+def _objective_vs_predictable_rows(models, families, members: np.ndarray, pol: TolerancePolicy):
+    """Objective = predictable for each model and its family."""
+    above, below = certainty(models, members, pol)
+    residuals = objective_residuals(models, members)
+    undisturbed = criterion_holds("nondisturbance", residuals, members.shape[-1], pol)
+    for family, true_or_false, objective_mask in zip(
+        families, (above | below).tolist(), undisturbed.tolist()
+    ):
+        objective = _labels_where(family.labels, objective_mask)
+        predictable = _labels_where(family.labels, true_or_false)
         yield objective == predictable, 0.0, {
             "objective": sorted(objective),
             "predictable": sorted(predictable),
         }
+
+
+def _run_predictable_vs_compatible(cfg: ExperimentConfig):
+    for models, families in _domain_blocks(cfg):
+        yield from _stacked_rows(_predictable_vs_compatible_rows, models, families, cfg.tolerances)
+
+
+def _run_objective_vs_predictable(cfg: ExperimentConfig):
+    for models, families in _domain_blocks(cfg):
+        yield from _stacked_rows(_objective_vs_predictable_rows, models, families, cfg.tolerances)
 
 
 def _nondistributivity_witness(pol: TolerancePolicy):
@@ -428,29 +535,51 @@ def _nondistributivity_witness(pol: TolerancePolicy):
 
 
 def _run_lattice_laws(cfg: ExperimentConfig):
-    pol = cfg.tolerances
+    """The witness row, then instances 1 to ``instances``. Instance i draws,
+    from its substream ``(i, 0)``: p's rank and Gaussian matrix, q's, a Haar
+    atom, and the Gaussian matrix of a line r; p, q and r span the leading
+    columns of their matrices' QR factors. Per block, each law is one
+    stacked call: the orthomodular law on p <= p v r, the De Morgan gap of
+    (p, q), covering of p by the atom, and atomicity through p's first range
+    vector."""
+    pol, dim = cfg.tolerances, cfg.dim
     base = SeededRng(cfg.seed)
     yield _nondistributivity_witness(pol)
-    for index in range(1, cfg.instances + 1):
-        gen = base.substream(index, 0)
-        dim = cfg.dim
-        p = _random_subspace_projection(dim, int(gen.integers(1, dim)), gen)
-        q = _random_subspace_projection(dim, int(gen.integers(1, dim)), gen)
-        ket = haar_random_ket(dim, gen)
-        atom = support_projection(ket)
-        comparable = join(p.matrix, _random_subspace_projection(dim, 1, gen).matrix, pol)
-        orthomodular_ok = bool(orthomodular_holds(p.matrix, comparable, pol))
-        gap = float(de_morgan_gaps(p.matrix, q.matrix, pol))
-        covering_ok = bool(covering_holds(atom.matrix, p.matrix, pol))
-        witness_atom = support_projection(Ket(range_basis(p)[:, 0])).matrix
-        atomicity_ok = bool(is_atom(witness_atom, pol) and leq(witness_atom, p.matrix, pol))
-        passed = orthomodular_ok and gap < pol.op_tol and covering_ok and atomicity_ok
-        yield passed, gap, {
-            "orthomodular": orthomodular_ok,
-            "de_morgan_gap": gap,
-            "covering": covering_ok,
-            "atomicity": atomicity_ok,
-        }
+    for indices in _instance_blocks(cfg, first=1):
+        ranks, raws, atom_kets = [], [], []
+        for index in indices:
+            gen = base.substream(index, 0)
+            for _ in range(2):
+                ranks.append(int(gen.integers(1, dim)))
+                raws.append(_gaussian_matrix(dim, gen))
+            atom_kets.append(haar_random_ket(dim, gen).amplitudes)
+            ranks.append(1)
+            raws.append(_gaussian_matrix(dim, gen))
+        unitaries, _ = np.linalg.qr(np.stack(raws))
+        subspaces = validated_projections(_leading_dyads(unitaries, ranks))
+        p, q, line = subspaces[0::3], subspaces[1::3], subspaces[2::3]
+        # range_basis(p)[:, 0] of each p: the first eigenvector above 1/2.
+        eigenvalues, eigenvectors = np.linalg.eigh(p)
+        range_kets = eigenvectors[np.arange(len(p)), :, np.argmax(eigenvalues > 0.5, axis=-1)]
+        _check_unit_rows(range_kets, DEFAULT_POLICY.norm_tol)
+        kets = np.stack([atom_kets, range_kets])[..., None]
+        atoms, witnesses = validated_projections(kets @ kets.conj().mT)
+
+        orthomodular = orthomodular_holds(p, join(p, line, pol), pol)
+        gaps = de_morgan_gaps(p, q, pol)
+        covering = covering_holds(atoms, p, pol)
+        atomicity = is_atom(witnesses, pol) & leq(witnesses, p, pol)
+
+        for orthomodular_ok, gap, covering_ok, atomicity_ok in zip(
+            orthomodular.tolist(), gaps.tolist(), covering.tolist(), atomicity.tolist()
+        ):
+            passed = orthomodular_ok and gap < pol.op_tol and covering_ok and atomicity_ok
+            yield passed, gap, {
+                "orthomodular": orthomodular_ok,
+                "de_morgan_gap": gap,
+                "covering": covering_ok,
+                "atomicity": atomicity_ok,
+            }
 
 
 def _run_completeness_audit(cfg: ExperimentConfig):

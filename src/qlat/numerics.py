@@ -291,20 +291,36 @@ def range_basis(projection) -> np.ndarray:
     return eigenvectors[:, eigenvalues > 0.5]
 
 
-def _span_basis(columns: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
-    """Orthonormal basis of the column span of a d x k complex array: the
-    left singular vectors whose singular value exceeds ``pol.eig_gap``, so
-    the rank does not depend on the column order."""
+def _leading_dyads(bases: np.ndarray, ranks) -> np.ndarray:
+    """For each (d, c) basis of a (..., d, c) stack, the sum of the dyads of
+    its first ``ranks[...]`` columns, as one (..., d, d) stack, not yet
+    validated. One product serves every basis of the same rank, as in
+    ``lattice._sum_ranges``; each product sees the row-major columns that
+    a single basis's slice would, so its bits do not depend on the stack."""
+    ranks = np.asarray(ranks)
+    dyads = np.empty((*bases.shape[:-1], bases.shape[-2]), dtype=np.complex128)
+    for rank in set(ranks.ravel().tolist()):
+        chosen = ranks == rank
+        columns = bases[chosen][..., :rank]
+        dyads[chosen] = columns @ columns.conj().mT
+    return dyads
+
+
+def _span_dyads(columns: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """Projections onto the column span of each d x k array of a (..., d, k)
+    stack, not yet validated: the dyads of the left singular vectors whose
+    singular value exceeds ``pol.eig_gap``, so the rank does not depend on
+    the column order."""
     u, singular, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, singular > pol.eig_gap]
+    return _leading_dyads(u, np.count_nonzero(singular > pol.eig_gap, axis=-1))
 
 
 def projection_onto_span(columns, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
     """Projection onto the column span of a d x k array (a 1-d vector counts
-    as a single column), on the basis of ``_span_basis``."""
+    as a single column), from ``_span_dyads``."""
     array = np.asarray(columns, dtype=np.complex128)
     if array.ndim == 1:
         array = array[:, None]
     if array.ndim != 2 or array.shape[0] == 0:
         raise ValueError(f"expected columns in a d x k array, got shape {array.shape}")
-    return Projection.from_basis(_span_basis(array, pol))
+    return Projection(_span_dyads(array, pol))

@@ -10,18 +10,37 @@ import pytest
 from qlat import (
     ExperimentConfig,
     Ket,
+    Projection,
+    PropertyFamily,
     SeededRng,
     TolerancePolicy,
     commutes,
+    covering_holds,
     generate_observable_pair,
     generate_property_family,
     haar_random_ket,
+    is_atom,
+    join,
+    leq,
     matrices_close,
+    orthomodular_holds,
     run_experiment,
+    support_projection,
     verify_family,
 )
+from qlat import experiments
 from qlat.cli import main
-from qlat.domains import PureStateModel
+from qlat.domains import (
+    PureStateModel,
+    compatible_domain,
+    objective_domain,
+    pivot_residuals,
+    predictable_domain,
+    splits_along_support,
+)
+from qlat.experiments import random_unitary
+from qlat.lattice import de_morgan_gaps
+from qlat.numerics import range_basis
 
 
 def strip_wall_time(document):
@@ -221,6 +240,128 @@ class TestRunExperiment:
         first = strip_wall_time(run_experiment(cfg).to_json_dict())
         second = strip_wall_time(run_experiment(cfg).to_json_dict())
         assert first == second
+
+
+def one_instance_row(experiment, model, family, pol):
+    """The (passed, residual, detail) row of one domain-campaign instance,
+    from the public one-instance functions."""
+    predictable = predictable_domain(model, family, pol)
+    if experiment == "objective_vs_predictable":
+        objective = objective_domain(model, family, pol)
+        return objective == predictable, 0.0, {
+            "objective": sorted(objective), "predictable": sorted(predictable),
+        }
+    compatible = compatible_domain(model, family, pol)
+    residuals = pivot_residuals(model, family, pol)
+    split_ok = splits_along_support(residuals, compatible, pol)
+    inside = [value for label, value in residuals.items() if label in compatible]
+    outside = [value for label, value in residuals.items() if label not in compatible]
+    return predictable == compatible and split_ok, max(inside, default=0.0), {
+        "predictable": sorted(predictable),
+        "compatible": sorted(compatible),
+        "split_identity_ok": split_ok,
+        "min_noncompatible_residual": min(outside, default=None),
+    }
+
+
+def mismatched_records(cfg):
+    """The indices of a domain campaign's records that differ from the row
+    that instance's model and family give through ``generate_property_family``
+    and the public one-instance functions."""
+    mismatched = []
+    for record in run_experiment(cfg).instances:
+        gen = SeededRng(cfg.seed).substream(record.index, 0)
+        model = PureStateModel(haar_random_ket(cfg.dim, gen))
+        family = generate_property_family(10, model, gen, cfg.tolerances)
+        row = one_instance_row(cfg.experiment, model, family, cfg.tolerances)
+        if (record.passed, record.residual, record.detail) != row:
+            mismatched.append(record.index)
+    return mismatched
+
+
+DOMAIN_CAMPAIGNS = ("predictable_vs_compatible", "objective_vs_predictable")
+
+
+class TestStackedCampaigns:
+    """The lattice and domain campaigns draw every instance from its own
+    substream and run the linear algebra of a block of instances in stacked
+    calls; neither the block size nor the stacking may show in a report."""
+
+    @pytest.mark.parametrize("seed", [1, 20031])
+    @pytest.mark.parametrize("experiment", ["lattice_laws", *DOMAIN_CAMPAIGNS])
+    def test_report_does_not_depend_on_the_block_size(self, experiment, seed, monkeypatch):
+        for dim in range(2, 9):
+            for instances in (1, 7):
+                cfg = ExperimentConfig(experiment=experiment, dim=dim, instances=instances, seed=seed)
+                documents = []
+                for block in (experiments._INSTANCE_BLOCK, 1, 3):
+                    monkeypatch.setattr(experiments, "_INSTANCE_BLOCK", block)
+                    documents.append(json.dumps(strip_wall_time(run_experiment(cfg).to_json_dict())))
+                assert documents[1] == documents[0] and documents[2] == documents[0], (dim, instances)
+
+    @pytest.mark.parametrize("seed", [1, 20031])
+    @pytest.mark.parametrize("experiment", DOMAIN_CAMPAIGNS)
+    def test_records_match_the_one_instance_functions(self, experiment, seed):
+        for dim in range(2, 9):
+            cfg = ExperimentConfig(experiment=experiment, dim=dim, instances=5, seed=seed)
+            assert mismatched_records(cfg) == [], dim
+
+    @pytest.mark.parametrize("seed", [1, 20031])
+    def test_lattice_records_match_the_one_instance_loop(self, seed, pol):
+        def subspace(dim, rank, gen):
+            return Projection.from_basis(random_unitary(dim, gen)[:, :rank]).matrix
+
+        for dim in range(2, 9):
+            cfg = ExperimentConfig(experiment="lattice_laws", dim=dim, instances=5, seed=seed)
+            for record in run_experiment(cfg).instances[1:]:
+                gen = SeededRng(seed).substream(record.index, 0)
+                p = subspace(dim, int(gen.integers(1, dim)), gen)
+                q = subspace(dim, int(gen.integers(1, dim)), gen)
+                atom = support_projection(haar_random_ket(dim, gen)).matrix
+                comparable = join(p, subspace(dim, 1, gen), pol)
+                witness = support_projection(Ket(range_basis(p)[:, 0])).matrix
+                gap = float(de_morgan_gaps(p, q, pol))
+                detail = {
+                    "orthomodular": bool(orthomodular_holds(p, comparable, pol)),
+                    "de_morgan_gap": gap,
+                    "covering": bool(covering_holds(atom, p, pol)),
+                    "atomicity": bool(is_atom(witness, pol) and leq(witness, p, pol)),
+                }
+                assert (record.residual, record.detail) == (gap, detail), (dim, record.index)
+
+    @pytest.mark.parametrize("experiment", DOMAIN_CAMPAIGNS)
+    def test_a_block_that_pairs_model_i_with_family_j_fails(self, experiment, monkeypatch):
+        drawn = experiments._domain_blocks
+
+        def shifted(cfg):
+            for models, families in drawn(cfg):
+                yield models, families[1:] + families[:1]
+
+        cfg = ExperimentConfig(experiment=experiment, dim=4, instances=5, seed=1)
+        monkeypatch.setattr(experiments, "_domain_blocks", shifted)
+        assert mismatched_records(cfg) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("experiment", DOMAIN_CAMPAIGNS)
+    def test_families_of_unequal_size_share_a_block(self, experiment, pol):
+        gen = SeededRng(9).generator()
+        models = [PureStateModel(haar_random_ket(3, gen)) for _ in range(5)]
+        axis = np.diag([1.0, 0.0, 0.0]).astype(np.complex128)
+        families = [
+            generate_property_family(10, models[0], gen, pol),
+            PropertyFamily([("S", models[1].support), ("axis", axis)], pol=pol),
+            generate_property_family(4, models[2], gen, pol),
+            PropertyFamily([("S", models[3].support)], pol=pol),
+            generate_property_family(10, models[4], gen, pol),
+        ]
+        assert [len(family) for family in families] == [12, 4, 6, 3, 12]
+        rows_of = {
+            "predictable_vs_compatible": experiments._predictable_vs_compatible_rows,
+            "objective_vs_predictable": experiments._objective_vs_predictable_rows,
+        }[experiment]
+        rows = experiments._stacked_rows(rows_of, models, families, pol)
+        for model, family, row in zip(models, families, rows):
+            assert row == experiments._stacked_rows(rows_of, [model], [family], pol)[0]
+            assert row == one_instance_row(experiment, model, family, pol)
 
 
 @pytest.fixture()

@@ -1,11 +1,12 @@
 """State-relative property domains over a finite family: certainly true,
 certainly false, predictable, compatible, and objective subsets, the split
-rule on the members' pivot residuals, and one report that checks the
-equalities connecting them by independent routes."""
+rule on the members' pivot residuals, and the equalities connecting them,
+each rule defined once over stacks of members and checked by independent
+routes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,12 +26,15 @@ __all__ = [
     "PureStateModel",
     "support_projection",
     "certainty",
+    "compatible_mask",
+    "objective_residuals",
+    "objective_mask",
+    "splits_along_support",
+    "DomainStacks",
     "predictable_domain",
     "compatible_domain",
-    "objective_residuals",
     "objective_domain",
     "pivot_residuals",
-    "splits_along_support",
     "DomainReport",
     "domain_report",
     "domain_reports",
@@ -62,8 +66,7 @@ class PureStateModel:
 
 def _sides(models) -> tuple[np.ndarray, np.ndarray]:
     """Support and complement of one model, two (d, d) matrices, or of K
-    models, two (K, 1, d, d) stacks; against n members, or a (K, n, d, d)
-    stack of K families, (n,) or (K, n) results."""
+    models, two (K, 1, d, d) stacks."""
     if isinstance(models, PureStateModel):
         return models.support.matrix, models.complement.matrix
     sides = np.stack([[model.support.matrix, model.complement.matrix] for model in models])
@@ -80,82 +83,48 @@ def certainty(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The certainty rule over an (n, d, d) stack of projections: the masks
     of the members above the support (certainly true, probability 1) and of
-    those below its orthocomplement (certainly false, probability 0); (K, n) for K models."""
+    those below its orthocomplement (certainly false, probability 0). For K
+    models, (K, n) masks, of one (n, d, d) stack against every model or of
+    a (K, n, d, d) stack whose family k goes with model k."""
     support, complement = _sides(model)
     return leq(support, members, pol), leq(members, complement, pol)
 
 
-def predictable_domain(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> set[str]:
-    """Union of the certainly true and certainly false domains."""
-    above, below = certainty(model, family.projection_stack, pol)
-    return _labels_where(family.labels, (above | below).tolist())
-
-
-def compatible_domain(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> set[str]:
-    """Members whose projection commutes with the support: |ES - SE|_F over
-    the family's stack, in the operand order of ``commutator_norm``."""
-    norms = _commutator_norms(family.projection_stack, model.support.matrix)
-    return {
-        label
-        for label, norm in zip(family.labels, norms.tolist())
-        if criterion_holds("commutation", norm, family.dim, pol)
-    }
+def compatible_mask(
+    model: PureStateModel, members: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
+) -> np.ndarray:
+    """The compatible rule, paired as in ``certainty``: the members that
+    commute with the support, by |ES - SE|_F in ``commutator_norm``'s order."""
+    norms = _commutator_norms(members, _sides(model)[0])
+    return criterion_holds("commutation", norms, members.shape[-1], pol)
 
 
 def objective_residuals(model: PureStateModel, members: np.ndarray) -> np.ndarray:
-    """The exact non-disturbance residual of each member of an (m, d, d)
-    stack of projections, as a yes/no observable, against the yes/no
-    observable of the support: the largest leak in either role, from one
-    ``leak_norms`` call over the members' yes/no stacks; (K, m) of them for
-    a sequence of K models."""
+    """The exact non-disturbance residual of each member, as a yes/no
+    observable, against the yes/no observable of the support, paired as in
+    ``certainty``: the largest leak in either role, from one ``leak_norms``
+    call over the members' yes/no stacks."""
     forward, backward = leak_norms(yes_no_stack(members), yes_no_stack(_sides(model)[0]))
     return np.maximum(forward.max(axis=(-2, -1)), backward.max(axis=(-2, -1)))
 
 
-def objective_domain(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> set[str]:
-    """Members measurable, as yes/no observables, without disturbing a
-    measurement of the support; computed through the exact non-disturbance
-    criterion rather than through the lattice order."""
-    residuals = objective_residuals(model, family.projection_stack)
-    undisturbed = criterion_holds("nondisturbance", residuals, family.dim, pol)
-    return _labels_where(family.labels, undisturbed.tolist())
-
-
-def _pivot_defects(
-    members: np.ndarray, model: PureStateModel, pol: TolerancePolicy
+def objective_mask(
+    model: PureStateModel, members: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
-    """Frobenius defect of (E ^ S) v (E ^ S_perp) against E for each
-    member E and each support S of ``_sides``: an (n, d, d) stack against one
-    model or K models, or a (K, n, d, d) stack whose family k goes with model
-    k. Both meets come from one ``meet`` against the pair [S, S_perp], so one
-    ``eigh`` call over 2n (or 2Kn) matrices; one ``join`` then rebuilds the
-    members."""
+    """The objective rule, paired as in ``certainty``: the members whose
+    ``objective_residuals`` pass the exact non-disturbance criterion."""
+    residuals = objective_residuals(model, members)
+    return criterion_holds("nondisturbance", residuals, members.shape[-1], pol)
+
+
+def _pivot_defects(model: PureStateModel, members: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """Frobenius defect of (E ^ S) v (E ^ S_perp) against E for each member
+    E, paired with the supports S as in ``certainty``. Both meets come from
+    one ``meet`` against the pair [S, S_perp], so one ``eigh`` call over 2n
+    (or 2Kn) matrices; one ``join`` then rebuilds the members."""
     meets = meet(members[..., None, :, :], np.stack(_sides(model), axis=-3), pol)
     on_support, off_support = meets[..., 0, :, :], meets[..., 1, :, :]
     return _frobenius_norms(join(on_support, off_support, pol) - members)
-
-
-def _split_inputs(models, members: np.ndarray, pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """What ``splits_along_support`` reads, as arrays shaped like ``certainty``'s:
-    the compatible masks, from |ES - SE|_F, and the pivot defects."""
-    norms = _commutator_norms(members, _sides(models)[0])
-    compatible = criterion_holds("commutation", norms, members.shape[-1], pol)
-    return compatible, _pivot_defects(members, models, pol)
-
-
-def pivot_residuals(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> dict[str, float]:
-    """Every member's pivot residual, by label, from one stack over the
-    family; it vanishes exactly when the member splits along the support."""
-    defects = _pivot_defects(family.projection_stack, model, pol)
-    return dict(zip(family.labels, defects.tolist()))
 
 
 def splits_along_support(
@@ -169,6 +138,103 @@ def splits_along_support(
         residual < pol.op_tol if label in compatible else residual > 10.0 * pol.op_tol
         for label, residual in residuals.items()
     )
+
+
+class DomainStacks:
+    """The domains and both equality verdicts of K models, one list entry per
+    model, each against its own family or all against one. Each rule runs on
+    first read, once per (K, n, d, d) stack of a member count or once over the
+    one family's (n, d, d) stack."""
+
+    def __init__(self, models, families, pol: TolerancePolicy = DEFAULT_POLICY):
+        self.models, self.pol = list(models), pol
+        if isinstance(families, PropertyFamily):
+            self.labels = [families.labels] * len(self.models)
+            stack = families.projection_stack
+            self._stacks = [(range(len(self.models)), stack)] if self.models else []
+            return
+        if len(families) != len(self.models):
+            raise ValueError(f"{len(self.models)} models against {len(families)} families")
+        self.labels = [family.labels for family in families]
+        sizes = [len(family) for family in families]
+        groups = [[k for k, count in enumerate(sizes) if count == size] for size in dict.fromkeys(sizes)]
+        self._stacks = [(ks, np.stack([families[k].projection_stack for k in ks])) for ks in groups]
+
+    def _rows(self, rule, entry=_labels_where) -> list:
+        """``entry(labels, row)`` per model, from ``rule`` once per stack."""
+        rows = [None] * len(self.models)
+        for ks, members in self._stacks:
+            for k, row in zip(ks, rule([self.models[k] for k in ks], members, self.pol).tolist()):
+                rows[k] = entry(self.labels[k], row)
+        return rows
+
+    @cached_property
+    def certain(self) -> list[tuple[set[str], set[str]]]:
+        """The certainly true and the certainly false labels."""
+        return self._rows(
+            lambda *args: np.stack(certainty(*args), axis=-2),
+            lambda labels, sides: tuple(_labels_where(labels, side) for side in sides),
+        )
+
+    @cached_property
+    def predictable(self) -> list[set[str]]:
+        return [true | false for true, false in self.certain]
+
+    @cached_property
+    def compatible(self) -> list[set[str]]:
+        return self._rows(compatible_mask)
+
+    @cached_property
+    def objective(self) -> list[set[str]]:
+        return self._rows(objective_mask)
+
+    @cached_property
+    def pivot_residuals(self) -> list[dict[str, float]]:
+        return self._rows(_pivot_defects, lambda labels, row: dict(zip(labels, row)))
+
+    @cached_property
+    def splits(self) -> list[bool]:
+        pairs = zip(self.pivot_residuals, self.compatible)
+        return [splits_along_support(residuals, compatible, self.pol) for residuals, compatible in pairs]
+
+    @cached_property
+    def predictable_equals_compatible(self) -> list[bool]:
+        """Predictable = compatible, with the split rule."""
+        triples = zip(self.predictable, self.compatible, self.splits)
+        return [predictable == compatible and splits for predictable, compatible, splits in triples]
+
+    @cached_property
+    def objective_equals_predictable(self) -> list[bool]:
+        pairs = zip(self.objective, self.predictable)
+        return [objective == predictable for objective, predictable in pairs]
+
+
+def predictable_domain(
+    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
+) -> set[str]:
+    """Union of the certainly true and certainly false domains."""
+    return DomainStacks([model], family, pol).predictable[0]
+
+
+def compatible_domain(
+    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
+) -> set[str]:
+    """Members whose projection commutes with the support."""
+    return DomainStacks([model], family, pol).compatible[0]
+
+
+def objective_domain(
+    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
+) -> set[str]:
+    """Members measurable without disturbing a measurement of the support."""
+    return DomainStacks([model], family, pol).objective[0]
+
+
+def pivot_residuals(
+    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
+) -> dict[str, float]:
+    """Each member's pivot residual, zero exactly when it splits along the support."""
+    return DomainStacks([model], family, pol).pivot_residuals[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,53 +252,34 @@ class DomainReport:
     objective_equals_predictable: bool
 
     def to_json_dict(self) -> dict:
+        """Every field in order, each domain as its sorted labels."""
         return {
-            "certainly_true": sorted(self.certainly_true),
-            "certainly_false": sorted(self.certainly_false),
-            "predictable": sorted(self.predictable),
-            "compatible": sorted(self.compatible),
-            "objective": sorted(self.objective),
-            "predictable_equals_compatible": self.predictable_equals_compatible,
-            "objective_equals_predictable": self.objective_equals_predictable,
+            name: sorted(value) if isinstance(value, frozenset) else value
+            for name, value in asdict(self).items()
         }
 
 
 def domain_report(
     model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> DomainReport:
-    """Every domain computed once, with both equality verdicts read from them;
-    predictable = compatible also asks that each member split along the
-    support exactly when it is compatible. One model's ``domain_reports``."""
+    """One model's ``domain_reports``: every domain and both verdicts."""
     return domain_reports([model], family, pol)[0]
 
 
 def domain_reports(
     models, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> list[DomainReport]:
-    """The ``domain_report`` of each of a sequence of models, from one stacked
-    pass: certainty, the commutators with the supports, the leak norms and
-    the two pivot meets are each computed once over all K supports."""
-    models, stack, labels = list(models), family.projection_stack, family.labels
-    if not models:
-        return []
-    commuting, defect_rows = _split_inputs(models, stack, pol)
-    masks = (
-        *certainty(models, stack, pol),
-        commuting,
-        criterion_holds("nondisturbance", objective_residuals(models, stack), family.dim, pol),
-    )
-    reports = []
-    for defects, *rows in zip(defect_rows.tolist(), *(m.tolist() for m in masks)):
-        true_side, false_side, compatible, objective = (_labels_where(labels, row) for row in rows)
-        if true_side & false_side:
-            raise ValueError(
-                f"certainly true and certainly false overlap on {sorted(true_side & false_side)}"
-            )
-        predictable = true_side | false_side
-        splits = splits_along_support(dict(zip(labels, defects)), compatible, pol)
-        reports.append(DomainReport(
-            *map(frozenset, (true_side, false_side, predictable, compatible, objective)),
-            predictable_equals_compatible=predictable == compatible and splits,
-            objective_equals_predictable=objective == predictable,
-        ))
-    return reports
+    """The ``domain_report`` of each of a sequence of models, from one
+    ``DomainStacks``: each rule runs once over the family's stack and all K
+    supports."""
+    domains = DomainStacks(models, family, pol)
+    overlaps = [sorted(true & false) for true, false in domains.certain if true & false]
+    if overlaps:
+        raise ValueError(f"certainly true and certainly false overlap on {overlaps[0]}")
+    return [
+        DomainReport(*map(frozenset, (*sides, *domain_sets)), *verdicts)
+        for sides, *domain_sets, verdicts in zip(
+            domains.certain, domains.predictable, domains.compatible, domains.objective,
+            zip(domains.predictable_equals_compatible, domains.objective_equals_predictable),
+        )
+    ]

@@ -9,16 +9,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .domains import (
-    PureStateModel,
-    _labels_where,
-    _sides,
-    _split_inputs,
-    certainty,
-    domain_reports,
-    objective_residuals,
-    splits_along_support,
-)
+from .domains import DomainStacks, PureStateModel, domain_reports
 from .lattice import (
     PropertyFamily,
     _checked_dim,
@@ -37,7 +28,6 @@ from .measurement import (
     _check_unit_rows,
     compatibility_verdict,
     commutes,
-    criterion_holds,
     haar_random_ket,
 )
 from .numerics import (
@@ -320,7 +310,7 @@ def _property_families(
     aligned_bases, _ = np.linalg.qr(np.concatenate([states, padding], axis=-1))
 
     kept = np.zeros((len(models), max(n_members, 2), dim, dim), dtype=np.complex128)
-    kept[:, :2] = np.concatenate(_sides(models), axis=1)
+    kept[:, :2] = [[model.support.matrix, model.complement.matrix] for model in models]
     counts, attempts, cap = [2] * len(models), [0] * len(models), 100 * n_members
     active = [k for k in range(len(models)) if counts[k] < n_members]
     while active:
@@ -447,77 +437,38 @@ def _instance_blocks(cfg: ExperimentConfig, first: int = 0):
 
 
 def _domain_blocks(cfg: ExperimentConfig):
-    """Per block, the models and families of its instances: instance i's
-    Haar state and then its 10-member family, drawn from its own substream
+    """Per block, the ``DomainStacks`` of its instances: instance i's Haar
+    state and then its 10-member family, drawn from its own substream
     ``(i, 0)``, with the family's linear algebra stacked over the block."""
     base = SeededRng(cfg.seed)
     for indices in _instance_blocks(cfg):
         gens = [base.substream(index, 0) for index in indices]
         models = [PureStateModel(haar_random_ket(cfg.dim, gen)) for gen in gens]
-        yield models, _property_families(10, models, gens, cfg.tolerances)
-
-
-def _stacked_rows(rows_of, models, families, pol: TolerancePolicy) -> list:
-    """The rows that ``rows_of(models, families, members, pol)`` yields for
-    each family and its model, in order, from one call per member count:
-    the families of that count go in as one (K, n, d, d) stack of members,
-    as ``lattice._sum_ranges`` groups its matrices by rank."""
-    rows = [None] * len(families)
-    sizes = [len(family) for family in families]
-    for size in dict.fromkeys(sizes):
-        chosen = [k for k, count in enumerate(sizes) if count == size]
-        members = np.stack([families[k].projection_stack for k in chosen])
-        group = rows_of([models[k] for k in chosen], [families[k] for k in chosen], members, pol)
-        for k, row in zip(chosen, group):
-            rows[k] = row
-    return rows
-
-
-def _predictable_vs_compatible_rows(models, families, members: np.ndarray, pol: TolerancePolicy):
-    """Predictable = compatible, with the split rule, for each model and its family."""
-    above, below = certainty(models, members, pol)
-    commuting, defects = _split_inputs(models, members, pol)
-    for family, true_or_false, compatible_mask, defect_row in zip(
-        families, (above | below).tolist(), commuting.tolist(), defects.tolist()
-    ):
-        predictable = _labels_where(family.labels, true_or_false)
-        compatible = _labels_where(family.labels, compatible_mask)
-        residuals = dict(zip(family.labels, defect_row))
-        split_ok = splits_along_support(residuals, compatible, pol)
-        inside = [residual for label, residual in residuals.items() if label in compatible]
-        outside = [residual for label, residual in residuals.items() if label not in compatible]
-        yield predictable == compatible and split_ok, max(inside, default=0.0), {
-            "predictable": sorted(predictable),
-            "compatible": sorted(compatible),
-            "split_identity_ok": split_ok,
-            "min_noncompatible_residual": min(outside, default=None),
-        }
-
-
-def _objective_vs_predictable_rows(models, families, members: np.ndarray, pol: TolerancePolicy):
-    """Objective = predictable for each model and its family."""
-    above, below = certainty(models, members, pol)
-    residuals = objective_residuals(models, members)
-    undisturbed = criterion_holds("nondisturbance", residuals, members.shape[-1], pol)
-    for family, true_or_false, objective_mask in zip(
-        families, (above | below).tolist(), undisturbed.tolist()
-    ):
-        objective = _labels_where(family.labels, objective_mask)
-        predictable = _labels_where(family.labels, true_or_false)
-        yield objective == predictable, 0.0, {
-            "objective": sorted(objective),
-            "predictable": sorted(predictable),
-        }
+        yield DomainStacks(models, _property_families(10, models, gens, cfg.tolerances), cfg.tolerances)
 
 
 def _run_predictable_vs_compatible(cfg: ExperimentConfig):
-    for models, families in _domain_blocks(cfg):
-        yield from _stacked_rows(_predictable_vs_compatible_rows, models, families, cfg.tolerances)
+    for domains in _domain_blocks(cfg):
+        for passed, predictable, compatible, residuals, split_ok in zip(
+            domains.predictable_equals_compatible, domains.predictable, domains.compatible,
+            domains.pivot_residuals, domains.splits,
+        ):
+            inside = [residual for label, residual in residuals.items() if label in compatible]
+            outside = [residual for label, residual in residuals.items() if label not in compatible]
+            yield passed, max(inside, default=0.0), {
+                "predictable": sorted(predictable),
+                "compatible": sorted(compatible),
+                "split_identity_ok": split_ok,
+                "min_noncompatible_residual": min(outside, default=None),
+            }
 
 
 def _run_objective_vs_predictable(cfg: ExperimentConfig):
-    for models, families in _domain_blocks(cfg):
-        yield from _stacked_rows(_objective_vs_predictable_rows, models, families, cfg.tolerances)
+    for domains in _domain_blocks(cfg):
+        for passed, objective, predictable in zip(
+            domains.objective_equals_predictable, domains.objective, domains.predictable
+        ):
+            yield passed, 0.0, {"objective": sorted(objective), "predictable": sorted(predictable)}
 
 
 def _nondistributivity_witness(pol: TolerancePolicy):
@@ -561,7 +512,7 @@ def _run_lattice_laws(cfg: ExperimentConfig):
         # range_basis(p)[:, 0] of each p: the first eigenvector above 1/2.
         eigenvalues, eigenvectors = np.linalg.eigh(p)
         range_kets = eigenvectors[np.arange(len(p)), :, np.argmax(eigenvalues > 0.5, axis=-1)]
-        _check_unit_rows(range_kets, DEFAULT_POLICY.norm_tol)
+        _check_unit_rows(range_kets, pol.norm_tol)
         kets = np.stack([atom_kets, range_kets])[..., None]
         atoms, witnesses = validated_projections(kets @ kets.conj().mT)
 

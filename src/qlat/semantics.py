@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .domains import PureStateModel, certainty, objective_residuals
+from .domains import PureStateModel, certainty, objective_mask
 from .lattice import PropertyFamily, join, leq, meet, orthocomplement
 from .measurement import SeededRng, _generator_of, _haar_states, criterion_holds
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _commutator_norms
@@ -467,8 +467,8 @@ def completeness_audit(
     for index, value in zip(tested, _certainty_values(model, members, pol)):
         values[index] = value
     if not realist:
-        for index, residual in zip(tested, objective_residuals(model, members).tolist()):
-            meaningful[index] = criterion_holds("nondisturbance", residual, family.dim, pol)
+        for index, objective in zip(tested, objective_mask(model, members, pol).tolist()):
+            meaningful[index] = objective
     # An untestable statement is flagged when it is a classical tautology or
     # contradiction: its truth table is all true (full) or all false (0).
     flagged = [False] * len(statements)

@@ -30,8 +30,10 @@ from qlat import (
     orthocomplement,
     pivot_residuals,
     predictable_domain,
+    reference_qubit_family,
     run_experiment,
     support_projection,
+    verify_family,
 )
 from qlat.measurement import criterion_holds, nondisturbance_residual
 
@@ -300,8 +302,8 @@ class TestPivot:
 
         exact = domains._pivot_defects
 
-        def banded(members, model, pol):
-            return np.minimum(exact(members, model, pol), 5.0 * pol.op_tol)
+        def banded(model, members, pol):
+            return np.minimum(exact(model, members, pol), 5.0 * pol.op_tol)
 
         monkeypatch.setattr(domains, "_pivot_defects", banded)
         assert not domain_report(ground_model, qubit_family, pol).predictable_equals_compatible
@@ -344,6 +346,52 @@ class TestStackedReports:
                 seen.add((report.predictable_equals_compatible, report.objective_equals_predictable))
         if count and pol.op_tol > 0.1:
             assert len(seen) > 1
+
+
+class TestDomainWork:
+    """The domain rules' work, pinned by call counts: the ``meet``, ``join``
+    and ``leak_norms`` calls of ``qlat.domains`` and every
+    ``numpy.linalg.eigh`` call. Each caller computes only what it reads."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        from qlat import domains
+
+        counts = {}
+
+        def count(owner, name):
+            exact = getattr(owner, name)
+            counts[name] = 0
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return exact(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("meet", "join", "leak_norms"):
+            count(domains, name)
+        count(np.linalg, "eigh")
+        return counts
+
+    @pytest.mark.parametrize(
+        "experiment,expected",
+        [
+            ("predictable_vs_compatible", {"meet": 1, "join": 1, "leak_norms": 0, "eigh": 2}),
+            ("objective_vs_predictable", {"meet": 0, "join": 0, "leak_norms": 1, "eigh": 0}),
+        ],
+    )
+    def test_domain_campaigns(self, experiment, expected, monkeypatch):
+        cfg = ExperimentConfig(experiment=experiment, dim=6, instances=10, seed=1)
+        counts = self.counting(monkeypatch)
+        run_experiment(cfg)
+        assert counts == expected
+
+    def test_verify_family(self, monkeypatch):
+        family = reference_qubit_family()
+        counts = self.counting(monkeypatch)
+        verify_family(family, 0, 20)
+        assert counts == {"meet": 1, "join": 1, "leak_norms": 1, "eigh": 11}
 
 
 class TestStackedYesNoRoute:
@@ -393,7 +441,10 @@ class TestStackedYesNoRoute:
             seen.clear()
             compatible = compatible_domain(model, family, pol)
             norms = [commutator_norm(member, model.support) for member in family.projection_stack]
-            assert seen == [("commutation", norm) for norm in norms]
+            # one criterion call over the whole stack, its norms bit for bit
+            # those of the commutator_norm loop
+            [(criterion, stacked)] = seen
+            assert criterion == "commutation" and stacked.tolist() == [norms]
             assert compatible == {
                 label for label, norm in zip(family.labels, norms) if norm < pol.op_tol * dim
             }

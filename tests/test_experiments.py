@@ -31,6 +31,7 @@ from qlat import (
 from qlat import experiments
 from qlat.cli import main
 from qlat.domains import (
+    DomainStacks,
     PureStateModel,
     compatible_domain,
     objective_domain,
@@ -203,6 +204,20 @@ class TestGeneration:
 
 
 class TestRunExperiment:
+    def test_lattice_laws_checks_range_kets_against_the_configs_norm_tol(self, monkeypatch):
+        seen = []
+        exact = experiments._check_unit_rows
+
+        def recording(states, tol):
+            seen.append(tol)
+            return exact(states, tol)
+
+        monkeypatch.setattr(experiments, "_check_unit_rows", recording)
+        policy = TolerancePolicy(norm_tol=1e-10)
+        cfg = ExperimentConfig(experiment="lattice_laws", dim=4, instances=3, seed=1, tolerances=policy)
+        assert run_experiment(cfg).fail_count == 0
+        assert seen == [1e-10]
+
     @pytest.mark.parametrize(
         "experiment",
         [
@@ -242,21 +257,31 @@ class TestRunExperiment:
         assert first == second
 
 
-def one_instance_row(experiment, model, family, pol):
-    """The (passed, residual, detail) row of one domain-campaign instance,
-    from the public one-instance functions."""
+def public_domain_row(experiment, model, family, pol):
+    """What ``DomainStacks`` gives a domain campaign's instance, in the
+    campaign's order, from the public one-model functions."""
     predictable = predictable_domain(model, family, pol)
     if experiment == "objective_vs_predictable":
         objective = objective_domain(model, family, pol)
-        return objective == predictable, 0.0, {
-            "objective": sorted(objective), "predictable": sorted(predictable),
-        }
+        return [objective == predictable, objective, predictable]
     compatible = compatible_domain(model, family, pol)
     residuals = pivot_residuals(model, family, pol)
     split_ok = splits_along_support(residuals, compatible, pol)
+    return [predictable == compatible and split_ok, predictable, compatible, residuals, split_ok]
+
+
+def one_instance_row(experiment, model, family, pol):
+    """The (passed, residual, detail) row of one domain-campaign instance,
+    from the public one-instance functions."""
+    if experiment == "objective_vs_predictable":
+        passed, objective, predictable = public_domain_row(experiment, model, family, pol)
+        return passed, 0.0, {"objective": sorted(objective), "predictable": sorted(predictable)}
+    passed, predictable, compatible, residuals, split_ok = public_domain_row(
+        experiment, model, family, pol
+    )
     inside = [value for label, value in residuals.items() if label in compatible]
     outside = [value for label, value in residuals.items() if label not in compatible]
-    return predictable == compatible and split_ok, max(inside, default=0.0), {
+    return passed, max(inside, default=0.0), {
         "predictable": sorted(predictable),
         "compatible": sorted(compatible),
         "split_identity_ok": split_ok,
@@ -331,14 +356,14 @@ class TestStackedCampaigns:
 
     @pytest.mark.parametrize("experiment", DOMAIN_CAMPAIGNS)
     def test_a_block_that_pairs_model_i_with_family_j_fails(self, experiment, monkeypatch):
-        drawn = experiments._domain_blocks
+        drawn = experiments._property_families
 
-        def shifted(cfg):
-            for models, families in drawn(cfg):
-                yield models, families[1:] + families[:1]
+        def shifted(n_members, models, gens, pol):
+            families = drawn(n_members, models, gens, pol)
+            return families[1:] + families[:1]
 
         cfg = ExperimentConfig(experiment=experiment, dim=4, instances=5, seed=1)
-        monkeypatch.setattr(experiments, "_domain_blocks", shifted)
+        monkeypatch.setattr(experiments, "_property_families", shifted)
         assert mismatched_records(cfg) == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("experiment", DOMAIN_CAMPAIGNS)
@@ -354,14 +379,18 @@ class TestStackedCampaigns:
             generate_property_family(10, models[4], gen, pol),
         ]
         assert [len(family) for family in families] == [12, 4, 6, 3, 12]
-        rows_of = {
-            "predictable_vs_compatible": experiments._predictable_vs_compatible_rows,
-            "objective_vs_predictable": experiments._objective_vs_predictable_rows,
+        names = {
+            "predictable_vs_compatible": (
+                "predictable_equals_compatible", "predictable", "compatible", "pivot_residuals", "splits",
+            ),
+            "objective_vs_predictable": ("objective_equals_predictable", "objective", "predictable"),
         }[experiment]
-        rows = experiments._stacked_rows(rows_of, models, families, pol)
-        for model, family, row in zip(models, families, rows):
-            assert row == experiments._stacked_rows(rows_of, [model], [family], pol)[0]
-            assert row == one_instance_row(experiment, model, family, pol)
+        block = DomainStacks(models, families, pol)
+        for k, (model, family) in enumerate(zip(models, families)):
+            row = [getattr(block, name)[k] for name in names]
+            assert row == [getattr(DomainStacks([model], [family], pol), name)[0] for name in names]
+            assert row == [getattr(DomainStacks([model], family, pol), name)[0] for name in names]
+            assert row == public_domain_row(experiment, model, family, pol)
 
 
 @pytest.fixture()

@@ -474,7 +474,7 @@ class TestStackedLattice:
                 pol,
             )
             expected = _frobenius_norms(rebuilt - stack)
-            assert np.array_equal(_pivot_defects(stack, model, pol), expected)
+            assert np.array_equal(_pivot_defects(model, stack, pol), expected)
 
     def test_wrong_meet_cut_fails_the_family_laws(self, pol, monkeypatch):
         _, family = next(random_families(pol))

@@ -3,6 +3,7 @@ and versioned JSON reports built for exact re-runs."""
 
 from __future__ import annotations
 
+import functools
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -26,8 +27,10 @@ from .measurement import (
     Observable,
     SeededRng,
     _check_unit_rows,
-    compatibility_verdict,
-    commutes,
+    _compatibility_verdicts,
+    _observables,
+    compatibility_verdict,  # noqa: F401 (kept importable here; bench/tests traces it through this module)
+    criterion_holds,
     haar_random_ket,
 )
 from .numerics import (
@@ -35,8 +38,10 @@ from .numerics import (
     HermitianOperator,
     Ket,
     TolerancePolicy,
+    _commutator_norms,
     _frobenius_norms,
     _leading_dyads,
+    _spectral_stacks,
     _ranks,
     _span_dyads,
     frobenius_distance,
@@ -216,18 +221,6 @@ def _gapped_values(dim: int, gen: np.random.Generator) -> np.ndarray:
             return values
 
 
-def _observable_in_basis(basis: np.ndarray, values: np.ndarray) -> Observable:
-    order = np.argsort(values)
-    dyads = [basis[:, i : i + 1] @ basis[:, i : i + 1].conj().T for i in order]
-    matrix = (basis * values) @ basis.conj().T
-    operator = HermitianOperator((matrix + matrix.conj().T) / 2.0)
-    return Observable(operator, tuple(values[order]), dyads)
-
-
-def _min_spectral_gap(observable: Observable) -> float:
-    return float(np.diff(observable.eigenvalues).min(initial=np.inf))
-
-
 def generate_observable_pair(
     dim: int,
     commuting: bool,
@@ -239,26 +232,66 @@ def generate_observable_pair(
     Commuting pairs sample two real spectra in one shared random eigenbasis.
     Non-commuting pairs are independent Gaussian Hermitians, redrawn in the
     measure-zero event that they commute or carry a nearly degenerate
-    spectrum.
+    spectrum. The one-pair case of ``_observable_pairs``.
     """
-    if commuting:
-        basis = random_unitary(dim, gen)
-        return (
-            _observable_in_basis(basis, _gapped_values(dim, gen)),
-            _observable_in_basis(basis, _gapped_values(dim, gen)),
-        )
+    return _observable_pairs(dim, [commuting], [gen], pol)[0]
+
+
+def _observable_pairs(dim: int, commuting, gens, pol: TolerancePolicy) -> list[tuple[Observable, ...]]:
+    """``generate_observable_pair`` for each flag with its own generator, the
+    linear algebra of all pairs in stacked calls.
+
+    Each generator is read in the order of one pair's draws: for a commuting
+    pair the shared basis's Gaussian matrix and then both gapped spectra, for
+    a non-commuting one two Gaussian Hermitians per attempt. QR, ``eigh`` and
+    the gap and commutation checks read no randomness, so each round draws
+    one attempt of every pair still waiting; a rejected attempt is redrawn
+    in the next round, up to 100 attempts. A commuting pair's observables are
+    ``basis @ diag(values) @ basis^H``, whose eigenprojections are the dyads
+    of the basis columns in ascending order of value.
+    """
+    pairs = [None] * len(gens)
+    shared = [k for k, flag in enumerate(commuting) if flag]
+    if shared:
+        raws, values = [], []
+        for k in shared:
+            raws.append(_gaussian_matrix(dim, gens[k]))
+            values += [_gapped_values(dim, gens[k]), _gapped_values(dim, gens[k])]
+        bases, _ = np.linalg.qr(np.stack(raws))
+        bases, values = np.repeat(bases, 2, axis=0), np.stack(values)
+        order = np.argsort(values, axis=-1)
+        columns = np.take_along_axis(bases, order[:, None], axis=-1).mT[..., None]
+        matrices = (bases * values[:, None]) @ bases.conj().mT
+        operators = [HermitianOperator((matrix + matrix.conj().T) / 2.0) for matrix in matrices]
+        spectra = zip(np.take_along_axis(values, order, axis=-1), columns @ columns.conj().mT)
+        observables = _observables(operators, spectra)
+        for k, first, second in zip(shared, observables[0::2], observables[1::2]):
+            pairs[k] = first, second
+    waiting = [k for k, flag in enumerate(commuting) if not flag]
     for _ in range(100):
-        first = Observable.from_operator(random_hermitian(dim, gen), pol)
-        second = Observable.from_operator(random_hermitian(dim, gen), pol)
-        if min(_min_spectral_gap(first), _min_spectral_gap(second)) <= _SPECTRAL_GAP:
-            continue
-        if not commutes(first, second, pol):
-            return first, second
-    raise RuntimeError("failed to draw a non-commuting pair in 100 attempts")
+        if not waiting:
+            break
+        operators = [random_hermitian(dim, gens[k]) for k in waiting for _ in range(2)]
+        matrices = np.stack([operator.matrix for operator in operators])
+        observables = _observables(operators, _spectral_stacks(matrices, pol))
+        norms = _commutator_norms(matrices[0::2], matrices[1::2])
+        commute = criterion_holds("commutation", norms, dim, pol).tolist()
+        drawn, waiting = waiting, []
+        for k, first, second, commutes in zip(drawn, observables[0::2], observables[1::2], commute):
+            spectra = first.eigenvalues, second.eigenvalues
+            gap = min((b - a for values in spectra for a, b in zip(values, values[1:])), default=np.inf)
+            if commutes or gap <= _SPECTRAL_GAP:
+                waiting.append(k)
+            else:
+                pairs[k] = first, second
+    if waiting:
+        raise RuntimeError("failed to draw a non-commuting pair in 100 attempts")
+    return pairs
 
 
-# Instances per block of stacked linear algebra in the lattice and domain
-# campaigns; bounds memory for large campaigns without changing any byte.
+# Instances per block of stacked linear algebra in the lattice, domain and
+# compatibility campaigns; bounds memory for large campaigns without
+# changing any byte.
 _INSTANCE_BLOCK = 32
 
 
@@ -402,30 +435,29 @@ def _numbered(experiment: str, rows) -> tuple[InstanceRecord, ...]:
     )
 
 
+# The verdict fields that a compatibility record's detail reports, in order.
+_VERDICT_DETAIL = (
+    "commutation", "nondisturbance", "interposition", "sequence_symmetry", "commeasurable",
+    "coincide", "mc_trials", "mc_disagreements", "mc_floor", "mc_consistent",
+)
+
+
 def _run_compatibility_equivalence(cfg: ExperimentConfig):
+    """Per block of instances, instance i draws from its substream ``(i, 0)``
+    whether its pair commutes and then the pair, and its Monte Carlo runs
+    read ``derive(i, 1)``; each block's pairs and verdicts are stacked."""
     pol = cfg.tolerances
     base = SeededRng(cfg.seed)
-    for index in range(cfg.instances):
-        gen = base.substream(index, 0)
-        commuting = gen.random() < cfg.commuting_fraction
-        first, second = generate_observable_pair(cfg.dim, commuting, gen, pol)
-        verdict = compatibility_verdict(
-            first, second, pol, trials=cfg.mc_trials, rng=base.derive(index, 1)
-        )
-        passed = verdict.coincide and verdict.mc_consistent
-        yield passed, 0.0 if passed else verdict.max_violation, {
-            "commuting_intended": bool(commuting),
-            "commutation": verdict.commutation,
-            "nondisturbance": verdict.nondisturbance,
-            "interposition": verdict.interposition,
-            "sequence_symmetry": verdict.sequence_symmetry,
-            "commeasurable": verdict.commeasurable,
-            "coincide": verdict.coincide,
-            "mc_trials": verdict.mc_trials,
-            "mc_disagreements": verdict.mc_disagreements,
-            "mc_floor": verdict.mc_floor,
-            "mc_consistent": verdict.mc_consistent,
-        }
+    for indices in _instance_blocks(cfg):
+        gens = [base.substream(index, 0) for index in indices]
+        commuting = [gen.random() < cfg.commuting_fraction for gen in gens]
+        pairs = _observable_pairs(cfg.dim, commuting, gens, pol)
+        verdicts = _compatibility_verdicts(pairs, pol, cfg.mc_trials, [base.derive(index, 1) for index in indices])
+        for intended, verdict in zip(commuting, verdicts):
+            passed = verdict.coincide and verdict.mc_consistent
+            detail = {"commuting_intended": bool(intended)}
+            detail.update((name, getattr(verdict, name)) for name in _VERDICT_DETAIL)
+            yield passed, 0.0 if passed else verdict.max_violation, detail
 
 
 def _instance_blocks(cfg: ExperimentConfig, first: int = 0):
@@ -471,9 +503,10 @@ def _run_objective_vs_predictable(cfg: ExperimentConfig):
             yield passed, 0.0, {"objective": sorted(objective), "predictable": sorted(predictable)}
 
 
+@functools.lru_cache(maxsize=16)
 def _nondistributivity_witness(pol: TolerancePolicy):
     """Row for the worked qubit triple, on which the distributive law
-    strictly fails."""
+    strictly fails; computed once per policy, so callers copy its detail."""
     family = reference_qubit_family(pol)
     stack = family.projection_stack
     ground, excited, superposed = (stack[family.index(label)] for label in ("P0", "P1", "Pplus"))
@@ -495,7 +528,8 @@ def _run_lattice_laws(cfg: ExperimentConfig):
     vector."""
     pol, dim = cfg.tolerances, cfg.dim
     base = SeededRng(cfg.seed)
-    yield _nondistributivity_witness(pol)
+    passed, residual, detail = _nondistributivity_witness(pol)
+    yield passed, residual, dict(detail)
     for indices in _instance_blocks(cfg, first=1):
         ranks, raws, atom_kets = [], [], []
         for index in indices:

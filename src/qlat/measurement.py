@@ -22,8 +22,9 @@ from .numerics import (
     Projection,
     TolerancePolicy,
     _frobenius_norms,
+    _commutator_norms,
+    _spectral_stacks,
     commutator_norm,
-    spectral_stack,
     validated_projections,
 )
 
@@ -100,8 +101,9 @@ class Observable:
     """Hermitian operator with its clustered spectral resolution.
 
     ``eigenvalues`` ascend strictly; ``projection_stack[k]``, the projection
-    of ``eigenvalues[k]``, is one read-only (k, d, d) stack, validated once,
-    here, by ``validated_projections``. The projections are mutually
+    of ``eigenvalues[k]``, is one read-only (k, d, d) stack, validated once
+    by ``validated_projections``: here, or in one call over the stacks of
+    many observables built together. The projections are mutually
     orthogonal and sum to the identity (guaranteed by spectral_stack,
     re-checked in tests, not checked here).
     """
@@ -111,25 +113,15 @@ class Observable:
     projection_stack: np.ndarray
 
     def __post_init__(self) -> None:
-        eigenvalues = tuple(float(value) for value in self.eigenvalues)
-        if not eigenvalues:
-            raise ValueError("spectrum must be nonempty")
-        if any(b <= a for a, b in zip(eigenvalues, eigenvalues[1:])):
-            raise ValueError(f"eigenvalues must be strictly ascending, got {list(eigenvalues)}")
-        stack = np.asarray(self.projection_stack, dtype=np.complex128)
-        expected = (len(eigenvalues), self.dim, self.dim)
-        if stack.shape != expected:
-            raise ValueError(f"projection stack has shape {stack.shape}, expected {expected}")
-        stack = validated_projections(stack)
-        stack.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "projection_stack", stack)
+        (checked,) = _observables([self.operator], [(self.eigenvalues, self.projection_stack)])
+        object.__setattr__(self, "eigenvalues", checked.eigenvalues)
+        object.__setattr__(self, "projection_stack", checked.projection_stack)
 
     @classmethod
     def from_operator(cls, operator, pol: TolerancePolicy = DEFAULT_POLICY) -> "Observable":
         if not isinstance(operator, HermitianOperator):
             operator = HermitianOperator(operator)
-        return cls(operator, *spectral_stack(operator, pol))
+        return _observables([operator], _spectral_stacks(operator.matrix[None], pol))[0]
 
     @classmethod
     def from_projection(cls, projection: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> "Observable":
@@ -139,6 +131,36 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.operator.dim
+
+
+def _observables(operators, spectra) -> list[Observable]:
+    """An ``Observable`` of each operator and its (eigenvalues, projection
+    stack), with the constructor's checks: the eigenvalues as strictly
+    ascending floats, and the stacks validated and made read-only by one
+    ``validated_projections`` call over all of them."""
+    checked = []
+    for operator, (eigenvalues, stack) in zip(operators, spectra):
+        eigenvalues = tuple(float(value) for value in eigenvalues)
+        if not eigenvalues:
+            raise ValueError("spectrum must be nonempty")
+        if any(b <= a for a, b in zip(eigenvalues, eigenvalues[1:])):
+            raise ValueError(f"eigenvalues must be strictly ascending, got {list(eigenvalues)}")
+        stack = np.asarray(stack, dtype=np.complex128)
+        expected = (len(eigenvalues), operator.dim, operator.dim)
+        if stack.shape != expected:
+            raise ValueError(f"projection stack has shape {stack.shape}, expected {expected}")
+        checked.append((operator, eigenvalues, stack))
+    validated = validated_projections(np.concatenate([stack for *_, stack in checked]))
+    validated.setflags(write=False)
+    bounds = np.cumsum([len(eigenvalues) for _, eigenvalues, _ in checked])[:-1]
+    observables = []
+    for (operator, eigenvalues, _), stack in zip(checked, np.split(validated, bounds)):
+        observable = object.__new__(Observable)
+        fields = {"operator": operator, "eigenvalues": eigenvalues, "projection_stack": stack}
+        for name, value in fields.items():
+            object.__setattr__(observable, name, value)
+        observables.append(observable)
+    return observables
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,21 +337,29 @@ def commutes(first: Observable, second: Observable, pol: TolerancePolicy = DEFAU
     return criterion_holds("commutation", residual, first.dim, pol)
 
 
-def _joint_of(first: Observable, second: Observable) -> Observable:
-    """Commeasurability witness of a commuting pair: its eigenprojections are
-    the nonzero products P_n Q_k, and its eigenvalue n * K + k (K outcomes of
-    the second) encodes the outcome pair, so one measurement gives both."""
-    products = first.projection_stack[:, None] @ second.projection_stack[None]
+def _joints(stacks: np.ndarray, counts) -> list[Observable]:
+    """Commeasurability witness of each commuting pair of ``_padded_stacks``'
+    ``stacks[:, j]``, whose second observable has ``counts[j]`` outcomes: its
+    eigenprojections are the nonzero products P_n Q_k, and its eigenvalue
+    n * K + k (K outcomes of the second) encodes the outcome pair, so one
+    measurement gives both. Only the kept products are validated."""
+    products = stacks[0][:, :, None] @ stacks[1][:, None]
     kept = np.trace(products, axis1=-2, axis2=-1).real >= 0.5
-    values = np.flatnonzero(kept).astype(float)
-    matrix = np.einsum("k,kij->ij", values, products[kept])
-    operator = HermitianOperator((matrix + matrix.conj().T) / 2.0)
-    return Observable(operator, tuple(values), products[kept])
+    operators, spectra = [], []
+    for pair_products, pair_kept, count in zip(products, kept, counts):
+        outer, inner = np.nonzero(pair_kept)
+        values = (outer * count + inner).astype(float)
+        stack = pair_products[pair_kept]
+        matrix = np.einsum("k,kij->ij", values, stack)
+        operators.append(HermitianOperator((matrix + matrix.conj().T) / 2.0))
+        spectra.append((values, stack))
+    return _observables(operators, spectra) if operators else []
 
 
-# Trials per block of array work in sequential_disagreements; bounds memory
-# for large trial counts without changing any count.
-_MC_BLOCK = 4096
+# Pair-trials per pass of array work in the Monte Carlo engine; bounds memory
+# without changing any count. At d = 8 a pass of 1,024 peaks at about 5 MB;
+# passes of 4,096 (about 16 MB) ran slower at 256 trials per pair.
+_MC_BLOCK = 1024
 
 
 def sequential_disagreements(
@@ -352,24 +382,39 @@ def sequential_disagreements(
     the block size. (The one exception is a Haar draw too short to
     normalize, below 1e-24 likely per state, which is redrawn after the
     normals of its block.) The measurements of a whole block of trials run
-    at once.
+    at once. The one-pair case of ``_disagreement_counts``.
     """
     _check_pair(first, second)
+    return tuple(_disagreement_counts(*_padded_stacks([(first, second)]), trials, [rng], pol)[0].tolist())
+
+
+def _disagreement_counts(
+    stacks: np.ndarray, last: np.ndarray, trials: int, rngs, pol: TolerancePolicy
+) -> np.ndarray:
+    """``sequential_disagreements`` of every pair of ``_padded_stacks``, pair
+    j with ``rngs[j]``: the (pairs, 2) forward and backward counts. Each pair
+    reads its own streams in blocks of at most ``_MC_BLOCK`` trials, as one
+    pair alone does, and one pass measures the blocks of as many pairs as fit
+    in ``_MC_BLOCK`` pair-trials."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    normals, uniforms = rng.substream(0), rng.substream(1)
-    opening, last = _padded_stacks(first, second)
-    interposed = opening[::-1]
-    counts = np.zeros(2, dtype=np.int64)
-    for start in range(0, trials, _MC_BLOCK):
-        block = min(_MC_BLOCK, trials - start)
-        states, draws = _draw_block(normals, uniforms, block, first.dim)
-        _check_unit_rows(states, pol.norm_tol)
-        opened, states = _measure_rows(states, opening, last, draws[..., 0], pol)
-        _, states = _measure_rows(states, interposed, last[::-1], draws[..., 1], pol)
-        closed, _ = _measure_rows(states, opening, last, draws[..., 2], pol)
-        counts += np.count_nonzero(closed != opened, axis=1)
-    return int(counts[0]), int(counts[1])
+    streams = [(rng.substream(0), rng.substream(1)) for rng in rngs]
+    span = min(trials, _MC_BLOCK)
+    group = max(1, _MC_BLOCK // span)
+    counts = np.zeros((len(streams), 2), dtype=np.int64)
+    for low in range(0, len(streams), group):
+        pairs = slice(low, low + group)
+        opening, ends = stacks[:, pairs], last[:, pairs]
+        for start in range(0, trials, span):
+            block = min(span, trials - start)
+            drawn = [_draw_block(*pair_streams, block, stacks.shape[-1]) for pair_streams in streams[pairs]]
+            states, draws = (np.stack(parts, axis=1) for parts in zip(*drawn))
+            _check_unit_rows(states, pol.norm_tol)
+            opened, states = _measure_rows(states, opening, ends, draws[..., 0], pol)
+            _, states = _measure_rows(states, opening[::-1], ends[::-1], draws[..., 1], pol)
+            closed, _ = _measure_rows(states, opening, ends, draws[..., 2], pol)
+            counts[pairs] += np.count_nonzero(closed != opened, axis=-1).T
+    return counts
 
 
 def _draw_block(
@@ -383,15 +428,19 @@ def _draw_block(
     return states.swapaxes(0, 1), draws.swapaxes(0, 1)
 
 
-def _padded_stacks(first: Observable, second: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """The projection stacks of both observables, padded with zero
-    projections to a common outcome count, and the last real outcome index
-    of each. A padded outcome has probability zero and is never chosen."""
-    counts = len(first.eigenvalues), len(second.eigenvalues)
-    stacks = np.zeros((2, max(counts), first.dim, first.dim), dtype=np.complex128)
-    stacks[0, : counts[0]] = first.projection_stack
-    stacks[1, : counts[1]] = second.projection_stack
-    return stacks, np.array(counts) - 1
+def _padded_stacks(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The projection stacks of same-dimension observable pairs, padded with
+    zero projections to one outcome count, shape (2, pairs, outcomes, d, d):
+    ``[0, j]`` is pair j's first observable and ``[1, j]`` its second; and
+    the last real outcome index of each, shape (2, pairs). A padded outcome
+    has probability zero and is never chosen, and its products are zero."""
+    counts = np.array([[len(observable.eigenvalues) for observable in side] for side in zip(*pairs)])
+    dim = pairs[0][0].dim
+    stacks = np.zeros((2, len(pairs), counts.max(), dim, dim), dtype=np.complex128)
+    for j, pair in enumerate(pairs):
+        for side, observable in enumerate(pair):
+            stacks[side, j, : counts[side, j]] = observable.projection_stack
+    return stacks, counts - 1
 
 
 def _measure_rows(
@@ -401,17 +450,17 @@ def _measure_rows(
     uniforms: np.ndarray,
     pol: TolerancePolicy,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``measure`` applied to every state ``states[o, t]`` with the
-    projection stack ``stacks[o]`` (outcomes past ``last[o]`` are zero
-    padding) and the uniform draw ``uniforms[o, t]``: the outcome indices
+    """``measure`` applied to every state ``states[..., t, :]`` with the
+    projection stack ``stacks[...]`` (outcomes past ``last[...]`` are zero
+    padding) and the uniform draw ``uniforms[..., t]``: the outcome indices
     and the collapsed, normalized post-states.
 
     Applies the guards of ``measure`` and ``Ket`` to every state and raises
     their messages for the first offending one.
     """
-    # projected[o, k, t] is stacks[o, k] applied to states[o, t].
-    projected = states[:, None] @ stacks.swapaxes(-1, -2)
-    probabilities = np.einsum("oti,okti->otk", states.conj(), projected).real
+    # projected[..., k, t, :] is stacks[..., k] applied to states[..., t, :].
+    projected = states[..., None, :, :] @ stacks.mT
+    probabilities = np.einsum("...ti,...kti->...tk", states.conj(), projected).real
     probabilities = np.maximum(probabilities, 0.0)
     totals = probabilities.sum(axis=-1)
     _check_near_one(totals, pol.prob_tol, "outcome probabilities sum to {!r}, not 1")
@@ -419,17 +468,16 @@ def _measure_rows(
     # searchsorted(edges, u * total, side="right").
     edges = np.cumsum(probabilities, axis=-1)
     index = (edges <= (uniforms * totals)[..., None]).sum(axis=-1)
-    order = np.arange(len(stacks))[:, None]
-    trial = np.arange(index.shape[1])
-    beyond = index > last[:, None]
+    beyond = index > last[..., None]
     if beyond.any():
         # Only an index pushed past the last outcome by rounding is clamped,
         # and only a clamped index can land on a zero-probability outcome:
         # any other chosen outcome lies strictly above the previous edge.
-        index = np.where(beyond, last[:, None], index)
-        empty = beyond & (probabilities[order, trial, index] <= 0.0)
+        index = np.where(beyond, last[..., None], index)
+        chosen = np.take_along_axis(probabilities, index[..., None], axis=-1)[..., 0]
+        empty = beyond & (chosen <= 0.0)
         index[empty] = probabilities[empty].argmax(axis=-1)
-    collapsed = projected[order, index, trial]
+    collapsed = np.take_along_axis(projected, index[..., None, :, None], axis=-3)[..., 0, :, :]
     collapsed /= np.sqrt(_squared_norms(collapsed))[..., None]
     _check_unit_rows(collapsed, pol.norm_tol)
     return index, collapsed
@@ -516,48 +564,63 @@ def compatibility_verdict(
     The four residuals are computed independently of each other, and the
     joint observable is built whenever commutation holds; the agreement of
     the five verdicts is the quantity under audit here, not an assumption.
+    The one-pair case of ``_compatibility_verdicts``.
     """
-    if rng is None:
-        rng = SeededRng(0)
-    dim = first.dim
+    _check_pair(first, second)
+    rngs = [SeededRng(0) if rng is None else rng]
+    return _compatibility_verdicts([(first, second)], pol, trials, rngs)[0]
 
-    # The sandwich products give both the non-disturbance residual and the
-    # analytic MC floor.
-    leakage, disagreement_rate = _sandwich_defects(first, second)
-    residuals = {
-        "commutation": commutator_norm(first.operator, second.operator),
-        "nondisturbance": leakage,
-        "interposition": interposition_residual(first, second),
-        "sequence_symmetry": sequence_symmetry_residual(first, second),
-    }
-    holds = {
-        criterion: criterion_holds(criterion, value, dim, pol)
-        for criterion, value in residuals.items()
-    }
-    joint = _joint_of(first, second) if holds["commutation"] else None
-    commeasurable = joint is not None
 
-    # The MC pass rule: no disagreement when exact non-disturbance holds,
-    # otherwise at least one once the trials reach the analytic floor.
-    count = sum(sequential_disagreements(first, second, trials, rng, pol))
-    floor = 0 if holds["nondisturbance"] else _trial_floor(disagreement_rate)
-    mc_consistent = count == 0 if holds["nondisturbance"] else (count > 0 or trials < floor)
+def _compatibility_verdicts(pairs, pol: TolerancePolicy, trials: int, rngs) -> list[CompatibilityVerdict]:
+    """``compatibility_verdict`` of each pair of same-dimension observables,
+    pair j with ``rngs[j]``. The commutators, the joints and the Monte Carlo
+    runs of all pairs are stacked calls; the sandwich, interposition and
+    sequence-symmetry products are taken per pair."""
+    dim = pairs[0][0].dim
+    stacks, last = _padded_stacks(pairs)
+    firsts, seconds = (np.stack([observable.operator.matrix for observable in side]) for side in zip(*pairs))
+    commutators = _commutator_norms(firsts, seconds)
+    commuting = criterion_holds("commutation", commutators, dim, pol)
+    joints = iter(_joints(stacks[:, commuting], last[1, commuting] + 1))
+    counts = _disagreement_counts(stacks, last, trials, rngs, pol).sum(axis=1).tolist()
 
-    verdicts = (*holds.values(), commeasurable)
-    violations = [residuals[criterion] for criterion, held in holds.items() if not held]
-    if not commeasurable:
-        violations.append(residuals["commutation"])
-    return CompatibilityVerdict(
-        commutation=holds["commutation"],
-        nondisturbance=holds["nondisturbance"],
-        mc_trials=trials,
-        mc_disagreements=count,
-        mc_floor=floor,
-        interposition=holds["interposition"],
-        sequence_symmetry=holds["sequence_symmetry"],
-        commeasurable=commeasurable,
-        joint=joint,
-        max_violation=max(violations, default=0.0),
-        coincide=len(set(verdicts)) == 1,
-        mc_consistent=mc_consistent,
-    )
+    results = []
+    for (first, second), commutator, count in zip(pairs, commutators.tolist(), counts):
+        # The sandwich products give both the non-disturbance residual and
+        # the analytic MC floor.
+        leakage, disagreement_rate = _sandwich_defects(first, second)
+        residuals = {
+            "commutation": commutator,
+            "nondisturbance": leakage,
+            "interposition": interposition_residual(first, second),
+            "sequence_symmetry": sequence_symmetry_residual(first, second),
+        }
+        holds = {
+            criterion: criterion_holds(criterion, value, dim, pol)
+            for criterion, value in residuals.items()
+        }
+        joint = next(joints) if holds["commutation"] else None
+        commeasurable = joint is not None
+        # The MC pass rule: no disagreement when exact non-disturbance holds,
+        # otherwise at least one once the trials reach the analytic floor.
+        floor = 0 if holds["nondisturbance"] else _trial_floor(disagreement_rate)
+        mc_consistent = count == 0 if holds["nondisturbance"] else (count > 0 or trials < floor)
+
+        verdicts = (*holds.values(), commeasurable)
+        violations = [residuals[criterion] for criterion, held in holds.items() if not held]
+        if not commeasurable:
+            violations.append(residuals["commutation"])
+        results.append(
+            CompatibilityVerdict(
+                **holds,
+                mc_trials=trials,
+                mc_disagreements=count,
+                mc_floor=floor,
+                commeasurable=commeasurable,
+                joint=joint,
+                max_violation=max(violations, default=0.0),
+                coincide=len(set(verdicts)) == 1,
+                mc_consistent=mc_consistent,
+            )
+        )
+    return results

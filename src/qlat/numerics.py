@@ -250,16 +250,39 @@ def spectral_stack(
     projection sums the corresponding eigenvector dyads, so nearly degenerate
     spectra produce a single higher-rank projection instead of an arbitrary
     split. The returned projections are mutually orthogonal and resolve the
-    identity.
+    identity. The one-operator case of ``_spectral_stacks``.
     """
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
-    eigenvalues, eigenvectors = np.linalg.eigh(operator.matrix)
-    # A cluster closes where the next eigenvalue lies at least eig_gap above.
-    starts = np.flatnonzero(np.diff(eigenvalues) >= pol.eig_gap) + 1
-    clusters = np.split(np.arange(eigenvalues.size), starts)
-    means = tuple(float(np.mean(eigenvalues[indices])) for indices in clusters)
-    return means, np.stack([eigenvectors[:, c] @ eigenvectors[:, c].conj().T for c in clusters])
+    return _spectral_stacks(operator.matrix[None], pol)[0]
+
+
+def _spectral_stacks(matrices: np.ndarray, pol: TolerancePolicy) -> list[tuple[tuple[float, ...], np.ndarray]]:
+    """``spectral_stack`` of each Hermitian matrix of an (n, d, d) stack, from
+    one ``eigh`` call. The clusters of one size take their means and dyads in
+    one call each, from the columns that one matrix's cluster gives, so no bit
+    depends on the stack."""
+    eigenvalues, eigenvectors = np.linalg.eigh(matrices)
+    n, d = eigenvalues.shape
+    # A cluster opens at column 0 and where its eigenvalue lies at least
+    # eig_gap above the one before; flat[c] is cluster c's first (matrix, column).
+    opens = np.ones((n, d), dtype=bool)
+    opens[:, 1:] = np.diff(eigenvalues, axis=-1) >= pol.eig_gap
+    flat = np.flatnonzero(opens)
+    sizes = np.diff(flat, append=n * d)
+    owners, firsts = np.divmod(flat, d)
+    means = np.empty(flat.size)
+    dyads = np.empty((flat.size, d, d), dtype=np.complex128)
+    for size in set(sizes.tolist()):
+        chosen = sizes == size
+        rows = owners[chosen][:, None]
+        columns = firsts[chosen][:, None] + np.arange(size)
+        means[chosen] = eigenvalues[rows, columns].mean(axis=-1)
+        vectors = eigenvectors[rows[..., None], np.arange(d)[:, None], columns[:, None]]
+        dyads[chosen] = vectors @ vectors.conj().mT
+    bounds = np.flatnonzero(np.diff(owners)) + 1
+    spectra = zip(np.split(means, bounds), np.split(dyads, bounds))
+    return [(tuple(values.tolist()), stack) for values, stack in spectra]
 
 
 def spectral_decompose(

@@ -15,6 +15,7 @@ from qlat import (
     SeededRng,
     TolerancePolicy,
     commutes,
+    compatibility_verdict,
     covering_holds,
     generate_observable_pair,
     generate_property_family,
@@ -28,7 +29,7 @@ from qlat import (
     support_projection,
     verify_family,
 )
-from qlat import experiments
+from qlat import experiments, measurement
 from qlat.cli import main
 from qlat.domains import (
     DomainStacks,
@@ -307,10 +308,44 @@ def mismatched_records(cfg):
 DOMAIN_CAMPAIGNS = ("predictable_vs_compatible", "objective_vs_predictable")
 
 
+def compatibility_config(dim, instances, seed, fraction, trials=64):
+    return ExperimentConfig(
+        experiment="compatibility_equivalence", dim=dim, instances=instances,
+        mc_trials=trials, seed=seed, commuting_fraction=fraction,
+    )
+
+
+def mismatched_pairs(cfg):
+    """The indices of a compatibility campaign's records that differ from
+    the row of the one-pair loop: the commuting draw and
+    ``generate_observable_pair`` from substream ``(i, 0)``, then
+    ``compatibility_verdict`` with ``derive(i, 1)``."""
+    base, pol, mismatched = SeededRng(cfg.seed), cfg.tolerances, []
+    for record in run_experiment(cfg).instances:
+        gen = base.substream(record.index, 0)
+        commuting = gen.random() < cfg.commuting_fraction
+        first, second = generate_observable_pair(cfg.dim, commuting, gen, pol)
+        verdict = compatibility_verdict(
+            first, second, pol, trials=cfg.mc_trials, rng=base.derive(record.index, 1)
+        )
+        passed = verdict.coincide and verdict.mc_consistent
+        detail = {"commuting_intended": bool(commuting), "mc_trials": cfg.mc_trials}
+        for name in (
+            "commutation", "nondisturbance", "interposition", "sequence_symmetry", "commeasurable",
+            "coincide", "mc_disagreements", "mc_floor", "mc_consistent",
+        ):
+            detail[name] = getattr(verdict, name)
+        row = (passed, 0.0 if passed else verdict.max_violation, detail)
+        if (record.passed, record.residual, record.detail) != row:
+            mismatched.append(record.index)
+    return mismatched
+
+
 class TestStackedCampaigns:
-    """The lattice and domain campaigns draw every instance from its own
-    substream and run the linear algebra of a block of instances in stacked
-    calls; neither the block size nor the stacking may show in a report."""
+    """The lattice, domain and compatibility campaigns draw every instance
+    from its own substream and run the linear algebra of a block of
+    instances in stacked calls; neither the block size nor the stacking may
+    show in a report."""
 
     @pytest.mark.parametrize("seed", [1, 20031])
     @pytest.mark.parametrize("experiment", ["lattice_laws", *DOMAIN_CAMPAIGNS])
@@ -330,6 +365,70 @@ class TestStackedCampaigns:
         for dim in range(2, 9):
             cfg = ExperimentConfig(experiment=experiment, dim=dim, instances=5, seed=seed)
             assert mismatched_records(cfg) == [], dim
+
+    @pytest.mark.parametrize("seed", [1, 20031])
+    @pytest.mark.parametrize("fraction", [0, 0.5, 1])
+    def test_compatibility_report_does_not_depend_on_the_block_sizes(self, fraction, seed, monkeypatch):
+        # 16 trials fit two pairs in a 37-row Monte Carlo pass; 64 split a
+        # pair's trials over two passes.
+        for dim in range(2, 9):
+            for instances in (1, 7):
+                cfg = compatibility_config(dim, instances, seed, fraction, trials=(16, 64)[dim % 2])
+                documents = []
+                for block, mc_block in ((experiments._INSTANCE_BLOCK, measurement._MC_BLOCK), (1, 4096), (3, 4096), (32, 37)):
+                    monkeypatch.setattr(experiments, "_INSTANCE_BLOCK", block)
+                    monkeypatch.setattr(measurement, "_MC_BLOCK", mc_block)
+                    documents.append(json.dumps(strip_wall_time(run_experiment(cfg).to_json_dict())))
+                assert documents[1:] == documents[:1] * 3, (dim, instances)
+
+    @pytest.mark.parametrize("seed", [1, 20031])
+    @pytest.mark.parametrize("fraction", [0, 0.5, 1])
+    def test_compatibility_records_match_the_one_pair_loop(self, fraction, seed):
+        for dim in range(2, 9):
+            for instances in (1, 7):
+                assert mismatched_pairs(compatibility_config(dim, instances, seed, fraction)) == [], dim
+
+    def test_a_block_that_shifts_its_pairs_fails(self, monkeypatch):
+        drawn = experiments._observable_pairs
+
+        def shifted(dim, commuting, gens, pol):
+            pairs = drawn(dim, commuting, gens, pol)
+            return pairs[1:] + pairs[:1]
+
+        cfg = compatibility_config(4, 5, 1, 0)
+        monkeypatch.setattr(experiments, "_observable_pairs", shifted)
+        assert mismatched_pairs(cfg) == [0, 1, 2, 3, 4]
+
+    def test_compatibility_campaign_makes_one_eigh_call_per_block(self, monkeypatch):
+        # The one-pair loop made two per pair: 128 here.
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        run_experiment(compatibility_config(8, 64, 1, 0, trials=1))
+        assert calls == [(64, 8, 8), (64, 8, 8)]
+
+    def test_witness_row_is_built_once_per_policy(self, monkeypatch):
+        pol = TolerancePolicy(op_tol=1.25e-9)
+        cfg = ExperimentConfig(experiment="lattice_laws", dim=3, instances=2, seed=1, tolerances=pol)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        first = run_experiment(cfg)
+        first_calls, witness = len(calls), dict(first.instances[0].detail)
+        first.instances[0].detail["gap"] = -1.0
+        second = run_experiment(cfg)
+        # The witness's meets and joins take 5 of the first campaign's 12
+        # eigh calls and none of the second's.
+        assert (first_calls, len(calls) - first_calls) == (12, 7)
+        assert second.instances[0].detail == witness and witness["gap"] > 0.5
 
     @pytest.mark.parametrize("seed", [1, 20031])
     def test_lattice_records_match_the_one_instance_loop(self, seed, pol):

@@ -24,7 +24,7 @@ from qlat import (
     sequential_disagreements,
 )
 from qlat import measurement
-from qlat.experiments import _observable_in_basis, random_unitary
+from qlat.experiments import _gapped_values, random_unitary
 from qlat.measurement import (
     _MC_BLOCK,
     _check_unit_rows,
@@ -540,7 +540,7 @@ def per_product_joint(first, second):
 
 
 def per_column_observable(basis, values):
-    """``_observable_in_basis``'s spectrum as it stood before the stack:
+    """A commuting pair's spectrum as it stood before the stack:
     one Projection.from_basis per column, in ascending order of value."""
     order = np.argsort(values)
     matrices = [Projection.from_basis(basis[:, i : i + 1]).matrix for i in order]
@@ -553,15 +553,16 @@ class TestStackOracles:
     broadcast products."""
 
     @pytest.mark.parametrize("dim", range(2, 9))
-    def test_observable_in_basis_equals_the_per_column_route(self, dim):
-        gen = SeededRng(80 + dim).generator()
+    def test_commuting_pair_equals_the_per_column_route(self, dim, pol):
+        # The twin stream replays the pair's draws: the basis, then two spectra.
+        gen, twin = SeededRng(80 + dim).generator(), SeededRng(80 + dim).generator()
         for _ in range(20):
-            basis = random_unitary(dim, gen)
-            values = gen.standard_normal(dim)
-            observable = _observable_in_basis(basis, values)
-            expected_values, expected = per_column_observable(basis, values)
-            assert observable.eigenvalues == expected_values
-            assert np.array_equal(observable.projection_stack, expected)
+            pair = generate_observable_pair(dim, True, gen, pol)
+            basis = random_unitary(dim, twin)
+            for observable in pair:
+                expected_values, expected = per_column_observable(basis, _gapped_values(dim, twin))
+                assert observable.eigenvalues == expected_values
+                assert np.array_equal(observable.projection_stack, expected)
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_joint_equals_the_per_product_route(self, dim, pol):
@@ -716,10 +717,10 @@ class TestBatchedEngine:
             sequential_disagreements(first, second, 64, SeededRng(7), strict)
 
     def test_probability_sum_guard_rejects_nan(self, sigma_x, pol):
-        stacks, last = _padded_stacks(sigma_x, sigma_x)
+        stacks, last = _padded_stacks([(sigma_x, sigma_x)])
         states = np.array([[[np.nan, 0.0]]], dtype=complex)
         with pytest.raises(ValueError, match="outcome probabilities sum to nan"):
-            _measure_rows(states, stacks[:1], last[:1], np.array([[0.5]]), pol)
+            _measure_rows(states, stacks[:1, 0], last[:1, 0], np.array([[0.5]]), pol)
 
     def test_inverse_cdf_edge_cases(self, pol):
         # u = 1 puts u * total on the last edge, so every edge counts; the
@@ -728,10 +729,10 @@ class TestBatchedEngine:
         # searchsorted(side="right") does.
         first = Observable.from_operator(np.diag([1.0, 2.0, 3.0]))
         second = Observable.from_operator(np.diag([1.0, 1.0, 2.0]))
-        stacks, last = _padded_stacks(first, second)
+        stacks, last = _padded_stacks([(first, second)])
         states = np.stack([np.eye(3), np.eye(3)]).astype(complex)
         uniforms = np.array([[1.0, 0.5, 0.0], [1.0, 0.5, 0.0]])
-        index, collapsed = _measure_rows(states, stacks, last, uniforms, pol)
+        index, collapsed = _measure_rows(states, stacks[:, 0], last[:, 0], uniforms, pol)
         assert index.tolist() == [[0, 1, 2], [0, 0, 1]]
         assert np.allclose(collapsed, states)
 

@@ -12,10 +12,8 @@ from .numerics import (
     Ket,
     Projection,
     TolerancePolicy,
-    commutator_norm,
     frobenius_distance,
     matrices_close,
-    projection_onto_span,
     spectral_decompose,
 )
 from .lattice import (
@@ -30,31 +28,19 @@ from .lattice import (
 )
 from .measurement import (
     CompatibilityVerdict,
-    MeasurementOutcome,
     Observable,
     SeededRng,
-    born_probability,
-    commutes,
     compatibility_verdict,
     haar_random_ket,
-    mc_trial_floor,
-    measure,
-    min_disagreement_probability,
     sequential_disagreements,
 )
 from .domains import (
     DomainReport,
     PureStateModel,
     certainty,
-    compatible_domain,
-    domain_report,
     domain_reports,
-    objective_domain,
     objective_residuals,
-    pivot_residuals,
-    predictable_domain,
     splits_along_support,
-    support_projection,
 )
 from .semantics import (
     And,
@@ -69,20 +55,14 @@ from .semantics import (
     completeness_audit,
     fold,
     format_statement,
-    is_testable,
-    kleene_truth,
     order_isomorphism_check,
     parse_statement,
-    tarskian_truth,
     truth_table,
-    verificationist_truth,
 )
 from .experiments import (
     EXPERIMENTS,
     CampaignReport,
     ExperimentConfig,
-    generate_observable_pair,
-    generate_property_family,
     reference_qubit_family,
     reference_qubit_model,
     reference_statements,

@@ -24,26 +24,15 @@ from .numerics import (
 
 __all__ = [
     "PureStateModel",
-    "support_projection",
     "certainty",
     "compatible_mask",
     "objective_residuals",
     "objective_mask",
     "splits_along_support",
     "DomainStacks",
-    "predictable_domain",
-    "compatible_domain",
-    "objective_domain",
-    "pivot_residuals",
     "DomainReport",
-    "domain_report",
     "domain_reports",
 ]
-
-
-def support_projection(state: Ket) -> Projection:
-    """Rank-one projection onto the state; invariant under global phase."""
-    return Projection.from_basis(state.amplitudes[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +44,9 @@ class PureStateModel:
 
     @cached_property
     def support(self) -> Projection:
-        """Rank-one projection onto the state, built once per model."""
-        return support_projection(self.state)
+        """Rank-one projection onto the state, built once per model; invariant
+        under global phase."""
+        return Projection.from_basis(self.state.amplitudes[:, None])
 
     @cached_property
     def complement(self) -> Projection:
@@ -94,7 +84,7 @@ def compatible_mask(
     model: PureStateModel, members: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
     """The compatible rule, paired as in ``certainty``: the members that
-    commute with the support, by |ES - SE|_F in ``commutator_norm``'s order."""
+    commute with the support, by |ES - SE|_F with the member E first."""
     norms = _commutator_norms(members, _sides(model)[0])
     return criterion_holds("commutation", norms, members.shape[-1], pol)
 
@@ -209,34 +199,6 @@ class DomainStacks:
         return [objective == predictable for objective, predictable in pairs]
 
 
-def predictable_domain(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> set[str]:
-    """Union of the certainly true and certainly false domains."""
-    return DomainStacks([model], family, pol).predictable[0]
-
-
-def compatible_domain(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> set[str]:
-    """Members whose projection commutes with the support."""
-    return DomainStacks([model], family, pol).compatible[0]
-
-
-def objective_domain(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> set[str]:
-    """Members measurable without disturbing a measurement of the support."""
-    return DomainStacks([model], family, pol).objective[0]
-
-
-def pivot_residuals(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> dict[str, float]:
-    """Each member's pivot residual, zero exactly when it splits along the support."""
-    return DomainStacks([model], family, pol).pivot_residuals[0]
-
-
 @dataclass(frozen=True, eq=False)
 class DomainReport:
     """All five domains of one (state, family) instance plus the equality
@@ -259,19 +221,12 @@ class DomainReport:
         }
 
 
-def domain_report(
-    model: PureStateModel, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> DomainReport:
-    """One model's ``domain_reports``: every domain and both verdicts."""
-    return domain_reports([model], family, pol)[0]
-
-
 def domain_reports(
     models, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> list[DomainReport]:
-    """The ``domain_report`` of each of a sequence of models, from one
-    ``DomainStacks``: each rule runs once over the family's stack and all K
-    supports."""
+    """Every domain and both verdicts of each of a sequence of models against
+    one family, from one ``DomainStacks``: each rule runs once over the
+    family's stack and all K supports."""
     domains = DomainStacks(models, family, pol)
     overlaps = [sorted(true & false) for true, false in domains.certain if true & false]
     if overlaps:

@@ -66,9 +66,6 @@ __all__ = [
     "InstanceRecord",
     "CampaignReport",
     "random_hermitian",
-    "random_unitary",
-    "generate_observable_pair",
-    "generate_property_family",
     "reference_qubit_family",
     "reference_qubit_model",
     "reference_statements",
@@ -82,7 +79,7 @@ SCHEMA_VERSION = 2
 # cluster boundaries never interact with the campaigns.
 _SPECTRAL_GAP = 1e-3
 
-# Share of generate_property_family's draws that try an oblique member.
+# Share of _property_families' draws that try an oblique member.
 _OBLIQUE_FRACTION = 0.5
 
 
@@ -207,12 +204,6 @@ def random_hermitian(dim: int, gen: np.random.Generator) -> HermitianOperator:
     return HermitianOperator((raw + raw.conj().T) / 2.0)
 
 
-def random_unitary(dim: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary from the QR factor of a Gaussian matrix."""
-    q, _ = np.linalg.qr(_gaussian_matrix(dim, gen))
-    return q
-
-
 def _gapped_values(dim: int, gen: np.random.Generator) -> np.ndarray:
     while True:
         values = gen.standard_normal(dim)
@@ -221,25 +212,15 @@ def _gapped_values(dim: int, gen: np.random.Generator) -> np.ndarray:
             return values
 
 
-def generate_observable_pair(
-    dim: int,
-    commuting: bool,
-    gen: np.random.Generator,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> tuple[Observable, Observable]:
-    """One observable pair, forced to commute or generically non-commuting.
+def _observable_pairs(dim: int, commuting, gens, pol: TolerancePolicy) -> list[tuple[Observable, ...]]:
+    """One observable pair per flag, drawn from its own generator: forced to
+    commute when the flag is set, generically non-commuting otherwise. The
+    linear algebra of all pairs runs in stacked calls.
 
     Commuting pairs sample two real spectra in one shared random eigenbasis.
     Non-commuting pairs are independent Gaussian Hermitians, redrawn in the
     measure-zero event that they commute or carry a nearly degenerate
-    spectrum. The one-pair case of ``_observable_pairs``.
-    """
-    return _observable_pairs(dim, [commuting], [gen], pol)[0]
-
-
-def _observable_pairs(dim: int, commuting, gens, pol: TolerancePolicy) -> list[tuple[Observable, ...]]:
-    """``generate_observable_pair`` for each flag with its own generator, the
-    linear algebra of all pairs in stacked calls.
+    spectrum.
 
     Each generator is read in the order of one pair's draws: for a commuting
     pair the shared basis's Gaussian matrix and then both gapped spectra, for
@@ -295,33 +276,22 @@ def _observable_pairs(dim: int, commuting, gens, pol: TolerancePolicy) -> list[t
 _INSTANCE_BLOCK = 32
 
 
-def generate_property_family(
-    n_members: int,
-    model: PureStateModel,
-    gen: np.random.Generator,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> PropertyFamily:
-    """Adversarial family around a state: members diagonal in a basis that
-    contains the state axis (these commute with the support) mixed with
-    Haar-random oblique subspaces (these generically do not). The support and
-    its orthocomplement always open the family as E1 and E2.
-
-    A candidate is its orthonormal columns, and its rank, never 0 or the state's
-    dimension d, their count: a random unitary's first ``rank`` in [1, d), or the
-    column span of a proper nonempty subset of the aligned basis. Its dyad is
-    dropped when it lies within op_tol of a member kept before it, and
-    ``PropertyFamily`` validates the kept dyads once. The one-model case of
-    ``_property_families``.
-    """
-    return _property_families(n_members, [model], [gen], pol)[0]
-
-
 def _property_families(
     n_members: int, models, gens, pol: TolerancePolicy
 ) -> list[PropertyFamily]:
-    """``generate_property_family`` for each model of a sequence of
-    same-dimension models with its own generator, the linear algebra of all
-    of them in stacked calls.
+    """One adversarial family of ``n_members`` members around each model of
+    a sequence of same-dimension models, drawn from its own generator, the
+    linear algebra of all of them in stacked calls.
+
+    A family mixes members diagonal in a basis that contains the state axis
+    (these commute with the support) with Haar-random oblique subspaces
+    (these generically do not). The support and its orthocomplement always
+    open the family as E1 and E2. A candidate is its orthonormal columns,
+    and its rank, never 0 or the state's dimension d, their count: a random
+    unitary's first ``rank`` in [1, d), or the column span of a proper
+    nonempty subset of the aligned basis. Its dyad is dropped when it lies
+    within op_tol of a member kept before it, and ``PropertyFamily``
+    validates the kept dyads once.
 
     Each generator is read in the order of a one-family loop of draws: its
     aligned basis's padding, then per attempt an oblique-or-aligned uniform

@@ -10,7 +10,6 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_POLICY,
-    Projection,
     TolerancePolicy,
     _frobenius_norms,
     _matrix_of,
@@ -210,10 +209,6 @@ class PropertyFamily:
         if label not in self._rows:
             raise ValueError(f"unresolved label {label!r}")
         return self._rows[label]
-
-    def get(self, label: str) -> Projection:
-        """The labelled member as a validated ``Projection``."""
-        return Projection(self._stack[self.index(label)])
 
     def __len__(self) -> int:
         return len(self._labels)

@@ -19,30 +19,22 @@ from .numerics import (
     DEFAULT_POLICY,
     HermitianOperator,
     Ket,
-    Projection,
     TolerancePolicy,
     _frobenius_norms,
     _commutator_norms,
     _spectral_stacks,
-    commutator_norm,
     validated_projections,
 )
 
 __all__ = [
     "Observable",
-    "MeasurementOutcome",
     "SeededRng",
     "CompatibilityVerdict",
     "haar_random_ket",
-    "born_probability",
-    "measure",
     "leak_norms",
     "yes_no_stack",
     "criterion_holds",
-    "commutes",
     "sequential_disagreements",
-    "min_disagreement_probability",
-    "mc_trial_floor",
     "compatibility_verdict",
 ]
 
@@ -104,7 +96,7 @@ class Observable:
     of ``eigenvalues[k]``, is one read-only (k, d, d) stack, validated once
     by ``validated_projections``: here, or in one call over the stacks of
     many observables built together. The projections are mutually
-    orthogonal and sum to the identity (guaranteed by spectral_stack,
+    orthogonal and sum to the identity (guaranteed by _spectral_stacks,
     re-checked in tests, not checked here).
     """
 
@@ -122,11 +114,6 @@ class Observable:
         if not isinstance(operator, HermitianOperator):
             operator = HermitianOperator(operator)
         return _observables([operator], _spectral_stacks(operator.matrix[None], pol))[0]
-
-    @classmethod
-    def from_projection(cls, projection: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> "Observable":
-        """The property as a yes/no observable with outcomes 0 and 1."""
-        return cls.from_operator(HermitianOperator(projection.matrix), pol)
 
     @property
     def dim(self) -> int:
@@ -163,14 +150,6 @@ def _observables(operators, spectra) -> list[Observable]:
     return observables
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementOutcome:
-    eigenvalue: float
-    outcome_index: int
-    probability: float
-    post_state: Ket
-
-
 def haar_random_ket(dim: int, rng) -> Ket:
     """Haar-distributed pure state: 2*dim independent Gaussians, normalized."""
     return Ket(_haar_states(dim, _generator_of(rng), (1,))[0])
@@ -179,7 +158,11 @@ def haar_random_ket(dim: int, rng) -> Ket:
 def _haar_states(dim: int, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Haar states of shape ``shape + (dim,)`` from one ``standard_normal``
     call of 2 * dim normals per state; the rows too short to normalize are
-    then redrawn together, in row order, from the same stream."""
+    then redrawn together, in row order, from the same stream. A ``dim``
+    below 1 raises ValueError before the stream is read: its rows would be
+    empty, never long enough to normalize."""
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     states, kept = _haar_rows(gen.standard_normal((*shape, 2 * dim)))
     while not kept.all():
         short = ~kept
@@ -198,50 +181,6 @@ def _haar_rows(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raw = normals[..., :dim] + 1j * normals[..., dim:]
     norms = _frobenius_norms(raw, 1)
     return raw / norms[..., None], norms > 1e-6
-
-
-def born_probability(state: Ket, projection: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Probability of the yes outcome for the property in the given state."""
-    if state.dim != projection.dim:
-        raise ValueError(f"dimension mismatch: {state.dim} vs {projection.dim}")
-    value = float(np.vdot(state.amplitudes, projection.matrix @ state.amplitudes).real)
-    if value < -pol.prob_tol or value > 1.0 + pol.prob_tol:
-        raise ValueError(f"probability {value!r} outside [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0)
-
-
-def measure(state: Ket, observable: Observable, rng, pol: TolerancePolicy = DEFAULT_POLICY) -> MeasurementOutcome:
-    """One projective measurement: sample an outcome with Born weights and
-    collapse onto the normalized projection of the state.
-
-    Outcomes of zero probability are never sampled. ``rng`` may be a SeededRng
-    (a fresh stream) or a numpy Generator (advances the caller's stream, which
-    is what measurement sequences need).
-    """
-    if state.dim != observable.dim:
-        raise ValueError(f"dimension mismatch: {state.dim} vs {observable.dim}")
-    gen = _generator_of(rng)
-    amplitudes = state.amplitudes
-    stack = observable.projection_stack
-    probabilities = np.einsum("i,kij,j->k", amplitudes.conj(), stack, amplitudes).real
-    probabilities = np.clip(probabilities, 0.0, None)
-    total = float(probabilities.sum())
-    if abs(total - 1.0) > pol.prob_tol:
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    edges = np.cumsum(probabilities)
-    index = int(np.searchsorted(edges, gen.random() * total, side="right"))
-    if index >= probabilities.size:
-        index = probabilities.size - 1
-    if probabilities[index] <= 0.0:
-        index = int(np.argmax(probabilities))
-    collapsed = stack[index] @ amplitudes
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    return MeasurementOutcome(
-        eigenvalue=observable.eigenvalues[index],
-        outcome_index=index,
-        probability=float(min(probabilities[index], 1.0)),
-        post_state=Ket(collapsed),
-    )
 
 
 def _check_pair(first: Observable, second: Observable) -> None:
@@ -272,7 +211,7 @@ def yes_no_stack(projections: np.ndarray) -> np.ndarray:
     """Outcome stacks of the yes/no observables of a (..., d, d) stack of
     projections E, shape (..., 2, d, d): outcome 0 is I - E, validated by
     ``validated_projections``, and outcome 1 is E itself. These are the
-    outcome projections that ``Observable.from_projection`` recomputes
+    outcome projections that ``Observable.from_operator`` recomputes from E
     through ``eigh``, except that E = 0 and E = I keep a zero outcome, which
     leaks nothing."""
     return np.stack([orthocomplement(projections), projections], axis=-3)
@@ -280,21 +219,23 @@ def yes_no_stack(projections: np.ndarray) -> np.ndarray:
 
 def _sandwich_defects(first: Observable, second: Observable) -> tuple[float, float]:
     """From the leak norms over every outcome pair (n, k), in both roles of
-    the two observables: the largest norm, and the larger of the two sums of
-    squared norms divided by the dimension. Each sum runs over Python floats
-    in (outer, inner) outcome order, whatever numpy's order."""
+    the two observables: the largest norm, which is the non-disturbance
+    residual, and the larger of the two sums of squared norms divided by the
+    dimension, which is the exact disagreement rate of the worse measurement
+    order over Haar-random initial states. Each sum runs over Python floats
+    in (outer, inner) outcome order, whatever numpy's order.
+
+    For one first-second-first run the disagreement probability of a state
+    psi is sum over (n, k) of |(I - P_n) Q_k P_n psi|^2, whose Haar average
+    is the squared-Frobenius sum divided by the dimension: the exact rate of
+    that order. A trial runs both orders on independent states, so the rate
+    is also a lower bound on the probability that a trial disagrees in
+    either order."""
     _check_pair(first, second)
     forward, backward = leak_norms(first.projection_stack, second.projection_stack)
     worst = max(float(forward.max()), float(backward.max()))
     rate = max(sum(norm**2 for norm in norms.ravel().tolist()) for norms in (forward, backward))
     return worst, rate / first.dim
-
-
-def nondisturbance_residual(first: Observable, second: Observable) -> float:
-    """Largest leakage of any eigenspace of either observable under a
-    measurement of the other; zero exactly when sequential measurements in
-    either order leave each other's results intact."""
-    return _sandwich_defects(first, second)[0]
 
 
 def interposition_residual(first: Observable, second: Observable) -> float:
@@ -329,12 +270,6 @@ def criterion_holds(
     """Verdict of one exact criterion from its residual, or their mask from an
     array: below op_tol, times the dimension for commutation and interposition."""
     return residual < pol.op_tol * (dim if _DIM_SCALED[criterion] else 1)
-
-
-def commutes(first: Observable, second: Observable, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Commutation criterion on the representing operators."""
-    residual = commutator_norm(first.operator, second.operator)
-    return criterion_holds("commutation", residual, first.dim, pol)
 
 
 def _joints(stacks: np.ndarray, counts) -> list[Observable]:
@@ -377,9 +312,9 @@ def sequential_disagreements(
     are read in trial-major order, trial by trial and within a trial first
     the forward order and then the backward one: 2 * dim normals for the
     order's Haar state and three uniforms for its three measurements. A loop
-    of ``haar_random_ket`` and three single-shot ``measure`` calls per order
-    reads both streams in that same order, and the counts do not depend on
-    the block size. (The one exception is a Haar draw too short to
+    of ``haar_random_ket`` and three single-shot measurements per order (the
+    tests' reference route) reads both streams in that same order, and the
+    counts do not depend on the block size. (The one exception is a Haar draw too short to
     normalize, below 1e-24 likely per state, which is redrawn after the
     normals of its block.) The measurements of a whole block of trials run
     at once. The one-pair case of ``_disagreement_counts``.
@@ -450,13 +385,16 @@ def _measure_rows(
     uniforms: np.ndarray,
     pol: TolerancePolicy,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``measure`` applied to every state ``states[..., t, :]`` with the
-    projection stack ``stacks[...]`` (outcomes past ``last[...]`` are zero
-    padding) and the uniform draw ``uniforms[..., t]``: the outcome indices
-    and the collapsed, normalized post-states.
+    """One projective measurement of every state ``states[..., t, :]`` with
+    the projection stack ``stacks[...]`` (outcomes past ``last[...]`` are
+    zero padding) and the uniform draw ``uniforms[..., t]``: the outcome
+    indices, sampled with Born weights by the inverse CDF, and the
+    post-states, collapsed onto the chosen projection and normalized.
+    Outcomes of zero probability are never chosen.
 
-    Applies the guards of ``measure`` and ``Ket`` to every state and raises
-    their messages for the first offending one.
+    Raises, for the first offending state, ValueError when its outcome
+    probabilities do not sum to 1 within prob_tol, or when it or its
+    post-state fails the ``Ket`` normalization guard.
     """
     # projected[..., k, t, :] is stacks[..., k] applied to states[..., t, :].
     projected = states[..., None, :, :] @ stacks.mT
@@ -502,27 +440,10 @@ def _check_near_one(values: np.ndarray, tol: float, message: str) -> None:
         raise ValueError(message.format(float(values[~(deviation <= tol)][0])))
 
 
-def min_disagreement_probability(first: Observable, second: Observable) -> float:
-    """Exact disagreement rate of the worse measurement order over
-    Haar-random initial states.
-
-    For one first-second-first run the disagreement probability of a state
-    psi is sum over (n, p) of |(I - P_n) Q_p P_n psi|^2, whose Haar average
-    is the squared-Frobenius sum divided by the dimension: the exact rate of
-    that order. The value is the larger of the two orders' rates. A trial
-    runs both orders on independent states, so the value is also a lower
-    bound on the probability that a trial disagrees in either order.
-    """
-    return _sandwich_defects(first, second)[1]
-
-
-def mc_trial_floor(first: Observable, second: Observable) -> int:
-    """Trials needed so that a pair violating exact non-disturbance passes a
-    zero-disagreement Monte Carlo run with probability below e**-50."""
-    return _trial_floor(min_disagreement_probability(first, second))
-
-
 def _trial_floor(rate: float) -> int:
+    """Trials needed so that a pair violating exact non-disturbance, with the
+    given exact disagreement rate, passes a zero-disagreement Monte Carlo run
+    with probability below e**-50."""
     if rate <= 0.0:
         return 2**62
     return min(2**62, math.ceil(50.0 / rate))

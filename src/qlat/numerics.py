@@ -18,9 +18,6 @@ __all__ = [
     "frobenius_distance",
     "matrices_close",
     "spectral_decompose",
-    "spectral_stack",
-    "commutator_norm",
-    "projection_onto_span",
     "range_basis",
     "validated_projections",
 ]
@@ -239,29 +236,19 @@ def matrices_close(left, right, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return frobenius_distance(left, right) < pol.op_tol
 
 
-def spectral_stack(
-    operator, pol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[tuple[float, ...], np.ndarray]:
-    """Eigenvalues, ascending and clustered by gap, and their eigenprojections
-    as one (k, d, d) stack of eigenvector dyads. The stack is not validated
-    here: the ``Observable`` that holds it validates it once.
+def _spectral_stacks(matrices: np.ndarray, pol: TolerancePolicy) -> list[tuple[tuple[float, ...], np.ndarray]]:
+    """Per Hermitian matrix of an (n, d, d) stack, from one ``eigh`` call: its
+    eigenvalues, ascending and clustered by gap, and their eigenprojections as
+    one (k, d, d) stack of eigenvector dyads. The stacks are not validated
+    here: the ``Observable`` that holds one validates it once.
 
     Eigenvalues closer than ``pol.eig_gap`` are merged into one cluster whose
     projection sums the corresponding eigenvector dyads, so nearly degenerate
     spectra produce a single higher-rank projection instead of an arbitrary
-    split. The returned projections are mutually orthogonal and resolve the
-    identity. The one-operator case of ``_spectral_stacks``.
-    """
-    if not isinstance(operator, HermitianOperator):
-        operator = HermitianOperator(operator)
-    return _spectral_stacks(operator.matrix[None], pol)[0]
-
-
-def _spectral_stacks(matrices: np.ndarray, pol: TolerancePolicy) -> list[tuple[tuple[float, ...], np.ndarray]]:
-    """``spectral_stack`` of each Hermitian matrix of an (n, d, d) stack, from
-    one ``eigh`` call. The clusters of one size take their means and dyads in
-    one call each, from the columns that one matrix's cluster gives, so no bit
-    depends on the stack."""
+    split. The projections are mutually orthogonal and resolve the identity.
+    The clusters of one size take their means and dyads in one call each,
+    from the columns that one matrix's cluster gives, so no bit depends on
+    the stack."""
     eigenvalues, eigenvectors = np.linalg.eigh(matrices)
     n, d = eigenvalues.shape
     # A cluster opens at column 0 and where its eigenvalue lies at least
@@ -288,18 +275,12 @@ def _spectral_stacks(matrices: np.ndarray, pol: TolerancePolicy) -> list[tuple[t
 def spectral_decompose(
     operator, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> list[tuple[float, Projection]]:
-    """``spectral_stack`` as (eigenvalue, validated Projection) pairs."""
-    eigenvalues, stack = spectral_stack(operator, pol)
+    """The operator's ``_spectral_stacks`` entry as (eigenvalue, validated
+    Projection) pairs."""
+    if not isinstance(operator, HermitianOperator):
+        operator = HermitianOperator(operator)
+    eigenvalues, stack = _spectral_stacks(operator.matrix[None], pol)[0]
     return [(value, Projection(matrix)) for value, matrix in zip(eigenvalues, stack)]
-
-
-def commutator_norm(left, right) -> float:
-    """Frobenius norm of the commutator; zero exactly when the operators commute."""
-    a = _matrix_of(left)
-    b = _matrix_of(right)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(_commutator_norms(a, b))
 
 
 def _commutator_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -336,14 +317,3 @@ def _span_dyads(columns: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
     the column order."""
     u, singular, _ = np.linalg.svd(columns, full_matrices=False)
     return _leading_dyads(u, np.count_nonzero(singular > pol.eig_gap, axis=-1))
-
-
-def projection_onto_span(columns, pol: TolerancePolicy = DEFAULT_POLICY) -> Projection:
-    """Projection onto the column span of a d x k array (a 1-d vector counts
-    as a single column), from ``_span_dyads``."""
-    array = np.asarray(columns, dtype=np.complex128)
-    if array.ndim == 1:
-        array = array[:, None]
-    if array.ndim != 2 or array.shape[0] == 0:
-        raise ValueError(f"expected columns in a d x k array, got shape {array.shape}")
-    return Projection(_span_dyads(array, pol))

@@ -30,10 +30,6 @@ __all__ = [
     "fold",
     "format_statement",
     "atom_labels",
-    "tarskian_truth",
-    "is_testable",
-    "verificationist_truth",
-    "kleene_truth",
     "truth_table",
     "order_isomorphism_check",
     "StatementRecord",
@@ -195,43 +191,22 @@ def atom_labels(statement: Statement) -> set[str]:
     return fold(statement, lambda label: {label}, lambda labels: labels, set.union, set.union)
 
 
-def tarskian_truth(statement: Statement, assignment: Mapping[str, bool]) -> bool:
-    """Total classical valuation under an explicit possession assignment.
-
-    Every statement receives a definite truth value, whether or not anything
-    could verify it; implication is material. Every label must be resolved
-    by the assignment, wherever it occurs.
-    """
-
-    def possessed(label: str) -> bool:
-        if label not in assignment:
-            raise ValueError(f"unresolved label {label!r}")
-        return bool(assignment[label])
-
-    return fold(statement, possessed, operator.not_, operator.and_, operator.or_)
-
-
-def is_testable(
-    statement: Statement, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> np.ndarray | None:
-    """Elementary equivalent of the statement, a validated (d, d) projection
-    matrix, or None when no single yes/no measurement can verify it; the
-    one-statement case of ``_equivalents``, the audit's stacked pass.
+def _equivalents(statements, family: PropertyFamily, pol: TolerancePolicy) -> list:
+    """Per statement, its elementary equivalent, a validated (d, d)
+    projection matrix, or None when no single yes/no measurement can verify
+    it; all from one stacked pass.
 
     A compound is accepted exactly when its constituent properties pairwise
     commute; its connective tree is then evaluated inside the Boolean
     subalgebra they generate (not -> orthocomplement, and -> meet, or ->
     join, implication materially). An elementary statement is always
-    testable and returns its own row of the family's projection stack."""
-    return _equivalents([statement], family, pol)[0]
+    testable and gives its own row of the family's projection stack.
 
-
-def _equivalents(statements, family: PropertyFamily, pol: TolerancePolicy) -> list:
-    """``is_testable`` of each statement, from one stacked pass. One (n, n)
-    table of the members' pairwise commutator norms decides testability,
-    once a statement's labels resolve in sorted order. The testable trees
-    are then evaluated bottom up, identical subterms sharing one key, with
-    one orthocomplement, meet and join call per height across statements."""
+    One (n, n) table of the members' pairwise commutator norms decides
+    testability, once a statement's labels resolve in sorted order. The
+    testable trees are then evaluated bottom up, identical subterms sharing
+    one key, with one orthocomplement, meet and join call per height across
+    statements."""
     stack = family.projection_stack
     norms = _commutator_norms(stack[:, None], stack[None])
     commute = criterion_holds("commutation", norms, family.dim, pol).tolist()
@@ -273,25 +248,6 @@ def _certainty_values(
     ]
 
 
-def verificationist_truth(
-    statement: Statement,
-    model: PureStateModel,
-    family: PropertyFamily,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> TruthValue:
-    """Three-valued valuation: a statement has a truth value only when it is
-    testable and its elementary equivalent is certain in the given state.
-
-    Non-testable compounds are UNDEFINED regardless of how their parts
-    evaluate; testability, not componentwise definedness, is the criterion.
-    The strong-Kleene reading lives in kleene_truth for reporting.
-    """
-    equivalent = is_testable(statement, family, pol)
-    if equivalent is None:
-        return TruthValue.UNDEFINED
-    return _certainty_values(model, equivalent[None], pol)[0]
-
-
 # Strong Kleene (Kleene 1952, section 64): conjunction and disjunction are the
 # minimum and the maximum on FALSE < UNDEFINED < TRUE, negation reverses that
 # order, and implication is material, fold's default.
@@ -304,19 +260,6 @@ _kleene_not = dict(zip(_KLEENE_ORDER, reversed(_KLEENE_ORDER))).__getitem__
 def _kleene(statement: Statement, values: Mapping[str, TruthValue]) -> TruthValue:
     """Strong-Kleene value of the statement from the values of its labels."""
     return fold(statement, values.__getitem__, _kleene_not, _kleene_and, _kleene_or)
-
-
-def kleene_truth(
-    statement: Statement,
-    model: PureStateModel,
-    family: PropertyFamily,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> TruthValue:
-    """Strong-Kleene propagation of elementary certainty values; reported
-    alongside the verificationist value but never driving audits."""
-    labels = sorted(atom_labels(statement))
-    members = family.projection_stack[[family.index(label) for label in labels]]
-    return _kleene(statement, dict(zip(labels, _certainty_values(model, members, pol))))
 
 
 _MAX_TABLE_ATOMS = 16
@@ -370,8 +313,7 @@ def order_isomorphism_check(
 def _certain_in(members: np.ndarray, states: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
     """The (m, s) mask of the members of an (m, d, d) stack that are certain,
     with Born probability at least 1 - prob_tol, in each of s states. A
-    probability outside [0, 1] beyond prob_tol raises ValueError, as
-    ``born_probability`` does."""
+    probability outside [0, 1] beyond prob_tol raises ValueError."""
     probabilities = np.einsum("si,mij,sj->ms", states.conj(), members, states).real
     outside = (probabilities < -pol.prob_tol) | (probabilities > 1.0 + pol.prob_tol)
     if outside.any():
@@ -385,6 +327,12 @@ def _certain_in(members: np.ndarray, states: np.ndarray, pol: TolerancePolicy) -
 class StatementRecord:
     """Per-statement audit row.
 
+    ``verificationist`` is the three-valued valuation: a statement has a
+    truth value only when it is testable and its elementary equivalent is
+    certain in the given state. Non-testable compounds are UNDEFINED however
+    their parts evaluate; testability, not componentwise definedness, is the
+    criterion. ``kleene`` is the strong-Kleene propagation of the elementary
+    certainty values, reported alongside but never driving the audit.
     ``meaningful`` carries the mode's criterion (support non-disturbance in
     standard mode, everything in realist mode) while ``predictable`` always
     travels the lattice-order route, so their comparison is a genuine

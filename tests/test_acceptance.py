@@ -22,7 +22,6 @@ from qlat import (
     completeness_audit,
     format_statement,
     frobenius_distance,
-    generate_observable_pair,
     join,
     matrices_close,
     meet,
@@ -30,14 +29,14 @@ from qlat import (
     reference_qubit_model,
     run_experiment,
     sequential_disagreements,
-    tarskian_truth,
-    verificationist_truth,
 )
 from qlat.cli import main
-from qlat.measurement import criterion_holds, nondisturbance_residual
+from qlat.experiments import _observable_pairs
+from qlat.measurement import _sandwich_defects, criterion_holds
 from qlat.numerics import _ranks
-from qlat.semantics import TruthValue, atom_labels, is_testable
+from qlat.semantics import TruthValue, _equivalents, atom_labels
 
+from oracles import tarskian_truth
 from test_semantics import all_statements, random_statement, to_sympy
 
 POL = TolerancePolicy()  # op_tol 1e-9, eig_gap 1e-7, norm_tol 1e-12, prob_tol 1e-9
@@ -83,8 +82,8 @@ def test_criterion_2_operational_consistency():
     ok = True
     for dim in (2, 3, 4, 5, 6):
         gen = SeededRng(300 + dim).generator()
-        first, second = generate_observable_pair(dim, True, gen, POL)
-        ok = ok and criterion_holds("nondisturbance", nondisturbance_residual(first, second), dim, POL)
+        first, second = _observable_pairs(dim, [True], [gen], POL)[0]
+        ok = ok and criterion_holds("nondisturbance", _sandwich_defects(first, second)[0], dim, POL)
         counts = sequential_disagreements(first, second, trials, SeededRng(400 + dim), POL)
         ok = ok and counts == (0, 0)
 
@@ -229,20 +228,18 @@ def test_criterion_7_valuations():
 
     family = reference_qubit_family()
     model = reference_qubit_model()
-    checked = 0
-    for _ in range(300):
-        statement = random_statement(("P0", "Pplus"), 3, gen)
-        if atom_labels(statement) != {"P0", "Pplus"}:
-            continue
-        checked += 1
-        ok = ok and is_testable(statement, family, POL) is None
-        ok = ok and verificationist_truth(statement, model, family, POL) is TruthValue.UNDEFINED
+    drawn = (random_statement(("P0", "Pplus"), 3, gen) for _ in range(300))
+    compounds = [statement for statement in drawn if atom_labels(statement) == {"P0", "Pplus"}]
+    checked = len(compounds)
+    ok = ok and all(equivalent is None for equivalent in _equivalents(compounds, family, POL))
+    records = completeness_audit(model, family, compounds, "sr", POL).records
+    ok = ok and all(record.verificationist is TruthValue.UNDEFINED for record in records)
 
     tautology = Implies(Elementary("Pplus"), Or(Elementary("Pplus"), Elementary("P0")))
-    ok = ok and verificationist_truth(tautology, model, family, POL) is TruthValue.UNDEFINED
     audit = completeness_audit(
         model, family, [tautology, And(Elementary("P0"), Elementary("Pplus"))], "standard", POL
     )
+    ok = ok and audit.records[0].verificationist is TruthValue.UNDEFINED
     ok = ok and audit.flagged == (format_statement(tautology),)
     verdict_line(
         7,

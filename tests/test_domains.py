@@ -9,38 +9,35 @@ from qlat import (
     ExperimentConfig,
     Ket,
     Observable,
+    Projection,
     PropertyFamily,
     PureStateModel,
     SeededRng,
     TolerancePolicy,
-    born_probability,
     certainty,
-    compatible_domain,
-    domain_report,
     domain_reports,
-    generate_property_family,
     haar_random_ket,
     join,
     leq,
-    commutator_norm,
     matrices_close,
     meet,
-    objective_domain,
     objective_residuals,
     orthocomplement,
-    pivot_residuals,
-    predictable_domain,
     reference_qubit_family,
     run_experiment,
-    support_projection,
     verify_family,
 )
-from qlat.measurement import criterion_holds, nondisturbance_residual
+from qlat.domains import DomainStacks
+from qlat.experiments import _property_families
+from qlat.measurement import _sandwich_defects, criterion_holds
+from qlat.numerics import _commutator_norms
+
+from oracles import born_probability
 
 
 def random_instance(dim, gen, pol):
     model = PureStateModel(haar_random_ket(dim, gen))
-    family = generate_property_family(8, model, gen, pol)
+    family = _property_families(8, [model], [gen], pol)[0]
     return model, family
 
 
@@ -49,75 +46,75 @@ class TestPureStateModel:
         gen = SeededRng(6).generator()
         for dim in (2, 5, 8):
             ket = haar_random_ket(dim, gen)
-            assert np.array_equal(PureStateModel(ket).support.matrix, support_projection(ket).matrix)
+            expected = Projection.from_basis(ket.amplitudes[:, None])
+            assert np.array_equal(PureStateModel(ket).support.matrix, expected.matrix)
 
     def test_state_is_the_one_field(self):
         assert [field.name for field in fields(PureStateModel)] == ["state"]
         ket = Ket.basis(2, 0)
         with pytest.raises(TypeError):
-            PureStateModel(ket, support_projection(ket))
+            PureStateModel(ket, PureStateModel(ket).support)
 
     def test_support_built_once_however_often_read(self, pol, monkeypatch):
-        from qlat import domains
-
         gen = SeededRng(7).generator()
         model = PureStateModel(haar_random_ket(4, gen))
         calls = []
+        build = Projection.from_basis.__func__
 
-        def counted(state):
-            calls.append(state)
-            return support_projection(state)
+        def counted(cls, columns):
+            calls.append(columns)
+            return build(cls, columns)
 
-        monkeypatch.setattr(domains, "support_projection", counted)
-        family = generate_property_family(8, model, gen, pol)
+        monkeypatch.setattr(Projection, "from_basis", classmethod(counted))
+        family = _property_families(8, [model], [gen], pol)[0]
         certainty(model, family.projection_stack, pol)
         domain_reports([model, model], family, pol)
-        domain_report(model, family, pol)
-        assert calls == [model.state]
+        domain_reports([model], family, pol)
+        assert len(calls) == 1 and np.array_equal(calls[0][:, 0], model.state.amplitudes)
 
 
 class TestSupport:
     def test_basis_state(self):
-        assert matrices_close(support_projection(Ket.basis(2, 0)), np.diag([1.0, 0.0]))
+        assert matrices_close(PureStateModel(Ket.basis(2, 0)).support, np.diag([1.0, 0.0]))
 
     def test_superposition_outer_product(self, plus_ket, pplus):
-        assert matrices_close(support_projection(plus_ket), pplus)
+        assert matrices_close(PureStateModel(plus_ket).support, pplus)
 
     def test_global_phase_invariance(self):
         ket = Ket.normalized([1.0, 2.0j, -0.5])
         rotated = Ket(np.exp(1.37j) * ket.amplitudes)
-        assert matrices_close(support_projection(ket), support_projection(rotated))
+        assert matrices_close(PureStateModel(ket).support, PureStateModel(rotated).support)
 
     def test_support_has_probability_one(self):
         gen = SeededRng(1).generator()
         for _ in range(50):
             ket = haar_random_ket(int(gen.integers(2, 7)), gen)
-            assert born_probability(ket, support_projection(ket)) == pytest.approx(1.0)
+            assert born_probability(ket, PureStateModel(ket).support) == pytest.approx(1.0)
 
 
 class TestWorkedFamilyDomains:
     def test_certainly_true(self, ground_model, qubit_family):
-        assert domain_report(ground_model, qubit_family).certainly_true == {"P0", "I"}
+        assert domain_reports([ground_model], qubit_family)[0].certainly_true == {"P0", "I"}
 
     def test_certainly_false(self, ground_model, qubit_family):
-        assert domain_report(ground_model, qubit_family).certainly_false == {"0", "P1"}
+        assert domain_reports([ground_model], qubit_family)[0].certainly_false == {"0", "P1"}
 
     def test_predictable_excludes_superposed_atom(self, ground_model, qubit_family):
-        assert predictable_domain(ground_model, qubit_family) == {"0", "P0", "P1", "I"}
+        assert DomainStacks([ground_model], qubit_family).predictable[0] == {"0", "P0", "P1", "I"}
 
     def test_compatible(self, ground_model, qubit_family):
-        assert compatible_domain(ground_model, qubit_family) == {"0", "P0", "P1", "I"}
+        assert DomainStacks([ground_model], qubit_family).compatible[0] == {"0", "P0", "P1", "I"}
 
     def test_objective(self, ground_model, qubit_family):
-        assert objective_domain(ground_model, qubit_family) == {"0", "P0", "P1", "I"}
+        assert DomainStacks([ground_model], qubit_family).objective[0] == {"0", "P0", "P1", "I"}
 
     def test_equalities_hold(self, ground_model, qubit_family):
-        report = domain_report(ground_model, qubit_family)
+        report = domain_reports([ground_model], qubit_family)[0]
         assert report.predictable_equals_compatible
         assert report.objective_equals_predictable
 
     def test_report(self, ground_model, qubit_family):
-        report = domain_report(ground_model, qubit_family)
+        report = domain_reports([ground_model], qubit_family)[0]
         assert report.predictable == frozenset({"0", "P0", "P1", "I"})
         assert report.predictable == report.compatible == report.objective
         assert report.certainly_true & report.certainly_false == frozenset()
@@ -130,7 +127,7 @@ class TestMembershipTrivia:
         for _ in range(30):
             dim = int(gen.integers(2, 7))
             model, family = random_instance(dim, gen, pol)
-            report = domain_report(model, family, pol)
+            report = domain_reports([model], family, pol)[0]
             true_side, false_side = report.certainly_true, report.certainly_false
             compatible, objective = report.compatible, report.objective
             assert "I" in true_side
@@ -144,8 +141,8 @@ class TestMembershipTrivia:
         gen = SeededRng(3).generator()
         for _ in range(20):
             model = PureStateModel(haar_random_ket(3, gen))
-            assert predictable_domain(model, family, pol) == {"0", "I"}
-            assert objective_domain(model, family, pol) == {"0", "I"}
+            assert DomainStacks([model], family, pol).predictable[0] == {"0", "I"}
+            assert DomainStacks([model], family, pol).objective[0] == {"0", "I"}
 
     def test_commuting_family_fully_predictable(self, pol):
         gen = SeededRng(8).generator()
@@ -161,7 +158,7 @@ class TestMembershipTrivia:
                 < pol.op_tol * dim
             ]
             family = PropertyFamily(commuting, dim=dim, pol=pol)
-            assert predictable_domain(model, family, pol) == set(family.labels)
+            assert DomainStacks([model], family, pol).predictable[0] == set(family.labels)
 
 
 class TestEmptyStacks:
@@ -190,7 +187,7 @@ class TestDomainInvariants:
                 assert leq(model.support.matrix, member, pol) == in_false_dual
 
     def test_membership_monotone(self, ground_model, qubit_family, pol):
-        true_side = domain_report(ground_model, qubit_family, pol).certainly_true
+        true_side = domain_reports([ground_model], qubit_family, pol)[0].certainly_true
         for label in qubit_family.labels:
             if label not in true_side:
                 continue
@@ -204,9 +201,10 @@ class TestDomainInvariants:
         for _ in range(30):
             dim = int(gen.integers(2, 6))
             model, family = random_instance(dim, gen, pol)
-            report = domain_report(model, family, pol)
+            report = domain_reports([model], family, pol)[0]
             for label in family.labels:
-                probability = born_probability(model.state, family.get(label), pol)
+                member = Projection(family.projection_stack[family.index(label)])
+                probability = born_probability(model.state, member, pol)
                 if label in report.certainly_true:
                     assert probability == pytest.approx(1.0, abs=pol.prob_tol)
                 elif label in report.certainly_false:
@@ -221,7 +219,7 @@ class TestPivot:
 
         gen = SeededRng(13).generator()
         model = PureStateModel(haar_random_ket(5, gen))
-        family = generate_property_family(10, model, gen, pol)
+        family = _property_families(10, [model], [gen], pol)[0]
         assert len(family) == 12  # ten members, then 0 and I
         model = PureStateModel(model.state)  # nothing cached yet
         calls = []
@@ -234,7 +232,7 @@ class TestPivot:
         complement = cached_property(counted)
         complement.__set_name__(PureStateModel, "complement")
         monkeypatch.setattr(domains.PureStateModel, "complement", complement)
-        domain_report(model, family, pol)
+        domain_reports([model], family, pol)[0]
         assert len(calls) == 1
 
     def test_domains_read_one_certainty_call(self, pol, monkeypatch):
@@ -249,9 +247,9 @@ class TestPivot:
             return certainty(*args)
 
         monkeypatch.setattr(domains, "certainty", counted)
-        report = domain_report(model, family, pol)
+        report = domain_reports([model], family, pol)[0]
         assert len(calls) == 1
-        assert predictable_domain(model, family, pol) == report.predictable
+        assert DomainStacks([model], family, pol).predictable[0] == report.predictable
         assert len(calls) == 2
         above, below = certainty(model, family.projection_stack, pol)
         labels = np.array(family.labels)
@@ -260,11 +258,13 @@ class TestPivot:
 
     def test_oblique_atom_residual_is_one(self, ground_model, qubit_family):
         # both meets vanish, so the rebuilt member is 0 and the defect is |E|
-        assert pivot_residuals(ground_model, qubit_family)["Pplus"] == pytest.approx(1.0)
+        residuals = DomainStacks([ground_model], qubit_family).pivot_residuals[0]
+        assert residuals["Pplus"] == pytest.approx(1.0)
 
     def test_compatible_members_split_exactly(self, ground_model, qubit_family, pol):
-        compatible = compatible_domain(ground_model, qubit_family, pol)
-        for label, residual in pivot_residuals(ground_model, qubit_family, pol).items():
+        compatible = DomainStacks([ground_model], qubit_family, pol).compatible[0]
+        residuals = DomainStacks([ground_model], qubit_family, pol).pivot_residuals[0]
+        for label, residual in residuals.items():
             if label in compatible:
                 assert residual < pol.op_tol
             else:
@@ -287,7 +287,7 @@ class TestPivot:
                 ))
                 for label, member in zip(family.labels, members)
             }
-            assert pivot_residuals(model, family, pol) == expected
+            assert DomainStacks([model], family, pol).pivot_residuals[0] == expected
             above, below = certainty(model, family.projection_stack, pol)
             assert above.tolist() == [leq(support, member, pol) for member in members]
             assert below.tolist() == [leq(member, complement, pol) for member in members]
@@ -306,7 +306,7 @@ class TestPivot:
             return np.minimum(exact(model, members, pol), 5.0 * pol.op_tol)
 
         monkeypatch.setattr(domains, "_pivot_defects", banded)
-        assert not domain_report(ground_model, qubit_family, pol).predictable_equals_compatible
+        assert not domain_reports([ground_model], qubit_family, pol)[0].predictable_equals_compatible
         report = run_experiment(
             ExperimentConfig(experiment="predictable_vs_compatible", dim=4, instances=5, seed=3)
         )
@@ -320,7 +320,8 @@ class TestPivot:
 
 class TestStackedReports:
     """verify_family reads one stacked domain_reports pass over its probe
-    states; it must equal one domain_report per model, field by field."""
+    states; it must equal one single-model domain_reports call per model,
+    field by field."""
 
     @pytest.mark.parametrize("count", [0, 1, 5])
     @pytest.mark.parametrize(
@@ -340,7 +341,7 @@ class TestStackedReports:
             stacked = domain_reports(models, family, pol)
             assert len(stacked) == count
             for model, report in zip(models, stacked):
-                single = domain_report(model, family, pol)
+                single = domain_reports([model], family, pol)[0]
                 for field in fields(DomainReport):
                     assert getattr(report, field.name) == getattr(single, field.name), field.name
                 seen.add((report.predictable_equals_compatible, report.objective_equals_predictable))
@@ -396,8 +397,8 @@ class TestDomainWork:
 
 class TestStackedYesNoRoute:
     """The objective and compatible domains read the family's stack once;
-    the per-member routes through Observable.from_projection and
-    commutator_norm, written out here, are their oracle."""
+    the per-member routes through Observable.from_operator, the sandwich
+    leak and the commutator norm, written out here, are their oracle."""
 
     @pytest.mark.parametrize(
         "pol", [TolerancePolicy(), TolerancePolicy(op_tol=0.3, eig_gap=0.5)], ids=["default", "loose"]
@@ -408,14 +409,12 @@ class TestStackedYesNoRoute:
             for _ in range(3):
                 model, family = random_instance(dim, gen, pol)
                 assert {"0", "I"} <= set(family.labels) and model.support.rank == 1
-                support = Observable.from_projection(model.support, pol)
-                observables = [
-                    Observable.from_projection(family.get(label), pol) for label in family.labels
-                ]
-                expected = [nondisturbance_residual(observable, support) for observable in observables]
+                support = Observable.from_operator(model.support.matrix, pol)
+                observables = [Observable.from_operator(row, pol) for row in family.projection_stack]
+                expected = [_sandwich_defects(observable, support)[0] for observable in observables]
                 residuals = objective_residuals(model, family.projection_stack)
                 np.testing.assert_allclose(residuals, expected, rtol=0, atol=1e-13)
-                assert objective_domain(model, family, pol) == {
+                assert DomainStacks([model], family, pol).objective[0] == {
                     label
                     for label, residual in zip(family.labels, expected)
                     if criterion_holds("nondisturbance", residual, dim, pol)
@@ -439,10 +438,11 @@ class TestStackedYesNoRoute:
         for dim in range(2, 9):
             model, family = random_instance(dim, gen, pol)
             seen.clear()
-            compatible = compatible_domain(model, family, pol)
-            norms = [commutator_norm(member, model.support) for member in family.projection_stack]
+            compatible = DomainStacks([model], family, pol).compatible[0]
+            support = model.support.matrix
+            norms = [float(_commutator_norms(member, support)) for member in family.projection_stack]
             # one criterion call over the whole stack, its norms bit for bit
-            # those of the commutator_norm loop
+            # those of the per-member loop
             [(criterion, stacked)] = seen
             assert criterion == "commutation" and stacked.tolist() == [norms]
             assert compatible == {
@@ -452,7 +452,7 @@ class TestStackedYesNoRoute:
     def test_noncommuting_residual_is_the_commutator_over_root_two(self, ground_model, pplus):
         # For two yes/no observables every leak equals |[E, S]|_F / sqrt(2).
         residual = objective_residuals(ground_model, pplus.matrix[None])
-        expected = commutator_norm(pplus, ground_model.support) / np.sqrt(2.0)
+        expected = float(_commutator_norms(pplus.matrix, ground_model.support.matrix)) / np.sqrt(2.0)
         assert residual.tolist() == pytest.approx([expected], abs=1e-15)
 
     def test_sandwich_mutant_fails_the_objective_campaign(self, monkeypatch):
@@ -483,38 +483,38 @@ class TestEqualityCampaigns:
         for _ in range(60):
             dim = 2 + int(gen.integers(0, 3))
             model, family = random_instance(dim, gen, pol)
-            assert domain_report(model, family, pol).predictable_equals_compatible
+            assert domain_reports([model], family, pol)[0].predictable_equals_compatible
 
     def test_objective_equals_predictable_random(self, pol):
         gen = SeededRng(7).generator()
         for _ in range(60):
             dim = 2 + int(gen.integers(0, 3))
             model, family = random_instance(dim, gen, pol)
-            assert domain_report(model, family, pol).objective_equals_predictable
+            assert domain_reports([model], family, pol)[0].objective_equals_predictable
 
 
 class TestReportMatchesVerifiers:
-    """domain_report reads its equality flags off domains it computes once;
-    they must agree with the verifier written out here from the free domain
-    functions, each member's entry of pivot_residuals and the split rule's two
+    """domain_reports reads its equality flags off domains it computes once;
+    they must agree with the verifier written out here from the domain sets,
+    each member's entry of the pivot residuals and the split rule's two
     inequalities, including instances where an equality fails."""
 
     @staticmethod
     def verified(model, family, pol):
-        predictable = predictable_domain(model, family, pol)
-        compatible = compatible_domain(model, family, pol)
+        domains = DomainStacks([model], family, pol)
+        predictable, compatible = domains.predictable[0], domains.compatible[0]
         splits = True
-        for label, residual in pivot_residuals(model, family, pol).items():
+        for label, residual in domains.pivot_residuals[0].items():
             if label in compatible:
                 splits = splits and residual < pol.op_tol
             else:
                 splits = splits and residual > 10 * pol.op_tol
-        objective = objective_domain(model, family, pol)
+        objective = domains.objective[0]
         return predictable == compatible and splits, objective == predictable
 
     @classmethod
     def flags(cls, model, family, pol):
-        report = domain_report(model, family, pol)
+        report = domain_reports([model], family, pol)[0]
         reported = (report.predictable_equals_compatible, report.objective_equals_predictable)
         assert reported == cls.verified(model, family, pol)
         return reported

@@ -14,11 +14,8 @@ from qlat import (
     PropertyFamily,
     SeededRng,
     TolerancePolicy,
-    commutes,
     compatibility_verdict,
     covering_holds,
-    generate_observable_pair,
-    generate_property_family,
     haar_random_ket,
     is_atom,
     join,
@@ -26,7 +23,6 @@ from qlat import (
     matrices_close,
     orthomodular_holds,
     run_experiment,
-    support_projection,
     verify_family,
 )
 from qlat import experiments, measurement
@@ -34,13 +30,9 @@ from qlat.cli import main
 from qlat.domains import (
     DomainStacks,
     PureStateModel,
-    compatible_domain,
-    objective_domain,
-    pivot_residuals,
-    predictable_domain,
     splits_along_support,
 )
-from qlat.experiments import random_unitary
+from qlat.experiments import _gaussian_matrix, _observable_pairs, _property_families
 from qlat.lattice import de_morgan_gaps
 from qlat.numerics import range_basis
 
@@ -129,34 +121,34 @@ class TestExperimentConfig:
 
 
 class TestGeneration:
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_seed(self, pol):
         first_gen, second_gen = SeededRng(42).generator(), SeededRng(42).generator()
         for commuting in (True, False, True, False):
-            first_pair = generate_observable_pair(3, commuting, first_gen)
-            second_pair = generate_observable_pair(3, commuting, second_gen)
+            first_pair = _observable_pairs(3, [commuting], [first_gen], pol)[0]
+            second_pair = _observable_pairs(3, [commuting], [second_gen], pol)[0]
             for a, b in zip(first_pair, second_pair):
                 assert np.array_equal(a.operator.matrix, b.operator.matrix)
                 assert a.eigenvalues == b.eigenvalues
                 assert np.array_equal(a.projection_stack, b.projection_stack)
 
-    def test_commuting_fraction_one(self):
+    def test_commuting_fraction_one(self, pol):
         gen = SeededRng(1).generator()
         for _ in range(5):
-            first, second = generate_observable_pair(4, True, gen)
-            assert commutes(first, second)
+            first, second = _observable_pairs(4, [True], [gen], pol)[0]
+            assert compatibility_verdict(first, second, pol, trials=1).commutation
 
-    def test_commuting_fraction_zero(self):
+    def test_commuting_fraction_zero(self, pol):
         gen = SeededRng(2).generator()
         for _ in range(100):
-            first, second = generate_observable_pair(3, False, gen)
-            assert not commutes(first, second)
+            first, second = _observable_pairs(3, [False], [gen], pol)[0]
+            assert not compatibility_verdict(first, second, pol, trials=1).commutation
 
     def test_property_family_contents(self, pol):
         gen = SeededRng(3).generator()
         model = PureStateModel(haar_random_ket(4, gen))
-        family = generate_property_family(10, model, gen, pol)
-        assert matrices_close(family.get("E1"), model.support)
-        assert family.get("E2").rank == 3
+        family = _property_families(10, [model], [gen], pol)[0]
+        assert matrices_close(family.projection_stack[family.index("E1")], model.support)
+        assert Projection(family.projection_stack[family.index("E2")]).rank == 3
         assert len(family) == 12  # ten members plus the adjoined bounds
         assert family.projection_stack.shape == (12, 4, 4)
 
@@ -174,13 +166,13 @@ class TestGeneration:
     }
 
     @pytest.mark.parametrize("dim", sorted(FAMILY_DIGESTS))
-    def test_property_family_pinned_bit_for_bit(self, dim):
+    def test_property_family_pinned_bit_for_bit(self, dim, pol):
         digest = hashlib.sha256()
         for seed in (0, 1, 2):
             for n_members in (0, 1, 2, 10):
                 gen = SeededRng(seed).generator()
                 model = PureStateModel(haar_random_ket(dim, gen))
-                family = generate_property_family(n_members, model, gen)
+                family = _property_families(n_members, [model], [gen], pol)[0]
                 digest.update(repr(family.labels).encode())
                 digest.update(family.projection_stack.tobytes())
                 digest.update(np.float64(gen.random()).tobytes())
@@ -190,17 +182,17 @@ class TestGeneration:
         for n_members in (0, 1, 2):
             gen = SeededRng(4).generator()
             model = PureStateModel(haar_random_ket(5, gen))
-            family = generate_property_family(n_members, model, gen, pol)
+            family = _property_families(n_members, [model], [gen], pol)[0]
             assert family.labels == ("E1", "E2", "0", "I")
-            assert np.array_equal(family.get("E1").matrix, model.support.matrix)
-            assert np.array_equal(family.get("E2").matrix, model.complement.matrix)
+            assert np.array_equal(family.projection_stack[family.index("E1")], model.support.matrix)
+            assert np.array_equal(family.projection_stack[family.index("E2")], model.complement.matrix)
 
     def test_property_family_rejects_a_one_dimensional_state(self, pol):
         gen = SeededRng(5).generator()
         model = PureStateModel(Ket.basis(1, 0))
         state = gen.bit_generator.state
         with pytest.raises(ValueError, match="at least 2, got 1$"):
-            generate_property_family(10, model, gen, pol)
+            _property_families(10, [model], [gen], pol)[0]
         assert gen.bit_generator.state == state
 
 
@@ -260,20 +252,22 @@ class TestRunExperiment:
 
 def public_domain_row(experiment, model, family, pol):
     """What ``DomainStacks`` gives a domain campaign's instance, in the
-    campaign's order, from the public one-model functions."""
-    predictable = predictable_domain(model, family, pol)
+    campaign's order, from the domain sets of a one-model ``DomainStacks``,
+    with both verdicts taken from the sets here."""
+    domains = DomainStacks([model], family, pol)
+    predictable = domains.predictable[0]
     if experiment == "objective_vs_predictable":
-        objective = objective_domain(model, family, pol)
+        objective = domains.objective[0]
         return [objective == predictable, objective, predictable]
-    compatible = compatible_domain(model, family, pol)
-    residuals = pivot_residuals(model, family, pol)
+    compatible = domains.compatible[0]
+    residuals = domains.pivot_residuals[0]
     split_ok = splits_along_support(residuals, compatible, pol)
     return [predictable == compatible and split_ok, predictable, compatible, residuals, split_ok]
 
 
 def one_instance_row(experiment, model, family, pol):
     """The (passed, residual, detail) row of one domain-campaign instance,
-    from the public one-instance functions."""
+    from ``public_domain_row``."""
     if experiment == "objective_vs_predictable":
         passed, objective, predictable = public_domain_row(experiment, model, family, pol)
         return passed, 0.0, {"objective": sorted(objective), "predictable": sorted(predictable)}
@@ -292,13 +286,13 @@ def one_instance_row(experiment, model, family, pol):
 
 def mismatched_records(cfg):
     """The indices of a domain campaign's records that differ from the row
-    that instance's model and family give through ``generate_property_family``
-    and the public one-instance functions."""
+    that instance's model and family give through a one-model
+    ``_property_families`` call and ``one_instance_row``."""
     mismatched = []
     for record in run_experiment(cfg).instances:
         gen = SeededRng(cfg.seed).substream(record.index, 0)
         model = PureStateModel(haar_random_ket(cfg.dim, gen))
-        family = generate_property_family(10, model, gen, cfg.tolerances)
+        family = _property_families(10, [model], [gen], cfg.tolerances)[0]
         row = one_instance_row(cfg.experiment, model, family, cfg.tolerances)
         if (record.passed, record.residual, record.detail) != row:
             mismatched.append(record.index)
@@ -318,13 +312,13 @@ def compatibility_config(dim, instances, seed, fraction, trials=64):
 def mismatched_pairs(cfg):
     """The indices of a compatibility campaign's records that differ from
     the row of the one-pair loop: the commuting draw and
-    ``generate_observable_pair`` from substream ``(i, 0)``, then
+    a one-pair ``_observable_pairs`` call from substream ``(i, 0)``, then
     ``compatibility_verdict`` with ``derive(i, 1)``."""
     base, pol, mismatched = SeededRng(cfg.seed), cfg.tolerances, []
     for record in run_experiment(cfg).instances:
         gen = base.substream(record.index, 0)
         commuting = gen.random() < cfg.commuting_fraction
-        first, second = generate_observable_pair(cfg.dim, commuting, gen, pol)
+        first, second = _observable_pairs(cfg.dim, [commuting], [gen], pol)[0]
         verdict = compatibility_verdict(
             first, second, pol, trials=cfg.mc_trials, rng=base.derive(record.index, 1)
         )
@@ -433,7 +427,8 @@ class TestStackedCampaigns:
     @pytest.mark.parametrize("seed", [1, 20031])
     def test_lattice_records_match_the_one_instance_loop(self, seed, pol):
         def subspace(dim, rank, gen):
-            return Projection.from_basis(random_unitary(dim, gen)[:, :rank]).matrix
+            unitary, _ = np.linalg.qr(_gaussian_matrix(dim, gen))
+            return Projection.from_basis(unitary[:, :rank]).matrix
 
         for dim in range(2, 9):
             cfg = ExperimentConfig(experiment="lattice_laws", dim=dim, instances=5, seed=seed)
@@ -441,9 +436,9 @@ class TestStackedCampaigns:
                 gen = SeededRng(seed).substream(record.index, 0)
                 p = subspace(dim, int(gen.integers(1, dim)), gen)
                 q = subspace(dim, int(gen.integers(1, dim)), gen)
-                atom = support_projection(haar_random_ket(dim, gen)).matrix
+                atom = PureStateModel(haar_random_ket(dim, gen)).support.matrix
                 comparable = join(p, subspace(dim, 1, gen), pol)
-                witness = support_projection(Ket(range_basis(p)[:, 0])).matrix
+                witness = PureStateModel(Ket(range_basis(p)[:, 0])).support.matrix
                 gap = float(de_morgan_gaps(p, q, pol))
                 detail = {
                     "orthomodular": bool(orthomodular_holds(p, comparable, pol)),
@@ -471,11 +466,11 @@ class TestStackedCampaigns:
         models = [PureStateModel(haar_random_ket(3, gen)) for _ in range(5)]
         axis = np.diag([1.0, 0.0, 0.0]).astype(np.complex128)
         families = [
-            generate_property_family(10, models[0], gen, pol),
+            _property_families(10, [models[0]], [gen], pol)[0],
             PropertyFamily([("S", models[1].support), ("axis", axis)], pol=pol),
-            generate_property_family(4, models[2], gen, pol),
+            _property_families(4, [models[2]], [gen], pol)[0],
             PropertyFamily([("S", models[3].support)], pol=pol),
-            generate_property_family(10, models[4], gen, pol),
+            _property_families(10, [models[4]], [gen], pol)[0],
         ]
         assert [len(family) for family in families] == [12, 4, 6, 3, 12]
         names = {

@@ -3,11 +3,12 @@ families, and a ``compatibility_equivalence`` campaign at each family's
 dimension, must keep their reports byte for byte.
 
 Each directory under ``data/golden`` holds a 12-member family (d = 3 and
-d = 8; the loader adjoins 0 and I) drawn by ``generate_property_family``
-around a Haar-random state, that state, 30 random depth-3 statements over the
-family's labels, and the three reports the CLI wrote for them when the files
-were committed. ``run-compat.json`` is ``qlat run --experiment
-compatibility_equivalence --dim d --instances 12 --mc-trials 64 --seed d``;
+d = 8; the loader adjoins 0 and I) drawn by the family generator,
+``experiments._property_families``, around a Haar-random state, that state,
+30 random depth-3 statements over the family's labels, and the three reports
+the CLI wrote for them when the files were committed. ``run-compat.json``
+is ``qlat run --experiment compatibility_equivalence --dim d --instances 12
+--mc-trials 64 --seed d``;
 its Monte Carlo counts depend on the bits of every projection stack.
 ``run-lattice.json``, ``run-predictable.json`` and ``run-objective.json`` are
 the ``lattice_laws``, ``predictable_vs_compatible`` and

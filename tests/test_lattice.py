@@ -18,7 +18,7 @@ from qlat import (
 )
 from qlat import lattice
 from qlat.domains import PureStateModel, _pivot_defects
-from qlat.experiments import generate_property_family, verify_family
+from qlat.experiments import _property_families, verify_family
 from qlat.lattice import de_morgan_gaps, family_laws, orthomodular_holds
 from qlat.measurement import SeededRng, haar_random_ket
 from qlat.numerics import DEFAULT_POLICY, _frobenius_norms, _ranks, validated_projections
@@ -270,13 +270,18 @@ class TestCovering:
             assert covering_holds(random_atom(dim, rng), random_projection(dim, rng), pol)
 
 
+def member(family, label):
+    """The labelled member of a family as a validated Projection."""
+    return Projection(family.projection_stack[family.index(label)])
+
+
 class TestPropertyFamily:
     def test_adjoins_bounds(self, p0):
         family = PropertyFamily([("P0", p0)])
         assert "0" in family
         assert "I" in family
-        assert family.get("0").rank == 0
-        assert family.get("I").rank == 2
+        assert member(family, "0").rank == 0
+        assert member(family, "I").rank == 2
 
     def test_keeps_existing_bounds(self, qubit_family):
         assert qubit_family.labels == ("0", "P0", "P1", "Pplus", "I")
@@ -295,8 +300,6 @@ class TestPropertyFamily:
             PropertyFamily([("a", p0), ("b", Projection(np.eye(3)))])
 
     def test_unresolved_label(self, qubit_family):
-        with pytest.raises(ValueError, match="unresolved"):
-            qubit_family.get("missing")
         with pytest.raises(ValueError, match="^unresolved label 'missing'$"):
             qubit_family.index("missing")
 
@@ -305,7 +308,7 @@ class TestPropertyFamily:
         restored = PropertyFamily.loads(text)
         assert restored.labels == qubit_family.labels
         for label in qubit_family.labels:
-            assert matrices_close(restored.get(label), qubit_family.get(label))
+            assert matrices_close(member(restored, label), member(qubit_family, label))
         # document shape: row-major [re, im] pairs
         document = json.loads(text)
         assert document["dim"] == 2
@@ -322,7 +325,7 @@ class TestPropertyFamily:
         ket = np.array([1.0, 1.0j]) / np.sqrt(2)
         family = PropertyFamily([("circ", np.outer(ket, ket.conj()))])
         restored = PropertyFamily.loads(family.dumps())
-        assert matrices_close(restored.get("circ"), family.get("circ"))
+        assert matrices_close(member(restored, "circ"), member(family, "circ"))
 
     def test_deduplicates_greedily_against_kept_members(self):
         # Rank-one projections at angles 0, delta and 2 * delta lie
@@ -372,7 +375,6 @@ class TestPropertyFamily:
         assert stack.shape == (5, 2, 2)
         for row, label in enumerate(qubit_family.labels):
             assert qubit_family.index(label) == row
-            assert np.array_equal(stack[row], qubit_family.get(label).matrix)
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1.0
 
@@ -422,13 +424,13 @@ def random_families(pol):
     for dim in range(2, 9):
         gen = SeededRng(dim).generator()
         model = PureStateModel(haar_random_ket(dim, gen))
-        yield model, generate_property_family(7, model, gen, pol)
+        yield model, _property_families(7, [model], [gen], pol)[0]
 
 
 class TestStackedLattice:
     def test_tables_equal_per_pair_oracle_bit_for_bit(self, pol):
         for _, family in random_families(pol):
-            members = [family.get(label) for label in family.labels]
+            members = [member(family, label) for label in family.labels]
             stack = family.projection_stack
             first, second = np.triu_indices(len(members))
             meets = meet(stack[first], stack[second], pol)

@@ -1,4 +1,5 @@
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -10,32 +11,28 @@ from qlat import (
     Projection,
     SeededRng,
     TolerancePolicy,
-    born_probability,
-    commutes,
     compatibility_verdict,
-    generate_observable_pair,
     haar_random_ket,
     leq,
     matrices_close,
-    mc_trial_floor,
-    measure,
-    min_disagreement_probability,
-    projection_onto_span,
     sequential_disagreements,
 )
 from qlat import measurement
-from qlat.experiments import _gapped_values, random_unitary
+from qlat.experiments import _gapped_values, _gaussian_matrix, _observable_pairs
 from qlat.measurement import (
     _MC_BLOCK,
     _check_unit_rows,
     _draw_block,
     _measure_rows,
     _padded_stacks,
+    _sandwich_defects,
+    _trial_floor,
     criterion_holds,
     interposition_residual,
-    nondisturbance_residual,
     sequence_symmetry_residual,
 )
+
+from oracles import born_probability, measure
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +65,13 @@ class TestObservable:
             Observable(sigma_z.operator, flipped, sigma_z.projection_stack[::-1])
 
     def test_from_projection_is_dichotomic(self, pplus):
-        observable = Observable.from_projection(pplus)
+        observable = Observable.from_operator(pplus.matrix)
         assert observable.eigenvalues == (0.0, 1.0)
         assert matrices_close(observable.projection_stack[1], pplus)
 
     def test_from_projection_trivial_bounds(self):
-        assert Observable.from_projection(Projection(np.zeros((3, 3)))).eigenvalues == (0.0,)
-        assert Observable.from_projection(Projection(np.eye(3))).eigenvalues == (1.0,)
+        assert Observable.from_operator(np.zeros((3, 3))).eigenvalues == (0.0,)
+        assert Observable.from_operator(np.eye(3)).eigenvalues == (1.0,)
 
     def test_stack_is_read_only_and_values_are_floats(self, sigma_x):
         observable = Observable(sigma_x.operator, np.array([-1, 1]), sigma_x.projection_stack)
@@ -228,6 +225,26 @@ class TestHaarRows:
                 state = haar_random_ket(dim, ours).amplitudes
                 assert np.array_equal(state, reference_haar(dim, theirs))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_raises_before_reading_the_stream(self, dim):
+        # A row of no normals never normalizes, so without the check dim = 0
+        # redraws forever; the alarm turns such a hang into a failure.
+        def expire(signum, frame):
+            raise TimeoutError(f"haar_random_ket({dim}, ...) did not return within 10 s")
+
+        gen = oracle_stream(5, ())
+        state = gen.bit_generator.state
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            for rng in (SeededRng(1), gen):
+                with pytest.raises(ValueError, match=rf"^dim must be at least 1, got {dim}$"):
+                    haar_random_ket(dim, rng)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert gen.bit_generator.state == state
+
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_block_matches_single_draws_bit_for_bit(self, dim):
         for trials in (1, 300):
@@ -341,9 +358,9 @@ class TestMeasure:
 
 class TestExactRelations:
     def test_commutation(self, sigma_z, sigma_x, diag_a, diag_b):
-        assert commutes(diag_a, diag_b)
-        assert not commutes(sigma_z, sigma_x)
-        assert commutes(sigma_z, sigma_z)
+        assert compatibility_verdict(diag_a, diag_b, trials=1).commutation
+        assert not compatibility_verdict(sigma_z, sigma_x, trials=1).commutation
+        assert compatibility_verdict(sigma_z, sigma_z, trials=1).commutation
 
     @staticmethod
     def holds(criterion, residual, first, second):
@@ -351,13 +368,16 @@ class TestExactRelations:
         return criterion_holds(criterion, residual(first, second), first.dim)
 
     def test_nondisturbance(self, sigma_z, sigma_x, diag_a, diag_b):
-        assert self.holds("nondisturbance", nondisturbance_residual, diag_a, diag_b)
-        assert not self.holds("nondisturbance", nondisturbance_residual, sigma_z, sigma_x)
-        assert self.holds("nondisturbance", nondisturbance_residual, sigma_z, sigma_z)
+        def leakage(first, second):
+            return _sandwich_defects(first, second)[0]
+
+        assert self.holds("nondisturbance", leakage, diag_a, diag_b)
+        assert not self.holds("nondisturbance", leakage, sigma_z, sigma_x)
+        assert self.holds("nondisturbance", leakage, sigma_z, sigma_z)
 
     def test_nondisturbance_residual_value(self, sigma_z, sigma_x):
         # (I - |0><0|) |+><+| |0><0| is rank one with entry 1/2
-        assert nondisturbance_residual(sigma_z, sigma_x) == pytest.approx(0.5)
+        assert _sandwich_defects(sigma_z, sigma_x)[0] == pytest.approx(0.5)
 
     def test_interposition(self, sigma_z, sigma_x, diag_a, diag_b):
         assert self.holds("interposition", interposition_residual, diag_a, diag_b)
@@ -382,7 +402,7 @@ class TestExactRelations:
         gen = rng.generator()
         for trial in range(60):
             dim = int(gen.integers(2, 6))
-            first, second = generate_observable_pair(dim, trial % 2 == 0, gen, pol)
+            first, second = _observable_pairs(dim, [trial % 2 == 0], [gen], pol)[0]
             reflexive, forward, backward = (
                 compatibility_verdict(a, b, pol, trials=1)
                 for a, b in ((first, first), (first, second), (second, first))
@@ -396,11 +416,11 @@ class TestExactRelations:
     @pytest.mark.parametrize(
         "residual",
         [
-            nondisturbance_residual,
-            min_disagreement_probability,
+            lambda first, second: _sandwich_defects(first, second)[0],
+            lambda first, second: _sandwich_defects(first, second)[1],
             interposition_residual,
             sequence_symmetry_residual,
-            commutes,
+            lambda first, second: compatibility_verdict(first, second, trials=1).commutation,
             compatibility_verdict,
         ],
     )
@@ -442,8 +462,7 @@ def oracle_residuals(first, second):
 
 def assert_residuals_match_oracle(first, second):
     assert (
-        nondisturbance_residual(first, second),
-        min_disagreement_probability(first, second),
+        *_sandwich_defects(first, second),
         interposition_residual(first, second),
         sequence_symmetry_residual(first, second),
     ) == oracle_residuals(first, second)
@@ -459,7 +478,7 @@ class TestResidualOracle:
     def test_generated_pairs(self, dim, commuting, pol):
         gen = SeededRng(30 + dim).generator()
         for _ in range(12):
-            first, second = generate_observable_pair(dim, commuting, gen, pol)
+            first, second = _observable_pairs(dim, [commuting], [gen], pol)[0]
             assert_residuals_match_oracle(first, second)
             assert_residuals_match_oracle(second, first)
 
@@ -468,8 +487,8 @@ class TestResidualOracle:
         gen = SeededRng(40 + dim).generator()
         for _ in range(6):
             columns = gen.standard_normal((dim, 2)) + 1j * gen.standard_normal((dim, 2))
-            plane = Observable.from_projection(projection_onto_span(columns), pol)
-            other, _ = generate_observable_pair(dim, False, gen, pol)
+            plane = Observable.from_operator(Projection.from_basis(np.linalg.qr(columns)[0]).matrix, pol)
+            other, _ = _observable_pairs(dim, [False], [gen], pol)[0]
             assert plane.projection_stack.shape[0] == 2
             assert_residuals_match_oracle(plane, other)
             assert_residuals_match_oracle(other, plane)
@@ -477,8 +496,8 @@ class TestResidualOracle:
     def test_single_outcome_observable(self, pol):
         gen = SeededRng(48).generator()
         for dim in (2, 4, 7):
-            whole = Observable.from_projection(Projection(np.eye(dim)), pol)
-            other, _ = generate_observable_pair(dim, False, gen, pol)
+            whole = Observable.from_operator(np.eye(dim), pol)
+            other, _ = _observable_pairs(dim, [False], [gen], pol)[0]
             assert len(whole.eigenvalues) == 1
             assert_residuals_match_oracle(whole, other)
             assert_residuals_match_oracle(other, whole)
@@ -510,7 +529,7 @@ class TestJointObservable:
         gen = SeededRng(22).generator()
         for _ in range(30):
             dim = int(gen.integers(2, 6))
-            first, second = generate_observable_pair(dim, True, gen, pol)
+            first, second = _observable_pairs(dim, [True], [gen], pol)[0]
             joint = compatibility_verdict(first, second, pol, trials=1).joint
             assert joint is not None
             for joint_projection in joint.projection_stack:
@@ -557,8 +576,8 @@ class TestStackOracles:
         # The twin stream replays the pair's draws: the basis, then two spectra.
         gen, twin = SeededRng(80 + dim).generator(), SeededRng(80 + dim).generator()
         for _ in range(20):
-            pair = generate_observable_pair(dim, True, gen, pol)
-            basis = random_unitary(dim, twin)
+            pair = _observable_pairs(dim, [True], [gen], pol)[0]
+            basis, _ = np.linalg.qr(_gaussian_matrix(dim, twin))
             for observable in pair:
                 expected_values, expected = per_column_observable(basis, _gapped_values(dim, twin))
                 assert observable.eigenvalues == expected_values
@@ -567,9 +586,9 @@ class TestStackOracles:
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_joint_equals_the_per_product_route(self, dim, pol):
         gen = SeededRng(90 + dim).generator()
-        pairs = [generate_observable_pair(dim, True, gen, pol) for _ in range(10)]
+        pairs = [_observable_pairs(dim, [True], [gen], pol)[0] for _ in range(10)]
         columns = gen.standard_normal((dim, 1)) + 1j * gen.standard_normal((dim, 1))
-        line = Observable.from_projection(projection_onto_span(columns), pol)
+        line = Observable.from_operator(Projection.from_basis(np.linalg.qr(columns)[0]).matrix, pol)
         pairs += [(line, line), (line, Observable.from_operator(np.eye(dim), pol))]
         degenerate = np.diag(np.arange(dim) // 2 * 1.0), np.diag(np.arange(dim) % 2 * 1.0)
         pairs.append(tuple(Observable.from_operator(matrix, pol) for matrix in degenerate))
@@ -614,11 +633,13 @@ class TestMonteCarlo:
         assert first == second
 
     def test_analytic_rate_and_floor(self, sigma_z, sigma_x, diag_a, diag_b):
-        assert min_disagreement_probability(sigma_z, sigma_x) == pytest.approx(0.5)
+        rate = _sandwich_defects(sigma_z, sigma_x)[1]
+        assert rate == pytest.approx(0.5)
         # ceil of 50 / 0.5 up to float rounding, never below the exact value
-        assert 100 <= mc_trial_floor(sigma_z, sigma_x) <= 101
-        assert min_disagreement_probability(diag_a, diag_b) == pytest.approx(0.0, abs=1e-28)
-        assert mc_trial_floor(diag_a, diag_b) == 2**62
+        assert 100 <= _trial_floor(rate) <= 101
+        rate = _sandwich_defects(diag_a, diag_b)[1]
+        assert rate == pytest.approx(0.0, abs=1e-28)
+        assert _trial_floor(rate) == 2**62
 
     def test_analytic_rate_matches_observed_frequency(self, pol):
         # dual route: the Haar-averaged squared-residual sum must predict the
@@ -627,7 +648,7 @@ class TestMonteCarlo:
         trials = 4000
         for offset in range(3):
             dim = 2 + offset
-            first, second = generate_observable_pair(dim, False, gen, pol)
+            first, second = _observable_pairs(dim, [False], [gen], pol)[0]
             eye = np.eye(dim)
             analytic = sum(
                 np.linalg.norm((eye - p) @ q @ p) ** 2
@@ -660,7 +681,7 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("commuting", [True, False])
     def test_matches_single_shot_route(self, dim, commuting, pol):
         gen = SeededRng(60 + dim).generator()
-        first, second = generate_observable_pair(dim, commuting, gen, pol)
+        first, second = _observable_pairs(dim, [commuting], [gen], pol)[0]
         rng = SeededRng(70 + dim)
         batched = sequential_disagreements(first, second, 40, rng, pol)
         assert batched == single_shot_disagreements(first, second, 40, rng, pol)
@@ -669,9 +690,9 @@ class TestBatchedEngine:
 
     def test_matches_single_shot_route_with_unequal_outcome_counts(self, pol):
         gen = SeededRng(62).generator()
-        plane = projection_onto_span(gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2)))
-        first = Observable.from_projection(plane, pol)
-        second, _ = generate_observable_pair(4, False, gen, pol)
+        columns = gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2))
+        first = Observable.from_operator(Projection.from_basis(np.linalg.qr(columns)[0]).matrix, pol)
+        second, _ = _observable_pairs(4, [False], [gen], pol)[0]
         assert (len(first.eigenvalues), len(second.eigenvalues)) == (2, 4)
         rng = SeededRng(63)
         for pair in ((first, second), (second, first)):
@@ -710,7 +731,7 @@ class TestBatchedEngine:
     def test_unit_row_guard_reads_the_configured_norm_tol(self, pol):
         # Haar draws and collapsed states are unit vectors only to rounding,
         # so a norm_tol of 1e-300 must reject them; the default keeps the counts.
-        first, second = generate_observable_pair(3, False, SeededRng(7).generator(), pol)
+        first, second = _observable_pairs(3, [False], [SeededRng(7).generator()], pol)[0]
         assert sequential_disagreements(first, second, 64, SeededRng(7), pol) == (33, 36)
         strict = TolerancePolicy(norm_tol=1e-300)
         with pytest.raises(ValueError, match="state vector is not normalized"):
@@ -767,7 +788,7 @@ class TestCompatibilityVerdict:
         gen = rng.generator()
         for trial in range(1000):
             dim = 2 + trial % 7
-            first, second = generate_observable_pair(dim, trial % 2 == 0, gen, pol)
+            first, second = _observable_pairs(dim, [trial % 2 == 0], [gen], pol)[0]
             verdict = compatibility_verdict(
                 first, second, pol, trials=16, rng=rng.derive(trial)
             )

@@ -7,13 +7,17 @@ from qlat import (
     Observable,
     Projection,
     TolerancePolicy,
-    commutator_norm,
     frobenius_distance,
     matrices_close,
-    projection_onto_span,
     spectral_decompose,
 )
-from qlat.numerics import _frobenius_norms, spectral_stack, validated_projections
+from qlat.numerics import (
+    _commutator_norms,
+    _frobenius_norms,
+    _span_dyads,
+    _spectral_stacks,
+    validated_projections,
+)
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -282,7 +286,7 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="asymmetry"):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="asymmetry"):
-            spectral_stack(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            Observable.from_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -323,11 +327,11 @@ class TestSpectralDecompose:
         assert ranks >= set(range(1, 8))  # clusters of every rank up to 7
 
     def test_stack_holds_the_unvalidated_dyads(self, pol):
-        """``spectral_stack`` leaves validation to the Observable that holds
+        """``_spectral_stacks`` leaves validation to the Observable that holds
         the stack: its entries are the raw eigenvector dyads, one per
         cluster, and their validation only re-symmetrizes them."""
         for matrix in clustered_hermitians(pol, count=50):
-            eigenvalues, stack = spectral_stack(matrix, pol)
+            [(eigenvalues, stack)] = _spectral_stacks(np.asarray(matrix, dtype=np.complex128)[None], pol)
             expected_values, expected = per_cluster_route(matrix, pol)
             assert eigenvalues == expected_values
             assert all(type(value) is float for value in eigenvalues)
@@ -341,14 +345,14 @@ class TestCommutatorNorm:
         rng = np.random.default_rng(3)
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         matrix = (raw + raw.conj().T) / 2
-        assert commutator_norm(np.eye(4), matrix) == 0.0
+        assert float(_commutator_norms(np.eye(4), matrix)) == 0.0
 
     def test_pauli_pair(self):
         # [sigma_z, sigma_x] = 2i sigma_y, Frobenius norm sqrt(4 + 4)
-        assert commutator_norm(SIGMA_Z, SIGMA_X) == pytest.approx(2 * np.sqrt(2))
+        assert float(_commutator_norms(SIGMA_Z, SIGMA_X)) == pytest.approx(2 * np.sqrt(2))
 
     def test_diagonals_commute(self):
-        assert commutator_norm(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
+        assert float(_commutator_norms(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))) == 0.0
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(4)
@@ -358,11 +362,11 @@ class TestCommutatorNorm:
             b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             a = (a + a.conj().T) / 2
             b = (b + b.conj().T) / 2
-            assert commutator_norm(a, b) == pytest.approx(commutator_norm(b, a))
+            assert float(_commutator_norms(a, b)) == pytest.approx(float(_commutator_norms(b, a)))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            commutator_norm(np.eye(2), np.eye(3))
+            float(_commutator_norms(np.eye(2), np.eye(3)))
 
 
 class TestIsProjection:
@@ -404,22 +408,28 @@ class TestIsProjection:
                 validated_projections(matrix[None])
 
 
+def span_projection(columns, pol=TolerancePolicy()):
+    """Projection onto the column span of a d x k array, by the rank rule of
+    ``_span_dyads``."""
+    return Projection(_span_dyads(np.asarray(columns, dtype=np.complex128), pol))
+
+
 class TestProjectionOntoSpan:
     def test_single_vector(self, pplus):
-        result = projection_onto_span(np.array([1.0, 1.0]) / np.sqrt(2))
+        result = span_projection(np.array([[1.0], [1.0]]) / np.sqrt(2))
         assert matrices_close(result, pplus)
 
     def test_dependent_columns_dropped(self):
         columns = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
-        assert projection_onto_span(columns).rank == 1
+        assert span_projection(columns).rank == 1
 
     def test_empty_span(self):
-        assert projection_onto_span(np.zeros((3, 2))).rank == 0
-        assert projection_onto_span(np.zeros((3, 0))).rank == 0
+        assert span_projection(np.zeros((3, 2))).rank == 0
+        assert span_projection(np.zeros((3, 0))).rank == 0
 
     def test_dependent_column_before_independent_one(self):
         columns = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-        result = projection_onto_span(columns)
+        result = span_projection(columns)
         assert result.rank == 2
         assert matrices_close(result, np.diag([1.0, 1.0, 0.0]))
 
@@ -430,6 +440,6 @@ class TestProjectionOntoSpan:
             count = int(rng.integers(1, dim + 1))
             columns = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
             columns = columns[:, rng.integers(0, count, size=count + 1)]
-            result = projection_onto_span(columns, pol)
+            result = span_projection(columns, pol)
             assert result.rank == np.linalg.matrix_rank(columns)
             assert np.linalg.norm(result.matrix @ columns - columns) < pol.op_tol

@@ -27,31 +27,28 @@ from qlat import (
     TolerancePolicy,
     TruthValue,
     atom_labels,
-    born_probability,
     completeness_audit,
     fold,
     format_statement,
-    generate_property_family,
     haar_random_ket,
-    is_testable,
     join,
-    kleene_truth,
     leq,
     matrices_close,
     meet,
     orthocomplement,
     order_isomorphism_check,
     parse_statement,
-    projection_onto_span,
     reference_statements,
-    tarskian_truth,
     truth_table,
-    verificationist_truth,
 )
 from qlat import domains, semantics
 from qlat.cli import main
-from qlat.measurement import criterion_holds, nondisturbance_residual
-from qlat.numerics import _frobenius_norms, _ranks, commutator_norm, range_basis
+from qlat.experiments import _property_families
+from qlat.measurement import _sandwich_defects, criterion_holds
+from qlat.numerics import _commutator_norms, _frobenius_norms, _ranks, range_basis
+from qlat.semantics import _equivalents
+
+from oracles import born_probability, tarskian_truth
 
 TAUTOLOGY_EDGE = Implies(Elementary("Pplus"), Or(Elementary("Pplus"), Elementary("P0")))
 
@@ -132,31 +129,46 @@ def table_kleene(statement, values):
     )
 
 
+def audit_records(model, family, statements, pol=TolerancePolicy()):
+    """Each statement's audit record, which carries its verificationist and
+    strong-Kleene values."""
+    return completeness_audit(model, family, statements, "sr", pol).records
+
+
+def kleene_values(model, family, statements):
+    return [record.kleene for record in audit_records(model, family, statements)]
+
+
 def check_kleene_tables(model, family):
-    """kleene_truth against the tables on every label, its negation and every
-    ordered pair of labels under each binary connective."""
-    values = {label: kleene_truth(Elementary(label), model, family) for label in family.labels}
+    """The audit's Kleene values against the tables on every label, its
+    negation and every ordered pair of labels under each binary connective."""
+    atoms = [Elementary(label) for label in family.labels]
+    values = dict(zip(family.labels, kleene_values(model, family, atoms)))
     assert set(values.values()) == {T, F, U}  # so every cell of each table is reached
-    for label, value in values.items():
-        assert kleene_truth(Not(Elementary(label)), model, family) is KLEENE_NOT[value]
-    for a, b in itertools.product(family.labels, repeat=2):
-        cell = values[a], values[b]
-        left, right = Elementary(a), Elementary(b)
-        assert kleene_truth(And(left, right), model, family) is KLEENE_AND[cell]
-        assert kleene_truth(Or(left, right), model, family) is KLEENE_OR[cell]
-        material = KLEENE_OR[KLEENE_NOT[values[a]], values[b]]
-        assert kleene_truth(Implies(left, right), model, family) is material
+    negations = kleene_values(model, family, [Not(atom) for atom in atoms])
+    for label, negated in zip(family.labels, negations):
+        assert negated is KLEENE_NOT[values[label]]
+    tables = {
+        And: KLEENE_AND.__getitem__,
+        Or: KLEENE_OR.__getitem__,
+        Implies: lambda cell: KLEENE_OR[KLEENE_NOT[cell[0]], cell[1]],  # material
+    }
+    pairs = list(itertools.product(family.labels, repeat=2))
+    for connective, table in tables.items():
+        compounds = [connective(Elementary(a), Elementary(b)) for a, b in pairs]
+        for (a, b), value in zip(pairs, kleene_values(model, family, compounds)):
+            assert value is table((values[a], values[b]))
 
 
 def check_per_member_route(pol, seed=57):
-    """Certainty masks, verificationist and Kleene values, from the public
-    functions and from completeness_audit, against the per-member leq route
-    at d = 2..8."""
+    """Certainty masks, and verificationist and Kleene values from the
+    records of completeness_audit, against the per-member leq route at
+    d = 2..8."""
     gen = SeededRng(seed).generator()
     seen = set()
     for dim in range(2, 9):
         model = PureStateModel(haar_random_ket(dim, gen))
-        family = generate_property_family(6, model, gen, pol)
+        family = _property_families(6, [model], [gen], pol)[0]
         above, below = domains.certainty(model, family.projection_stack, pol)
         members = list(family.projection_stack)
         support, complement = model.support.matrix, model.complement.matrix
@@ -169,10 +181,8 @@ def check_per_member_route(pol, seed=57):
         statements = [random_statement(list(family.labels), 2, gen) for _ in range(12)]
         audit = completeness_audit(model, family, statements, "standard", pol)
         for statement, record in zip(statements, audit.records):
-            verificationist = leq_certainty(is_testable(statement, family, pol), model, pol)
+            verificationist = leq_certainty(_equivalents([statement], family, pol)[0], model, pol)
             kleene = table_kleene(statement, values)
-            assert verificationist_truth(statement, model, family, pol) is verificationist
-            assert kleene_truth(statement, model, family, pol) is kleene
             assert (record.verificationist, record.kleene) == (verificationist, kleene)
             seen.add(verificationist)
     assert seen == {T, F, U}
@@ -273,7 +283,7 @@ class TestFold:
             format_statement(node)
 
     @pytest.mark.parametrize("connective", ["not", "and"])
-    def test_depth_limit_of_trees_built_in_python(self, qubit_family, connective):
+    def test_depth_limit_of_trees_built_in_python(self, qubit_family, connective, pol):
         # Without the limit, 2,000 levels raised RecursionError from the fold.
         def nested(depth):
             statement = Elementary("P0")
@@ -285,7 +295,7 @@ class TestFold:
         assert parse_statement(format_statement(deepest)) == deepest
         for depth in (257, 2000):
             statement = nested(depth)
-            for walk in (format_statement, truth_table, lambda s: is_testable(s, qubit_family)):
+            for walk in (format_statement, truth_table, lambda s: _equivalents([s], qubit_family, pol)):
                 with pytest.raises(ValueError, match="deeper than 256 levels"):
                     walk(statement)
 
@@ -381,13 +391,13 @@ class TestTautologyDetectors:
         # table is built, so a bad label later in the list raises first.
         gen = SeededRng(59).generator()
         family = PropertyFamily(
-            [(f"a{i:02d}", projection_onto_span(haar_random_ket(2, gen).amplitudes[:, None]))
+            [(f"a{i:02d}", Projection.from_basis(haar_random_ket(2, gen).amplitudes[:, None]))
              for i in range(17)],
             dim=2,
         )
         model = PureStateModel(Ket.basis(2, 0))
         wide = functools.reduce(Or, [Elementary(label) for label in family.labels[:17]])
-        assert is_testable(wide, family) is None
+        assert _equivalents([wide], family, TolerancePolicy())[0] is None
         with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
             completeness_audit(model, family, [wide], "sr")
         with pytest.raises(ValueError, match="unresolved label 'ghost'"):
@@ -395,38 +405,39 @@ class TestTautologyDetectors:
 
 
 class TestTestability:
-    def test_elementary_returns_own_projection(self, qubit_family, pplus):
-        assert matrices_close(is_testable(Elementary("Pplus"), qubit_family), pplus)
+    def test_elementary_returns_own_projection(self, qubit_family, pplus, pol):
+        assert matrices_close(_equivalents([Elementary("Pplus")], qubit_family, pol)[0], pplus)
 
-    def test_contradiction_over_complementary_members(self, qubit_family):
+    def test_contradiction_over_complementary_members(self, qubit_family, pol):
         statement = And(Elementary("P0"), Elementary("P1"))
-        assert matrices_close(is_testable(statement, qubit_family), Projection(np.zeros((2, 2))))
+        equivalent = _equivalents([statement], qubit_family, pol)[0]
+        assert matrices_close(equivalent, Projection(np.zeros((2, 2))))
 
-    def test_noncommuting_pair_untestable(self, qubit_family):
-        assert is_testable(And(Elementary("P0"), Elementary("Pplus")), qubit_family) is None
-        assert is_testable(TAUTOLOGY_EDGE, qubit_family) is None
+    def test_noncommuting_pair_untestable(self, qubit_family, pol):
+        assert _equivalents([And(Elementary("P0"), Elementary("Pplus"))], qubit_family, pol)[0] is None
+        assert _equivalents([TAUTOLOGY_EDGE], qubit_family, pol)[0] is None
 
-    def test_unresolved_label(self, qubit_family):
+    def test_unresolved_label(self, qubit_family, pol):
         with pytest.raises(ValueError, match="unresolved"):
-            is_testable(Elementary("ghost"), qubit_family)
+            _equivalents([Elementary("ghost")], qubit_family, pol)
 
-    def test_commuting_tree_evaluates_in_boolean_subalgebra(self, qubit_family):
+    def test_commuting_tree_evaluates_in_boolean_subalgebra(self, qubit_family, pol):
         statement = Or(Elementary("P0"), Elementary("P1"))
-        equivalent = is_testable(statement, qubit_family)
+        equivalent = _equivalents([statement], qubit_family, pol)[0]
         assert equivalent is not None and Projection(equivalent).rank == 2
-        implied = is_testable(Implies(Elementary("P0"), Elementary("P1")), qubit_family)
+        implied = _equivalents([Implies(Elementary("P0"), Elementary("P1"))], qubit_family, pol)[0]
         # (not P0) v P1 = P1 v P1 = P1 complement is |1><1| joined with itself
-        assert matrices_close(implied, qubit_family.get("P1"))
+        assert matrices_close(implied, qubit_family.projection_stack[qubit_family.index("P1")])
 
 
-def reference_is_testable(statement, family, pol):
-    """The per-statement route that ``is_testable`` once took on its own:
-    labels resolved in sorted order, one ``commutator_norm`` per label pair,
+def reference_equivalent(statement, family, pol):
+    """The per-statement route to a statement's elementary equivalent:
+    labels resolved in sorted order, one commutator norm per label pair,
     then one fold of single-matrix lattice operations over the tree."""
     labels = sorted(atom_labels(statement))
     rows = {label: family.projection_stack[family.index(label)] for label in labels}
     for a, b in itertools.combinations(labels, 2):
-        residual = commutator_norm(rows[a], rows[b])
+        residual = float(_commutator_norms(rows[a], rows[b]))
         if not criterion_holds("commutation", residual, family.dim, pol):
             return None
     return fold(
@@ -463,11 +474,11 @@ class TestStackedTestability:
         seen = set()
         for dim in range(2, 9):
             model = PureStateModel(haar_random_ket(dim, gen))
-            family = generate_property_family(8, model, gen, pol)
+            family = _property_families(8, [model], [gen], pol)[0]
             statements = shared_statements(list(family.labels), gen, 40)
             stacked = semantics._equivalents(statements, family, pol)
             for statement, equivalent in zip(statements, stacked):
-                expected = reference_is_testable(statement, family, pol)
+                expected = reference_equivalent(statement, family, pol)
                 assert (equivalent is None) == (expected is None)
                 seen.add(expected is None)
                 if expected is not None:
@@ -523,43 +534,41 @@ class TestVerificationistTruth:
         gen = SeededRng(51).generator()
         for _ in range(20):
             model = PureStateModel(haar_random_ket(2, gen))
-            value = verificationist_truth(Elementary("I"), model, qubit_family)
+            value = audit_records(model, qubit_family, [Elementary("I")])[0].verificationist
             assert value is TruthValue.TRUE
 
     def test_superposed_atom_undefined(self, ground_model, qubit_family):
-        value = verificationist_truth(Elementary("Pplus"), ground_model, qubit_family)
+        value = audit_records(ground_model, qubit_family, [Elementary("Pplus")])[0].verificationist
         assert value is TruthValue.UNDEFINED
 
     def test_testable_conjunction_false(self, ground_model, qubit_family):
         statement = And(Elementary("P0"), Elementary("P1"))
-        assert verificationist_truth(statement, ground_model, qubit_family) is TruthValue.FALSE
+        [record] = audit_records(ground_model, qubit_family, [statement])
+        assert record.verificationist is TruthValue.FALSE
 
     def test_untestable_compound_undefined_despite_kleene(self, ground_model, qubit_family):
-        assert (
-            verificationist_truth(TAUTOLOGY_EDGE, ground_model, qubit_family)
-            is TruthValue.UNDEFINED
-        )
-        assert kleene_truth(TAUTOLOGY_EDGE, ground_model, qubit_family) is TruthValue.TRUE
+        [record] = audit_records(ground_model, qubit_family, [TAUTOLOGY_EDGE])
+        assert record.verificationist is TruthValue.UNDEFINED
+        assert record.kleene is TruthValue.TRUE
 
     def test_undefined_propagates_in_kleene_when_unrescued(self, ground_model, qubit_family):
         statement = And(Elementary("P0"), Elementary("Pplus"))
-        assert kleene_truth(statement, ground_model, qubit_family) is TruthValue.UNDEFINED
-        assert (
-            verificationist_truth(statement, ground_model, qubit_family) is TruthValue.UNDEFINED
-        )
+        [record] = audit_records(ground_model, qubit_family, [statement])
+        assert record.kleene is TruthValue.UNDEFINED
+        assert record.verificationist is TruthValue.UNDEFINED
 
     def test_worked_family_matches_the_written_out_kleene_tables(
         self, ground_model, qubit_family
     ):
         def value(label):
-            return kleene_truth(Elementary(label), ground_model, qubit_family)
+            return audit_records(ground_model, qubit_family, [Elementary(label)])[0].kleene
 
         assert (value("P0"), value("P1"), value("Pplus")) == (T, F, U)
         check_kleene_tables(ground_model, qubit_family)
 
     def test_kleene_rejects_unresolved_label(self, ground_model, qubit_family):
         with pytest.raises(ValueError, match="unresolved label 'ghost'"):
-            kleene_truth(Or(Elementary("I"), Elementary("ghost")), ground_model, qubit_family)
+            audit_records(ground_model, qubit_family, [Or(Elementary("I"), Elementary("ghost"))])
 
     @pytest.mark.parametrize(
         "pol", [TolerancePolicy(), TolerancePolicy(op_tol=0.3, eig_gap=0.5)], ids=["default", "loose"]
@@ -572,14 +581,14 @@ class TestVerificationistTruth:
         for _ in range(25):
             dim = int(gen.integers(2, 6))
             model = PureStateModel(haar_random_ket(dim, gen))
-            family = generate_property_family(6, model, gen, pol)
+            family = _property_families(6, [model], [gen], pol)[0]
             labels = list(family.labels)
             for _ in range(10):
                 statement = random_statement(labels, 2, gen)
-                equivalent = is_testable(statement, family, pol)
+                equivalent = _equivalents([statement], family, pol)[0]
                 if equivalent is None:
                     continue
-                value = verificationist_truth(statement, model, family, pol)
+                value = audit_records(model, family, [statement], pol)[0].verificationist
                 probability = born_probability(model.state, Projection(equivalent), pol)
                 if value is TruthValue.TRUE:
                     assert probability == pytest.approx(1.0, abs=pol.prob_tol)
@@ -591,7 +600,7 @@ class TestVerificationistTruth:
 
 class TestOrderIsomorphism:
     def test_chain_family(self):
-        family = PropertyFamily([("axis", projection_onto_span(np.eye(3)[:, :1]))], dim=3)
+        family = PropertyFamily([("axis", Projection.from_basis(np.eye(3)[:, :1]))], dim=3)
         assert order_isomorphism_check(family)
 
     def test_worked_family(self, qubit_family):
@@ -600,7 +609,7 @@ class TestOrderIsomorphism:
     def test_adversarial_family(self, pol):
         gen = SeededRng(53).generator()
         model = PureStateModel(haar_random_ket(4, gen))
-        family = generate_property_family(9, model, gen, pol)
+        family = _property_families(9, [model], [gen], pol)[0]
         assert order_isomorphism_check(family, pol, rng=SeededRng(54), samples=200)
 
     def test_stacked_route_equals_the_per_member_and_state_loop(self, pol, monkeypatch):
@@ -624,8 +633,8 @@ class TestOrderIsomorphism:
         for dim in range(2, 7):
             gen = SeededRng(60 + dim).generator()
             model = PureStateModel(haar_random_ket(dim, gen))
-            family = generate_property_family(7, model, gen, pol)
-            members = [family.get(label) for label in family.labels]
+            family = _property_families(7, [model], [gen], pol)[0]
+            members = [Projection(row) for row in family.projection_stack]
             states = [Ket.normalized(v) for member in members for v in range_basis(member).T]
             draws = SeededRng(dim).generator()
             states += [haar_random_ket(dim, draws) for _ in range(12)]
@@ -731,13 +740,11 @@ class TestCompletenessAudit:
         for _ in range(20):
             dim = int(gen.integers(2, 5))
             model = PureStateModel(haar_random_ket(dim, gen))
-            family = generate_property_family(6, model, gen, pol)
+            family = _property_families(6, [model], [gen], pol)[0]
             statements = [Elementary(label) for label in family.labels]
             audit = completeness_audit(model, family, statements, "sr", pol)
-            from qlat import commutator_norm
-
             oblique_exists = any(
-                commutator_norm(member, model.support) >= pol.op_tol * dim
+                _commutator_norms(member, model.support.matrix) >= pol.op_tol * dim
                 for member in family.projection_stack
             )
             assert (audit.verdict == "incomplete") == oblique_exists
@@ -752,20 +759,18 @@ class TestCompletenessAudit:
         seen = set()
         for dim in range(2, 9):
             model = PureStateModel(haar_random_ket(dim, gen))
-            family = generate_property_family(6, model, gen, pol)
+            family = _property_families(6, [model], [gen], pol)[0]
             statements = [random_statement(list(family.labels), 2, gen) for _ in range(12)]
             audit = completeness_audit(model, family, statements, "standard", pol)
-            support = Observable.from_projection(model.support, pol)
+            support = Observable.from_operator(model.support.matrix, pol)
             expected = []
             for statement in statements:
-                equivalent = is_testable(statement, family, pol)
+                equivalent = _equivalents([statement], family, pol)[0]
                 expected.append(
                     equivalent is not None
                     and criterion_holds(
                         "nondisturbance",
-                        nondisturbance_residual(
-                            Observable.from_projection(Projection(equivalent), pol), support
-                        ),
+                        _sandwich_defects(Observable.from_operator(equivalent, pol), support)[0],
                         dim,
                         pol,
                     )

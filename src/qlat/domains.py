@@ -20,10 +20,12 @@ from .numerics import (
     TolerancePolicy,
     _commutator_norms,
     _frobenius_norms,
+    validated_projections,
 )
 
 __all__ = [
     "PureStateModel",
+    "support_stacks",
     "certainty",
     "compatible_mask",
     "objective_residuals",
@@ -38,27 +40,61 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class PureStateModel:
     """Pure state together with its support, the unique atom that is
-    certainly true exactly in this state."""
+    certainly true exactly in this state, and the support's orthocomplement.
+    Both are built once per model, by the one-model case of ``_supports``,
+    unless a ``support_stacks`` call over several models built them first."""
 
     state: Ket
 
     @cached_property
+    def _projections(self) -> tuple[Projection, Projection]:
+        (support,), (complement,) = _supports(self.state.amplitudes[None])
+        return _projection(support), _projection(complement)
+
+    @property
     def support(self) -> Projection:
-        """Rank-one projection onto the state, built once per model; invariant
-        under global phase."""
-        return Projection.from_basis(self.state.amplitudes[:, None])
+        """Rank-one projection onto the state; invariant under global phase."""
+        return self._projections[0]
 
-    @cached_property
+    @property
     def complement(self) -> Projection:
-        """Orthocomplement of the support, built once per model."""
-        return Projection(np.eye(self.state.dim, dtype=np.complex128) - self.support.matrix)
+        """Orthocomplement of the support."""
+        return self._projections[1]
 
 
-def _sides(models) -> tuple[np.ndarray, np.ndarray]:
+def _projection(matrix: np.ndarray) -> Projection:
+    """A ``Projection`` holding a read-only matrix that is already validated,
+    assembled without re-validating it."""
+    projection = object.__new__(Projection)
+    object.__setattr__(projection, "matrix", matrix)
+    return projection
+
+
+def _supports(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The supports S = psi psi^H of a (K, d) stack of unit kets and their
+    complements I - S, as two read-only (K, d, d) stacks from one
+    ``validated_projections`` call each: bit for bit
+    ``Projection.from_basis(ket[:, None])`` and ``Projection(eye - S)``."""
+    columns = kets[..., None]
+    supports = validated_projections(columns @ columns.conj().mT)
+    complements = validated_projections(np.eye(kets.shape[-1], dtype=np.complex128) - supports)
+    supports.setflags(write=False)
+    complements.setflags(write=False)
+    return supports, complements
+
+
+def support_stacks(models) -> tuple[np.ndarray, np.ndarray]:
     """Support and complement of one model, two (d, d) matrices, or of K
-    models, two (K, 1, d, d) stacks."""
+    models, two (K, 1, d, d) stacks that broadcast against a (K, n, d, d)
+    stack of members. The models that have not built theirs yet get them
+    from one ``_supports`` call over their kets, and keep them."""
     if isinstance(models, PureStateModel):
         return models.support.matrix, models.complement.matrix
+    fresh = list({id(model): model for model in models if "_projections" not in vars(model)}.values())
+    if fresh:
+        supports, complements = _supports(np.stack([model.state.amplitudes for model in fresh]))
+        for model, support, complement in zip(fresh, supports, complements):
+            vars(model)["_projections"] = _projection(support), _projection(complement)
     sides = np.stack([[model.support.matrix, model.complement.matrix] for model in models])
     return sides[:, None, 0], sides[:, None, 1]
 
@@ -76,7 +112,7 @@ def certainty(
     those below its orthocomplement (certainly false, probability 0). For K
     models, (K, n) masks, of one (n, d, d) stack against every model or of
     a (K, n, d, d) stack whose family k goes with model k."""
-    support, complement = _sides(model)
+    support, complement = support_stacks(model)
     return leq(support, members, pol), leq(members, complement, pol)
 
 
@@ -85,7 +121,7 @@ def compatible_mask(
 ) -> np.ndarray:
     """The compatible rule, paired as in ``certainty``: the members that
     commute with the support, by |ES - SE|_F with the member E first."""
-    norms = _commutator_norms(members, _sides(model)[0])
+    norms = _commutator_norms(members, support_stacks(model)[0])
     return criterion_holds("commutation", norms, members.shape[-1], pol)
 
 
@@ -94,7 +130,7 @@ def objective_residuals(model: PureStateModel, members: np.ndarray) -> np.ndarra
     observable, against the yes/no observable of the support, paired as in
     ``certainty``: the largest leak in either role, from one ``leak_norms``
     call over the members' yes/no stacks."""
-    forward, backward = leak_norms(yes_no_stack(members), yes_no_stack(_sides(model)[0]))
+    forward, backward = leak_norms(yes_no_stack(members), yes_no_stack(support_stacks(model)[0]))
     return np.maximum(forward.max(axis=(-2, -1)), backward.max(axis=(-2, -1)))
 
 
@@ -112,7 +148,7 @@ def _pivot_defects(model: PureStateModel, members: np.ndarray, pol: TolerancePol
     E, paired with the supports S as in ``certainty``. Both meets come from
     one ``meet`` against the pair [S, S_perp], so one ``eigh`` call over 2n
     (or 2Kn) matrices; one ``join`` then rebuilds the members."""
-    meets = meet(members[..., None, :, :], np.stack(_sides(model), axis=-3), pol)
+    meets = meet(members[..., None, :, :], np.stack(support_stacks(model), axis=-3), pol)
     on_support, off_support = meets[..., 0, :, :], meets[..., 1, :, :]
     return _frobenius_norms(join(on_support, off_support, pol) - members)
 

@@ -10,10 +10,14 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .domains import DomainStacks, PureStateModel, domain_reports
+from .domains import DomainStacks, PureStateModel, domain_reports, support_stacks
 from .lattice import (
     PropertyFamily,
     _checked_dim,
+    _close_pairs,
+    _families,
+    _greedy_rows,
+    _lower_triangle,
     covering_holds,
     de_morgan_gaps,
     family_laws,
@@ -39,7 +43,6 @@ from .numerics import (
     Ket,
     TolerancePolicy,
     _commutator_norms,
-    _frobenius_norms,
     _leading_dyads,
     _spectral_stacks,
     _ranks,
@@ -290,8 +293,10 @@ def _property_families(
     and its rank, never 0 or the state's dimension d, their count: a random
     unitary's first ``rank`` in [1, d), or the column span of a proper
     nonempty subset of the aligned basis. Its dyad is dropped when it lies
-    within op_tol of a member kept before it, and ``PropertyFamily``
-    validates the kept dyads once.
+    within op_tol of a member kept before it. The supports come from one
+    stacked ``domains.support_stacks`` call, and the families from one
+    ``lattice._families`` call per member count, straight on the kept rows,
+    which validates them once.
 
     Each generator is read in the order of a one-family loop of draws: its
     aligned basis's padding, then per attempt an oblique-or-aligned uniform
@@ -300,10 +305,12 @@ def _property_families(
     family, at most the attempts that such a loop would still certainly make:
     the members still missing, within the cap of 100 * n_members attempts.
     Then one QR call gives the oblique candidates of the round and one SVD
-    call per column count the aligned ones; each family keeps its candidates
-    greedily in draw order, from one table of their distances to its kept
-    members and to each other. Rounds repeat until every family is full or
-    has made its attempts.
+    call per column count the aligned ones, each written into the room that
+    its family's missing members leave. Each family keeps its candidates
+    greedily in draw order, by ``lattice._greedy_rows``, from one table per
+    round of every active family's distances, each candidate's to its kept
+    members and to the candidates drawn before it. Rounds repeat until every
+    family is full or has made its attempts.
     """
     dim = models[0].state.dim
     if dim < 2:
@@ -312,54 +319,61 @@ def _property_families(
     padding = np.stack([_gaussian_matrix(dim, gen, dim - 1) for gen in gens])
     aligned_bases, _ = np.linalg.qr(np.concatenate([states, padding], axis=-1))
 
-    kept = np.zeros((len(models), max(n_members, 2), dim, dim), dtype=np.complex128)
-    kept[:, :2] = [[model.support.matrix, model.complement.matrix] for model in models]
+    width = max(n_members, 2)
+    kept = np.zeros((len(models), width, dim, dim), dtype=np.complex128)
+    flat, (later, earlier) = kept.reshape(-1, dim, dim), _lower_triangle(width)
+    kept[:, :2] = np.concatenate(support_stacks(models), axis=1)
     counts, attempts, cap = [2] * len(models), [0] * len(models), 100 * n_members
     active = [k for k in range(len(models)) if counts[k] < n_members]
     while active:
-        # Each candidate of the round goes to its (family row, draw slot).
-        oblique, aligned, drawn = [], {}, []
-        for row, k in enumerate(active):
-            gen, slot = gens[k], 0
+        # Candidate j of family k goes to kept[k, counts[k] + j], in the room
+        # that the members still missing leave; stops[row] ends the row's run.
+        oblique, aligned, stops = [], {}, []
+        for k in active:
+            gen, slot = gens[k], counts[k]
             for _ in range(min(n_members - counts[k], cap - attempts[k])):
                 attempts[k] += 1
                 if gen.random() < _OBLIQUE_FRACTION:
                     rank = int(gen.integers(1, dim))
-                    oblique.append(((row, slot), rank, _gaussian_matrix(dim, gen)))
+                    oblique.append(((k, slot), rank, _gaussian_matrix(dim, gen)))
                 else:
                     mask = gen.random(dim) < 0.5
                     if not mask.any() or mask.all():
                         continue
                     columns = aligned_bases[k][:, mask]
-                    aligned.setdefault(columns.shape[1], []).append(((row, slot), columns))
+                    aligned.setdefault(columns.shape[1], []).append(((k, slot), columns))
                 slot += 1
-            drawn.append(slot)
+            stops.append(slot)
 
-        fresh = np.zeros((len(active), max(drawn), dim, dim), dtype=np.complex128)
         if oblique:
             slots, ranks, raws = zip(*oblique)
             unitaries, _ = np.linalg.qr(np.stack(raws))
-            fresh[tuple(zip(*slots))] = _leading_dyads(unitaries, ranks)
+            kept[tuple(zip(*slots))] = _leading_dyads(unitaries, ranks)
         for group in aligned.values():
             slots, columns = zip(*group)
-            fresh[tuple(zip(*slots))] = _span_dyads(np.stack(columns), pol)
-        for row, k in enumerate(active):
-            start, chosen = counts[k], []
-            # near[j][i]: candidate j lies within op_tol of kept member i, or
-            # of candidate i - start.
-            rows = np.concatenate([kept[k, :start], fresh[row]])
-            near = (_frobenius_norms(rows - fresh[row, :, None]) < pol.op_tol).tolist()
-            for slot in range(drawn[row]):
-                close = near[slot]
-                if not any(close[:start]) and not any(close[start + j] for j in chosen):
-                    chosen.append(slot)
-            kept[k, start : start + len(chosen)] = fresh[row, chosen]
-            counts[k] += len(chosen)
+            kept[tuple(zip(*slots))] = _span_dyads(np.stack(columns), pol)
+        # One distance table for the round: each candidate against the kept
+        # members and the earlier candidates of its family, which are the
+        # pairs of rows counts[k] to stop - 1 in _lower_triangle(width).
+        firsts = [counts[k] * (counts[k] - 1) // 2 for k in active]
+        lasts = [stop * (stop - 1) // 2 for stop in stops]
+        picks = np.concatenate([np.arange(first, last) for first, last in zip(firsts, lasts)])
+        owners = np.repeat(np.array(active) * width, np.subtract(lasts, firsts))
+        close = _close_pairs(flat, owners + later[picks], owners + earlier[picks], pol).tolist()
+        position = 0
+        for k, stop, first, last in zip(active, stops, firsts, lasts):
+            rows = _greedy_rows(close[position : position + last - first], counts[k], stop)
+            position += last - first
+            kept[k, counts[k] : len(rows)] = kept[k, rows[counts[k] :]]
+            counts[k] = len(rows)
         active = [k for k in active if counts[k] < n_members and attempts[k] < cap]
-    return [
-        PropertyFamily(((f"E{row + 1}", kept[k, row]) for row in range(counts[k])), pol=pol)
-        for k in range(len(models))
-    ]
+    families = [None] * len(models)
+    for count in dict.fromkeys(counts):
+        ks = [k for k in range(len(models)) if counts[k] == count]
+        labels = [f"E{row + 1}" for row in range(count)]
+        for k, family in zip(ks, _families([labels] * len(ks), kept[ks, :count], pol)):
+            families[k] = family
+    return families
 
 
 def reference_qubit_family(pol: TolerancePolicy = DEFAULT_POLICY) -> PropertyFamily:

@@ -3,6 +3,7 @@ structural laws, and labelled property families with JSON serialization."""
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 
@@ -140,18 +141,17 @@ class PropertyFamily:
     """Finite labelled family of properties on one space, held as one
     read-only (n, d, d) projection stack whose row k carries label k.
 
-    The zero and identity projections are adjoined on construction when
-    absent. Members are deduplicated with the repo-wide equality notion: a
-    projection within op_tol (Frobenius) of an earlier kept member is
-    dropped together with its label.
+    The constructor parses its entries and takes the one-family result of
+    ``_families``, the one rule that validates, deduplicates and adjoins the
+    zero and identity projections when absent. Members are deduplicated with
+    the repo-wide equality notion: a projection within op_tol (Frobenius) of
+    an earlier kept member is dropped together with its label.
     """
 
     def __init__(self, entries, *, dim: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY):
         labels: list[str] = []
         matrices: list[np.ndarray] = []
         for label, raw in entries:
-            if not isinstance(label, str) or not label:
-                raise ValueError(f"labels must be nonempty strings, got {label!r}")
             matrix = _matrix_of(raw)
             if dim is None:
                 dim = matrix.shape[0]
@@ -159,37 +159,12 @@ class PropertyFamily:
                 raise ValueError(
                     f"member {label!r} has dimension {matrix.shape[0]}, expected {dim}"
                 )
-            if label in labels:
-                raise ValueError(f"duplicate label {label!r}")
             labels.append(label)
             matrices.append(matrix)
         if dim is None:
             raise ValueError("cannot build an empty family without an explicit dimension")
-        stack = validated_projections(
-            np.asarray(matrices, dtype=np.complex128).reshape(-1, dim, dim),
-            names=[f"member {label!r}" for label in labels],
-        )
-        # Greedy: a row is kept unless it is close to a row kept before it. The
-        # bounds come last, so each is adjoined only when no member is close.
-        stack = np.concatenate([stack, [np.zeros((dim, dim)), np.eye(dim)]])
-        close = (_frobenius_norms(stack[:, None] - stack[None]) < pol.op_tol).tolist()
-        kept: list[int] = []
-        for row, near in enumerate(close):
-            if not any(near[k] for k in kept):
-                kept.append(row)
-        names = [labels[row] for row in kept if row < len(labels)]
-        bounds = {len(labels): ("0", "zero"), len(labels) + 1: ("I", "identity")}
-        for fallbacks in (bounds[row] for row in kept if row in bounds):
-            label = next((name for name in fallbacks if name not in names), None)
-            if label is None:
-                raise ValueError(f"no available label for the adjoined {fallbacks[1]} projection")
-            names.append(label)
-        stack = stack[kept]
-        stack.setflags(write=False)
-        self._dim = dim
-        self._labels = tuple(names)
-        self._stack = stack
-        self._rows = {label: row for row, label in enumerate(names)}
+        stack = np.asarray(matrices, dtype=np.complex128).reshape(1, len(matrices), dim, dim)
+        vars(self).update(vars(_families([labels], stack, pol)[0]))
 
     @property
     def dim(self) -> int:
@@ -246,6 +221,102 @@ class PropertyFamily:
     @classmethod
     def loads(cls, text: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "PropertyFamily":
         return cls.from_json_dict(json.loads(text), pol=pol)
+
+
+# Differences per call of a distance table: at most 1 MiB of complex128 at
+# d = 8, so a table's memory does not grow with the number of pairs.
+_DIFFERENCE_ROWS = 1024
+
+
+def _close_pairs(matrices: np.ndarray, left: np.ndarray, right: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """Whether matrices[left[p]] lies within op_tol (Frobenius) of
+    matrices[right[p]], for each pair p of index arrays into an (N, d, d)
+    stack, in calls of at most ``_DIFFERENCE_ROWS`` differences."""
+    close = np.empty(left.size, dtype=bool)
+    for start in range(0, left.size, _DIFFERENCE_ROWS):
+        chosen = slice(start, start + _DIFFERENCE_ROWS)
+        differences = matrices.take(left[chosen], axis=0) - matrices.take(right[chosen], axis=0)
+        close[chosen] = _frobenius_norms(differences) < pol.op_tol
+    return close
+
+
+@functools.lru_cache(maxsize=256)
+def _lower_triangle(rows: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The row pairs (later, earlier) that the greedy rule can read in each of
+    ``count`` distance tables of ``rows`` rows, numbered as the rows of one
+    (count * rows, d, d) stack: table k's pairs are ``np.tril_indices(rows,
+    -1)``, in row-major order, plus k * rows. Read-only, since the arrays
+    are shared."""
+    offsets = (np.arange(count) * rows)[:, None]
+    pairs = tuple((offsets + index).ravel() for index in np.tril_indices(rows, -1))
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def _greedy_rows(close: list, start: int, stop: int) -> list[int]:
+    """The greedy dedup rule over rows start to stop - 1, with every row
+    below start kept: a row is kept unless it is close to a row kept before
+    it. ``close`` lists, row by row from ``start``, the row's closeness to
+    each earlier row: the strict lower triangle of the rows' distance
+    table, in the row-major order of ``_lower_triangle(stop)``."""
+    kept, offset = list(range(start)), start * (start - 1) // 2
+    for row in range(start, stop):
+        near = close[row * (row - 1) // 2 - offset : row * (row + 1) // 2 - offset]
+        # Until a row is dropped, the kept rows are all the earlier ones.
+        if not (any(near) if len(kept) == row else any(near[k] for k in kept)):
+            kept.append(row)
+    return kept
+
+
+def _families(labels, stacks: np.ndarray, pol: TolerancePolicy) -> list[PropertyFamily]:
+    """The ``PropertyFamily`` of each of K label lists and the rows of a
+    (K, n, d, d) stack, family k from labels[k] and stacks[k].
+
+    The labels must be nonempty strings, distinct within a family. One
+    ``validated_projections`` call checks every member, and names a bad one
+    by its label. Each family then gets 0 and I appended and keeps its rows
+    greedily in order, so each bound is adjoined only when no member is
+    close to it, under the label "0" or "I", or "zero" or "identity" when a
+    member holds that label. The closeness comes from one distance table
+    over every family's strict lower triangle, the only pairs the rule can
+    read."""
+    count, n, dim = len(stacks), stacks.shape[1], stacks.shape[-1]
+    for names in labels:
+        seen: set[str] = set()
+        for label in names:
+            if not isinstance(label, str) or not label:
+                raise ValueError(f"labels must be nonempty strings, got {label!r}")
+            if label in seen:
+                raise ValueError(f"duplicate label {label!r}")
+            seen.add(label)
+    members = validated_projections(
+        stacks.reshape(count * n, dim, dim),
+        names=[f"member {label!r}" for names in labels for label in names],
+    )
+    rows = n + 2
+    bounded = np.empty((count, rows, dim, dim), dtype=np.complex128)
+    bounded[:, :n] = members.reshape(count, n, dim, dim)
+    bounded[:, n] = 0.0
+    bounded[:, n + 1] = np.eye(dim)
+    close = _close_pairs(bounded.reshape(count * rows, dim, dim), *_lower_triangle(rows, count), pol)
+    bounds = {n: ("0", "zero"), n + 1: ("I", "identity")}
+    families = []
+    for names, stack, near in zip(labels, bounded, close.reshape(count, -1).tolist()):
+        kept = _greedy_rows(near, 0, rows)
+        kept_names = [names[row] for row in kept if row < n]
+        for fallbacks in (bounds[row] for row in kept if row in bounds):
+            label = next((name for name in fallbacks if name not in kept_names), None)
+            if label is None:
+                raise ValueError(f"no available label for the adjoined {fallbacks[1]} projection")
+            kept_names.append(label)
+        family = object.__new__(PropertyFamily)
+        family._dim, family._labels = dim, tuple(kept_names)
+        family._stack = stack[kept]
+        family._stack.setflags(write=False)
+        family._rows = {label: row for row, label in enumerate(kept_names)}
+        families.append(family)
+    return families
 
 
 def _checked_dim(value) -> int:

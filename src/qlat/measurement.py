@@ -238,18 +238,17 @@ def _sandwich_defects(first: Observable, second: Observable) -> tuple[float, flo
     return worst, rate / first.dim
 
 
-def interposition_residual(first: Observable, second: Observable) -> float:
-    """Largest |Q_k - sum_n P_n Q_k P_n|_F or |P_n - sum_k Q_k P_n Q_k|_F:
-    how far an interposed nonselective measurement moves an outcome projection."""
+def _sandwich_residuals(first: Observable, second: Observable) -> tuple[float, float]:
+    """The interposition and the sequence-symmetry residuals, from one stack
+    each of the products P_n Q_k P_n and Q_k P_n Q_k over every outcome pair
+    (n, k). Interposition is the largest |Q_k - sum_n P_n Q_k P_n|_F or
+    |P_n - sum_k Q_k P_n Q_k|_F, how far an interposed nonselective
+    measurement moves an outcome projection; sequence symmetry is the
+    largest |P_n Q_k P_n - Q_k P_n Q_k|_F."""
     p, q = _pair_stacks(first, second)
-    moved = np.concatenate([q[0] - (p @ q @ p).sum(axis=0), p[:, 0] - (q @ p @ q).sum(axis=1)])
-    return float(_frobenius_norms(moved, 2).max())
-
-
-def sequence_symmetry_residual(first: Observable, second: Observable) -> float:
-    """Largest |P_n Q_k P_n - Q_k P_n Q_k|_F over every outcome pair (n, k)."""
-    p, q = _pair_stacks(first, second)
-    return float(_frobenius_norms(p @ q @ p - q @ p @ q, 2).max())
+    pqp, qpq = p @ q @ p, q @ p @ q
+    moved = np.concatenate([q[0] - pqp.sum(axis=0), p[:, 0] - qpq.sum(axis=1)])
+    return float(_frobenius_norms(moved, 2).max()), float(_frobenius_norms(pqp - qpq, 2).max())
 
 
 # Threshold of each exact criterion decided by an operator residual, in
@@ -482,9 +481,11 @@ def compatibility_verdict(
 ) -> CompatibilityVerdict:
     """Evaluate all five compatibility criteria on one observable pair.
 
-    The four residuals are computed independently of each other, and the
-    joint observable is built whenever commutation holds; the agreement of
-    the five verdicts is the quantity under audit here, not an assumption.
+    The four residuals come from three independent routes: the commutator,
+    the (I - P)QP leaks, and one stack each of the PQP and QPQ products,
+    which give both the interposition and the sequence-symmetry residual.
+    The joint observable is built whenever commutation holds; the agreement
+    of the five verdicts is the quantity under audit here, not an assumption.
     The one-pair case of ``_compatibility_verdicts``.
     """
     _check_pair(first, second)
@@ -495,8 +496,8 @@ def compatibility_verdict(
 def _compatibility_verdicts(pairs, pol: TolerancePolicy, trials: int, rngs) -> list[CompatibilityVerdict]:
     """``compatibility_verdict`` of each pair of same-dimension observables,
     pair j with ``rngs[j]``. The commutators, the joints and the Monte Carlo
-    runs of all pairs are stacked calls; the sandwich, interposition and
-    sequence-symmetry products are taken per pair."""
+    runs of all pairs are stacked calls; the leak norms of ``_sandwich_defects``
+    and the products of ``_sandwich_residuals`` are taken per pair."""
     dim = pairs[0][0].dim
     stacks, last = _padded_stacks(pairs)
     firsts, seconds = (np.stack([observable.operator.matrix for observable in side]) for side in zip(*pairs))
@@ -510,11 +511,12 @@ def _compatibility_verdicts(pairs, pol: TolerancePolicy, trials: int, rngs) -> l
         # The sandwich products give both the non-disturbance residual and
         # the analytic MC floor.
         leakage, disagreement_rate = _sandwich_defects(first, second)
+        interposition, symmetry = _sandwich_residuals(first, second)
         residuals = {
             "commutation": commutator,
             "nondisturbance": leakage,
-            "interposition": interposition_residual(first, second),
-            "sequence_symmetry": sequence_symmetry_residual(first, second),
+            "interposition": interposition,
+            "sequence_symmetry": symmetry,
         }
         holds = {
             criterion: criterion_holds(criterion, value, dim, pol)

@@ -1,8 +1,9 @@
 """Single-object routes that the tests compare the stacked code against: one
 projective measurement of one state, the Born probability of one property,
-and the total classical valuation of one statement. No campaign or command
-runs them; each is written out one object at a time, independently of the
-array code in ``qlat`` that it checks."""
+the interposition and sequence-symmetry residuals of one pair, each from its
+own sandwich products, and the total classical valuation of one statement.
+No campaign or command runs them; each is written out one object at a time,
+independently of the array code in ``qlat`` that it checks."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from typing import Mapping
 import numpy as np
 
 from qlat import DEFAULT_POLICY, Ket, Observable, Projection, Statement, TolerancePolicy, fold
-from qlat.measurement import _generator_of
+from qlat.measurement import _generator_of, _pair_stacks
+from qlat.numerics import _frobenius_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +68,20 @@ def measure(state: Ket, observable: Observable, rng, pol: TolerancePolicy = DEFA
         probability=float(min(probabilities[index], 1.0)),
         post_state=Ket(collapsed),
     )
+
+
+def interposition_residual(first: Observable, second: Observable) -> float:
+    """Largest |Q_k - sum_n P_n Q_k P_n|_F or |P_n - sum_k Q_k P_n Q_k|_F:
+    how far an interposed nonselective measurement moves an outcome projection."""
+    p, q = _pair_stacks(first, second)
+    moved = np.concatenate([q[0] - (p @ q @ p).sum(axis=0), p[:, 0] - (q @ p @ q).sum(axis=1)])
+    return float(_frobenius_norms(moved, 2).max())
+
+
+def sequence_symmetry_residual(first: Observable, second: Observable) -> float:
+    """Largest |P_n Q_k P_n - Q_k P_n Q_k|_F over every outcome pair (n, k)."""
+    p, q = _pair_stacks(first, second)
+    return float(_frobenius_norms(p @ q @ p - q @ p @ q, 2).max())
 
 
 def tarskian_truth(statement: Statement, assignment: Mapping[str, bool]) -> bool:

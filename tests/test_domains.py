@@ -1,5 +1,4 @@
 from dataclasses import fields
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -49,6 +48,24 @@ class TestPureStateModel:
             expected = Projection.from_basis(ket.amplitudes[:, None])
             assert np.array_equal(PureStateModel(ket).support.matrix, expected.matrix)
 
+    def test_stacked_supports_are_the_projections_bit_for_bit(self):
+        from qlat import domains
+
+        gen = SeededRng(8).generator()
+        for dim in range(2, 9):
+            models = [PureStateModel(haar_random_ket(dim, gen)) for _ in range(5)]
+            supports, complements = domains.support_stacks(models)
+            for model, support, complement in zip(models, supports[:, 0], complements[:, 0]):
+                expected = Projection.from_basis(model.state.amplitudes[:, None])
+                eye = np.eye(dim, dtype=np.complex128)
+                assert np.array_equal(support, expected.matrix)
+                assert np.array_equal(complement, Projection(eye - expected.matrix).matrix)
+                alone = PureStateModel(model.state)
+                assert np.array_equal(alone.support.matrix, support)
+                assert np.array_equal(alone.complement.matrix, complement)
+                assert not model.support.matrix.flags.writeable
+                assert not model.complement.matrix.flags.writeable
+
     def test_state_is_the_one_field(self):
         assert [field.name for field in fields(PureStateModel)] == ["state"]
         ket = Ket.basis(2, 0)
@@ -56,21 +73,23 @@ class TestPureStateModel:
             PureStateModel(ket, PureStateModel(ket).support)
 
     def test_support_built_once_however_often_read(self, pol, monkeypatch):
+        from qlat import domains
+
         gen = SeededRng(7).generator()
         model = PureStateModel(haar_random_ket(4, gen))
         calls = []
-        build = Projection.from_basis.__func__
+        build = domains._supports
 
-        def counted(cls, columns):
-            calls.append(columns)
-            return build(cls, columns)
+        def counted(kets):
+            calls.append(kets)
+            return build(kets)
 
-        monkeypatch.setattr(Projection, "from_basis", classmethod(counted))
+        monkeypatch.setattr(domains, "_supports", counted)
         family = _property_families(8, [model], [gen], pol)[0]
         certainty(model, family.projection_stack, pol)
         domain_reports([model, model], family, pol)
         domain_reports([model], family, pol)
-        assert len(calls) == 1 and np.array_equal(calls[0][:, 0], model.state.amplitudes)
+        assert len(calls) == 1 and np.array_equal(calls[0], model.state.amplitudes[None])
 
 
 class TestSupport:
@@ -223,15 +242,13 @@ class TestPivot:
         assert len(family) == 12  # ten members, then 0 and I
         model = PureStateModel(model.state)  # nothing cached yet
         calls = []
-        build = PureStateModel.complement.func
+        build = domains._supports
 
-        def counted(model):
-            calls.append(model)
-            return build(model)
+        def counted(kets):
+            calls.append(kets)
+            return build(kets)
 
-        complement = cached_property(counted)
-        complement.__set_name__(PureStateModel, "complement")
-        monkeypatch.setattr(domains.PureStateModel, "complement", complement)
+        monkeypatch.setattr(domains, "_supports", counted)
         domain_reports([model], family, pol)[0]
         assert len(calls) == 1
 

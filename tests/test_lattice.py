@@ -384,6 +384,148 @@ class TestPropertyFamily:
 # intermediate result, and np.linalg.norm for every distance.
 
 
+def oracle_family(labels, matrices, pol):
+    """The one-family rule written out with the full distance table: the
+    labels and stack of the members kept greedily, 0 and I appended."""
+    dim = matrices.shape[-1]
+    stack = np.concatenate([validated_projections(matrices), [np.zeros((dim, dim)), np.eye(dim)]])
+    close = [[float(np.linalg.norm(a - b)) < pol.op_tol for b in stack] for a in stack]
+    kept = []
+    for row, near in enumerate(close):
+        if not any(near[k] for k in kept):
+            kept.append(row)
+    names = [labels[row] for row in kept if row < len(labels)]
+    for row in kept[len(names):]:
+        fallbacks = ("0", "zero") if row == len(labels) else ("I", "identity")
+        names.append(next(name for name in fallbacks if name not in names))
+    return tuple(names), stack[kept]
+
+
+def assert_same_families(stacked, separate):
+    assert len(stacked) == len(separate)
+    for one, other in zip(stacked, separate):
+        assert one.dim == other.dim and one.labels == other.labels
+        assert np.array_equal(one.projection_stack, other.projection_stack)
+        assert [one.index(label) for label in one.labels] == list(range(len(one)))
+        assert [other.index(label) for label in one.labels] == list(range(len(one)))
+        assert not one.projection_stack.flags.writeable
+
+
+class TestStackedFamilies:
+    """``lattice._families`` builds K families in one pass; each must be the
+    family that a separate ``PropertyFamily`` construction gives."""
+
+    @staticmethod
+    def separate(labels, stacks, pol):
+        return [PropertyFamily(zip(names, stack), pol=pol) for names, stack in zip(labels, stacks)]
+
+    def crafted(self):
+        delta = 0.6e-9 / np.sqrt(2.0)
+
+        def ray(angle):
+            vector = np.array([np.cos(angle), np.sin(angle), 0.0], dtype=complex)
+            return np.outer(vector, vector.conj())
+
+        zero, eye = np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)
+        labels = [["a", "b", "c"], ["0", "x", "I"], ["I", "y", "zero"], ["p", "q", "r"]]
+        stacks = np.stack([
+            [ray(0.0), ray(delta), ray(2 * delta)],  # near duplicates, greedily
+            [ray(0.3), ray(0.3 + delta), ray(1.0)],  # "0" and "I" are taken
+            [zero, ray(0.5), ray(0.7)],  # a zero member named "I"
+            [eye - ray(0.2), ray(0.2), eye],  # the identity is a member
+        ])
+        return labels, stacks
+
+    def test_crafted_stacks_give_the_separate_families(self, pol):
+        labels, stacks = self.crafted()
+        stacked = lattice._families(labels, stacks, pol)
+        assert_same_families(stacked, self.separate(labels, stacks, pol))
+        assert [family.labels for family in stacked] == [
+            ("a", "c", "0", "I"),
+            ("0", "I", "zero", "identity"),
+            ("I", "y", "zero", "identity"),
+            ("p", "q", "r", "0"),
+        ]
+        for family, names, stack in zip(stacked, labels, stacks):
+            expected_labels, expected_stack = oracle_family(names, stack, pol)
+            assert family.labels == expected_labels
+            assert np.array_equal(family.projection_stack, expected_stack)
+
+    def test_no_available_label(self, pol):
+        labels, stacks = self.crafted()
+        labels[3] = ["0", "zero", "r"]
+        with pytest.raises(ValueError, match="^no available label for the adjoined zero projection$"):
+            lattice._families(labels, stacks, pol)
+        with pytest.raises(ValueError, match="^no available label for the adjoined zero projection$"):
+            self.separate(labels, stacks, pol)
+
+    def test_bad_member_named_by_label_in_a_later_family(self, pol):
+        labels, stacks = self.crafted()
+        stacks[2, 1, 0, 1] += 0.5
+        message = r"^member 'y' is not Hermitian: max asymmetry 5\.000e-01"
+        with pytest.raises(ValueError, match=message):
+            lattice._families(labels, stacks, pol)
+        with pytest.raises(ValueError, match=message):
+            self.separate(labels, stacks, pol)
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [(["a", "", "c"], "^labels must be nonempty strings, got ''$"), (["a", "b", "a"], "^duplicate label 'a'$")],
+    )
+    def test_label_checks(self, pol, names, message):
+        labels, stacks = self.crafted()
+        labels[3] = names
+        with pytest.raises(ValueError, match=message):
+            lattice._families(labels, stacks, pol)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_generated_blocks_give_the_separate_families(self, dim, pol, monkeypatch):
+        from qlat import experiments
+
+        calls = []
+        build = experiments._families
+
+        def recorded(labels, stacks, pol):
+            families = build(labels, stacks, pol)
+            calls.append((labels, stacks.copy(), families))
+            return families
+
+        monkeypatch.setattr(experiments, "_families", recorded)
+        for seed in range(3):
+            gens = [SeededRng(seed).substream(k) for k in range(6)]
+            models = [PureStateModel(haar_random_ket(dim, gen)) for gen in gens]
+            for n_members in (0, 3, 10):
+                _property_families(n_members, models, gens, pol)
+        assert len(calls) == 9
+        for labels, stacks, families in calls:
+            assert_same_families(families, self.separate(labels, stacks, pol))
+
+    def test_a_block_validates_once_per_member_count(self, pol, monkeypatch):
+        counts = {"stacks": 0, "projections": 0}
+        validate = Projection.__post_init__
+
+        def counted_validate(self):
+            counts["projections"] += 1
+            validate(self)
+
+        def counted_stack(matrices, names=None):
+            counts["stacks"] += 1
+            return validated_projections(matrices, names)
+
+        monkeypatch.setattr(Projection, "__post_init__", counted_validate)
+        monkeypatch.setattr(lattice, "validated_projections", counted_stack)
+        for dim in (2, 5, 8):
+            gens = [SeededRng(dim).substream(k) for k in range(10)]
+            models = [PureStateModel(haar_random_ket(dim, gen)) for gen in gens]
+            families = _property_families(10, models, gens, pol)
+            assert len({len(family) for family in families}) == 1
+            assert counts == {"stacks": 1, "projections": 0}
+            counts["stacks"] = 0
+        labels, stacks = TestStackedFamilies().crafted()
+        lattice._families(labels, stacks, pol)
+        assert counts == {"stacks": 1, "projections": 0}
+
+
 def oracle_sum_range(p, q, floor):
     eigenvalues, eigenvectors = np.linalg.eigh(p.matrix + q.matrix)
     return Projection.from_basis(eigenvectors[:, eigenvalues > floor])

@@ -26,13 +26,12 @@ from qlat.measurement import (
     _measure_rows,
     _padded_stacks,
     _sandwich_defects,
+    _sandwich_residuals,
     _trial_floor,
     criterion_holds,
-    interposition_residual,
-    sequence_symmetry_residual,
 )
 
-from oracles import born_probability, measure
+from oracles import born_probability, interposition_residual, measure, sequence_symmetry_residual
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +355,14 @@ class TestMeasure:
             assert total == pytest.approx(1.0, abs=pol.prob_tol)
 
 
+def interposition(first, second):
+    return _sandwich_residuals(first, second)[0]
+
+
+def symmetry(first, second):
+    return _sandwich_residuals(first, second)[1]
+
+
 class TestExactRelations:
     def test_commutation(self, sigma_z, sigma_x, diag_a, diag_b):
         assert compatibility_verdict(diag_a, diag_b, trials=1).commutation
@@ -380,22 +387,22 @@ class TestExactRelations:
         assert _sandwich_defects(sigma_z, sigma_x)[0] == pytest.approx(0.5)
 
     def test_interposition(self, sigma_z, sigma_x, diag_a, diag_b):
-        assert self.holds("interposition", interposition_residual, diag_a, diag_b)
-        assert self.holds("interposition", interposition_residual, sigma_z, sigma_z)
-        assert not self.holds("interposition", interposition_residual, sigma_z, sigma_x)
+        assert self.holds("interposition", interposition, diag_a, diag_b)
+        assert self.holds("interposition", interposition, sigma_z, sigma_z)
+        assert not self.holds("interposition", interposition, sigma_z, sigma_x)
 
     def test_interposition_residual_value(self, sigma_z, sigma_x):
         # sum_n P_n |+><+| P_n = I/2, distance to |+><+| is 1/sqrt(2)
-        assert interposition_residual(sigma_z, sigma_x) == pytest.approx(1 / np.sqrt(2))
+        assert interposition(sigma_z, sigma_x) == pytest.approx(1 / np.sqrt(2))
 
     def test_sequence_symmetry(self, sigma_z, sigma_x, diag_a, diag_b):
-        assert self.holds("sequence_symmetry", sequence_symmetry_residual, diag_a, diag_b)
-        assert self.holds("sequence_symmetry", sequence_symmetry_residual, sigma_x, sigma_x)
-        assert not self.holds("sequence_symmetry", sequence_symmetry_residual, sigma_z, sigma_x)
+        assert self.holds("sequence_symmetry", symmetry, diag_a, diag_b)
+        assert self.holds("sequence_symmetry", symmetry, sigma_x, sigma_x)
+        assert not self.holds("sequence_symmetry", symmetry, sigma_z, sigma_x)
 
     def test_sequence_symmetry_residual_value(self, sigma_z, sigma_x):
         # P0 Px P0 = |0><0|/2 against Px P0 Px = |+><+|/2
-        assert sequence_symmetry_residual(sigma_z, sigma_x) == pytest.approx(0.5)
+        assert symmetry(sigma_z, sigma_x) == pytest.approx(0.5)
 
     def test_relations_reflexive_and_symmetric(self, pol):
         rng = SeededRng(21)
@@ -418,8 +425,8 @@ class TestExactRelations:
         [
             lambda first, second: _sandwich_defects(first, second)[0],
             lambda first, second: _sandwich_defects(first, second)[1],
-            interposition_residual,
-            sequence_symmetry_residual,
+            pytest.param(interposition, id="interposition_residual"),
+            pytest.param(symmetry, id="sequence_symmetry_residual"),
             lambda first, second: compatibility_verdict(first, second, trials=1).commutation,
             compatibility_verdict,
         ],
@@ -461,11 +468,7 @@ def oracle_residuals(first, second):
 
 
 def assert_residuals_match_oracle(first, second):
-    assert (
-        *_sandwich_defects(first, second),
-        interposition_residual(first, second),
-        sequence_symmetry_residual(first, second),
-    ) == oracle_residuals(first, second)
+    assert (*_sandwich_defects(first, second), *_sandwich_residuals(first, second)) == oracle_residuals(first, second)
 
 
 class TestResidualOracle:
@@ -481,6 +484,17 @@ class TestResidualOracle:
             first, second = _observable_pairs(dim, [commuting], [gen], pol)[0]
             assert_residuals_match_oracle(first, second)
             assert_residuals_match_oracle(second, first)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_shared_products_give_the_separate_residuals_bit_for_bit(self, dim, pol):
+        # One PQP and one QPQ stack serve both residuals; each separate
+        # route takes its own products.
+        gen = SeededRng(50 + dim).generator()
+        for trial in range(12):
+            first, second = _observable_pairs(dim, [trial % 2 == 0], [gen], pol)[0]
+            for pair in ((first, second), (second, first)):
+                expected = interposition_residual(*pair), sequence_symmetry_residual(*pair)
+                assert _sandwich_residuals(*pair) == expected
 
     @pytest.mark.parametrize("dim", [3, 5, 8])
     def test_unequal_outcome_counts_and_higher_rank(self, dim, pol):

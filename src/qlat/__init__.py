@@ -51,13 +51,10 @@ from .semantics import (
     Or,
     Statement,
     TruthValue,
-    atom_labels,
     completeness_audit,
     fold,
-    format_statement,
     order_isomorphism_check,
     parse_statement,
-    truth_table,
 )
 from .experiments import (
     EXPERIMENTS,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 
 from .domains import PureStateModel
@@ -105,13 +106,22 @@ def _load_json(path: str):
 
 
 def _emit(document: dict, out_path: str | None) -> None:
-    """Write a command's document to ``out_path``, or to stdout without one."""
+    """Write a command's document to ``out_path``, or to stdout without one.
+
+    The file is written in place, as ``open(out_path, "w")`` would leave it
+    (the same inode and mode; a symlink is followed), but a regular file is
+    cut to length after the write instead of to zero before it, which is
+    the dearer step on an existing report."""
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    descriptor = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(descriptor, "wb") as handle:
+        handle.write(data)
+        if stat.S_ISREG(os.fstat(descriptor).st_mode):
+            handle.truncate(len(data))
 
 
 def _cmd_run(args) -> tuple[dict, int]:

@@ -45,24 +45,26 @@ def orthocomplement(p: np.ndarray) -> np.ndarray:
     return validated_projections(np.eye(p.shape[-1], dtype=np.complex128) - p)
 
 
-def _sum_ranges(sums: np.ndarray, floor: float) -> np.ndarray:
-    """Projections onto the eigenvectors with eigenvalue above floor, for
-    each matrix of a (..., d, d) stack of sums p + q; not yet validated.
+def _range_cuts(spectra, floor: float) -> np.ndarray:
+    """Projections onto the eigenvectors with eigenvalue above floor, from
+    the ``eigh`` of each matrix of a (..., d, d) stack of sums p + q; not
+    yet validated.
 
     The spectrum of p + q lies in [0, 2]: range(p) & range(q) is the
     eigenspace of 2 and range(p) + range(q) the range. An eigenbasis is
     rank-revealing, so both stay stable for nearly parallel subspaces.
     ``eigh`` sorts the eigenvalues in ascending order, so the kept columns
     are the last k; one product serves every matrix of the same rank k.
+    One ``eigh`` of the sums serves both cuts, the meet's and the join's.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(sums)
+    eigenvalues, eigenvectors = spectra
     kept = eigenvalues > floor
-    if sums.ndim == 2:
+    if eigenvectors.ndim == 2:
         columns = eigenvectors[:, kept]
         return columns @ columns.conj().mT
-    dim = sums.shape[-1]
+    dim = eigenvectors.shape[-1]
     ranks = np.count_nonzero(kept, axis=-1)
-    ranges = np.empty_like(sums)
+    ranges = np.empty_like(eigenvectors)
     for rank in set(ranks.ravel().tolist()):
         chosen = ranks == rank
         columns = eigenvectors[chosen, ..., dim - rank :]
@@ -73,13 +75,13 @@ def _sum_ranges(sums: np.ndarray, floor: float) -> np.ndarray:
 def meet(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Validated p ^ q, the projection onto the intersection of the ranges:
     the top eigenspace of p + q, counting eigenvalues within eig_gap of 2."""
-    return validated_projections(_sum_ranges(p + q, 2.0 - pol.eig_gap))
+    return validated_projections(_range_cuts(np.linalg.eigh(p + q), 2.0 - pol.eig_gap))
 
 
 def join(p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Validated p v q, the projection onto the span of the ranges: the range
     of p + q, counting eigenvalues below eig_gap as zero."""
-    return validated_projections(_sum_ranges(p + q, pol.eig_gap))
+    return validated_projections(_range_cuts(np.linalg.eigh(p + q), pol.eig_gap))
 
 
 def is_atom(p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -99,8 +101,12 @@ def de_morgan_gaps(
     p: np.ndarray, q: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
     """The Frobenius distance between p ^ q and (p_perp v q_perp)_perp."""
-    dual = join(orthocomplement(p), orthocomplement(q), pol)
-    return _frobenius_norms(meet(p, q, pol) - orthocomplement(dual))
+    return _de_morgan_gaps(meet(p, q, pol), orthocomplement(p), orthocomplement(q), pol)
+
+
+def _de_morgan_gaps(meets, p_perp, q_perp, pol: TolerancePolicy) -> np.ndarray:
+    """The De Morgan rule on stacks of p ^ q, p_perp and q_perp."""
+    return _frobenius_norms(meets - orthocomplement(join(p_perp, q_perp, pol)))
 
 
 def family_laws(
@@ -111,15 +117,22 @@ def family_laws(
     (a, a v b), one per ordered pair.
 
     Meet, join and the gap are symmetric bit for bit, since p + q == q + p,
-    so only the orthomodular law needs both orders.
+    so only the orthomodular law needs both orders. Each unordered pair's
+    meet and join come from one ``eigh`` of p + q, and the members'
+    complements from one ``orthocomplement`` of the stack, bit-equal to
+    the complement of each row: four ``eigh`` calls over n(n + 1) + 2n²
+    matrices in all.
     """
     stack = family.projection_stack
     first, second = np.triu_indices(len(stack))
-    gaps = de_morgan_gaps(stack[first], stack[second], pol)
+    spectra = np.linalg.eigh(stack[first] + stack[second])
+    meets = validated_projections(_range_cuts(spectra, 2.0 - pol.eig_gap))
+    joins = validated_projections(_range_cuts(spectra, pol.eig_gap))
+    complements = orthocomplement(stack)
+    gaps = _de_morgan_gaps(meets, complements[first], complements[second], pol)
     pair = np.empty((len(stack), len(stack)), dtype=np.intp)
     pair[first, second] = pair[second, first] = np.arange(first.size)
-    joins = join(stack[first], stack[second], pol)[pair]
-    return gaps, orthomodular_holds(stack[:, None], joins, pol)
+    return gaps, orthomodular_holds(stack[:, None], joins[pair], pol)
 
 
 def covering_holds(

@@ -299,7 +299,7 @@ def _leading_dyads(bases: np.ndarray, ranks) -> np.ndarray:
     """For each (d, c) basis of a (..., d, c) stack, the sum of the dyads of
     its first ``ranks[...]`` columns, as one (..., d, d) stack, not yet
     validated. One product serves every basis of the same rank, as in
-    ``lattice._sum_ranges``; each product sees the row-major columns that
+    ``lattice._range_cuts``; each product sees the row-major columns that
     a single basis's slice would, so its bits do not depend on the stack."""
     ranks = np.asarray(ranks)
     dyads = np.empty((*bases.shape[:-1], bases.shape[-2]), dtype=np.complex128)

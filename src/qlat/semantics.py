@@ -1,6 +1,7 @@
-"""Observative statements over a property family: a prefix-text parser, a
-total classical valuation, a three-valued verificationist valuation with its
-testability filter, and the completeness audit contrasting the two."""
+"""Observative statements over a property family: a prefix-text parser, one
+compiled table of an audit's statements, read by a total classical
+valuation, a three-valued verificationist valuation with its testability
+filter, and the completeness audit contrasting the two."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
-from typing import Mapping
 
 import numpy as np
 
@@ -28,9 +28,6 @@ __all__ = [
     "TruthValue",
     "parse_statement",
     "fold",
-    "format_statement",
-    "atom_labels",
-    "truth_table",
     "order_isomorphism_check",
     "StatementRecord",
     "CompletenessAudit",
@@ -176,25 +173,86 @@ def _walk(node, algebra, depth):
     return combine(_walk(node.left, algebra, depth + 1), _walk(node.right, algebra, depth + 1))
 
 
-def format_statement(statement: Statement) -> str:
-    """Canonical prefix text; inverse of parse_statement."""
+def _compile(statements) -> tuple[list[tuple[str, tuple]], list[int]]:
+    """The statements' node table and the row of each statement.
 
-    def connective(name):
-        return lambda left, right: f"({name} {left} {right})"
+    Row r of the table is a (kind, operands) pair: kind is one of "atom",
+    "not", "and", "or" and "implies", operands the atom's label or the rows
+    of the connective's operands, each below r. One fold per statement
+    hash-conses each node under its kind and its operands' rows, so
+    identical subterms share one row across statements. The fold's depth
+    ValueError and non-statement TypeError propagate."""
+    rows: dict[tuple[str, tuple], int] = {}
 
-    return fold(
-        statement, str, "(not {})".format, connective("and"), connective("or"), connective("implies")
+    def row(kind, *operands):
+        return rows.setdefault((kind, operands), len(rows))
+
+    kinds = [partial(row, kind) for kind in ("atom", "not", "and", "or", "implies")]
+    roots = [fold(statement, *kinds) for statement in statements]
+    return list(rows), roots
+
+
+def _evaluate(
+    nodes, rows, elementary, negation, conjunction, disjunction, implication=None
+) -> dict:
+    """Each of ``rows`` (ascending, and holding every operand row of each
+    connective row among them) mapped to its value under the algebra, read
+    as by ``fold``: ``elementary`` maps a label, the connectives combine
+    their operands' values, and implication defaults to the material
+    reading."""
+    if implication is None:
+        implication = partial(_material, negation, disjunction)
+    binary = {"and": conjunction, "or": disjunction, "implies": implication}
+    values = {}
+    for row in rows:
+        kind, operands = nodes[row]
+        if kind == "atom":
+            values[row] = elementary(*operands)
+        elif kind == "not":
+            values[row] = negation(values[operands[0]])
+        else:
+            left, right = operands
+            values[row] = binary[kind](values[left], values[right])
+    return values
+
+
+def _below(nodes, roots) -> list[int]:
+    """The rows that the given roots reach, themselves included, ascending."""
+    seen, pending = set(), list(roots)
+    while pending:
+        row = pending.pop()
+        if row not in seen:
+            seen.add(row)
+            kind, operands = nodes[row]
+            if kind != "atom":
+                pending += operands
+    return sorted(seen)
+
+
+def _connective(name):
+    return lambda left, right: f"({name} {left} {right})"
+
+
+def _texts(nodes) -> dict:
+    """Each row's canonical prefix text, the inverse of parse_statement."""
+    return _evaluate(
+        nodes, range(len(nodes)), str, "(not {})".format,
+        _connective("and"), _connective("or"), _connective("implies"),
     )
 
 
-def atom_labels(statement: Statement) -> set[str]:
-    return fold(statement, lambda label: {label}, lambda labels: labels, set.union, set.union)
+def _atom_sets(nodes) -> dict:
+    """Each row's labels, as a frozenset."""
+    union = frozenset.union
+    return _evaluate(
+        nodes, range(len(nodes)), lambda label: frozenset((label,)), frozenset, union, union
+    )
 
 
-def _equivalents(statements, family: PropertyFamily, pol: TolerancePolicy) -> list:
-    """Per statement, its elementary equivalent, a validated (d, d)
-    projection matrix, or None when no single yes/no measurement can verify
-    it; all from one stacked pass.
+def _equivalents(nodes, roots, labels, family: PropertyFamily, pol: TolerancePolicy) -> list:
+    """Per root, its elementary equivalent, a validated (d, d) projection
+    matrix, or None when no single yes/no measurement can verify it; all
+    from one stacked pass. ``labels[i]`` lists root i's labels, sorted.
 
     A compound is accepted exactly when its constituent properties pairwise
     commute; its connective tree is then evaluated inside the Boolean
@@ -203,13 +261,17 @@ def _equivalents(statements, family: PropertyFamily, pol: TolerancePolicy) -> li
     testable and gives its own row of the family's projection stack.
 
     One (n, n) table of the members' pairwise commutator norms decides
-    testability, once a statement's labels resolve in sorted order. The
-    testable trees are then evaluated bottom up, identical subterms sharing
-    one key, with one orthocomplement, meet and join call per height across
-    statements."""
+    testability, once every root's labels resolve, root by root in sorted
+    order. The rows below testable roots are then evaluated bottom up,
+    identical subterms sharing one key, with one orthocomplement, meet and
+    join call per height across roots."""
     stack = family.projection_stack
     norms = _commutator_norms(stack[:, None], stack[None])
     commute = criterion_holds("commutation", norms, family.dim, pol).tolist()
+    testable = []
+    for names in labels:
+        members = [family.index(label) for label in names]
+        testable.append(all(commute[a][b] for a, b in itertools.combinations(members, 2)))
     # Row k sits under key k, and a connective node under (kind, *operand keys).
     values, heights = dict(enumerate(stack)), dict.fromkeys(range(len(stack)), 0)
     levels: dict[tuple, list] = {}  # (height, kind): the keys of those nodes
@@ -222,57 +284,44 @@ def _equivalents(statements, family: PropertyFamily, pol: TolerancePolicy) -> li
         return key
 
     connectives = [partial(node, kind) for kind in ("not", "and", "or")]
-    roots = []
-    for statement in statements:
-        rows = [family.index(label) for label in sorted(atom_labels(statement))]
-        testable = all(commute[a][b] for a, b in itertools.combinations(rows, 2))
-        roots.append(fold(statement, family.index, *connectives) if testable else None)
+    tested = [root for root, ok in zip(roots, testable) if ok]
+    keys = _evaluate(nodes, _below(nodes, tested), family.index, *connectives)
     operations = {"not": orthocomplement, "and": partial(meet, pol=pol), "or": partial(join, pol=pol)}
-    for (_, kind), keys in sorted(levels.items()):
-        _, *columns = zip(*keys)  # the first column holds the kind
+    for (_, kind), level in sorted(levels.items()):
+        _, *columns = zip(*level)  # the first column holds the kind
         stacks = (np.stack([values[operand] for operand in column]) for column in columns)
-        values.update(zip(keys, operations[kind](*stacks)))
-    return [None if root is None else values[root] for root in roots]
+        values.update(zip(level, operations[kind](*stacks)))
+    return [values[keys[root]] if ok else None for root, ok in zip(roots, testable)]
 
 
-def _certainty_values(
-    model: PureStateModel, members: np.ndarray, pol: TolerancePolicy
-) -> list[TruthValue]:
-    """Certainty value of each member of an (m, d, d) stack of projections:
+# Certainty and strong-Kleene values as the codes FALSE = 0 < UNDEFINED = 1 <
+# TRUE = 2. Strong Kleene (Kleene 1952, section 64): conjunction and
+# disjunction are the minimum and the maximum, negation reverses the order,
+# and implication is material, _evaluate's default.
+_TRUTH_VALUES = (TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE)
+_kleene_not = partial(operator.sub, 2)
+_kleene_and, _kleene_or = min, max
+
+
+def _certainty_codes(model: PureStateModel, members: np.ndarray, pol: TolerancePolicy) -> list[int]:
+    """Certainty code of each member of an (m, d, d) stack of projections:
     TRUE above the support, else FALSE below its orthocomplement, else
     UNDEFINED."""
     above, below = certainty(model, members, pol)
-    return [
-        TruthValue.TRUE if true else TruthValue.FALSE if false else TruthValue.UNDEFINED
-        for true, false in zip(above.tolist(), below.tolist())
-    ]
-
-
-# Strong Kleene (Kleene 1952, section 64): conjunction and disjunction are the
-# minimum and the maximum on FALSE < UNDEFINED < TRUE, negation reverses that
-# order, and implication is material, fold's default.
-_KLEENE_ORDER = (TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE)
-_kleene_and = partial(min, key=_KLEENE_ORDER.index)
-_kleene_or = partial(max, key=_KLEENE_ORDER.index)
-_kleene_not = dict(zip(_KLEENE_ORDER, reversed(_KLEENE_ORDER))).__getitem__
-
-
-def _kleene(statement: Statement, values: Mapping[str, TruthValue]) -> TruthValue:
-    """Strong-Kleene value of the statement from the values of its labels."""
-    return fold(statement, values.__getitem__, _kleene_not, _kleene_and, _kleene_or)
+    return [2 if true else 0 if false else 1 for true, false in zip(above.tolist(), below.tolist())]
 
 
 _MAX_TABLE_ATOMS = 16
 
 
-def truth_table(statement: Statement) -> tuple[int, int]:
-    """The statement's classical truth table as a bitset, and the all-true
-    table, from one fold: bit r is the value under assignment r, in which
-    label i (in sorted order) holds when bit i of r is set. Negation is the
-    XOR against the all-true table; implication is material. A tautology's
-    table is the all-true one and a contradiction's is 0; more than 16 atoms
-    raise ValueError."""
-    labels = sorted(atom_labels(statement))
+def _truth_table(nodes, root: int, labels) -> tuple[int, int]:
+    """The classical truth table of the root's statement as a bitset, and
+    the all-true table, from one pass over the rows below the root: bit r
+    is the value under assignment r, in which labels[i] (the root's labels
+    in sorted order) holds when bit i of r is set. Negation is the XOR
+    against the all-true table; implication is material. A tautology's
+    table is the all-true one and a contradiction's is 0; more than 16
+    atoms raise ValueError."""
     if len(labels) > _MAX_TABLE_ATOMS:
         raise ValueError(f"too many atoms for a truth table: {len(labels)}")
     full = (1 << (1 << len(labels))) - 1
@@ -281,7 +330,10 @@ def truth_table(statement: Statement) -> tuple[int, int]:
         run = 1 << bit  # the label's rows alternate runs of `run` unset and `run` set
         columns[label] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
     negation = partial(operator.xor, full)
-    return fold(statement, columns.__getitem__, negation, operator.and_, operator.or_), full
+    values = _evaluate(
+        nodes, _below(nodes, [root]), columns.__getitem__, negation, operator.and_, operator.or_
+    )
+    return values[root], full
 
 
 def order_isomorphism_check(
@@ -398,45 +450,55 @@ def completeness_audit(
     mode re-derives, rather than assumes, the equality of the two sides. The
     verdict is complete exactly when meaningful statements are all
     predictable; otherwise the first counterexample is returned as witness.
+    Every statement rule reads one compiled table of the statements, in one
+    pass over its rows, so a subterm shared across statements is evaluated
+    once per rule.
     """
     mode_key = mode.lower()
     if mode_key not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     realist = mode_key == "sr"
     statements = tuple(statements)
-    equivalents = _equivalents(statements, family, pol)
-    label_values = dict(zip(family.labels, _certainty_values(model, family.projection_stack, pol)))
+    nodes, roots = _compile(statements)
+    atoms = _atom_sets(nodes)
+    labels = [sorted(atoms[root]) for root in roots]
+    equivalents = _equivalents(nodes, roots, labels, family, pol)
     values = [TruthValue.UNDEFINED] * len(statements)
     meaningful = [realist] * len(statements)
     # One stack of the testable equivalents serves certainty and, in standard
     # mode, the non-disturbance criterion against the support.
     tested = [index for index, equivalent in enumerate(equivalents) if equivalent is not None]
     members = np.reshape([equivalents[index] for index in tested], (-1, family.dim, family.dim))
-    for index, value in zip(tested, _certainty_values(model, members, pol)):
-        values[index] = value
+    for index, code in zip(tested, _certainty_codes(model, members, pol)):
+        values[index] = _TRUTH_VALUES[code]
     if not realist:
         for index, objective in zip(tested, objective_mask(model, members, pol).tolist()):
             meaningful[index] = objective
+    label_codes = dict(zip(family.labels, _certainty_codes(model, family.projection_stack, pol)))
+    kleene = _evaluate(
+        nodes, range(len(nodes)), label_codes.__getitem__, _kleene_not, _kleene_and, _kleene_or
+    )
     # An untestable statement is flagged when it is a classical tautology or
     # contradiction: its truth table is all true (full) or all false (0).
     flagged = [False] * len(statements)
     for index, equivalent in enumerate(equivalents):
         if equivalent is None:
-            table, full = truth_table(statements[index])
-            flagged[index] = table in (0, full)
+            truth, full = _truth_table(nodes, roots[index], labels[index])
+            flagged[index] = truth in (0, full)
+    texts = _texts(nodes)
     records = [
         StatementRecord(
             statement=statement,
-            text=format_statement(statement),
+            text=texts[root],
             testable=equivalent is not None,
             verificationist=value,
-            kleene=_kleene(statement, label_values),
+            kleene=_TRUTH_VALUES[kleene[root]],
             meaningful=objective,
             predictable=value is not TruthValue.UNDEFINED,
             flagged=constant,
         )
-        for statement, equivalent, value, objective, constant in zip(
-            statements, equivalents, values, meaningful, flagged
+        for statement, root, equivalent, value, objective, constant in zip(
+            statements, roots, equivalents, values, meaningful, flagged
         )
     ]
     witness = next(

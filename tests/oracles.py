@@ -1,21 +1,25 @@
 """Single-object routes that the tests compare the stacked code against: one
 projective measurement of one state, the Born probability of one property,
 the interposition and sequence-symmetry residuals of one pair, each from its
-own sandwich products, and the total classical valuation of one statement.
-No campaign or command runs them; each is written out one object at a time,
-independently of the array code in ``qlat`` that it checks."""
+own sandwich products, the total classical valuation of one statement, and
+one fold per statement of its canonical text, its labels, its strong-Kleene
+value and its classical truth table. No campaign or command runs them; each
+is written out one object at a time, independently of the array code in
+``qlat`` that it checks."""
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
 
-from qlat import DEFAULT_POLICY, Ket, Observable, Projection, Statement, TolerancePolicy, fold
+from qlat import DEFAULT_POLICY, Ket, Observable, Projection, Statement, TolerancePolicy, TruthValue, fold
 from qlat.measurement import _generator_of, _pair_stacks
 from qlat.numerics import _frobenius_norms
+from qlat.semantics import _MAX_TABLE_ATOMS
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,3 +102,51 @@ def tarskian_truth(statement: Statement, assignment: Mapping[str, bool]) -> bool
         return bool(assignment[label])
 
     return fold(statement, possessed, operator.not_, operator.and_, operator.or_)
+
+
+def format_statement(statement: Statement) -> str:
+    """Canonical prefix text; inverse of parse_statement."""
+
+    def connective(name):
+        return lambda left, right: f"({name} {left} {right})"
+
+    return fold(
+        statement, str, "(not {})".format, connective("and"), connective("or"), connective("implies")
+    )
+
+
+def atom_labels(statement: Statement) -> set[str]:
+    return fold(statement, lambda label: {label}, lambda labels: labels, set.union, set.union)
+
+
+# Strong Kleene (Kleene 1952, section 64): conjunction and disjunction are the
+# minimum and the maximum on FALSE < UNDEFINED < TRUE, negation reverses that
+# order, and implication is material, fold's default.
+_KLEENE_ORDER = (TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE)
+_kleene_and = partial(min, key=_KLEENE_ORDER.index)
+_kleene_or = partial(max, key=_KLEENE_ORDER.index)
+_kleene_not = dict(zip(_KLEENE_ORDER, reversed(_KLEENE_ORDER))).__getitem__
+
+
+def kleene_value(statement: Statement, values: Mapping[str, TruthValue]) -> TruthValue:
+    """Strong-Kleene value of the statement from the values of its labels."""
+    return fold(statement, values.__getitem__, _kleene_not, _kleene_and, _kleene_or)
+
+
+def truth_table(statement: Statement) -> tuple[int, int]:
+    """The statement's classical truth table as a bitset, and the all-true
+    table, from one fold: bit r is the value under assignment r, in which
+    label i (in sorted order) holds when bit i of r is set. Negation is the
+    XOR against the all-true table; implication is material. A tautology's
+    table is the all-true one and a contradiction's is 0; more than 16 atoms
+    raise ValueError."""
+    labels = sorted(atom_labels(statement))
+    if len(labels) > _MAX_TABLE_ATOMS:
+        raise ValueError(f"too many atoms for a truth table: {len(labels)}")
+    full = (1 << (1 << len(labels))) - 1
+    columns = {}
+    for bit, label in enumerate(labels):
+        run = 1 << bit  # the label's rows alternate runs of `run` unset and `run` set
+        columns[label] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    negation = partial(operator.xor, full)
+    return fold(statement, columns.__getitem__, negation, operator.and_, operator.or_), full

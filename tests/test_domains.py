@@ -409,7 +409,7 @@ class TestDomainWork:
         family = reference_qubit_family()
         counts = self.counting(monkeypatch)
         verify_family(family, 0, 20)
-        assert counts == {"meet": 1, "join": 1, "leak_norms": 1, "eigh": 11}
+        assert counts == {"meet": 1, "join": 1, "leak_norms": 1, "eigh": 10}
 
 
 class TestStackedYesNoRoute:

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -659,6 +661,34 @@ class TestCli:
             printed, written = wall_time.sub(b"", printed), wall_time.sub(b"", written)
         assert written == printed
         assert written.endswith(b"}\n")
+
+    def test_out_over_a_longer_file_keeps_its_inode_and_mode(self, family_file, tmp_path, capsys):
+        argv = ["verify-family", "--family", family_file, "--states", "3"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.encode()
+        out = tmp_path / "report.json"
+        out.write_bytes(b"x" * (3 * len(printed)))
+        out.chmod(0o640)
+        before = out.stat()
+        assert main(argv + ["--out", str(out)]) == 0
+        after = out.stat()
+        assert out.read_bytes() == printed  # no stale tail of the longer file
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(out)
+        out.write_bytes(b"y" * (2 * len(printed)))
+        assert main(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink() and out.read_bytes() == printed
+        fresh, reference = tmp_path / "fresh.json", tmp_path / "reference.json"
+        assert main(argv + ["--out", str(fresh)]) == 0
+        with open(reference, "w", encoding="utf-8"):
+            pass
+        assert fresh.read_bytes() == printed
+        assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    def test_out_to_devnull(self, family_file, capsys):
+        assert main(["verify-family", "--family", family_file, "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "flag,value",

@@ -620,14 +620,35 @@ class TestStackedLattice:
             expected = _frobenius_norms(rebuilt - stack)
             assert np.array_equal(_pivot_defects(model, stack, pol), expected)
 
+    def test_family_laws_make_four_eigh_calls(self, pol, monkeypatch):
+        # One of the n(n + 1)/2 pair sums for their meets and joins, one of
+        # the complements' sums, and two over the n² ordered pairs.
+        shapes, eigh = [], np.linalg.eigh
+
+        def counting(matrices):
+            shapes.append(matrices.shape[:-2])
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for _, family in random_families(pol):
+            shapes.clear()
+            family_laws(family, pol)
+            n = len(family)
+            assert len(shapes) == 4
+            assert sum(int(np.prod(shape)) for shape in shapes) == n * (n + 1) + 2 * n * n
+
     def test_wrong_meet_cut_fails_the_family_laws(self, pol, monkeypatch):
         _, family = next(random_families(pol))
         assert verify_family(family, 0, 0, pol)[1].passed
 
-        def wrong_cut(p, q, pol=pol):
-            return validated_projections(lattice._sum_ranges(p + q, 1.0))
+        # The meet's cut, above 2 - eig_gap, moved down to 1: the family
+        # laws' pair meets share this cut with their joins.
+        exact = lattice._range_cuts
 
-        monkeypatch.setattr(lattice, "meet", wrong_cut)
+        def wrong_cut(spectra, floor):
+            return exact(spectra, 1.0 if floor > 1.0 else floor)
+
+        monkeypatch.setattr(lattice, "_range_cuts", wrong_cut)
         record = verify_family(family, 0, 0, pol)[1]
         assert record.detail["check"] == "lattice_laws"
         assert not record.passed

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import operator
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,10 +27,8 @@ from qlat import (
     SeededRng,
     TolerancePolicy,
     TruthValue,
-    atom_labels,
     completeness_audit,
     fold,
-    format_statement,
     haar_random_ket,
     join,
     leq,
@@ -39,18 +38,44 @@ from qlat import (
     order_isomorphism_check,
     parse_statement,
     reference_statements,
-    truth_table,
 )
 from qlat import domains, semantics
 from qlat.cli import main
 from qlat.experiments import _property_families
+from qlat.lattice import _decode_matrix
 from qlat.measurement import _sandwich_defects, criterion_holds
 from qlat.numerics import _commutator_norms, _frobenius_norms, _ranks, range_basis
-from qlat.semantics import _equivalents
 
-from oracles import born_probability, tarskian_truth
+from oracles import (
+    atom_labels,
+    born_probability,
+    format_statement,
+    kleene_value,
+    tarskian_truth,
+    truth_table,
+)
 
 TAUTOLOGY_EDGE = Implies(Elementary("Pplus"), Or(Elementary("Pplus"), Elementary("P0")))
+
+
+def compiled_labels(nodes, roots):
+    """Each root's labels in sorted order, from the compiled atom sets."""
+    atoms = semantics._atom_sets(nodes)
+    return [sorted(atoms[root]) for root in roots]
+
+
+def equivalents(statements, family, pol):
+    """completeness_audit's testability pass on its own: each statement's
+    elementary equivalent, or None."""
+    nodes, roots = semantics._compile(statements)
+    return semantics._equivalents(nodes, roots, compiled_labels(nodes, roots), family, pol)
+
+
+def compiled_truth_table(statement):
+    """completeness_audit's truth table of one statement, from its table."""
+    nodes, [root] = semantics._compile([statement])
+    [labels] = compiled_labels(nodes, [root])
+    return semantics._truth_table(nodes, root, labels)
 
 
 def to_sympy(statement, symbols):
@@ -181,7 +206,7 @@ def check_per_member_route(pol, seed=57):
         statements = [random_statement(list(family.labels), 2, gen) for _ in range(12)]
         audit = completeness_audit(model, family, statements, "standard", pol)
         for statement, record in zip(statements, audit.records):
-            verificationist = leq_certainty(_equivalents([statement], family, pol)[0], model, pol)
+            verificationist = leq_certainty(equivalents([statement], family, pol)[0], model, pol)
             kleene = table_kleene(statement, values)
             assert (record.verificationist, record.kleene) == (verificationist, kleene)
             seen.add(verificationist)
@@ -189,10 +214,11 @@ def check_per_member_route(pol, seed=57):
 
 
 def check_truth_tables(seed=58, count=150):
-    """The bitset table against tarskian_truth on every assignment, and its
-    tautology and contradiction readings against the rows, for seeded
-    statements over up to 6 atoms and for the tautology, contradiction and
-    contingency built from each."""
+    """The compiled bitset table against tarskian_truth on every assignment
+    and against the one-fold table of tests/oracles.py, and its tautology
+    and contradiction readings against the rows, for seeded statements over
+    up to 6 atoms and for the tautology, contradiction and contingency
+    built from each."""
     gen = SeededRng(seed).generator()
     names = [f"a{i}" for i in range(6)]
     widths = set()
@@ -204,7 +230,8 @@ def check_truth_tables(seed=58, count=150):
                 tarskian_truth(statement, {label: bool(row >> i & 1) for i, label in enumerate(labels)})
                 for row in range(1 << len(labels))
             ]
-            table, full = truth_table(statement)
+            table, full = compiled_truth_table(statement)
+            assert (table, full) == truth_table(statement)
             assert full == (1 << len(rows)) - 1
             assert table == sum(1 << row for row, value in enumerate(rows) if value)
             assert (table == full) == all(rows)
@@ -279,8 +306,9 @@ class TestFold:
     def test_rejects_non_statement_node(self, node):
         with pytest.raises(TypeError, match="not a statement"):
             self.render(node)
-        with pytest.raises(TypeError, match="not a statement"):
-            format_statement(node)
+        for walk in (format_statement, lambda s: semantics._compile([s])):
+            with pytest.raises(TypeError, match="not a statement"):
+                walk(node)
 
     @pytest.mark.parametrize("connective", ["not", "and"])
     def test_depth_limit_of_trees_built_in_python(self, qubit_family, connective, pol):
@@ -295,7 +323,13 @@ class TestFold:
         assert parse_statement(format_statement(deepest)) == deepest
         for depth in (257, 2000):
             statement = nested(depth)
-            for walk in (format_statement, truth_table, lambda s: _equivalents([s], qubit_family, pol)):
+            walks = (
+                format_statement,
+                truth_table,
+                lambda s: semantics._compile([s]),
+                lambda s: equivalents([s], qubit_family, pol),
+            )
+            for walk in walks:
                 with pytest.raises(ValueError, match="deeper than 256 levels"):
                     walk(statement)
 
@@ -367,10 +401,11 @@ class TestTautologyDetectors:
         # A tautology's table is all true (full), a contradiction's is 0; the
         # label a holds in row 1 of its two rows.
         a = Elementary("a")
-        assert truth_table(Or(a, Not(a))) == (0b11, 0b11)
-        assert truth_table(TAUTOLOGY_EDGE) == (0b1111, 0b1111)
-        assert truth_table(And(a, Not(a))) == (0, 0b11)
-        assert truth_table(a) == (0b10, 0b11)
+        for table in (compiled_truth_table, truth_table):
+            assert table(Or(a, Not(a))) == (0b11, 0b11)
+            assert table(TAUTOLOGY_EDGE) == (0b1111, 0b1111)
+            assert table(And(a, Not(a))) == (0, 0b11)
+            assert table(a) == (0b10, 0b11)
 
     def test_bitset_table_equals_tarskian_on_every_assignment(self):
         check_truth_tables()
@@ -378,13 +413,14 @@ class TestTautologyDetectors:
     def test_seventeen_atoms_raise_the_cap(self):
         atoms = [Elementary(f"a{i:02d}") for i in range(17)]
         wide = functools.reduce(Or, atoms)
-        with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
-            truth_table(wide)
         sixteen = functools.reduce(Or, atoms[:16])
-        table, full = truth_table(sixteen)
-        assert full == (1 << (1 << 16)) - 1
-        assert table == full - 1  # false only where every atom is
-        assert truth_table(Or(sixteen, Not(atoms[15]))) == (full, full)
+        for truth in (compiled_truth_table, truth_table):
+            with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
+                truth(wide)
+            table, full = truth(sixteen)
+            assert full == (1 << (1 << 16)) - 1
+            assert table == full - 1  # false only where every atom is
+            assert truth(Or(sixteen, Not(atoms[15]))) == (full, full)
 
     def test_audit_checks_labels_before_the_table_cap(self):
         # Every statement is resolved against the family before any truth
@@ -397,7 +433,7 @@ class TestTautologyDetectors:
         )
         model = PureStateModel(Ket.basis(2, 0))
         wide = functools.reduce(Or, [Elementary(label) for label in family.labels[:17]])
-        assert _equivalents([wide], family, TolerancePolicy())[0] is None
+        assert equivalents([wide], family, TolerancePolicy())[0] is None
         with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
             completeness_audit(model, family, [wide], "sr")
         with pytest.raises(ValueError, match="unresolved label 'ghost'"):
@@ -406,26 +442,26 @@ class TestTautologyDetectors:
 
 class TestTestability:
     def test_elementary_returns_own_projection(self, qubit_family, pplus, pol):
-        assert matrices_close(_equivalents([Elementary("Pplus")], qubit_family, pol)[0], pplus)
+        assert matrices_close(equivalents([Elementary("Pplus")], qubit_family, pol)[0], pplus)
 
     def test_contradiction_over_complementary_members(self, qubit_family, pol):
         statement = And(Elementary("P0"), Elementary("P1"))
-        equivalent = _equivalents([statement], qubit_family, pol)[0]
+        equivalent = equivalents([statement], qubit_family, pol)[0]
         assert matrices_close(equivalent, Projection(np.zeros((2, 2))))
 
     def test_noncommuting_pair_untestable(self, qubit_family, pol):
-        assert _equivalents([And(Elementary("P0"), Elementary("Pplus"))], qubit_family, pol)[0] is None
-        assert _equivalents([TAUTOLOGY_EDGE], qubit_family, pol)[0] is None
+        assert equivalents([And(Elementary("P0"), Elementary("Pplus"))], qubit_family, pol)[0] is None
+        assert equivalents([TAUTOLOGY_EDGE], qubit_family, pol)[0] is None
 
     def test_unresolved_label(self, qubit_family, pol):
         with pytest.raises(ValueError, match="unresolved"):
-            _equivalents([Elementary("ghost")], qubit_family, pol)
+            equivalents([Elementary("ghost")], qubit_family, pol)
 
     def test_commuting_tree_evaluates_in_boolean_subalgebra(self, qubit_family, pol):
         statement = Or(Elementary("P0"), Elementary("P1"))
-        equivalent = _equivalents([statement], qubit_family, pol)[0]
+        equivalent = equivalents([statement], qubit_family, pol)[0]
         assert equivalent is not None and Projection(equivalent).rank == 2
-        implied = _equivalents([Implies(Elementary("P0"), Elementary("P1"))], qubit_family, pol)[0]
+        implied = equivalents([Implies(Elementary("P0"), Elementary("P1"))], qubit_family, pol)[0]
         # (not P0) v P1 = P1 v P1 = P1 complement is |1><1| joined with itself
         assert matrices_close(implied, qubit_family.projection_stack[qubit_family.index("P1")])
 
@@ -476,7 +512,7 @@ class TestStackedTestability:
             model = PureStateModel(haar_random_ket(dim, gen))
             family = _property_families(8, [model], [gen], pol)[0]
             statements = shared_statements(list(family.labels), gen, 40)
-            stacked = semantics._equivalents(statements, family, pol)
+            stacked = equivalents(statements, family, pol)
             for statement, equivalent in zip(statements, stacked):
                 expected = reference_equivalent(statement, family, pol)
                 assert (equivalent is None) == (expected is None)
@@ -527,6 +563,98 @@ class TestStackedTestability:
             counts.append(len(calls))
         assert counts[0] <= 9  # 14 when each statement folded its own tree
         assert counts[1] <= counts[0]
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def golden_case(name):
+    """The model, family and parsed statements of a committed audit case."""
+    case = GOLDEN / name
+    family = PropertyFamily.loads((case / "family.json").read_text(encoding="utf-8"))
+    state = json.loads((case / "state.json").read_text(encoding="utf-8"))
+    model = PureStateModel(Ket(_decode_matrix([state["amplitudes"]])[0]))
+    lines = (case / "statements.txt").read_text(encoding="utf-8").splitlines()
+    return model, family, [parse_statement(line) for line in lines if line.strip()]
+
+
+def kind_twins(statements):
+    """Each pair of consecutive statements under every binary connective, so
+    that the same operand rows recur under different kinds, and each
+    statement's excluded middle, a tautology."""
+    pairs = zip(statements, statements[1:])
+    twins = [connective(left, right) for left, right in pairs for connective in (And, Or, Implies)]
+    return twins + [Or(statement, Not(statement)) for statement in statements]
+
+
+def check_compiled_against_oracles(model, family, statements, pol):
+    """The audit's texts, strong-Kleene values and flags in both modes, and
+    the compiled atom sets, against one fold per statement of
+    tests/oracles.py. Returns the (testable, flagged) pairs seen."""
+    values = {
+        label: leq_certainty(row, model, pol)
+        for label, row in zip(family.labels, family.projection_stack)
+    }
+    nodes, roots = semantics._compile(statements)
+    atoms = semantics._atom_sets(nodes)
+    seen = set()
+    for mode in ("standard", "sr"):
+        audit = completeness_audit(model, family, statements, mode, pol)
+        for statement, root, record in zip(statements, roots, audit.records):
+            assert record.text == format_statement(statement)
+            assert atoms[root] == atom_labels(statement)
+            assert record.kleene is kleene_value(statement, values)
+            bits, full = truth_table(statement)
+            assert record.flagged == (not record.testable and bits in (0, full))
+            seen.add((record.testable, record.flagged))
+    return seen
+
+
+class TestCompiledTable:
+    """completeness_audit reads every statement rule from one table whose
+    rows are shared across statements; one fold per statement in
+    tests/oracles.py is its reference."""
+
+    def test_identical_subterms_share_one_row(self):
+        a, b = Elementary("a"), Elementary("b")
+        nodes, roots = semantics._compile([And(a, b), Or(a, b), Not(And(a, b)), And(a, b), a])
+        assert nodes == [
+            ("atom", ("a",)), ("atom", ("b",)), ("and", (0, 1)), ("or", (0, 1)), ("not", (2,))
+        ]
+        assert roots == [2, 3, 4, 2, 0]
+
+    @pytest.mark.parametrize("case", ["d3", "d8"])
+    def test_golden_statements_equal_the_oracles(self, case, pol):
+        model, family, statements = golden_case(case)
+        assert (False, True) in check_compiled_against_oracles(
+            model, family, statements + kind_twins(statements), pol
+        )
+
+    def test_seeded_shared_statements_equal_the_oracles(self, pol):
+        gen = SeededRng(74).generator()
+        seen = set()
+        for dim in range(2, 9):
+            model = PureStateModel(haar_random_ket(dim, gen))
+            family = _property_families(8, [model], [gen], pol)[0]
+            statements = shared_statements(list(family.labels), gen, 30)
+            seen |= check_compiled_against_oracles(model, family, statements + kind_twins(statements), pol)
+        assert seen == {(True, False), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("mode", ["standard", "sr"])
+    def test_one_fold_per_audited_statement(self, tmp_path, monkeypatch, mode):
+        case = GOLDEN / "d8"
+        folded, exact = [], semantics.fold
+
+        def counting(statement, *algebra):
+            folded.append(statement)
+            return exact(statement, *algebra)
+
+        monkeypatch.setattr(semantics, "fold", counting)
+        argv = ["audit", "--family", str(case / "family.json"), "--state", str(case / "state.json"),
+                "--statements", str(case / "statements.txt"), "--mode", mode,
+                "--out", str(tmp_path / "audit.json")]
+        assert main(argv) == 0
+        assert folded == golden_case("d8")[2]
 
 
 class TestVerificationistTruth:
@@ -585,7 +713,7 @@ class TestVerificationistTruth:
             labels = list(family.labels)
             for _ in range(10):
                 statement = random_statement(labels, 2, gen)
-                equivalent = _equivalents([statement], family, pol)[0]
+                equivalent = equivalents([statement], family, pol)[0]
                 if equivalent is None:
                     continue
                 value = audit_records(model, family, [statement], pol)[0].verificationist
@@ -703,19 +831,18 @@ class TestCompletenessAudit:
     ):
         texts = ["P0", "(and P0 Pplus)", "(and (and P0 Pplus) (not P0))", "(or P0 P1)"]
         statements = [*reference_statements(), *map(parse_statement, texts)]
-        tables = []
+        tables, exact = [], semantics._truth_table
 
-        def counted(statement):
-            tables.append(statement)
-            return truth_table(statement)
+        def counted(nodes, root, labels):
+            tables.append(root)
+            return exact(nodes, root, labels)
 
-        monkeypatch.setattr(semantics, "truth_table", counted)
+        monkeypatch.setattr(semantics, "_truth_table", counted)
         audit = completeness_audit(ground_model, qubit_family, statements, mode)
         untestable = [record for record in audit.records if not record.testable]
         assert len(untestable) >= 3
-        assert [format_statement(statement) for statement in tables] == [
-            record.text for record in untestable
-        ]
+        _, roots = semantics._compile(statements)
+        assert tables == [root for root, record in zip(roots, audit.records) if not record.testable]
         monkeypatch.undo()
         constant = [truth_table(record.statement) for record in untestable]
         assert list(audit.flagged) == [
@@ -765,7 +892,7 @@ class TestCompletenessAudit:
             support = Observable.from_operator(model.support.matrix, pol)
             expected = []
             for statement in statements:
-                equivalent = _equivalents([statement], family, pol)[0]
+                equivalent = equivalents([statement], family, pol)[0]
                 expected.append(
                     equivalent is not None
                     and criterion_holds(
@@ -870,14 +997,36 @@ class TestStatementLayerMutants:
     def test_undefined_as_false_is_killed_by_the_kleene_tables(
         self, monkeypatch, ground_model, qubit_family
     ):
+        # On the audit's codes FALSE = 0 < UNDEFINED = 1 < TRUE = 2.
         conjunction = semantics._kleene_and
 
         def undefined_as_false(left, right):
-            return F if U in (left, right) else conjunction(left, right)
+            return 0 if 1 in (left, right) else conjunction(left, right)
 
         monkeypatch.setattr(semantics, "_kleene_and", undefined_as_false)
         with pytest.raises(AssertionError):
             check_kleene_tables(ground_model, qubit_family)
+
+    def test_kindless_node_key_is_killed_by_the_oracles(self, monkeypatch, pol):
+        # Keyed by its operands alone, (or A B) reuses the row of (and A B).
+        def kindless(statements):
+            rows, nodes = {}, []
+
+            def row(kind, *operands):
+                if operands not in rows:
+                    rows[operands] = len(nodes)
+                    nodes.append((kind, operands))
+                return rows[operands]
+
+            kinds = [functools.partial(row, kind) for kind in ("atom", "not", "and", "or", "implies")]
+            return nodes, [fold(statement, *kinds) for statement in statements]
+
+        model, family, statements = golden_case("d8")
+        statements += kind_twins(statements)
+        check_compiled_against_oracles(model, family, statements, pol)
+        monkeypatch.setattr(semantics, "_compile", kindless)
+        with pytest.raises(AssertionError):
+            check_compiled_against_oracles(model, family, statements, pol)
 
     def test_invert_for_xor_is_killed_by_the_truth_table_oracle(self, monkeypatch):
         # ~table is the complement in unbounded two's complement; it agrees

@@ -8,8 +8,6 @@ statement semantics, and seeded verification campaigns over all of it.
 
 from .numerics import (
     DEFAULT_POLICY,
-    HermitianOperator,
-    Ket,
     Projection,
     TolerancePolicy,
     frobenius_distance,

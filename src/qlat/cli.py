@@ -23,7 +23,6 @@ from .experiments import (
     verify_family,
 )
 from .lattice import PropertyFamily, _checked_dim, _decode_matrix
-from .numerics import Ket
 from .semantics import completeness_audit, parse_statement
 
 _ENV_SEED = "QLAT_SEED"
@@ -180,7 +179,7 @@ def _cmd_audit(args) -> tuple[dict, int]:
     if declared_dim != family.dim:
         raise _UsageError(f"{args.state}: state dim {declared_dim} does not match family dim {family.dim}")
     try:
-        model = PureStateModel(Ket(amplitudes))
+        model = PureStateModel(amplitudes)
     except ValueError as exc:
         raise _UsageError(f"{args.state}: {exc}") from None
 

@@ -12,11 +12,9 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import PropertyFamily, join, leq, meet
-from .measurement import criterion_holds, leak_norms, yes_no_stack
+from .measurement import _unit_state, criterion_holds, leak_norms, yes_no_stack
 from .numerics import (
     DEFAULT_POLICY,
-    Ket,
-    Projection,
     TolerancePolicy,
     _commutator_norms,
     _frobenius_norms,
@@ -41,40 +39,37 @@ __all__ = [
 class PureStateModel:
     """Pure state together with its support, the unique atom that is
     certainly true exactly in this state, and the support's orthocomplement.
-    Both are built once per model, by the one-model case of ``_supports``,
-    unless a ``support_stacks`` call over several models built them first."""
+    The state is validated by ``_unit_state`` when the model is built; the
+    support and complement are read-only validated (d, d) arrays, built once
+    per model by the one-model case of ``_supports``, unless a
+    ``support_stacks`` call over several models built them first."""
 
-    state: Ket
+    state: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "state", _unit_state(self.state))
 
     @cached_property
-    def _projections(self) -> tuple[Projection, Projection]:
-        (support,), (complement,) = _supports(self.state.amplitudes[None])
-        return _projection(support), _projection(complement)
+    def _projections(self) -> tuple[np.ndarray, np.ndarray]:
+        (support,), (complement,) = _supports(self.state[None])
+        return support, complement
 
     @property
-    def support(self) -> Projection:
+    def support(self) -> np.ndarray:
         """Rank-one projection onto the state; invariant under global phase."""
         return self._projections[0]
 
     @property
-    def complement(self) -> Projection:
+    def complement(self) -> np.ndarray:
         """Orthocomplement of the support."""
         return self._projections[1]
-
-
-def _projection(matrix: np.ndarray) -> Projection:
-    """A ``Projection`` holding a read-only matrix that is already validated,
-    assembled without re-validating it."""
-    projection = object.__new__(Projection)
-    object.__setattr__(projection, "matrix", matrix)
-    return projection
 
 
 def _supports(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The supports S = psi psi^H of a (K, d) stack of unit kets and their
     complements I - S, as two read-only (K, d, d) stacks from one
-    ``validated_projections`` call each: bit for bit
-    ``Projection.from_basis(ket[:, None])`` and ``Projection(eye - S)``."""
+    ``validated_projections`` call each: bit for bit the matrix of
+    ``Projection.from_basis(ket[:, None])`` and that of its complement."""
     columns = kets[..., None]
     supports = validated_projections(columns @ columns.conj().mT)
     complements = validated_projections(np.eye(kets.shape[-1], dtype=np.complex128) - supports)
@@ -89,13 +84,13 @@ def support_stacks(models) -> tuple[np.ndarray, np.ndarray]:
     stack of members. The models that have not built theirs yet get them
     from one ``_supports`` call over their kets, and keep them."""
     if isinstance(models, PureStateModel):
-        return models.support.matrix, models.complement.matrix
+        return models.support, models.complement
     fresh = list({id(model): model for model in models if "_projections" not in vars(model)}.values())
     if fresh:
-        supports, complements = _supports(np.stack([model.state.amplitudes for model in fresh]))
+        supports, complements = _supports(np.stack([model.state for model in fresh]))
         for model, support, complement in zip(fresh, supports, complements):
-            vars(model)["_projections"] = _projection(support), _projection(complement)
-    sides = np.stack([[model.support.matrix, model.complement.matrix] for model in models])
+            vars(model)["_projections"] = support, complement
+    sides = np.stack([model._projections for model in models])
     return sides[:, None, 0], sides[:, None, 1]
 
 

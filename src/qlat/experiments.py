@@ -39,12 +39,9 @@ from .measurement import (
 )
 from .numerics import (
     DEFAULT_POLICY,
-    HermitianOperator,
-    Ket,
     TolerancePolicy,
     _commutator_norms,
     _leading_dyads,
-    _spectral_stacks,
     _ranks,
     _span_dyads,
     frobenius_distance,
@@ -201,10 +198,10 @@ def _gaussian_matrix(dim: int, gen: np.random.Generator, columns: int | None = N
     return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
 
-def random_hermitian(dim: int, gen: np.random.Generator) -> HermitianOperator:
+def random_hermitian(dim: int, gen: np.random.Generator) -> np.ndarray:
     """Symmetrized matrix of independent standard Gaussian entries."""
     raw = _gaussian_matrix(dim, gen)
-    return HermitianOperator((raw + raw.conj().T) / 2.0)
+    return (raw + raw.conj().T) / 2.0
 
 
 def _gapped_values(dim: int, gen: np.random.Generator) -> np.ndarray:
@@ -246,18 +243,16 @@ def _observable_pairs(dim: int, commuting, gens, pol: TolerancePolicy) -> list[t
         order = np.argsort(values, axis=-1)
         columns = np.take_along_axis(bases, order[:, None], axis=-1).mT[..., None]
         matrices = (bases * values[:, None]) @ bases.conj().mT
-        operators = [HermitianOperator((matrix + matrix.conj().T) / 2.0) for matrix in matrices]
         spectra = zip(np.take_along_axis(values, order, axis=-1), columns @ columns.conj().mT)
-        observables = _observables(operators, spectra)
+        observables = _observables((matrices + matrices.conj().mT) / 2.0, spectra)
         for k, first, second in zip(shared, observables[0::2], observables[1::2]):
             pairs[k] = first, second
     waiting = [k for k, flag in enumerate(commuting) if not flag]
     for _ in range(100):
         if not waiting:
             break
-        operators = [random_hermitian(dim, gens[k]) for k in waiting for _ in range(2)]
-        matrices = np.stack([operator.matrix for operator in operators])
-        observables = _observables(operators, _spectral_stacks(matrices, pol))
+        matrices = np.stack([random_hermitian(dim, gens[k]) for k in waiting for _ in range(2)])
+        observables = _observables(matrices, pol=pol)
         norms = _commutator_norms(matrices[0::2], matrices[1::2])
         commute = criterion_holds("commutation", norms, dim, pol).tolist()
         drawn, waiting = waiting, []
@@ -312,10 +307,10 @@ def _property_families(
     members and to the candidates drawn before it. Rounds repeat until every
     family is full or has made its attempts.
     """
-    dim = models[0].state.dim
+    dim = models[0].state.size
     if dim < 2:
         raise ValueError(f"the state's dimension must be at least 2, got {dim}")
-    states = np.stack([model.state.amplitudes for model in models])[..., None]
+    states = np.stack([model.state for model in models])[..., None]
     padding = np.stack([_gaussian_matrix(dim, gen, dim - 1) for gen in gens])
     aligned_bases, _ = np.linalg.qr(np.concatenate([states, padding], axis=-1))
 
@@ -395,7 +390,7 @@ def reference_qubit_family(pol: TolerancePolicy = DEFAULT_POLICY) -> PropertyFam
 
 
 def reference_qubit_model() -> PureStateModel:
-    return PureStateModel(Ket.basis(2, 0))
+    return PureStateModel(np.array([1.0, 0.0]))
 
 
 def reference_statements() -> tuple[Statement, ...]:
@@ -521,7 +516,7 @@ def _run_lattice_laws(cfg: ExperimentConfig):
             for _ in range(2):
                 ranks.append(int(gen.integers(1, dim)))
                 raws.append(_gaussian_matrix(dim, gen))
-            atom_kets.append(haar_random_ket(dim, gen).amplitudes)
+            atom_kets.append(haar_random_ket(dim, gen))
             ranks.append(1)
             raws.append(_gaussian_matrix(dim, gen))
         unitaries, _ = np.linalg.qr(np.stack(raws))
@@ -612,7 +607,8 @@ def _family_checks(family: PropertyFamily, rng: SeededRng, states: int, pol: Tol
     gen = rng.substream(1)
     probes = [haar_random_ket(family.dim, gen) for _ in range(states)]
     stack = family.projection_stack
-    probes += [Ket.normalized(range_basis(row)[:, 0]) for row in stack[is_atom(stack, pol)]]
+    vectors = [range_basis(row)[:, 0] for row in stack[is_atom(stack, pol)]]
+    probes += [vector / np.linalg.norm(vector) for vector in vectors]
     reports = domain_reports([PureStateModel(probe) for probe in probes], family, pol)
     domain_ok = all(
         report.predictable_equals_compatible and report.objective_equals_predictable

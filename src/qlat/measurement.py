@@ -17,9 +17,9 @@ import numpy as np
 from .lattice import orthocomplement
 from .numerics import (
     DEFAULT_POLICY,
-    HermitianOperator,
-    Ket,
     TolerancePolicy,
+    _as_square_matrix,
+    _check_hermitian,
     _frobenius_norms,
     _commutator_norms,
     _spectral_stacks,
@@ -90,7 +90,8 @@ def _generator_of(rng) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator with its clustered spectral resolution.
+    """Hermitian operator, a read-only (d, d) array, with its clustered
+    spectral resolution.
 
     ``eigenvalues`` ascend strictly; ``projection_stack[k]``, the projection
     of ``eigenvalues[k]``, is one read-only (k, d, d) stack, validated once
@@ -100,31 +101,38 @@ class Observable:
     re-checked in tests, not checked here).
     """
 
-    operator: HermitianOperator
+    operator: np.ndarray
     eigenvalues: tuple[float, ...]
     projection_stack: np.ndarray
 
     def __post_init__(self) -> None:
-        (checked,) = _observables([self.operator], [(self.eigenvalues, self.projection_stack)])
-        object.__setattr__(self, "eigenvalues", checked.eigenvalues)
-        object.__setattr__(self, "projection_stack", checked.projection_stack)
+        operators = _as_square_matrix(self.operator)[None]
+        (checked,) = _observables(operators, [(self.eigenvalues, self.projection_stack)])
+        vars(self).update(vars(checked))
 
     @classmethod
     def from_operator(cls, operator, pol: TolerancePolicy = DEFAULT_POLICY) -> "Observable":
-        if not isinstance(operator, HermitianOperator):
-            operator = HermitianOperator(operator)
-        return _observables([operator], _spectral_stacks(operator.matrix[None], pol))[0]
+        return _observables(_as_square_matrix(operator)[None], pol=pol)[0]
 
     @property
     def dim(self) -> int:
-        return self.operator.dim
+        return self.operator.shape[0]
 
 
-def _observables(operators, spectra) -> list[Observable]:
-    """An ``Observable`` of each operator and its (eigenvalues, projection
-    stack), with the constructor's checks: the eigenvalues as strictly
-    ascending floats, and the stacks validated and made read-only by one
-    ``validated_projections`` call over all of them."""
+def _observables(operators: np.ndarray, spectra=None, pol: TolerancePolicy = DEFAULT_POLICY) -> list[Observable]:
+    """An ``Observable`` of each (d, d) operator of an (n, d, d) stack and its
+    (eigenvalues, projection stack), by default its ``_spectral_stacks``
+    entry under ``pol``, with the constructors' checks: every operator
+    Hermitian, by one ``_check_hermitian`` call that names a lone operator
+    "matrix", before any spectrum is taken; the eigenvalues as strictly
+    ascending floats; and the stacks validated and made read-only by one
+    ``validated_projections`` call over all of them. Each observable holds
+    its row of the operators, which are made read-only in place."""
+    operators = np.asarray(operators, dtype=np.complex128)
+    _check_hermitian(operators, DEFAULT_POLICY.op_tol, ["matrix"] if len(operators) == 1 else None)
+    operators.setflags(write=False)
+    if spectra is None:
+        spectra = _spectral_stacks(operators, pol)
     checked = []
     for operator, (eigenvalues, stack) in zip(operators, spectra):
         eigenvalues = tuple(float(value) for value in eigenvalues)
@@ -133,7 +141,7 @@ def _observables(operators, spectra) -> list[Observable]:
         if any(b <= a for a, b in zip(eigenvalues, eigenvalues[1:])):
             raise ValueError(f"eigenvalues must be strictly ascending, got {list(eigenvalues)}")
         stack = np.asarray(stack, dtype=np.complex128)
-        expected = (len(eigenvalues), operator.dim, operator.dim)
+        expected = (len(eigenvalues), *operator.shape)
         if stack.shape != expected:
             raise ValueError(f"projection stack has shape {stack.shape}, expected {expected}")
         checked.append((operator, eigenvalues, stack))
@@ -150,9 +158,10 @@ def _observables(operators, spectra) -> list[Observable]:
     return observables
 
 
-def haar_random_ket(dim: int, rng) -> Ket:
-    """Haar-distributed pure state: 2*dim independent Gaussians, normalized."""
-    return Ket(_haar_states(dim, _generator_of(rng), (1,))[0])
+def haar_random_ket(dim: int, rng) -> np.ndarray:
+    """Haar-distributed pure state, as ``_unit_state`` returns it: 2*dim
+    independent Gaussians, normalized."""
+    return _unit_state(_haar_states(dim, _generator_of(rng), (1,))[0])
 
 
 def _haar_states(dim: int, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -285,9 +294,9 @@ def _joints(stacks: np.ndarray, counts) -> list[Observable]:
         values = (outer * count + inner).astype(float)
         stack = pair_products[pair_kept]
         matrix = np.einsum("k,kij->ij", values, stack)
-        operators.append(HermitianOperator((matrix + matrix.conj().T) / 2.0))
+        operators.append((matrix + matrix.conj().T) / 2.0)
         spectra.append((values, stack))
-    return _observables(operators, spectra) if operators else []
+    return _observables(np.stack(operators), spectra) if operators else []
 
 
 # Pair-trials per pass of array work in the Monte Carlo engine; bounds memory
@@ -393,7 +402,7 @@ def _measure_rows(
 
     Raises, for the first offending state, ValueError when its outcome
     probabilities do not sum to 1 within prob_tol, or when it or its
-    post-state fails the ``Ket`` normalization guard.
+    post-state fails the ``_unit_state`` normalization guard.
     """
     # projected[..., k, t, :] is stacks[..., k] applied to states[..., t, :].
     projected = states[..., None, :, :] @ stacks.mT
@@ -424,8 +433,21 @@ def _squared_norms(states: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", states.conj(), states).real
 
 
+def _unit_state(amplitudes) -> np.ndarray:
+    """The amplitudes as a read-only complex128 copy; ValueError unless they
+    form a nonempty 1-d array of squared norm within norm_tol of 1."""
+    state = np.array(amplitudes, dtype=np.complex128)
+    if state.ndim != 1 or state.size == 0:
+        raise ValueError(f"state vector must be a nonempty 1-d array, got shape {state.shape}")
+    sq_norm = float(np.vdot(state, state).real)
+    if not abs(sq_norm - 1.0) <= DEFAULT_POLICY.norm_tol:
+        raise ValueError(f"state vector is not normalized: squared norm is {sq_norm!r}")
+    state.setflags(write=False)
+    return state
+
+
 def _check_unit_rows(states: np.ndarray, tol: float) -> None:
-    """The ``Ket`` normalization guard on every state along the last axis."""
+    """The ``_unit_state`` guard on every state along the last axis."""
     _check_near_one(
         _squared_norms(states),
         tol,
@@ -500,7 +522,7 @@ def _compatibility_verdicts(pairs, pol: TolerancePolicy, trials: int, rngs) -> l
     and the products of ``_sandwich_residuals`` are taken per pair."""
     dim = pairs[0][0].dim
     stacks, last = _padded_stacks(pairs)
-    firsts, seconds = (np.stack([observable.operator.matrix for observable in side]) for side in zip(*pairs))
+    firsts, seconds = (np.stack([observable.operator for observable in side]) for side in zip(*pairs))
     commutators = _commutator_norms(firsts, seconds)
     commuting = criterion_holds("commutation", commutators, dim, pol)
     joints = iter(_joints(stacks[:, commuting], last[1, commuting] + 1))

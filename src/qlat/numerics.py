@@ -1,5 +1,6 @@
-"""Dense complex Hermitian core: validated operator types, clustered spectral
-decomposition, and the tolerance policy every other module inherits."""
+"""Dense complex Hermitian core: validation rules for operator and
+projection arrays, clustered spectral decomposition with its ``Projection``
+results, and the tolerance policy every other module inherits."""
 
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ import numpy as np
 __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
-    "Ket",
-    "HermitianOperator",
     "Projection",
     "frobenius_distance",
     "matrices_close",
@@ -139,66 +138,13 @@ def validated_projections(matrices, names=None) -> np.ndarray:
 
 
 def _matrix_of(value) -> np.ndarray:
-    if isinstance(value, HermitianOperator):
+    if isinstance(value, Projection):
         return value.matrix
     return _as_square_matrix(value)
 
 
 @dataclass(frozen=True, eq=False)
-class Ket:
-    """Unit vector in a finite-dimensional complex Hilbert space."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError(f"state vector must be a nonempty 1-d array, got shape {amps.shape}")
-        sq_norm = float(np.vdot(amps, amps).real)
-        if not abs(sq_norm - 1.0) <= DEFAULT_POLICY.norm_tol:
-            raise ValueError(f"state vector is not normalized: squared norm is {sq_norm!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    @classmethod
-    def normalized(cls, values) -> "Ket":
-        """Build a state from an arbitrary nonzero vector by normalizing it."""
-        vec = np.asarray(values, dtype=np.complex128)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(vec / norm)
-
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "Ket":
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[index] = 1.0
-        return cls(vec)
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Square complex matrix equal to its conjugate transpose within op_tol."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = _as_square_matrix(self.matrix)
-        _check_hermitian(matrix, DEFAULT_POLICY.op_tol)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Projection(HermitianOperator):
+class Projection:
     """Hermitian idempotent matrix.
 
     The stored matrix is re-symmetrized, P <- (P + P^dagger) / 2, so that
@@ -206,6 +152,8 @@ class Projection(HermitianOperator):
     checks fail spuriously. Idempotency within op_tol pins the eigenvalues to
     {0, 1} and makes the trace an integer rank up to rounding.
     """
+
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
         matrix = _validated_projection(_as_square_matrix(self.matrix), DEFAULT_POLICY.op_tol)
@@ -217,6 +165,10 @@ class Projection(HermitianOperator):
         """Projection onto the span of the orthonormal columns of a d x k
         array; a d x 0 array gives the zero projection."""
         return cls(columns @ columns.conj().T)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def rank(self) -> int:
@@ -275,12 +227,12 @@ def _spectral_stacks(matrices: np.ndarray, pol: TolerancePolicy) -> list[tuple[t
 def spectral_decompose(
     operator, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> list[tuple[float, Projection]]:
-    """The operator's ``_spectral_stacks`` entry as (eigenvalue, validated
-    Projection) pairs."""
-    if not isinstance(operator, HermitianOperator):
-        operator = HermitianOperator(operator)
-    eigenvalues, stack = _spectral_stacks(operator.matrix[None], pol)[0]
-    return [(value, Projection(matrix)) for value, matrix in zip(eigenvalues, stack)]
+    """The ``_spectral_stacks`` entry of a Hermitian matrix, validated as
+    one, as (eigenvalue, validated Projection) pairs."""
+    matrix = _as_square_matrix(operator)
+    _check_hermitian(matrix, DEFAULT_POLICY.op_tol)
+    eigenvalues, stack = _spectral_stacks(matrix[None], pol)[0]
+    return [(value, Projection(projection)) for value, projection in zip(eigenvalues, stack)]
 
 
 def _commutator_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:

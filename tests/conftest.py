@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qlat import (
-    Ket,
     Projection,
     TolerancePolicy,
     reference_qubit_family,
@@ -42,4 +41,4 @@ def ground_model():
 
 @pytest.fixture(scope="session")
 def plus_ket():
-    return Ket.normalized([1.0, 1.0])
+    return np.array([1.0, 1.0]) / np.sqrt(2.0)

@@ -16,8 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from qlat import DEFAULT_POLICY, Ket, Observable, Projection, Statement, TolerancePolicy, TruthValue, fold
-from qlat.measurement import _generator_of, _pair_stacks
+from qlat import DEFAULT_POLICY, Observable, Statement, TolerancePolicy, TruthValue, fold
+from qlat.measurement import _generator_of, _pair_stacks, _unit_state
 from qlat.numerics import _frobenius_norms
 from qlat.semantics import _MAX_TABLE_ATOMS
 
@@ -27,20 +27,21 @@ class MeasurementOutcome:
     eigenvalue: float
     outcome_index: int
     probability: float
-    post_state: Ket
+    post_state: np.ndarray
 
 
-def born_probability(state: Ket, projection: Projection, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Probability of the yes outcome for the property in the given state."""
-    if state.dim != projection.dim:
-        raise ValueError(f"dimension mismatch: {state.dim} vs {projection.dim}")
-    value = float(np.vdot(state.amplitudes, projection.matrix @ state.amplitudes).real)
+def born_probability(state: np.ndarray, projection: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
+    """Probability of the yes outcome for the property, a (d, d) projection
+    matrix, in the given state, a unit vector of d amplitudes."""
+    if state.size != projection.shape[0]:
+        raise ValueError(f"dimension mismatch: {state.size} vs {projection.shape[0]}")
+    value = float(np.vdot(state, projection @ state).real)
     if value < -pol.prob_tol or value > 1.0 + pol.prob_tol:
         raise ValueError(f"probability {value!r} outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)
 
 
-def measure(state: Ket, observable: Observable, rng, pol: TolerancePolicy = DEFAULT_POLICY) -> MeasurementOutcome:
+def measure(state: np.ndarray, observable: Observable, rng, pol: TolerancePolicy = DEFAULT_POLICY) -> MeasurementOutcome:
     """One projective measurement: sample an outcome with Born weights and
     collapse onto the normalized projection of the state.
 
@@ -48,10 +49,10 @@ def measure(state: Ket, observable: Observable, rng, pol: TolerancePolicy = DEFA
     (a fresh stream) or a numpy Generator (advances the caller's stream, which
     is what measurement sequences need).
     """
-    if state.dim != observable.dim:
-        raise ValueError(f"dimension mismatch: {state.dim} vs {observable.dim}")
+    if state.size != observable.dim:
+        raise ValueError(f"dimension mismatch: {state.size} vs {observable.dim}")
     gen = _generator_of(rng)
-    amplitudes = state.amplitudes
+    amplitudes = state
     stack = observable.projection_stack
     probabilities = np.einsum("i,kij,j->k", amplitudes.conj(), stack, amplitudes).real
     probabilities = np.clip(probabilities, 0.0, None)
@@ -70,7 +71,7 @@ def measure(state: Ket, observable: Observable, rng, pol: TolerancePolicy = DEFA
         eigenvalue=observable.eigenvalues[index],
         outcome_index=index,
         probability=float(min(probabilities[index], 1.0)),
-        post_state=Ket(collapsed),
+        post_state=_unit_state(collapsed),
     )
 
 

@@ -1,12 +1,13 @@
 from dataclasses import fields
 
+import re
+
 import numpy as np
 import pytest
 
 from qlat import (
     DomainReport,
     ExperimentConfig,
-    Ket,
     Observable,
     Projection,
     PropertyFamily,
@@ -45,8 +46,8 @@ class TestPureStateModel:
         gen = SeededRng(6).generator()
         for dim in (2, 5, 8):
             ket = haar_random_ket(dim, gen)
-            expected = Projection.from_basis(ket.amplitudes[:, None])
-            assert np.array_equal(PureStateModel(ket).support.matrix, expected.matrix)
+            expected = Projection.from_basis(ket[:, None])
+            assert np.array_equal(PureStateModel(ket).support, expected.matrix)
 
     def test_stacked_supports_are_the_projections_bit_for_bit(self):
         from qlat import domains
@@ -56,19 +57,44 @@ class TestPureStateModel:
             models = [PureStateModel(haar_random_ket(dim, gen)) for _ in range(5)]
             supports, complements = domains.support_stacks(models)
             for model, support, complement in zip(models, supports[:, 0], complements[:, 0]):
-                expected = Projection.from_basis(model.state.amplitudes[:, None])
+                expected = Projection.from_basis(model.state[:, None])
                 eye = np.eye(dim, dtype=np.complex128)
                 assert np.array_equal(support, expected.matrix)
                 assert np.array_equal(complement, Projection(eye - expected.matrix).matrix)
                 alone = PureStateModel(model.state)
-                assert np.array_equal(alone.support.matrix, support)
-                assert np.array_equal(alone.complement.matrix, complement)
-                assert not model.support.matrix.flags.writeable
-                assert not model.complement.matrix.flags.writeable
+                assert np.array_equal(alone.support, support)
+                assert np.array_equal(alone.complement, complement)
+                assert not model.support.flags.writeable
+                assert not model.complement.flags.writeable
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureStateModel(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match=r"^state vector is not normalized: squared norm is (nan|inf)$"):
+            PureStateModel([bad, 1.0])
+
+    @pytest.mark.parametrize("amplitudes", [np.zeros(0), np.array([[1.0, 0.0]])], ids=["empty", "2-d"])
+    def test_rejects_an_empty_or_2d_state(self, amplitudes):
+        shape = re.escape(str(amplitudes.shape))
+        with pytest.raises(ValueError, match=rf"^state vector must be a nonempty 1-d array, got shape {shape}$"):
+            PureStateModel(amplitudes)
+
+    def test_state_is_a_read_only_complex_copy(self):
+        amplitudes = np.array([0.0, 1.0, 0.0])
+        model = PureStateModel(amplitudes)
+        assert model.state.dtype == np.complex128
+        assert np.array_equal(model.state, np.array([0, 1, 0], dtype=complex))
+        with pytest.raises(ValueError):
+            model.state[0] = 1.0
+        amplitudes[1] = 0.0
+        assert model.state[1] == 1.0
 
     def test_state_is_the_one_field(self):
         assert [field.name for field in fields(PureStateModel)] == ["state"]
-        ket = Ket.basis(2, 0)
+        ket = np.eye(2)[0]
         with pytest.raises(TypeError):
             PureStateModel(ket, PureStateModel(ket).support)
 
@@ -89,19 +115,19 @@ class TestPureStateModel:
         certainty(model, family.projection_stack, pol)
         domain_reports([model, model], family, pol)
         domain_reports([model], family, pol)
-        assert len(calls) == 1 and np.array_equal(calls[0], model.state.amplitudes[None])
+        assert len(calls) == 1 and np.array_equal(calls[0], model.state[None])
 
 
 class TestSupport:
     def test_basis_state(self):
-        assert matrices_close(PureStateModel(Ket.basis(2, 0)).support, np.diag([1.0, 0.0]))
+        assert matrices_close(PureStateModel(np.eye(2)[0]).support, np.diag([1.0, 0.0]))
 
     def test_superposition_outer_product(self, plus_ket, pplus):
         assert matrices_close(PureStateModel(plus_ket).support, pplus)
 
     def test_global_phase_invariance(self):
-        ket = Ket.normalized([1.0, 2.0j, -0.5])
-        rotated = Ket(np.exp(1.37j) * ket.amplitudes)
+        ket = np.array([1.0, 2.0j, -0.5]) / np.linalg.norm([1.0, 2.0j, -0.5])
+        rotated = np.exp(1.37j) * ket
         assert matrices_close(PureStateModel(ket).support, PureStateModel(rotated).support)
 
     def test_support_has_probability_one(self):
@@ -173,7 +199,7 @@ class TestMembershipTrivia:
                 (label, member)
                 for label, member in zip(base.labels, base.projection_stack)
                 if label not in ("0", "I")
-                and np.linalg.norm(member @ model.support.matrix - model.support.matrix @ member)
+                and np.linalg.norm(member @ model.support - model.support @ member)
                 < pol.op_tol * dim
             ]
             family = PropertyFamily(commuting, dim=dim, pol=pol)
@@ -182,7 +208,7 @@ class TestMembershipTrivia:
 
 class TestEmptyStacks:
     def test_empty_stack_gives_empty_masks_and_residuals(self):
-        model = PureStateModel(Ket.basis(3, 0))
+        model = PureStateModel(np.eye(3)[0])
         empty = np.zeros((0, 3, 3), dtype=complex)
         above, below = certainty(model, empty)
         assert above.shape == below.shape == (0,)
@@ -200,10 +226,10 @@ class TestDomainInvariants:
             for certainly_true, label in zip(above.tolist(), family.labels):
                 member = family.projection_stack[family.index(label)]
                 complement = orthocomplement(member)
-                in_false_dual = leq(complement, orthocomplement(model.support.matrix), pol)
+                in_false_dual = leq(complement, orthocomplement(model.support), pol)
                 # E certainly true iff its complement is certainly false
-                assert certainly_true == leq(model.support.matrix, member, pol)
-                assert leq(model.support.matrix, member, pol) == in_false_dual
+                assert certainly_true == leq(model.support, member, pol)
+                assert leq(model.support, member, pol) == in_false_dual
 
     def test_membership_monotone(self, ground_model, qubit_family, pol):
         true_side = domain_reports([ground_model], qubit_family, pol)[0].certainly_true
@@ -222,7 +248,7 @@ class TestDomainInvariants:
             model, family = random_instance(dim, gen, pol)
             report = domain_reports([model], family, pol)[0]
             for label in family.labels:
-                member = Projection(family.projection_stack[family.index(label)])
+                member = family.projection_stack[family.index(label)]
                 probability = born_probability(model.state, member, pol)
                 if label in report.certainly_true:
                     assert probability == pytest.approx(1.0, abs=pol.prob_tol)
@@ -297,7 +323,7 @@ class TestPivot:
         for dim in range(2, 9):
             model, family = random_instance(dim, gen, pol)
             members = list(family.projection_stack)
-            support, complement = model.support.matrix, model.complement.matrix
+            support, complement = model.support, model.complement
             expected = {
                 label: float(np.linalg.norm(
                     join(meet(member, support, pol), meet(member, complement, pol), pol) - member
@@ -352,7 +378,7 @@ class TestStackedReports:
             # the family's own state, then its rank-one members' states, then
             # Haar-random ones
             atoms = [row for row in family.projection_stack if round(np.trace(row).real) == 1]
-            kets = [model.state] + [Ket(np.linalg.eigh(row)[1][:, -1]) for row in atoms]
+            kets = [model.state] + [np.linalg.eigh(row)[1][:, -1] for row in atoms]
             kets += [haar_random_ket(dim, gen) for _ in range(count)]
             models = [PureStateModel(ket) for ket in kets[:count]]
             stacked = domain_reports(models, family, pol)
@@ -425,8 +451,8 @@ class TestStackedYesNoRoute:
         for dim in range(2, 9):
             for _ in range(3):
                 model, family = random_instance(dim, gen, pol)
-                assert {"0", "I"} <= set(family.labels) and model.support.rank == 1
-                support = Observable.from_operator(model.support.matrix, pol)
+                assert {"0", "I"} <= set(family.labels) and Projection(model.support).rank == 1
+                support = Observable.from_operator(model.support, pol)
                 observables = [Observable.from_operator(row, pol) for row in family.projection_stack]
                 expected = [_sandwich_defects(observable, support)[0] for observable in observables]
                 residuals = objective_residuals(model, family.projection_stack)
@@ -456,7 +482,7 @@ class TestStackedYesNoRoute:
             model, family = random_instance(dim, gen, pol)
             seen.clear()
             compatible = DomainStacks([model], family, pol).compatible[0]
-            support = model.support.matrix
+            support = model.support
             norms = [float(_commutator_norms(member, support)) for member in family.projection_stack]
             # one criterion call over the whole stack, its norms bit for bit
             # those of the per-member loop
@@ -469,7 +495,7 @@ class TestStackedYesNoRoute:
     def test_noncommuting_residual_is_the_commutator_over_root_two(self, ground_model, pplus):
         # For two yes/no observables every leak equals |[E, S]|_F / sqrt(2).
         residual = objective_residuals(ground_model, pplus.matrix[None])
-        expected = float(_commutator_norms(pplus.matrix, ground_model.support.matrix)) / np.sqrt(2.0)
+        expected = float(_commutator_norms(pplus.matrix, ground_model.support)) / np.sqrt(2.0)
         assert residual.tolist() == pytest.approx([expected], abs=1e-15)
 
     def test_sandwich_mutant_fails_the_objective_campaign(self, monkeypatch):
@@ -555,7 +581,7 @@ class TestReportMatchesVerifiers:
 
     def test_qubit_family(self, pol, qubit_family, plus_ket):
         gen = SeededRng(12).generator()
-        states = [Ket.basis(2, 0), Ket.basis(2, 1), plus_ket]
+        states = [np.eye(2)[0], np.eye(2)[1], plus_ket]
         states += [haar_random_ket(2, gen) for _ in range(5)]
         for state in states:
             assert self.flags(PureStateModel(state), qubit_family, pol) == (True, True)

@@ -11,7 +11,6 @@ import pytest
 
 from qlat import (
     ExperimentConfig,
-    Ket,
     Projection,
     PropertyFamily,
     SeededRng,
@@ -129,7 +128,7 @@ class TestGeneration:
             first_pair = _observable_pairs(3, [commuting], [first_gen], pol)[0]
             second_pair = _observable_pairs(3, [commuting], [second_gen], pol)[0]
             for a, b in zip(first_pair, second_pair):
-                assert np.array_equal(a.operator.matrix, b.operator.matrix)
+                assert np.array_equal(a.operator, b.operator)
                 assert a.eigenvalues == b.eigenvalues
                 assert np.array_equal(a.projection_stack, b.projection_stack)
 
@@ -186,12 +185,12 @@ class TestGeneration:
             model = PureStateModel(haar_random_ket(5, gen))
             family = _property_families(n_members, [model], [gen], pol)[0]
             assert family.labels == ("E1", "E2", "0", "I")
-            assert np.array_equal(family.projection_stack[family.index("E1")], model.support.matrix)
-            assert np.array_equal(family.projection_stack[family.index("E2")], model.complement.matrix)
+            assert np.array_equal(family.projection_stack[family.index("E1")], model.support)
+            assert np.array_equal(family.projection_stack[family.index("E2")], model.complement)
 
     def test_property_family_rejects_a_one_dimensional_state(self, pol):
         gen = SeededRng(5).generator()
-        model = PureStateModel(Ket.basis(1, 0))
+        model = PureStateModel(np.eye(1)[0])
         state = gen.bit_generator.state
         with pytest.raises(ValueError, match="at least 2, got 1$"):
             _property_families(10, [model], [gen], pol)[0]
@@ -438,9 +437,9 @@ class TestStackedCampaigns:
                 gen = SeededRng(seed).substream(record.index, 0)
                 p = subspace(dim, int(gen.integers(1, dim)), gen)
                 q = subspace(dim, int(gen.integers(1, dim)), gen)
-                atom = PureStateModel(haar_random_ket(dim, gen)).support.matrix
+                atom = PureStateModel(haar_random_ket(dim, gen)).support
                 comparable = join(p, subspace(dim, 1, gen), pol)
-                witness = PureStateModel(Ket(range_basis(p)[:, 0])).support.matrix
+                witness = PureStateModel(range_basis(p)[:, 0]).support
                 gap = float(de_morgan_gaps(p, q, pol))
                 detail = {
                     "orthomodular": bool(orthomodular_holds(p, comparable, pol)),

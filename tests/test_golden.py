@@ -14,7 +14,9 @@ its Monte Carlo counts depend on the bits of every projection stack.
 the ``lattice_laws``, ``predictable_vs_compatible`` and
 ``objective_vs_predictable`` campaigns with ``--instances 12 --seed d``; their
 residuals come from the lattice operations. The ``run-*`` reports are
-compared without their ``wall_time_s`` line. The De Morgan gap in
+compared without their ``wall_time_s`` line. No command builds a
+``Projection`` object: that type is ``spectral_decompose``'s return value
+alone. The De Morgan gap in
 ``verify-family.json`` is a rounding-level number, so these bytes belong to
 the numpy build that wrote them (numpy 2.4.6 with OpenBLAS 0.3.31, x86-64);
 on another build, rewrite them with the code of the last commit that changed
@@ -26,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from qlat import Projection
 from qlat.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -65,9 +68,18 @@ def _commands(case: Path) -> dict[str, list[str]]:
         "run-lattice.json", "run-predictable.json", "run-objective.json",
     ],
 )
-def test_report_bytes_unchanged(case, report, tmp_path):
+def test_report_bytes_unchanged(case, report, tmp_path, monkeypatch):
+    constructions = []
+    validate = Projection.__post_init__
+
+    def counted_validate(self):
+        constructions.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Projection, "__post_init__", counted_validate)
     argv = _commands(GOLDEN / case)[report]
     out = tmp_path / report
     assert main([*argv, "--out", str(out)]) == 0
     written, golden = out.read_bytes(), (GOLDEN / case / report).read_bytes()
     assert WALL_TIME.sub(b"", written) == WALL_TIME.sub(b"", golden)
+    assert len(constructions) == 0

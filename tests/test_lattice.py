@@ -613,8 +613,8 @@ class TestStackedLattice:
         for model, family in random_families(pol):
             stack = family.projection_stack
             rebuilt = join(
-                meet(stack, model.support.matrix, pol),
-                meet(stack, model.complement.matrix, pol),
+                meet(stack, model.support, pol),
+                meet(stack, model.complement, pol),
                 pol,
             )
             expected = _frobenius_norms(rebuilt - stack)

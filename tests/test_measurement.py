@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from qlat import (
-    HermitianOperator,
-    Ket,
     Observable,
     Projection,
     SeededRng,
@@ -24,6 +22,7 @@ from qlat.measurement import (
     _check_unit_rows,
     _draw_block,
     _measure_rows,
+    _observables,
     _padded_stacks,
     _sandwich_defects,
     _sandwich_residuals,
@@ -79,12 +78,38 @@ class TestObservable:
         with pytest.raises(ValueError):
             observable.projection_stack[0, 0, 0] = 1.0
 
+    def test_error_names_the_worst_non_hermitian_entry(self, sigma_z):
+        bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        message = r"^matrix is not Hermitian: max asymmetry 1\.000e\+00 at entry \(0, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            Observable.from_operator(bad)
+        with pytest.raises(ValueError, match=message):
+            Observable(bad, (-1.0, 1.0), sigma_z.projection_stack)
+        # A block names the operator by its index.
+        with pytest.raises(ValueError, match=r"^matrix 1 is not Hermitian: max asymmetry 1\.000e\+00"):
+            _observables(np.stack([np.eye(2), bad]))
+
+    def test_rejects_a_non_square_operator(self, sigma_z):
+        with pytest.raises(ValueError, match="square"):
+            Observable.from_operator(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            Observable(np.zeros((2, 3)), (-1.0, 1.0), sigma_z.projection_stack)
+
+    def test_operator_is_a_read_only_copy(self):
+        matrix = np.eye(4)
+        observable = Observable.from_operator(matrix)
+        assert observable.dim == 4 and observable.operator.dtype == np.complex128
+        with pytest.raises(ValueError):
+            observable.operator[0, 0] = 2.0
+        matrix[0, 0] = 2.0
+        assert observable.operator[0, 0] == 1.0
+
     def test_rejects_a_stack_of_the_wrong_shape(self, sigma_z):
         message = r"projection stack has shape \(1, 2, 2\), expected \(2, 2, 2\)"
         with pytest.raises(ValueError, match=message):
             Observable(sigma_z.operator, (-1.0, 1.0), sigma_z.projection_stack[:1])
         with pytest.raises(ValueError, match=r"expected \(2, 3, 3\)"):
-            Observable(HermitianOperator(np.eye(3)), (0.0, 1.0), sigma_z.projection_stack)
+            Observable(np.eye(3), (0.0, 1.0), sigma_z.projection_stack)
         with pytest.raises(ValueError, match="spectrum must be nonempty"):
             Observable(sigma_z.operator, (), sigma_z.projection_stack[:0])
         # The shape is checked before the stack is validated, so a malformed
@@ -109,7 +134,7 @@ def check_rejects_non_idempotent_stack():
     Hermitian but non-idempotent entry raises the message that names it."""
     stack = np.array([np.diag([1.0, 0.0]), np.diag([0.5, 0.5])], dtype=np.complex128)
     try:
-        Observable(HermitianOperator(np.diag([0.0, 1.0])), (0.0, 1.0), stack)
+        Observable(np.diag([0.0, 1.0]), (0.0, 1.0), stack)
     except ValueError as exc:
         assert str(exc) == "matrix 1 is not idempotent: |P^2 - P| = 3.536e-01", exc
     else:
@@ -217,12 +242,24 @@ class _ShortRow:
 
 
 class TestHaarRows:
-    def test_single_draw_matches_linalg_norm(self):
+    def test_single_draw_matches_linalg_norm(self, monkeypatch):
         for dim in range(2, 9):
             ours, theirs = oracle_stream(80, (dim,)), oracle_stream(80, (dim,))
             for _ in range(200):
-                state = haar_random_ket(dim, ours).amplitudes
+                state = haar_random_ket(dim, ours)
                 assert np.array_equal(state, reference_haar(dim, theirs))
+                assert not state.flags.writeable
+        # The state keeps its own normalization guard, at norm_tol: a row
+        # whose squared norm is 1 + 1e-9 would pass an op_tol check.
+        rows = measurement._haar_rows
+
+        def drifted(normals):
+            states, kept = rows(normals)
+            return states * np.sqrt(1.0 + 1e-9), kept
+
+        monkeypatch.setattr(measurement, "_haar_rows", drifted)
+        with pytest.raises(ValueError, match="state vector is not normalized"):
+            haar_random_ket(3, SeededRng(1))
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_dimension_below_one_raises_before_reading_the_stream(self, dim):
@@ -280,26 +317,26 @@ class TestHaarRows:
 
 class TestBornProbability:
     def test_eigenvector(self, p0):
-        assert born_probability(Ket.basis(2, 0), p0) == 1.0
+        assert born_probability(np.eye(2)[0], p0.matrix) == 1.0
 
     def test_orthogonal(self, p1):
-        assert born_probability(Ket.basis(2, 0), p1) == 0.0
+        assert born_probability(np.eye(2)[0], p1.matrix) == 0.0
 
     def test_superposition(self, p0, plus_ket):
-        assert born_probability(plus_ket, p0) == pytest.approx(0.5)
+        assert born_probability(plus_ket, p0.matrix) == pytest.approx(0.5)
 
     def test_dim_mismatch(self, p0):
         with pytest.raises(ValueError, match="mismatch"):
-            born_probability(Ket.basis(3, 0), p0)
+            born_probability(np.eye(3)[0], p0.matrix)
 
 
 class TestMeasure:
     def test_eigenstate_is_deterministic(self, sigma_z):
         for seed in range(20):
-            outcome = measure(Ket.basis(2, 0), sigma_z, SeededRng(seed))
+            outcome = measure(np.eye(2)[0], sigma_z, SeededRng(seed))
             assert outcome.eigenvalue == 1.0
             assert outcome.probability == pytest.approx(1.0)
-            assert np.allclose(outcome.post_state.amplitudes, [1.0, 0.0])
+            assert np.allclose(outcome.post_state, [1.0, 0.0])
 
     def test_superposition_frequencies(self, sigma_z, plus_ket):
         gen = SeededRng(7).generator()
@@ -310,14 +347,14 @@ class TestMeasure:
         gen = SeededRng(8).generator()
         for _ in range(50):
             outcome = measure(plus_ket, sigma_z, gen)
-            expected = Ket.basis(2, 0 if outcome.eigenvalue == 1.0 else 1)
-            assert np.allclose(np.abs(outcome.post_state.amplitudes), expected.amplitudes)
+            expected = np.eye(2)[0 if outcome.eigenvalue == 1.0 else 1]
+            assert np.allclose(np.abs(outcome.post_state), expected)
 
     def test_sampled_outcome_has_positive_probability(self):
         observable = Observable.from_operator(np.diag([0.0, 1.0, 2.0]))
         gen = SeededRng(9).generator()
         for _ in range(200):
-            outcome = measure(Ket.normalized([1.0, 1.0, 0.0]), observable, gen)
+            outcome = measure(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), observable, gen)
             assert outcome.probability > 0.0
             assert outcome.eigenvalue in (0.0, 1.0)
 
@@ -349,7 +386,7 @@ class TestMeasure:
             observable = Observable.from_operator(random_hermitian(dim, gen))
             state = haar_random_ket(dim, gen)
             total = sum(
-                born_probability(state, Projection(projection), pol)
+                born_probability(state, projection, pol)
                 for projection in observable.projection_stack
             )
             assert total == pytest.approx(1.0, abs=pol.prob_tol)
@@ -614,7 +651,7 @@ class TestStackOracles:
                 expected = np.stack([matrix for _, matrix in entries])
                 assert np.abs(joint.projection_stack - expected).max() <= 1e-14
                 operator = sum(value * matrix for value, matrix in entries)
-                assert np.abs(joint.operator.matrix - operator).max() <= 1e-12
+                assert np.abs(joint.operator - operator).max() <= 1e-12
 
 
 class TestStackMutants:
@@ -725,7 +762,7 @@ class TestBatchedEngine:
 
     def test_incomplete_spectrum_raises_as_measure_does(self, sigma_x, pol):
         half = Projection(np.diag([1.0, 0.0]))
-        broken = Observable(HermitianOperator(half.matrix), (1.0,), half.matrix[None])
+        broken = Observable(half.matrix, (1.0,), half.matrix[None])
         rng = SeededRng(65)
         with pytest.raises(ValueError, match="outcome probabilities sum to") as single:
             single_shot_disagreements(broken, sigma_x, 4, rng, pol)

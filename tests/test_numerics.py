@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from qlat import (
-    HermitianOperator,
-    Ket,
     Observable,
     Projection,
     TolerancePolicy,
@@ -59,51 +57,6 @@ class TestTolerancePolicy:
         )
         assert policy.op_tol == float(np.float32(1e-9)) and policy.eig_gap == 1.0
         assert TolerancePolicy() == TolerancePolicy(op_tol=1e-9)
-
-
-class TestKet:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            Ket(np.array([1.0, 1.0]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_amplitudes(self, bad):
-        with pytest.raises(ValueError, match=r"^state vector is not normalized: squared norm is (nan|inf)$"):
-            Ket([bad, 1.0])
-
-    def test_normalized_constructor(self):
-        ket = Ket.normalized([3.0, 4.0])
-        assert ket.dim == 2
-        assert np.isclose(np.linalg.norm(ket.amplitudes), 1.0)
-
-    def test_normalized_rejects_zero(self):
-        with pytest.raises(ValueError, match="zero vector"):
-            Ket.normalized([0.0, 0.0])
-
-    def test_basis(self):
-        ket = Ket.basis(3, 1)
-        assert np.array_equal(ket.amplitudes, np.array([0, 1, 0], dtype=complex))
-
-    def test_amplitudes_immutable(self):
-        ket = Ket.basis(2, 0)
-        with pytest.raises(ValueError):
-            ket.amplitudes[0] = 0.0
-
-
-class TestHermitianOperator:
-    def test_error_names_worst_entry(self):
-        bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(
-            ValueError, match=r"^matrix is not Hermitian: max asymmetry 1\.000e\+00 at entry \(0, 1\)$"
-        ):
-            HermitianOperator(bad)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            HermitianOperator(np.zeros((2, 3)))
-
-    def test_dim(self):
-        assert HermitianOperator(np.eye(4)).dim == 4
 
 
 class TestProjection:
@@ -287,6 +240,17 @@ class TestSpectralDecompose:
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="asymmetry"):
             Observable.from_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_error_names_worst_entry(self):
+        bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(
+            ValueError, match=r"^matrix is not Hermitian: max asymmetry 1\.000e\+00 at entry \(0, 1\)$"
+        ):
+            spectral_decompose(bad)
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            spectral_decompose(np.zeros((2, 3)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)

@@ -17,7 +17,6 @@ from qlat import (
     And,
     Elementary,
     Implies,
-    Ket,
     Not,
     Observable,
     Or,
@@ -136,9 +135,9 @@ def leq_certainty(matrix, model, pol):
     TRUE above the support, else FALSE below its orthocomplement, else (or
     with no matrix) UNDEFINED."""
     if matrix is not None:
-        if leq(model.support.matrix, matrix, pol):
+        if leq(model.support, matrix, pol):
             return T
-        if leq(matrix, model.complement.matrix, pol):
+        if leq(matrix, model.complement, pol):
             return F
     return U
 
@@ -196,7 +195,7 @@ def check_per_member_route(pol, seed=57):
         family = _property_families(6, [model], [gen], pol)[0]
         above, below = domains.certainty(model, family.projection_stack, pol)
         members = list(family.projection_stack)
-        support, complement = model.support.matrix, model.complement.matrix
+        support, complement = model.support, model.complement
         assert above.tolist() == [leq(support, member, pol) for member in members]
         assert below.tolist() == [leq(member, complement, pol) for member in members]
         values = {
@@ -427,11 +426,11 @@ class TestTautologyDetectors:
         # table is built, so a bad label later in the list raises first.
         gen = SeededRng(59).generator()
         family = PropertyFamily(
-            [(f"a{i:02d}", Projection.from_basis(haar_random_ket(2, gen).amplitudes[:, None]))
+            [(f"a{i:02d}", Projection.from_basis(haar_random_ket(2, gen)[:, None]))
              for i in range(17)],
             dim=2,
         )
-        model = PureStateModel(Ket.basis(2, 0))
+        model = PureStateModel(np.eye(2)[0])
         wide = functools.reduce(Or, [Elementary(label) for label in family.labels[:17]])
         assert equivalents([wide], family, TolerancePolicy())[0] is None
         with pytest.raises(ValueError, match="too many atoms for a truth table: 17"):
@@ -573,7 +572,7 @@ def golden_case(name):
     case = GOLDEN / name
     family = PropertyFamily.loads((case / "family.json").read_text(encoding="utf-8"))
     state = json.loads((case / "state.json").read_text(encoding="utf-8"))
-    model = PureStateModel(Ket(_decode_matrix([state["amplitudes"]])[0]))
+    model = PureStateModel(_decode_matrix([state["amplitudes"]])[0])
     lines = (case / "statements.txt").read_text(encoding="utf-8").splitlines()
     return model, family, [parse_statement(line) for line in lines if line.strip()]
 
@@ -717,7 +716,7 @@ class TestVerificationistTruth:
                 if equivalent is None:
                     continue
                 value = audit_records(model, family, [statement], pol)[0].verificationist
-                probability = born_probability(model.state, Projection(equivalent), pol)
+                probability = born_probability(model.state, equivalent, pol)
                 if value is TruthValue.TRUE:
                     assert probability == pytest.approx(1.0, abs=pol.prob_tol)
                 elif value is TruthValue.FALSE:
@@ -741,7 +740,7 @@ class TestOrderIsomorphism:
         assert order_isomorphism_check(family, pol, rng=SeededRng(54), samples=200)
 
     def test_stacked_route_equals_the_per_member_and_state_loop(self, pol, monkeypatch):
-        # The per-(member, state) route written out: a Ket per range basis
+        # The per-(member, state) route written out: a state per range basis
         # vector of each member and per Haar draw, one born_probability per
         # member and state, and one leq per ordered member pair.
         seen = {}
@@ -763,11 +762,11 @@ class TestOrderIsomorphism:
             model = PureStateModel(haar_random_ket(dim, gen))
             family = _property_families(7, [model], [gen], pol)[0]
             members = [Projection(row) for row in family.projection_stack]
-            states = [Ket.normalized(v) for member in members for v in range_basis(member).T]
+            states = [v / np.linalg.norm(v) for member in members for v in range_basis(member).T]
             draws = SeededRng(dim).generator()
             states += [haar_random_ket(dim, draws) for _ in range(12)]
             certain = [
-                [born_probability(state, member, pol) >= 1.0 - pol.prob_tol for state in states]
+                [born_probability(state, member.matrix, pol) >= 1.0 - pol.prob_tol for state in states]
                 for member in members
             ]
             order = [[leq(a.matrix, b.matrix, pol) for b in members] for a in members]
@@ -777,9 +776,7 @@ class TestOrderIsomorphism:
             ]
 
             verdict = order_isomorphism_check(family, pol, rng=SeededRng(dim), samples=12)
-            np.testing.assert_allclose(
-                seen["states"], [state.amplitudes for state in states], rtol=0, atol=1e-14
-            )
+            np.testing.assert_allclose(seen["states"], states, rtol=0, atol=1e-14)
             assert seen["certain"].tolist() == certain
             assert seen["order"].tolist() == order
             assert verdict and order == entailed
@@ -856,7 +853,7 @@ class TestCompletenessAudit:
              ("mid", np.diag([1.0, 1.0, 0]).astype(complex))],
             dim=3,
         )
-        model = PureStateModel(Ket.basis(3, 0))
+        model = PureStateModel(np.eye(3)[0])
         statements = [Elementary(label) for label in family.labels]
         for mode in ("standard", "sr"):
             audit = completeness_audit(model, family, statements, mode)
@@ -871,7 +868,7 @@ class TestCompletenessAudit:
             statements = [Elementary(label) for label in family.labels]
             audit = completeness_audit(model, family, statements, "sr", pol)
             oblique_exists = any(
-                _commutator_norms(member, model.support.matrix) >= pol.op_tol * dim
+                _commutator_norms(member, model.support) >= pol.op_tol * dim
                 for member in family.projection_stack
             )
             assert (audit.verdict == "incomplete") == oblique_exists
@@ -889,7 +886,7 @@ class TestCompletenessAudit:
             family = _property_families(6, [model], [gen], pol)[0]
             statements = [random_statement(list(family.labels), 2, gen) for _ in range(12)]
             audit = completeness_audit(model, family, statements, "standard", pol)
-            support = Observable.from_operator(model.support.matrix, pol)
+            support = Observable.from_operator(model.support, pol)
             expected = []
             for statement in statements:
                 equivalent = equivalents([statement], family, pol)[0]
@@ -985,8 +982,8 @@ class TestStatementLayerMutants:
     def test_swapped_certainty_is_killed_by_the_per_member_route(self, monkeypatch, pol):
         def swapped(model, members, pol=pol):
             return (
-                leq(model.complement.matrix, members, pol),
-                leq(members, model.support.matrix, pol),
+                leq(model.complement, members, pol),
+                leq(members, model.support, pol),
             )
 
         monkeypatch.setattr(domains, "certainty", swapped)

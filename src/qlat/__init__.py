@@ -10,8 +10,6 @@ from .numerics import (
     DEFAULT_POLICY,
     Projection,
     TolerancePolicy,
-    frobenius_distance,
-    matrices_close,
     spectral_decompose,
 )
 from .lattice import (
@@ -33,10 +31,8 @@ from .measurement import (
     sequential_disagreements,
 )
 from .domains import (
-    DomainReport,
     PureStateModel,
     certainty,
-    domain_reports,
     objective_residuals,
     splits_along_support,
 )

@@ -144,7 +144,10 @@ def _cmd_run(args) -> tuple[dict, int]:
         cfg = ExperimentConfig.from_dict(merged)
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc)) from None
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     return report.to_json_dict(), report.fail_count
 
 

@@ -6,7 +6,7 @@ routes."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,8 +30,6 @@ __all__ = [
     "objective_mask",
     "splits_along_support",
     "DomainStacks",
-    "DomainReport",
-    "domain_reports",
 ]
 
 
@@ -69,7 +67,8 @@ def _supports(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The supports S = psi psi^H of a (K, d) stack of unit kets and their
     complements I - S, as two read-only (K, d, d) stacks from one
     ``validated_projections`` call each: bit for bit the matrix of
-    ``Projection.from_basis(ket[:, None])`` and that of its complement."""
+    ``Projection(c @ c.conj().T)`` for each ket's column c, and that of its
+    complement."""
     columns = kets[..., None]
     supports = validated_projections(columns @ columns.conj().mT)
     complements = validated_projections(np.eye(kets.shape[-1], dtype=np.complex128) - supports)
@@ -228,44 +227,3 @@ class DomainStacks:
     def objective_equals_predictable(self) -> list[bool]:
         pairs = zip(self.objective, self.predictable)
         return [objective == predictable for objective, predictable in pairs]
-
-
-@dataclass(frozen=True, eq=False)
-class DomainReport:
-    """All five domains of one (state, family) instance plus the equality
-    verdicts; certainly true and certainly false are disjoint by construction
-    of the order, which is asserted when the report is built."""
-
-    certainly_true: frozenset[str]
-    certainly_false: frozenset[str]
-    predictable: frozenset[str]
-    compatible: frozenset[str]
-    objective: frozenset[str]
-    predictable_equals_compatible: bool
-    objective_equals_predictable: bool
-
-    def to_json_dict(self) -> dict:
-        """Every field in order, each domain as its sorted labels."""
-        return {
-            name: sorted(value) if isinstance(value, frozenset) else value
-            for name, value in asdict(self).items()
-        }
-
-
-def domain_reports(
-    models, family: PropertyFamily, pol: TolerancePolicy = DEFAULT_POLICY
-) -> list[DomainReport]:
-    """Every domain and both verdicts of each of a sequence of models against
-    one family, from one ``DomainStacks``: each rule runs once over the
-    family's stack and all K supports."""
-    domains = DomainStacks(models, family, pol)
-    overlaps = [sorted(true & false) for true, false in domains.certain if true & false]
-    if overlaps:
-        raise ValueError(f"certainly true and certainly false overlap on {overlaps[0]}")
-    return [
-        DomainReport(*map(frozenset, (*sides, *domain_sets)), *verdicts)
-        for sides, *domain_sets, verdicts in zip(
-            domains.certain, domains.predictable, domains.compatible, domains.objective,
-            zip(domains.predictable_equals_compatible, domains.objective_equals_predictable),
-        )
-    ]

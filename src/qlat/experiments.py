@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .domains import DomainStacks, PureStateModel, domain_reports, support_stacks
+from .domains import DomainStacks, PureStateModel, support_stacks
 from .lattice import (
     PropertyFamily,
     _checked_dim,
@@ -41,12 +41,11 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _commutator_norms,
+    _frobenius_norms,
     _leading_dyads,
+    _range_kets,
     _ranks,
     _span_dyads,
-    frobenius_distance,
-    matrices_close,
-    range_basis,
     validated_projections,
 )
 from .semantics import (
@@ -491,9 +490,9 @@ def _nondistributivity_witness(pol: TolerancePolicy):
     ground, excited, superposed = (stack[family.index(label)] for label in ("P0", "P1", "Pplus"))
     lhs = meet(superposed, join(ground, excited, pol), pol)
     rhs = join(meet(superposed, ground, pol), meet(superposed, excited, pol), pol)
-    gap = frobenius_distance(lhs, rhs)
+    gap = float(_frobenius_norms(lhs - rhs))
     rhs_zero = _ranks(rhs, pol.eig_gap) == 0
-    passed = bool(matrices_close(lhs, superposed, pol) and rhs_zero and gap > 100.0 * pol.op_tol)
+    passed = bool(_frobenius_norms(lhs - superposed) < pol.op_tol and rhs_zero and gap > 100.0 * pol.op_tol)
     return passed, 0.0 if passed else gap, {"check": "nondistributivity_witness", "gap": gap}
 
 
@@ -522,9 +521,7 @@ def _run_lattice_laws(cfg: ExperimentConfig):
         unitaries, _ = np.linalg.qr(np.stack(raws))
         subspaces = validated_projections(_leading_dyads(unitaries, ranks))
         p, q, line = subspaces[0::3], subspaces[1::3], subspaces[2::3]
-        # range_basis(p)[:, 0] of each p: the first eigenvector above 1/2.
-        eigenvalues, eigenvectors = np.linalg.eigh(p)
-        range_kets = eigenvectors[np.arange(len(p)), :, np.argmax(eigenvalues > 0.5, axis=-1)]
+        range_kets = _range_kets(p)
         _check_unit_rows(range_kets, pol.norm_tol)
         kets = np.stack([atom_kets, range_kets])[..., None]
         atoms, witnesses = validated_projections(kets @ kets.conj().mT)
@@ -607,11 +604,10 @@ def _family_checks(family: PropertyFamily, rng: SeededRng, states: int, pol: Tol
     gen = rng.substream(1)
     probes = [haar_random_ket(family.dim, gen) for _ in range(states)]
     stack = family.projection_stack
-    vectors = [range_basis(row)[:, 0] for row in stack[is_atom(stack, pol)]]
-    probes += [vector / np.linalg.norm(vector) for vector in vectors]
-    reports = domain_reports([PureStateModel(probe) for probe in probes], family, pol)
-    domain_ok = all(
-        report.predictable_equals_compatible and report.objective_equals_predictable
-        for report in reports
-    )
+    probes += [ket / np.linalg.norm(ket) for ket in _range_kets(stack[is_atom(stack, pol)])]
+    domains = DomainStacks([PureStateModel(probe) for probe in probes], family, pol)
+    overlaps = [sorted(true & false) for true, false in domains.certain if true & false]
+    if overlaps:
+        raise ValueError(f"certainly true and certainly false overlap on {overlaps[0]}")
+    domain_ok = all(domains.predictable_equals_compatible) and all(domains.objective_equals_predictable)
     yield domain_ok, 0.0, {"check": "domain_equalities", "states": len(probes)}

@@ -4,7 +4,6 @@ structural laws, and labelled property families with JSON serialization."""
 from __future__ import annotations
 
 import functools
-import json
 import numbers
 
 import numpy as np
@@ -12,8 +11,8 @@ import numpy as np
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _as_square_matrix,
     _frobenius_norms,
-    _matrix_of,
     _ranks,
     validated_projections,
 )
@@ -154,18 +153,20 @@ class PropertyFamily:
     """Finite labelled family of properties on one space, held as one
     read-only (n, d, d) projection stack whose row k carries label k.
 
-    The constructor parses its entries and takes the one-family result of
-    ``_families``, the one rule that validates, deduplicates and adjoins the
-    zero and identity projections when absent. Members are deduplicated with
-    the repo-wide equality notion: a projection within op_tol (Frobenius) of
-    an earlier kept member is dropped together with its label.
+    The entries are (label, (d, d) array) pairs; a ``Projection`` enters as
+    its ``matrix``. The constructor parses them and takes the one-family
+    result of ``_families``, the one rule that validates, deduplicates and
+    adjoins the zero and identity projections when absent. Members are
+    deduplicated with the repo-wide equality notion: a projection within
+    op_tol (Frobenius) of an earlier kept member is dropped together with
+    its label.
     """
 
     def __init__(self, entries, *, dim: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY):
         labels: list[str] = []
         matrices: list[np.ndarray] = []
         for label, raw in entries:
-            matrix = _matrix_of(raw)
+            matrix = _as_square_matrix(raw)
             if dim is None:
                 dim = matrix.shape[0]
             if matrix.shape[0] != dim:
@@ -216,9 +217,6 @@ class PropertyFamily:
             ],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, document: dict, pol: TolerancePolicy = DEFAULT_POLICY) -> "PropertyFamily":
         try:
@@ -230,10 +228,6 @@ class PropertyFamily:
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed family document: {exc!r}") from None
         return cls(entries, dim=dim, pol=pol)
-
-    @classmethod
-    def loads(cls, text: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "PropertyFamily":
-        return cls.from_json_dict(json.loads(text), pol=pol)
 
 
 # Differences per call of a distance table: at most 1 MiB of complex128 at

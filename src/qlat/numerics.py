@@ -14,10 +14,7 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "Projection",
-    "frobenius_distance",
-    "matrices_close",
     "spectral_decompose",
-    "range_basis",
     "validated_projections",
 ]
 
@@ -137,12 +134,6 @@ def validated_projections(matrices, names=None) -> np.ndarray:
     return _validated_projection(np.asarray(matrices, dtype=np.complex128), DEFAULT_POLICY.op_tol, names)
 
 
-def _matrix_of(value) -> np.ndarray:
-    if isinstance(value, Projection):
-        return value.matrix
-    return _as_square_matrix(value)
-
-
 @dataclass(frozen=True, eq=False)
 class Projection:
     """Hermitian idempotent matrix.
@@ -159,33 +150,6 @@ class Projection:
         matrix = _validated_projection(_as_square_matrix(self.matrix), DEFAULT_POLICY.op_tol)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-
-    @classmethod
-    def from_basis(cls, columns: np.ndarray) -> "Projection":
-        """Projection onto the span of the orthonormal columns of a d x k
-        array; a d x 0 array gives the zero projection."""
-        return cls(columns @ columns.conj().T)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return int(_ranks(self.matrix, DEFAULT_POLICY.eig_gap))
-
-
-def frobenius_distance(left, right) -> float:
-    a = _matrix_of(left)
-    b = _matrix_of(right)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(_frobenius_norms(a - b))
-
-
-def matrices_close(left, right, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Single operator-equality notion used everywhere: Frobenius distance < op_tol."""
-    return frobenius_distance(left, right) < pol.op_tol
 
 
 def _spectral_stacks(matrices: np.ndarray, pol: TolerancePolicy) -> list[tuple[tuple[float, ...], np.ndarray]]:
@@ -240,11 +204,12 @@ def _commutator_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _frobenius_norms(a @ b - b @ a)
 
 
-def range_basis(projection) -> np.ndarray:
-    """Orthonormal basis of the range of a projection or its matrix, as the
-    columns of a d x rank array: the eigenvectors of eigenvalue near 1."""
-    eigenvalues, eigenvectors = np.linalg.eigh(_matrix_of(projection))
-    return eigenvectors[:, eigenvalues > 0.5]
+def _range_kets(projections: np.ndarray) -> np.ndarray:
+    """A unit vector in the range of each nonzero projection of an (n, d, d)
+    stack, from one ``eigh`` call: its eigenvector of lowest index whose
+    eigenvalue exceeds 1/2, as the rows of an (n, d) array."""
+    eigenvalues, eigenvectors = np.linalg.eigh(projections)
+    return eigenvectors[np.arange(len(projections)), :, np.argmax(eigenvalues > 0.5, axis=-1)]
 
 
 def _leading_dyads(bases: np.ndarray, ranks) -> np.ndarray:

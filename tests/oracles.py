@@ -1,4 +1,5 @@
-"""Single-object routes that the tests compare the stacked code against: one
+"""Single-object routes that the tests compare the stacked code against: the
+Frobenius distance of two matrices and the closeness it decides, one
 projective measurement of one state, the Born probability of one property,
 the interposition and sequence-symmetry residuals of one pair, each from its
 own sandwich products, the total classical valuation of one statement, and
@@ -20,6 +21,20 @@ from qlat import DEFAULT_POLICY, Observable, Statement, TolerancePolicy, TruthVa
 from qlat.measurement import _generator_of, _pair_stacks, _unit_state
 from qlat.numerics import _frobenius_norms
 from qlat.semantics import _MAX_TABLE_ATOMS
+
+
+def frobenius_distance(left, right) -> float:
+    """|left - right|_F of two (d, d) matrices; a ``Projection`` counts as its
+    ``matrix``."""
+    a, b = (np.asarray(getattr(side, "matrix", side), dtype=np.complex128) for side in (left, right))
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return float(_frobenius_norms(a - b))
+
+
+def matrices_close(left, right, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """The operator equality of the package: Frobenius distance below op_tol."""
+    return frobenius_distance(left, right) < pol.op_tol
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,9 +20,7 @@ from qlat import (
     SeededRng,
     TolerancePolicy,
     completeness_audit,
-    frobenius_distance,
     join,
-    matrices_close,
     meet,
     reference_qubit_family,
     reference_qubit_model,
@@ -35,7 +33,7 @@ from qlat.measurement import _sandwich_defects, criterion_holds
 from qlat.numerics import _ranks
 from qlat.semantics import TruthValue
 
-from oracles import atom_labels, format_statement, tarskian_truth
+from oracles import atom_labels, format_statement, frobenius_distance, matrices_close, tarskian_truth
 from test_semantics import all_statements, random_statement, to_sympy
 
 POL = TolerancePolicy()  # op_tol 1e-9, eig_gap 1e-7, norm_tol 1e-12, prob_tol 1e-9

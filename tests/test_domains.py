@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qlat import (
-    DomainReport,
     ExperimentConfig,
     Observable,
     Projection,
@@ -15,11 +14,10 @@ from qlat import (
     SeededRng,
     TolerancePolicy,
     certainty,
-    domain_reports,
     haar_random_ket,
+    is_atom,
     join,
     leq,
-    matrices_close,
     meet,
     objective_residuals,
     orthocomplement,
@@ -32,7 +30,14 @@ from qlat.experiments import _property_families
 from qlat.measurement import _sandwich_defects, criterion_holds
 from qlat.numerics import _commutator_norms
 
-from oracles import born_probability
+from oracles import born_probability, matrices_close
+
+
+# Every domain and verdict that DomainStacks gives per model.
+DOMAIN_FIELDS = (
+    "certain", "predictable", "compatible", "objective", "pivot_residuals",
+    "predictable_equals_compatible", "objective_equals_predictable",
+)
 
 
 def random_instance(dim, gen, pol):
@@ -46,7 +51,8 @@ class TestPureStateModel:
         gen = SeededRng(6).generator()
         for dim in (2, 5, 8):
             ket = haar_random_ket(dim, gen)
-            expected = Projection.from_basis(ket[:, None])
+            column = ket[:, None]
+            expected = Projection(column @ column.conj().T)
             assert np.array_equal(PureStateModel(ket).support, expected.matrix)
 
     def test_stacked_supports_are_the_projections_bit_for_bit(self):
@@ -57,7 +63,8 @@ class TestPureStateModel:
             models = [PureStateModel(haar_random_ket(dim, gen)) for _ in range(5)]
             supports, complements = domains.support_stacks(models)
             for model, support, complement in zip(models, supports[:, 0], complements[:, 0]):
-                expected = Projection.from_basis(model.state[:, None])
+                column = model.state[:, None]
+                expected = Projection(column @ column.conj().T)
                 eye = np.eye(dim, dtype=np.complex128)
                 assert np.array_equal(support, expected.matrix)
                 assert np.array_equal(complement, Projection(eye - expected.matrix).matrix)
@@ -113,8 +120,9 @@ class TestPureStateModel:
         monkeypatch.setattr(domains, "_supports", counted)
         family = _property_families(8, [model], [gen], pol)[0]
         certainty(model, family.projection_stack, pol)
-        domain_reports([model, model], family, pol)
-        domain_reports([model], family, pol)
+        for models in ([model, model], [model]):
+            stacks = DomainStacks(models, family, pol)
+            stacks.predictable_equals_compatible, stacks.objective_equals_predictable
         assert len(calls) == 1 and np.array_equal(calls[0], model.state[None])
 
 
@@ -139,10 +147,10 @@ class TestSupport:
 
 class TestWorkedFamilyDomains:
     def test_certainly_true(self, ground_model, qubit_family):
-        assert domain_reports([ground_model], qubit_family)[0].certainly_true == {"P0", "I"}
+        assert DomainStacks([ground_model], qubit_family).certain[0][0] == {"P0", "I"}
 
     def test_certainly_false(self, ground_model, qubit_family):
-        assert domain_reports([ground_model], qubit_family)[0].certainly_false == {"0", "P1"}
+        assert DomainStacks([ground_model], qubit_family).certain[0][1] == {"0", "P1"}
 
     def test_predictable_excludes_superposed_atom(self, ground_model, qubit_family):
         assert DomainStacks([ground_model], qubit_family).predictable[0] == {"0", "P0", "P1", "I"}
@@ -154,16 +162,16 @@ class TestWorkedFamilyDomains:
         assert DomainStacks([ground_model], qubit_family).objective[0] == {"0", "P0", "P1", "I"}
 
     def test_equalities_hold(self, ground_model, qubit_family):
-        report = domain_reports([ground_model], qubit_family)[0]
-        assert report.predictable_equals_compatible
-        assert report.objective_equals_predictable
+        domains = DomainStacks([ground_model], qubit_family)
+        assert domains.predictable_equals_compatible == [True]
+        assert domains.objective_equals_predictable == [True]
 
-    def test_report(self, ground_model, qubit_family):
-        report = domain_reports([ground_model], qubit_family)[0]
-        assert report.predictable == frozenset({"0", "P0", "P1", "I"})
-        assert report.predictable == report.compatible == report.objective
-        assert report.certainly_true & report.certainly_false == frozenset()
-        assert report.to_json_dict()["predictable_equals_compatible"] is True
+    def test_domains_coincide(self, ground_model, qubit_family):
+        domains = DomainStacks([ground_model], qubit_family)
+        [(certainly_true, certainly_false)] = domains.certain
+        assert domains.predictable[0] == {"0", "P0", "P1", "I"}
+        assert domains.predictable[0] == domains.compatible[0] == domains.objective[0]
+        assert certainly_true & certainly_false == set()
 
 
 class TestMembershipTrivia:
@@ -172,9 +180,9 @@ class TestMembershipTrivia:
         for _ in range(30):
             dim = int(gen.integers(2, 7))
             model, family = random_instance(dim, gen, pol)
-            report = domain_reports([model], family, pol)[0]
-            true_side, false_side = report.certainly_true, report.certainly_false
-            compatible, objective = report.compatible, report.objective
+            domains = DomainStacks([model], family, pol)
+            [(true_side, false_side)] = domains.certain
+            compatible, objective = domains.compatible[0], domains.objective[0]
             assert "I" in true_side
             assert "0" in false_side
             # the support and its complement open every generated family
@@ -232,7 +240,7 @@ class TestDomainInvariants:
                 assert leq(model.support, member, pol) == in_false_dual
 
     def test_membership_monotone(self, ground_model, qubit_family, pol):
-        true_side = domain_reports([ground_model], qubit_family, pol)[0].certainly_true
+        true_side = DomainStacks([ground_model], qubit_family, pol).certain[0][0]
         for label in qubit_family.labels:
             if label not in true_side:
                 continue
@@ -246,20 +254,20 @@ class TestDomainInvariants:
         for _ in range(30):
             dim = int(gen.integers(2, 6))
             model, family = random_instance(dim, gen, pol)
-            report = domain_reports([model], family, pol)[0]
+            [(certainly_true, certainly_false)] = DomainStacks([model], family, pol).certain
             for label in family.labels:
                 member = family.projection_stack[family.index(label)]
                 probability = born_probability(model.state, member, pol)
-                if label in report.certainly_true:
+                if label in certainly_true:
                     assert probability == pytest.approx(1.0, abs=pol.prob_tol)
-                elif label in report.certainly_false:
+                elif label in certainly_false:
                     assert probability == pytest.approx(0.0, abs=pol.prob_tol)
                 else:
                     assert pol.prob_tol < probability < 1.0 - pol.prob_tol
 
 
 class TestPivot:
-    def test_domain_report_builds_one_complement(self, pol, monkeypatch):
+    def test_domain_stacks_build_one_complement(self, pol, monkeypatch):
         from qlat import domains
 
         gen = SeededRng(13).generator()
@@ -275,7 +283,8 @@ class TestPivot:
             return build(kets)
 
         monkeypatch.setattr(domains, "_supports", counted)
-        domain_reports([model], family, pol)[0]
+        stacks = domains.DomainStacks([model], family, pol)
+        stacks.predictable_equals_compatible, stacks.objective_equals_predictable
         assert len(calls) == 1
 
     def test_domains_read_one_certainty_call(self, pol, monkeypatch):
@@ -290,14 +299,14 @@ class TestPivot:
             return certainty(*args)
 
         monkeypatch.setattr(domains, "certainty", counted)
-        report = domain_reports([model], family, pol)[0]
+        stacks = DomainStacks([model], family, pol)
+        stacks.predictable_equals_compatible, stacks.objective_equals_predictable
         assert len(calls) == 1
-        assert DomainStacks([model], family, pol).predictable[0] == report.predictable
+        assert DomainStacks([model], family, pol).predictable[0] == stacks.predictable[0]
         assert len(calls) == 2
         above, below = certainty(model, family.projection_stack, pol)
         labels = np.array(family.labels)
-        assert report.certainly_true == frozenset(labels[above].tolist())
-        assert report.certainly_false == frozenset(labels[below].tolist())
+        assert stacks.certain[0] == (set(labels[above].tolist()), set(labels[below].tolist()))
 
     def test_oblique_atom_residual_is_one(self, ground_model, qubit_family):
         # both meets vanish, so the rebuilt member is 0 and the defect is |E|
@@ -349,7 +358,7 @@ class TestPivot:
             return np.minimum(exact(model, members, pol), 5.0 * pol.op_tol)
 
         monkeypatch.setattr(domains, "_pivot_defects", banded)
-        assert not domain_reports([ground_model], qubit_family, pol)[0].predictable_equals_compatible
+        assert DomainStacks([ground_model], qubit_family, pol).predictable_equals_compatible == [False]
         report = run_experiment(
             ExperimentConfig(experiment="predictable_vs_compatible", dim=4, instances=5, seed=3)
         )
@@ -362,9 +371,8 @@ class TestPivot:
 
 
 class TestStackedReports:
-    """verify_family reads one stacked domain_reports pass over its probe
-    states; it must equal one single-model domain_reports call per model,
-    field by field."""
+    """verify_family reads one DomainStacks pass over its probe states; it
+    must equal one single-model DomainStacks per model, domain by domain."""
 
     @pytest.mark.parametrize("count", [0, 1, 5])
     @pytest.mark.parametrize(
@@ -381,13 +389,14 @@ class TestStackedReports:
             kets = [model.state] + [np.linalg.eigh(row)[1][:, -1] for row in atoms]
             kets += [haar_random_ket(dim, gen) for _ in range(count)]
             models = [PureStateModel(ket) for ket in kets[:count]]
-            stacked = domain_reports(models, family, pol)
-            assert len(stacked) == count
-            for model, report in zip(models, stacked):
-                single = domain_reports([model], family, pol)[0]
-                for field in fields(DomainReport):
-                    assert getattr(report, field.name) == getattr(single, field.name), field.name
-                seen.add((report.predictable_equals_compatible, report.objective_equals_predictable))
+            stacked = DomainStacks(models, family, pol)
+            for k, model in enumerate(models):
+                single = DomainStacks([model], family, pol)
+                for name in DOMAIN_FIELDS:
+                    assert getattr(stacked, name)[k] == getattr(single, name)[0], name
+            flags = zip(stacked.predictable_equals_compatible, stacked.objective_equals_predictable)
+            assert len(stacked.certain) == count
+            seen.update(flags)
         if count and pol.op_tol > 0.1:
             assert len(seen) > 1
 
@@ -435,7 +444,8 @@ class TestDomainWork:
         family = reference_qubit_family()
         counts = self.counting(monkeypatch)
         verify_family(family, 0, 20)
-        assert counts == {"meet": 1, "join": 1, "leak_norms": 1, "eigh": 10}
+        # all three atoms' probe kets come from one eigh call
+        assert counts == {"meet": 1, "join": 1, "leak_norms": 1, "eigh": 8}
 
 
 class TestStackedYesNoRoute:
@@ -451,7 +461,7 @@ class TestStackedYesNoRoute:
         for dim in range(2, 9):
             for _ in range(3):
                 model, family = random_instance(dim, gen, pol)
-                assert {"0", "I"} <= set(family.labels) and Projection(model.support).rank == 1
+                assert {"0", "I"} <= set(family.labels) and is_atom(model.support)
                 support = Observable.from_operator(model.support, pol)
                 observables = [Observable.from_operator(row, pol) for row in family.projection_stack]
                 expected = [_sandwich_defects(observable, support)[0] for observable in observables]
@@ -526,18 +536,18 @@ class TestEqualityCampaigns:
         for _ in range(60):
             dim = 2 + int(gen.integers(0, 3))
             model, family = random_instance(dim, gen, pol)
-            assert domain_reports([model], family, pol)[0].predictable_equals_compatible
+            assert DomainStacks([model], family, pol).predictable_equals_compatible == [True]
 
     def test_objective_equals_predictable_random(self, pol):
         gen = SeededRng(7).generator()
         for _ in range(60):
             dim = 2 + int(gen.integers(0, 3))
             model, family = random_instance(dim, gen, pol)
-            assert domain_reports([model], family, pol)[0].objective_equals_predictable
+            assert DomainStacks([model], family, pol).objective_equals_predictable == [True]
 
 
 class TestReportMatchesVerifiers:
-    """domain_reports reads its equality flags off domains it computes once;
+    """DomainStacks reads its equality flags off domains it computes once;
     they must agree with the verifier written out here from the domain sets,
     each member's entry of the pivot residuals and the split rule's two
     inequalities, including instances where an equality fails."""
@@ -557,8 +567,8 @@ class TestReportMatchesVerifiers:
 
     @classmethod
     def flags(cls, model, family, pol):
-        report = domain_reports([model], family, pol)[0]
-        reported = (report.predictable_equals_compatible, report.objective_equals_predictable)
+        domains = DomainStacks([model], family, pol)
+        [reported] = zip(domains.predictable_equals_compatible, domains.objective_equals_predictable)
         assert reported == cls.verified(model, family, pol)
         return reported
 

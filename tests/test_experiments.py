@@ -21,8 +21,8 @@ from qlat import (
     is_atom,
     join,
     leq,
-    matrices_close,
     orthomodular_holds,
+    reference_qubit_family,
     run_experiment,
     verify_family,
 )
@@ -35,7 +35,9 @@ from qlat.domains import (
 )
 from qlat.experiments import _gaussian_matrix, _observable_pairs, _property_families
 from qlat.lattice import de_morgan_gaps
-from qlat.numerics import range_basis
+from qlat.numerics import _ranks
+
+from oracles import matrices_close
 
 
 def strip_wall_time(document):
@@ -149,7 +151,7 @@ class TestGeneration:
         model = PureStateModel(haar_random_ket(4, gen))
         family = _property_families(10, [model], [gen], pol)[0]
         assert matrices_close(family.projection_stack[family.index("E1")], model.support)
-        assert Projection(family.projection_stack[family.index("E2")]).rank == 3
+        assert _ranks(family.projection_stack[family.index("E2")], pol.eig_gap) == 3
         assert len(family) == 12  # ten members plus the adjoined bounds
         assert family.projection_stack.shape == (12, 4, 4)
 
@@ -429,7 +431,8 @@ class TestStackedCampaigns:
     def test_lattice_records_match_the_one_instance_loop(self, seed, pol):
         def subspace(dim, rank, gen):
             unitary, _ = np.linalg.qr(_gaussian_matrix(dim, gen))
-            return Projection.from_basis(unitary[:, :rank]).matrix
+            columns = unitary[:, :rank]
+            return Projection(columns @ columns.conj().T).matrix
 
         for dim in range(2, 9):
             cfg = ExperimentConfig(experiment="lattice_laws", dim=dim, instances=5, seed=seed)
@@ -439,7 +442,9 @@ class TestStackedCampaigns:
                 q = subspace(dim, int(gen.integers(1, dim)), gen)
                 atom = PureStateModel(haar_random_ket(dim, gen)).support
                 comparable = join(p, subspace(dim, 1, gen), pol)
-                witness = PureStateModel(range_basis(p)[:, 0]).support
+                # the first eigenvector of p above 1/2
+                eigenvalues, eigenvectors = np.linalg.eigh(p)
+                witness = PureStateModel(eigenvectors[:, eigenvalues > 0.5][:, 0]).support
                 gap = float(de_morgan_gaps(p, q, pol))
                 detail = {
                     "orthomodular": bool(orthomodular_holds(p, comparable, pol)),
@@ -491,7 +496,7 @@ class TestStackedCampaigns:
 @pytest.fixture()
 def family_file(tmp_path, qubit_family):
     path = tmp_path / "family.json"
-    path.write_text(qubit_family.dumps())
+    path.write_text(json.dumps(qubit_family.to_json_dict(), indent=2, sort_keys=True))
     return str(path)
 
 
@@ -598,6 +603,26 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert "eig_gap must be strictly positive and finite" in captured.err
+        assert captured.out == ""
+
+    # A tolerance that the numerics cannot meet used to end the run in a
+    # traceback and exit 1, the code for campaign failures.
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"experiment": "lattice_laws", "tolerances": {"norm_tol": 1e-20}},
+             "state vector is not normalized"),
+            ({"experiment": "compatibility_equivalence", "mc_trials": 16, "tolerances": {"prob_tol": 1e-20}},
+             "outcome probabilities sum to"),
+        ],
+        ids=["norm_tol", "prob_tol"],
+    )
+    def test_unmeetable_tolerance_is_usage_error(self, tmp_path, capsys, fields, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dim": 3, "instances": 20, **fields}))
+        assert main(["run", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
     def test_config_output_path_is_usage_error(self, tmp_path, capsys):
@@ -759,7 +784,7 @@ class TestCli:
 
     def test_verify_family_rejects_nan_member(self, tmp_path, capsys):
         # Python's json reads NaN; the member must fail validation, naming
-        # the file, instead of reaching Projection.rank.
+        # the file, instead of reaching the rank rule.
         path = tmp_path / "family.json"
         path.write_text('{"dim": 2, "members": [{"label": "bad", "matrix": '
                         '[[[NaN, 0], [0, 0]], [[0, 0], [0, 0]]]}]}')
@@ -786,6 +811,52 @@ class TestCli:
         assert [record.experiment for record in records] == ["verify_family"] * 3
         assert [record.index for record in records] == [0, 1, 2]
         assert document["family"] == {"dim": 2, "labels": list(qubit_family.labels)}
+
+    @staticmethod
+    def eigh_shapes(monkeypatch):
+        """The shape of every numpy.linalg.eigh argument from now on."""
+        eigh, shapes = np.linalg.eigh, []
+
+        def counted(*args, **kwargs):
+            shapes.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return shapes
+
+    def test_golden_verify_family_makes_eight_eigh_calls(self, monkeypatch, tmp_path):
+        # One per atom probe made it nine: the family has two atoms.
+        shapes = self.eigh_shapes(monkeypatch)
+        family = Path(__file__).parent / "data" / "golden" / "d8" / "family.json"
+        out = tmp_path / "verify.json"
+        argv = ["verify-family", "--family", str(family), "--seed", "8", "--states", "4", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(shapes) == 8
+
+    def test_atom_probes_take_one_eigh_call(self, qubit_family, monkeypatch):
+        # P0, P1 and Pplus: three atoms, one (3, 2, 2) call, no single matrix.
+        shapes = self.eigh_shapes(monkeypatch)
+        records = verify_family(qubit_family, 0, 0)
+        assert records[2].detail == {"check": "domain_equalities", "states": 3}
+        assert shapes.count((3, 2, 2)) == 1 and all(len(shape) > 2 for shape in shapes)
+
+    def test_verify_family_without_atoms_or_states(self, tmp_path, capsys):
+        # The probe stack is empty: no Haar state and no rank-one member.
+        members = [("A", np.diag([1.0, 1.0, 0.0, 0.0])), ("B", np.diag([0.0, 1.0, 1.0, 0.0]))]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(PropertyFamily(members).to_json_dict()))
+        assert main(["verify-family", "--family", str(path), "--states", "0"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["aggregate"] == {"pass": 3, "fail": 0}
+        assert document["instances"][2]["detail"] == {"check": "domain_equalities", "states": 0}
+
+    def test_verify_family_rejects_overlapping_certainty(self):
+        # Loose enough that Pplus lies both above and below the support of
+        # the first probe, P0's state.
+        pol = TolerancePolicy(op_tol=0.75, eig_gap=0.8)
+        message = "certainly true and certainly false overlap on ['Pplus']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_family(reference_qubit_family(pol), 0, 0, pol)
 
     def test_audit_standard_and_sr(self, family_file, state_file, statements_file, capsys):
         code = main(
@@ -912,7 +983,7 @@ class TestCli:
 
     def test_verify_family_rejects_a_non_utf8_family(self, qubit_family, tmp_path, capsys):
         family = tmp_path / "family.json"
-        family.write_bytes(qubit_family.dumps().encode() + b"\xff")
+        family.write_bytes(json.dumps(qubit_family.to_json_dict()).encode() + b"\xff")
         assert main(["verify-family", "--family", str(family)]) == 2
         assert f"error: {family} is not UTF-8 text" in capsys.readouterr().err
 

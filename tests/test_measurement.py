@@ -11,8 +11,8 @@ from qlat import (
     TolerancePolicy,
     compatibility_verdict,
     haar_random_ket,
+    is_atom,
     leq,
-    matrices_close,
     sequential_disagreements,
 )
 from qlat import measurement
@@ -30,7 +30,14 @@ from qlat.measurement import (
     criterion_holds,
 )
 
-from oracles import born_probability, interposition_residual, measure, sequence_symmetry_residual
+from oracles import born_probability, interposition_residual, matrices_close, measure, sequence_symmetry_residual
+
+
+def span_projection(columns):
+    """The validated projection onto the span of a d x k array's columns,
+    from the dyads of their QR basis."""
+    basis = np.linalg.qr(columns)[0]
+    return Projection(basis @ basis.conj().T).matrix
 
 
 @pytest.fixture(scope="module")
@@ -538,7 +545,7 @@ class TestResidualOracle:
         gen = SeededRng(40 + dim).generator()
         for _ in range(6):
             columns = gen.standard_normal((dim, 2)) + 1j * gen.standard_normal((dim, 2))
-            plane = Observable.from_operator(Projection.from_basis(np.linalg.qr(columns)[0]).matrix, pol)
+            plane = Observable.from_operator(span_projection(columns), pol)
             other, _ = _observable_pairs(dim, [False], [gen], pol)[0]
             assert plane.projection_stack.shape[0] == 2
             assert_residuals_match_oracle(plane, other)
@@ -568,8 +575,7 @@ class TestJointObservable:
         joint = compatibility_verdict(first, second, trials=1).joint
         assert joint is not None
         assert len(joint.eigenvalues) == 3
-        ranks = [Projection(projection).rank for projection in joint.projection_stack]
-        assert ranks == [1, 1, 1]
+        assert is_atom(joint.projection_stack).tolist() == [True, True, True]
         axes = [np.argmax(np.diag(projection).real) for projection in joint.projection_stack]
         assert sorted(axes) == [0, 1, 2]
 
@@ -611,9 +617,10 @@ def per_product_joint(first, second):
 
 def per_column_observable(basis, values):
     """A commuting pair's spectrum as it stood before the stack:
-    one Projection.from_basis per column, in ascending order of value."""
+    one validated column dyad per column, in ascending order of value."""
     order = np.argsort(values)
-    matrices = [Projection.from_basis(basis[:, i : i + 1]).matrix for i in order]
+    columns = [basis[:, i : i + 1] for i in order]
+    matrices = [Projection(column @ column.conj().T).matrix for column in columns]
     return tuple(float(values[i]) for i in order), np.stack(matrices)
 
 
@@ -639,7 +646,7 @@ class TestStackOracles:
         gen = SeededRng(90 + dim).generator()
         pairs = [_observable_pairs(dim, [True], [gen], pol)[0] for _ in range(10)]
         columns = gen.standard_normal((dim, 1)) + 1j * gen.standard_normal((dim, 1))
-        line = Observable.from_operator(Projection.from_basis(np.linalg.qr(columns)[0]).matrix, pol)
+        line = Observable.from_operator(span_projection(columns), pol)
         pairs += [(line, line), (line, Observable.from_operator(np.eye(dim), pol))]
         degenerate = np.diag(np.arange(dim) // 2 * 1.0), np.diag(np.arange(dim) % 2 * 1.0)
         pairs.append(tuple(Observable.from_operator(matrix, pol) for matrix in degenerate))
@@ -742,7 +749,7 @@ class TestBatchedEngine:
     def test_matches_single_shot_route_with_unequal_outcome_counts(self, pol):
         gen = SeededRng(62).generator()
         columns = gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2))
-        first = Observable.from_operator(Projection.from_basis(np.linalg.qr(columns)[0]).matrix, pol)
+        first = Observable.from_operator(span_projection(columns), pol)
         second, _ = _observable_pairs(4, [False], [gen], pol)[0]
         assert (len(first.eigenvalues), len(second.eigenvalues)) == (2, 4)
         rng = SeededRng(63)
